@@ -195,7 +195,7 @@ def cmd_gkm_build(args):
     G = roots.coadjoint_graph(rs, I)
     rep = gkm.verify_graph_corollary(G)
     out = serialize.graph_to_json(G)
-    out["h"] = list(gkm.h_vector_graph(G))
+    out["h"] = next(i["detail"]["h"] for i in rep.per_item if i["id"] == "h-vector")
     out["sum_lengths"] = serialize.num_to_json(G.sum_lengths())
     out["verification"] = rep.to_dict()
     _emit(out, args.text)

@@ -49,10 +49,6 @@ class NotSimple(DelzantError):
     pass
 
 
-class IrrationalEdge(DelzantError):
-    pass
-
-
 class NonLatticeEdge(DelzantError):
     pass
 

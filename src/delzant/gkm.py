@@ -1,17 +1,21 @@
-"""Embedded GKM graphs: validation, reflexive and Gorenstein checks, directed
+"""Embedded GKM graphs, the one weighted 1-skeleton shared with polytopes:
+validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
-from . import bounds, exact, reflexive
+from . import bounds, exact
 from .errors import (
     DirectionDependent,
     InvalidGraph,
     NonGenericDirection,
     NonPositiveIndex,
     InconsistentIndex,
+    NotDelzant,
     NotGorenstein,
+    NotReflexive,
 )
 from .report import VerificationReport
 
@@ -23,7 +27,9 @@ class GkmGraph:
 
     Vertices are identified by hashable ids; coordinates are tuples of
     Fractions (or ints).  Weights and lengths are always derived from the
-    embedding, never stored independently.
+    embedding, never given independently.  The adjacency map and the weight
+    of each edge in both orientations are built once, so ``incident`` and
+    ``weight`` are lookups.
     """
 
     def __init__(self, ambient_dim, degree, vertices, edges):
@@ -38,18 +44,22 @@ class GkmGraph:
                 raise InvalidGraph(f"vertex {vid!r} has wrong dimension")
             self.coords[vid] = tuple(Fraction(c) for c in pt)
             self.ids.append(vid)
-        seen = set()
         self.edge_list = []
+        self._incident = {vid: [] for vid in self.ids}
+        self._weight = {}
         for u, v in edges:
             if u not in self.coords or v not in self.coords:
                 raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
             if u == v:
                 raise InvalidGraph(f"loop at {u!r}")
-            key = frozenset((u, v))
-            if key in seen:
+            if (u, v) in self._weight:
                 raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
-            seen.add(key)
             self.edge_list.append((u, v))
+            self._incident[u].append((u, v))
+            self._incident[v].append((u, v))
+            w, _ = exact.rational_direction(exact.vec_sub(self.coords[v], self.coords[u]))
+            self._weight[u, v] = w
+            self._weight[v, u] = exact.vec_neg(w)
 
     def point(self, vid):
         return self.coords[vid]
@@ -58,15 +68,15 @@ class GkmGraph:
         return list(self.edge_list)
 
     def incident(self, vid):
-        return [e for e in self.edge_list if vid in e]
+        """The edges at vid, in ``edge_list`` order."""
+        return list(self._incident[vid])
 
     def weight(self, edge, tail=None):
         """Primitive direction of the edge, oriented away from ``tail``."""
         u, v = edge
         if tail is not None and tail == v:
             u, v = v, u
-        w, _ = exact.rational_direction(exact.vec_sub(self.coords[v], self.coords[u]))
-        return w
+        return self._weight[u, v]
 
     def length(self, edge):
         u, v = edge
@@ -157,13 +167,19 @@ def gorenstein_index(G):
     return GorensteinCertificate(r, residuals)
 
 
-def _generic_direction(G, avoid=()):
-    dirs = [G.weight(e) for e in G.edge_list]
-    for b in _GENERIC_BASES:
-        xi = tuple(b**i for i in range(G.ambient_dim))
-        if xi in avoid:
-            continue
-        if all(exact.dot(w, xi) != 0 for w in dirs):
+def _generic_directions(G):
+    """The distinct candidates (1, b, b^2, ...), b prime, on which no edge
+    weight vanishes, in order of b."""
+    weights = [G.weight(e) for e in G.edge_list]
+    for xi in dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in _GENERIC_BASES):
+        if all(exact.dot(w, xi) != 0 for w in weights):
+            yield xi
+
+
+def generic_direction(G, avoid=()):
+    """The first generic direction that is not in ``avoid``."""
+    for xi in _generic_directions(G):
+        if xi not in avoid:
             return xi
     raise NonGenericDirection("no generic direction among the built-in candidates")
 
@@ -186,18 +202,16 @@ def _h_for_xi(G, xi):
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
-    When no direction is supplied, three distinct generic directions are
-    tried and must agree; a disagreement means the graph is not of the
-    manifold type where the census is direction-independent.
+    When no direction is supplied, up to three distinct generic directions
+    are tried (ambient dimension 1 has only one) and must agree; a
+    disagreement means the graph is not of the manifold type where the
+    census is direction-independent.
     """
     if xi is not None:
         return _h_for_xi(G, tuple(xi))
-    used = []
-    results = []
-    while len(used) < 3:
-        d = _generic_direction(G, avoid=tuple(used))
-        used.append(d)
-        results.append(_h_for_xi(G, d))
+    results = [_h_for_xi(G, d) for d in islice(_generic_directions(G), 3)]
+    if not results:
+        raise NonGenericDirection("no generic direction among the built-in candidates")
     if len(set(results)) != 1:
         raise DirectionDependent(f"h-vector depends on the direction: {results}")
     return results[0]
@@ -219,11 +233,44 @@ def verify_graph_corollary(G):
     return rep
 
 
+# -- polytopes ------------------------------------------------------------------
+# The Delzant and reflexive predicates live here, not in reflexive, because
+# from_polytope needs them and the polytope module imports this one for
+# Polytope.skeleton(); reflexive imports both.
+
+
+@dataclass(frozen=True)
+class DelzantReport:
+    simple: bool
+    rational: bool
+    smooth_per_vertex: dict
+    overall: bool
+
+
+def is_delzant(P):
+    """Check simplicity, rationality and per-vertex smoothness.
+
+    The edges of a polytope with rational vertices are always rational.
+    """
+    simple = P.is_simple()
+    smooth = {}
+    for vid in range(len(P.vertices)):
+        weights = P.vertex_weights(vid)
+        smooth[vid] = len(weights) == P.dim and abs(exact.det(weights)) == 1
+    return DelzantReport(simple, True, smooth, simple and all(smooth.values()))
+
+
+def is_reflexive(P):
+    """Integral vertices, origin interior, every facet of the form <x,l> <= 1."""
+    if not all(exact.is_integral(v) for v in P.vertices):
+        return False
+    return all(h.offset == 1 for h in P.facets)
+
+
 def from_polytope(P):
     """The 1-skeleton of a Delzant reflexive polytope as a GKM graph."""
-    if not reflexive.is_delzant(P).overall:
-        raise reflexive.NotDelzant("polytope is not Delzant")
-    if not reflexive.is_reflexive(P):
-        raise reflexive.NotReflexive("polytope is not reflexive")
-    vertices = [(i, P.vertices[i]) for i in range(len(P.vertices))]
-    return GkmGraph(P.dim, P.dim, vertices, P.edges())
+    if not is_delzant(P).overall:
+        raise NotDelzant("polytope is not Delzant")
+    if not is_reflexive(P):
+        raise NotReflexive("polytope is not reflexive")
+    return P.skeleton()

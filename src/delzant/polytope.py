@@ -11,19 +11,16 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb, ceil, floor
 
-from . import exact
+from . import exact, gkm
 from .errors import (
     DimensionMismatch,
     EmptyPolytope,
-    NonGenericDirection,
     NonLatticeEdge,
     NotFullDimensional,
     NotSimple,
     OriginNotInterior,
     Unbounded,
 )
-
-_GENERIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,7 @@ class Polytope:
 
     Vertices are tuples of Fractions, facets are Halfspace instances with
     primitive integer normals.  Instances are immutable; the face lattice
-    is computed once on first use.
+    and the 1-skeleton are computed once on first use.
     """
 
     def __init__(self, dim, vertices, facets):
@@ -72,6 +69,7 @@ class Polytope:
         self.facets = tuple(facets)
         self._faces = None
         self._edges = None
+        self._skeleton = None
         self._active = tuple(
             frozenset(i for i, h in enumerate(self.facets) if h.active(v))
             for v in self.vertices
@@ -236,27 +234,25 @@ class Polytope:
             self._edges = tuple(sorted(out))
         return list(self._edges)
 
-    # -- local data -----------------------------------------------------------
+    def skeleton(self):
+        """The weighted 1-skeleton as a GkmGraph on the vertex ids, the same
+        graph the GKM verifiers use.  Computed once."""
+        if self._skeleton is None:
+            self._skeleton = gkm.GkmGraph(
+                self.dim, self.dim, enumerate(self.vertices), self.edges()
+            )
+        return self._skeleton
 
-    def vertex_edges(self, vid):
-        return [e for e in self.edges() if vid in e]
+    # -- local data -----------------------------------------------------------
 
     def vertex_weights(self, vid):
         """Primitive lattice directions of the edges leaving vertex vid."""
-        v = self.vertices[vid]
-        out = []
-        for a, b in self.vertex_edges(vid):
-            other = self.vertices[b if a == vid else a]
-            w, _ = exact.rational_direction(exact.vec_sub(other, v))
-            out.append(w)
-        return out
+        S = self.skeleton()
+        return [S.weight(e, tail=vid) for e in S.incident(vid)]
 
     def is_simple(self):
-        deg = {}
-        for a, b in self.edges():
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        return all(deg.get(i, 0) == self.dim for i in range(len(self.vertices)))
+        S = self.skeleton()
+        return all(len(S.incident(v)) == self.dim for v in S.ids)
 
     def edge_direction(self, edge):
         a, b = edge
@@ -312,35 +308,18 @@ class Polytope:
     def generic_direction(self, avoid=()):
         """Deterministic direction not orthogonal to any edge.
 
-        Tries (1, B, B^2, ...) for increasing primes B, skipping any base
-        in ``avoid`` so that several distinct generic directions can be
-        produced for cross-checks.
+        Tries (1, B, B^2, ...) for increasing primes B, skipping any
+        direction in ``avoid`` so that several distinct generic directions
+        can be produced for cross-checks.
         """
-        dirs = [self.edge_direction(e) for e in self.edges()]
-        for base in _GENERIC_BASES:
-            if base in avoid:
-                continue
-            xi = tuple(base**i for i in range(self.dim))
-            if all(exact.dot(d, xi) != 0 for d in dirs):
-                return xi
-        raise NonGenericDirection("no generic direction found among the trial bases")
+        return gkm.generic_direction(self.skeleton(), avoid)
 
     def h_vector_directed(self, xi=None):
         """In-degree census of the edge orientation induced by xi."""
         if not self.is_simple():
             raise NotSimple("directed h-vector is defined for simple polytopes")
-        if xi is None:
-            xi = self.generic_direction()
-        indeg = [0] * len(self.vertices)
-        for a, b in self.edges():
-            s = exact.dot(self.edge_direction((a, b)), xi)
-            if s == 0:
-                raise NonGenericDirection(f"direction {xi} is orthogonal to edge {(a, b)}")
-            indeg[b if s > 0 else a] += 1
-        h = [0] * (self.dim + 1)
-        for d in indeg:
-            h[d] += 1
-        return tuple(h)
+        S = self.skeleton()
+        return gkm.h_vector_graph(S, gkm.generic_direction(S) if xi is None else xi)
 
     # -- misc -----------------------------------------------------------------
 

@@ -1,7 +1,7 @@
-"""Delzant and reflexivity checks, edge lengths, normal contributions, the
-index, and machine verification of the edge-length-sum identities."""
+"""Edge lengths, normal contributions, the index, and machine verification
+of the edge-length-sum identities.  The Delzant and reflexivity checks are
+gkm.is_delzant and gkm.is_reflexive, re-exported here."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -14,44 +14,9 @@ from .errors import (
     NotReflexive,
     UnsupportedDimension,
 )
+from .gkm import is_delzant, is_reflexive
 from .polytope import Polytope
 from .report import VerificationReport
-
-
-@dataclass(frozen=True)
-class DelzantReport:
-    simple: bool
-    rational: bool
-    smooth_per_vertex: dict
-    overall: bool
-
-
-def is_delzant(P):
-    """Check simplicity, rationality and per-vertex smoothness."""
-    n = P.dim
-    simple = P.is_simple()
-    rational = True
-    smooth = {}
-    for vid in range(len(P.vertices)):
-        try:
-            weights = P.vertex_weights(vid)
-        except exact.ZeroVector:  # pragma: no cover - degenerate input
-            rational = False
-            smooth[vid] = False
-            continue
-        if len(weights) != n:
-            smooth[vid] = False
-        else:
-            smooth[vid] = abs(exact.det(weights)) == 1
-    overall = simple and rational and all(smooth.values())
-    return DelzantReport(simple, rational, smooth, overall)
-
-
-def is_reflexive(P):
-    """Integral vertices, origin interior, every facet of the form <x,l> <= 1."""
-    if not all(exact.is_integral(v) for v in P.vertices):
-        return False
-    return all(h.offset == 1 for h in P.facets)
 
 
 def _require_delzant(P):
@@ -77,35 +42,15 @@ def vertex_fano_check(P):
     return rep
 
 
-def edge_weight(P, edge):
-    """Primitive direction of the edge, oriented from its first endpoint."""
-    w, _ = exact.rational_direction(P.edge_direction(edge))
-    return w
-
-
-def _faces2_containing_edge(P, edge):
-    want = frozenset(edge)
-    return [f for f in P.faces_of_dim(2) if want <= f.vertex_ids]
-
-
-def _weight_in_face(P, vid, face, exclude):
-    """The weight at vid along the unique edge of the 2-face other than exclude."""
-    hits = []
-    for a, b in P.edges():
-        if vid not in (a, b):
-            continue
-        if frozenset((a, b)) == frozenset(exclude):
-            continue
-        if frozenset((a, b)) <= face.vertex_ids:
-            other = b if a == vid else a
-            w, _ = exact.rational_direction(
-                exact.vec_sub(P.vertices[other], P.vertices[vid])
-            )
-            hits.append(w)
+def _weight_leaving(P, S, vid, i):
+    """The weight at vid of the one skeleton edge there that leaves facet i."""
+    hits = [
+        S.weight((a, b), tail=vid)
+        for a, b in S.incident(vid)
+        if i not in P.active_facets(b if a == vid else a)
+    ]
     if len(hits) != 1:
-        raise MatchingFailed(
-            f"2-face does not contain exactly one other edge at vertex {vid}"
-        )
+        raise MatchingFailed(f"not exactly one edge at vertex {vid} leaves facet {i}")
     return hits[0]
 
 
@@ -117,16 +62,30 @@ def normal_contributions(P, edge):
     contribution is the integer a with w - w~ = a * w1.
     """
     _require_delzant(P)
+    return _contributions(P, edge)
+
+
+def _contributions(P, edge):
+    """normal_contributions for a polytope already checked to be Delzant.
+
+    In a simple polytope the edge u v lies on n-1 facets.  Leaving out one
+    of them, facet i, the others cut out a 2-face through the edge, and the
+    second edge of that 2-face at u (and at v) is the one that leaves facet i.
+    """
+    S = P.skeleton()
     u, v = edge
-    w1 = edge_weight(P, (u, v))
+    w1 = S.weight(edge)
+    shared = P.active_facets(u) & P.active_facets(v)
     out = []
-    for face in _faces2_containing_edge(P, (u, v)):
-        wu = _weight_in_face(P, u, face, (u, v))
-        wv = _weight_in_face(P, v, face, (u, v))
+    for i in sorted(shared):
+        rest = shared - {i}
+        face = frozenset(x for x in range(len(P.vertices)) if rest <= P.active_facets(x))
+        wu = _weight_leaving(P, S, u, i)
+        wv = _weight_leaving(P, S, v, i)
         t = exact.solve_scalar(w1, exact.vec_sub(wu, wv))
         if t.denominator != 1:
             raise MatchingFailed(f"non-integer contribution {t} on edge {edge}")
-        out.append((face.vertex_ids, int(t)))
+        out.append((face, int(t)))
     return out
 
 
@@ -137,7 +96,7 @@ def verify_thm_combinatorics2(P):
     total = 0
     per_edge = []
     for e in P.edges():
-        s = sum(a for _, a in normal_contributions(P, e))
+        s = sum(a for _, a in _contributions(P, e))
         per_edge.append((e, s))
         total += s
     rhs = 12 * f[2] - 3 * (P.dim - 1) * f[1]
@@ -145,10 +104,6 @@ def verify_thm_combinatorics2(P):
     for e, s in per_edge:
         rep.add_item(f"edge {e}", True, {"contribution_sum": s})
     return rep
-
-
-def relative_length(P, edge):
-    return P.relative_length(edge)
 
 
 def sum_lengths(P):
@@ -160,12 +115,14 @@ def verify_length_decomposition(P):
     _require_delzant(P)
     _require_reflexive(P)
     rep = VerificationReport("length-decomposition", True)
+    total = 0
     for e in P.edges():
         length = P.relative_length(e)
-        s = 2 + sum(a for _, a in normal_contributions(P, e))
+        s = 2 + sum(a for _, a in _contributions(P, e))
         rep.add_item(f"edge {e}", length == s, {"length": length, "2+sum_a": s})
+        total += s
     rep.lhs = sum_lengths(P)
-    rep.rhs = (sum(2 + sum(a for _, a in normal_contributions(P, e)) for e in P.edges()),)
+    rep.rhs = (total,)
     return rep
 
 

@@ -4,9 +4,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 
+def num_to_json(x):
+    """An exact number as a JSON integer, or as a "p/q" string."""
+    x = Fraction(x)
+    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
 def _plain(x):
     if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return num_to_json(x)
     if isinstance(x, (list, tuple)):
         return [_plain(c) for c in x]
     if isinstance(x, dict):

@@ -9,11 +9,7 @@ from fractions import Fraction
 from .errors import MalformedInput
 from .gkm import GkmGraph
 from .polytope import Halfspace, Polytope
-
-
-def num_to_json(x):
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+from .report import num_to_json
 
 
 def num_from_json(x):

@@ -77,6 +77,7 @@ def test_criterion_5_h_vector_triple():
             xi = P.generic_direction(avoid=tuple(used))
             used.append(xi)
             ok = ok and P.h_vector_directed(xi) == comb
+        ok = ok and len(set(used)) == 3
     _report(5, "h-vector agreement over three generic directions", ok)
 
 

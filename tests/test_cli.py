@@ -103,6 +103,15 @@ def test_gkm_build_b2(capsys):
     assert json.loads(out)["sum_lengths"] == 56
 
 
+def test_gkm_build_a1(capsys):
+    # CP^1: ambient dimension 1 has a single generic direction
+    code, out = run(capsys, "gkm", "build", "A", "1")
+    assert code == 0
+    d = json.loads(out)
+    assert d["h"] == [1, 1] and d["sum_lengths"] == 2
+    assert d["verification"]["per_item"][0]["detail"]["r"] == 1
+
+
 def test_gkm_build_unsupported(capsys):
     assert main(["gkm", "build", "E", "6"]) == 2
 

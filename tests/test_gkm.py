@@ -9,7 +9,7 @@ from delzant.errors import (
     NonGenericDirection,
 )
 from delzant.gkm import GkmGraph
-from delzant.polytope import cube, simplex_cpn
+from delzant.polytope import Polytope, cube, simplex_cpn
 
 
 def square_skeleton():
@@ -80,6 +80,22 @@ def test_h_vector_matches_polytope():
         P = catalog.load(name)
         G = gkm.from_polytope(P)
         assert gkm.h_vector_graph(G) == P.h_vector_comb(), name
+
+
+def test_h_vector_of_a_segment():
+    # one generic direction exists in dimension 1, and it is enough
+    G = gkm.from_polytope(Polytope.from_vertices([(-1,), (1,)]))
+    assert gkm.h_vector_graph(G) == (1, 1)
+
+
+def test_polytope_skeleton_is_the_graph():
+    for name in ["hexagon", "cube", "octahedron", "diamond"]:
+        P = catalog.load(name)
+        S = P.skeleton()
+        assert S.edges() == P.edges(), name
+        for v in S.ids:
+            assert S.incident(v) == [e for e in S.edge_list if v in e], name
+            assert P.vertex_weights(v) == [S.weight(e, tail=v) for e in S.incident(v)], name
 
 
 def test_h_vector_rejects_non_generic_direction():

@@ -1,6 +1,6 @@
 import pytest
 
-from delzant import catalog, reflexive
+from delzant import catalog, exact, reflexive
 from delzant.errors import (
     InconsistentCones,
     NotDelzant,
@@ -47,6 +47,39 @@ def test_normal_contributions_square():
         # in dimension 2 every edge lies in the single 2-face
         assert len(contribs) == 1
         assert 2 + contribs[0][1] == P.relative_length(e)
+
+
+def _direction(P, a, b):
+    return exact.rational_direction(exact.vec_sub(P.vertices[b], P.vertices[a]))[0]
+
+
+def _contributions_by_2face_scan(P, edge):
+    """The contributions found by scanning every 2-face and every edge."""
+    u, v = edge
+
+    def weight_in_face(vid, face):
+        (w,) = [
+            _direction(P, vid, b if a == vid else a)
+            for a, b in P.edges()
+            if vid in (a, b) and {a, b} != {u, v} and {a, b} <= face
+        ]
+        return w
+
+    out = []
+    for f in P.faces_of_dim(2):
+        if {u, v} <= f.vertex_ids:
+            diff = exact.vec_sub(weight_in_face(u, f.vertex_ids), weight_in_face(v, f.vertex_ids))
+            out.append((f.vertex_ids, exact.solve_scalar(_direction(P, u, v), diff)))
+    return sorted(out, key=lambda p: sorted(p[0]))
+
+
+def test_normal_contributions_match_2face_scan():
+    delzant = [n for n in catalog.names("polytope") if reflexive.is_delzant(catalog.load(n)).overall]
+    assert set(DELZANT_REFLEXIVE) <= set(delzant)
+    for P in [catalog.load(n) for n in delzant] + [cube(4)]:
+        for e in P.edges():
+            got = sorted(reflexive.normal_contributions(P, e), key=lambda p: sorted(p[0]))
+            assert got == _contributions_by_2face_scan(P, e), (P, e)
 
 
 def test_dim2_contribution_sum():
