@@ -155,9 +155,11 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
       * otherwise an explicit cap is required (completeness not asserted).
     """
     m = n // 2
-    a = coefficients(n, k0)
-    if m == 0:
+    if m < 1:
         raise MalformedVector("no free positions for dimension < 2")
+    if not 1 <= k0 <= n + 1:
+        raise MalformedVector(f"index {k0} outside [1, {n + 1}]")
+    a = coefficients(n, k0)
     constraints = f"C(k0={k0}, n={n}, .) >= 0 and divisible by {k0}"
 
     if all(a[i] < 0 for i in range(1, m + 1)):

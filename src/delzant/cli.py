@@ -8,9 +8,13 @@ import argparse
 import json
 import sys
 
-from . import bounds, catalog, gkm, oracle, reflexive, serialize
+from . import bounds, catalog, gkm, reflexive, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
+from .gkm import GkmGraph
+from .polytope import Polytope
 from .report import VerificationReport
+
+_KIND = {Polytope: "a polytope", GkmGraph: "a GKM graph"}
 
 
 def _read_json(source):
@@ -28,21 +32,37 @@ def _read_json(source):
         raise MalformedInput(f"invalid JSON in {source!r}: {e}")
 
 
-def _load_input(source):
-    """Resolve an input spec to a polytope or graph.
+def _load_input(source, *kinds):
+    """Resolve an input spec to a polytope or graph of one of the given
+    kinds (Polytope, GkmGraph); another kind is MalformedInput.
 
     Accepts ``catalog:NAME``, a file path, or ``-`` for standard input.
     """
     if source.startswith("catalog:"):
         name = source[len("catalog:"):]
         try:
-            return catalog.load(name)
+            obj = catalog.load(name)
         except KeyError as e:
             raise MalformedInput(str(e))
-    data = _read_json(source)
-    if isinstance(data, dict) and "ambient_dim" in data:
-        return serialize.graph_from_json(data)
-    return serialize.polytope_from_json(data)
+    else:
+        data = _read_json(source)
+        if isinstance(data, dict) and "ambient_dim" in data:
+            obj = serialize.graph_from_json(data)
+        else:
+            obj = serialize.polytope_from_json(data)
+    if not isinstance(obj, kinds):
+        raise MalformedInput(
+            f"{source} is {_KIND[type(obj)]}; this command takes "
+            + " or ".join(_KIND[k] for k in kinds)
+        )
+    return obj
+
+
+def _parse_ints(text, what):
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise MalformedInput(f"cannot parse {what} {text!r}")
 
 
 def _emit(payload, text=False):
@@ -77,8 +97,8 @@ def _report_exit(rep, text):
 
 
 def cmd_check(args):
-    obj = _load_input(args.input)
     which = args.which
+    obj = _load_input(args.input, Polytope if which in ("delzant", "reflexive") else GkmGraph)
     if which == "delzant":
         dr = reflexive.is_delzant(obj)
         rep = VerificationReport("delzant", dr.overall)
@@ -100,27 +120,37 @@ def cmd_check(args):
     return _report_exit(rep, args.text)
 
 
+# Looked up in reflexive at call time, so that wrappers set on the module
+# attributes see these calls.
+_POLYTOPE_IDENTITIES = {
+    "main": "verify_main_theorem",
+    "12-24": "verify_12_24",
+    "combinatorics2": "verify_thm_combinatorics2",
+    "length-decomposition": "verify_length_decomposition",
+    "index-corollary": "verify_index_corollary",
+}
+
+
 def cmd_verify(args):
-    obj = _load_input(args.input)
     ident = args.identity
-    if ident == "main":
-        rep = reflexive.verify_main_theorem(obj)
-    elif ident == "12-24":
-        rep = reflexive.verify_12_24(obj)
-    elif ident == "combinatorics2":
-        rep = reflexive.verify_thm_combinatorics2(obj)
-    elif ident == "length-decomposition":
-        rep = reflexive.verify_length_decomposition(obj)
-    elif ident == "index-corollary":
-        rep = reflexive.verify_index_corollary(obj)
-    elif ident == "graph-corollary":
+    if ident == "graph-corollary":
+        obj = _load_input(args.input, GkmGraph)
         rep = gkm.verify_graph_corollary(obj)
+    elif ident in _POLYTOPE_IDENTITIES:
+        obj = _load_input(args.input, Polytope)
+        rep = getattr(reflexive, _POLYTOPE_IDENTITIES[ident])(obj)
     elif ident.startswith("gorenstein:"):
-        r = int(ident.split(":", 1)[1])
+        try:
+            r = int(ident.split(":", 1)[1])
+        except ValueError:
+            raise MalformedInput(f"cannot parse the index in {ident!r}")
+        obj = _load_input(args.input, Polytope)
         rep = reflexive.verify_gorenstein(obj, r)
     else:
         raise MalformedInput(f"unknown identity {ident!r}")
-    if args.with_oracle and hasattr(obj, "f_vector"):
+    if args.with_oracle and isinstance(obj, Polytope):
+        from . import oracle  # imported on use: only --with-oracle needs it
+
         ok = oracle.brute_f_vector(obj) == obj.f_vector()
         rep.add_item("oracle f-vector", ok)
         for e in obj.edges():
@@ -132,15 +162,17 @@ def cmd_verify(args):
 
 
 def cmd_dual(args):
-    P = _load_input(args.input)
+    P = _load_input(args.input, Polytope)
     _emit(serialize.polytope_to_json(P.dual()), args.text)
     return 0
 
 
 def cmd_fvector(args):
-    P = _load_input(args.input)
+    P = _load_input(args.input, Polytope)
     out = {"f": list(P.f_vector())}
     if args.with_oracle:
+        from . import oracle
+
         out["oracle_f"] = list(oracle.brute_f_vector(P))
         if out["oracle_f"] != out["f"]:
             _emit(out, args.text)
@@ -149,17 +181,10 @@ def cmd_fvector(args):
     return 0
 
 
-def _parse_xi(text):
-    try:
-        return tuple(int(c) for c in text.split(","))
-    except ValueError:
-        raise MalformedInput(f"cannot parse direction {text!r}")
-
-
 def cmd_hvector(args):
-    obj = _load_input(args.input)
-    xi = _parse_xi(args.xi) if args.xi else None
-    if hasattr(obj, "h_vector_comb"):
+    obj = _load_input(args.input, Polytope, GkmGraph)
+    xi = _parse_ints(args.xi, "direction") if args.xi else None
+    if isinstance(obj, Polytope):
         out = {"h": list(obj.h_vector_comb())}
         if xi is not None or args.directed:
             out["h_directed"] = list(obj.h_vector_directed(xi))
@@ -170,8 +195,8 @@ def cmd_hvector(args):
 
 
 def cmd_lengths(args):
-    obj = _load_input(args.input)
-    if hasattr(obj, "relative_length"):
+    obj = _load_input(args.input, Polytope, GkmGraph)
+    if isinstance(obj, Polytope):
         per = [
             {"edge": list(e), "length": serialize.num_to_json(obj.relative_length(e))}
             for e in obj.edges()
@@ -190,7 +215,7 @@ def cmd_lengths(args):
 def cmd_gkm_build(args):
     from . import roots
 
-    I = tuple(int(i) for i in args.I.split(",")) if args.I else ()
+    I = _parse_ints(args.I, "simple-root indices") if args.I else ()
     rs = roots.build(args.type, args.rank)
     G = roots.coadjoint_graph(rs, I)
     rep = gkm.verify_graph_corollary(G)
@@ -203,7 +228,7 @@ def cmd_gkm_build(args):
 
 
 def cmd_gkm_check(args):
-    G = _load_input(args.input)
+    G = _load_input(args.input, GkmGraph)
     rep = gkm.validate(G)
     return _report_exit(rep, args.text)
 
@@ -247,7 +272,7 @@ def cmd_catalog_list(args):
 
 def cmd_catalog_show(args):
     obj = catalog.load(args.name)
-    if hasattr(obj, "f_vector"):
+    if isinstance(obj, Polytope):
         _emit(serialize.polytope_to_json(obj), args.text)
     else:
         _emit(serialize.graph_to_json(obj), args.text)

@@ -6,9 +6,16 @@ share nothing with the primary ones beyond exact arithmetic.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
-from .errors import UnsupportedDimension
+from .errors import (
+    DimensionMismatch,
+    EmptyPolytope,
+    NotFullDimensional,
+    Unbounded,
+    UnsupportedDimension,
+    ZeroVector,
+)
 from .report import VerificationReport
 
 
@@ -41,16 +48,14 @@ def lattice_points_on_segment(u, v):
     return count
 
 
-def _affine_dim(points):
-    # rank of the difference set, by rational Gaussian elimination; kept
-    # separate from the exact-core implementation on purpose
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if not pts:
-        return -1
-    rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+def _rank(rows):
+    # rank by rational Gaussian elimination; kept separate from the
+    # exact-core implementation on purpose
+    rows = [[Fraction(c) for c in r] for r in rows]
+    if not rows:
+        return 0
     rank = 0
-    ncols = len(pts[0])
-    for c in range(ncols):
+    for c in range(len(rows[0])):
         piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
@@ -61,6 +66,165 @@ def _affine_dim(points):
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def _affine_dim(points):
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    if not pts:
+        return -1
+    return _rank([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]])
+
+
+def _det(rows):
+    m = [[Fraction(c) for c in r] for r in rows]
+    d = Fraction(1)
+    for c in range(len(m)):
+        piv = next((i for i in range(c, len(m)) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, len(m)):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def _solve(rows):
+    """The solution of a square system given as augmented rows [A | b], by
+    Gauss-Jordan elimination; None if A is singular."""
+    m = [[Fraction(c) for c in r] for r in rows]
+    n = len(m)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _cross(rows):
+    """The vector of signed maximal minors of n-1 rows in Q^n: orthogonal
+    to every row, and zero iff the rows are dependent."""
+    n = len(rows) + 1
+    return tuple(
+        (-1) ** j * _det([[r[k] for k in range(n) if k != j] for r in rows])
+        for j in range(n)
+    )
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _primitive(v):
+    """The primitive integer vector on the ray of a nonzero rational vector,
+    and the positive factor m with v = m * w."""
+    q = lcm(*(Fraction(c).denominator for c in v))
+    ints = [int(Fraction(c) * q) for c in v]
+    g = _content(ints)
+    if g == 0:
+        raise ZeroVector("the zero vector has no primitive direction")
+    return tuple(c // g for c in ints), Fraction(g, q)
+
+
+def _hull_facets(pts, n):
+    if n == 1:
+        lo = min(p[0] for p in pts)
+        hi = max(p[0] for p in pts)
+        return [((1,), hi), ((-1,), -lo)]
+    seen = set()
+    for sub in combinations(pts, n):
+        w = _cross([[a - b for a, b in zip(p, sub[0])] for p in sub[1:]])
+        if all(c == 0 for c in w):
+            continue
+        w, _ = _primitive(w)
+        m = _dot(w, sub[0])
+        vals = [_dot(w, p) for p in pts]
+        if all(v <= m for v in vals):
+            cand = (w, m)
+        elif all(v >= m for v in vals):
+            cand = (tuple(-c for c in w), -m)
+        else:
+            continue
+        if cand not in seen and _affine_dim([p for p, v in zip(pts, vals) if v == m]) == n - 1:
+            seen.add(cand)
+    return sorted(seen)
+
+
+def _hull_from_vertices(points):
+    pts = sorted(set(tuple(Fraction(c) for c in p) for p in points))
+    if not pts:
+        raise EmptyPolytope("no points given")
+    n = len(pts[0])
+    if any(len(p) != n for p in pts):
+        raise DimensionMismatch("points of mixed dimensions")
+    if _affine_dim(pts) != n:
+        raise NotFullDimensional(f"hull is not full-dimensional in R^{n}")
+    facets = _hull_facets(pts, n)
+    verts = [p for p in pts if _rank([a for a, b in facets if _dot(a, p) == b]) == n]
+    return verts, facets
+
+
+def _hull_from_halfspaces(halfspaces):
+    hs = []
+    for normal, offset in halfspaces:
+        w, m = _primitive([int(c) for c in normal])
+        h = (w, Fraction(offset) / m)
+        if h not in hs:
+            hs.append(h)
+    if not hs:
+        raise Unbounded("no halfspaces given")
+    n = len(hs[0][0])
+    if any(len(a) != n for a, _ in hs):
+        raise DimensionMismatch("normals of mixed dimensions")
+    normals = [a for a, _ in hs]
+    if _rank(normals) < n:
+        raise Unbounded("normals do not span the ambient space")
+    # The recession cone {d : <a, d> <= 0} is pointed; if it is not {0} it
+    # has an extreme ray tight on n-1 independent normals.
+    for sub in combinations(normals, n - 1):
+        d = _cross(sub)
+        if any(d) and any(all(_dot(a, [s * c for c in d]) <= 0 for a in normals) for s in (1, -1)):
+            raise Unbounded("halfspace intersection has a recession direction")
+    verts = set()
+    for sub in combinations(hs, n):
+        x = _solve([list(a) + [b] for a, b in sub])
+        if x is not None and all(_dot(a, x) <= b for a, b in hs):
+            verts.add(x)
+    if not verts:
+        raise EmptyPolytope("halfspace intersection is empty")
+    verts = sorted(verts)
+    if _affine_dim(verts) != n:
+        raise NotFullDimensional("halfspace intersection is not full-dimensional")
+    facets = [
+        (a, b) for a, b in hs
+        if _affine_dim([v for v in verts if _dot(a, v) == b]) == n - 1
+    ]
+    return verts, sorted(facets)
+
+
+def brute_hull(points=None, halfspaces=None):
+    """Vertices and facets of a polytope given by exactly one of ``points``
+    or ``halfspaces`` ((normal, offset) pairs), by subset scans: facets
+    from the hyperplanes through n-subsets of the points, vertices from the
+    solutions of n-subsets of the halfspaces.
+
+    Returns (sorted vertices, facets as (primitive normal, offset) pairs) in
+    the order Polytope.from_vertices and Polytope.from_halfspaces give, and
+    raises the same exception classes.  Cost is C(V, n) or C(m, n).
+    """
+    if (points is None) == (halfspaces is None):
+        raise ValueError("give exactly one of points and halfspaces")
+    if points is not None:
+        return _hull_from_vertices(points)
+    return _hull_from_halfspaces(halfspaces)
 
 
 def brute_f_vector(P):

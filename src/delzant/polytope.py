@@ -1,15 +1,16 @@
 """Lattice and rational polytopes with dual vertex/halfspace descriptions.
 
-Conversion between the two descriptions is brute-force double description:
-candidate facets come from n-subsets of vertices, candidate vertices from
-n-subsets of facets.  This is exact and entirely adequate at the target
-sizes (dimension <= 6, a few hundred vertices).
+Both conversions between the descriptions are one exact integer double
+description (``_extreme_rays``) on the homogenized cone: facets are the
+extreme rays of the cone of inequalities valid on the points, vertices the
+extreme rays of the cone over the halfspaces.  Dual, dilate and translate
+map the vertex/facet pair they already have.  The subset-scan hull
+``oracle.brute_hull`` is the independent cross-check.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, ceil, floor
+from math import ceil, comb, floor, gcd, lcm
 
 from . import exact, gkm
 from .errors import (
@@ -55,12 +56,119 @@ def _as_point(p):
     return tuple(Fraction(c) for c in p)
 
 
+def _facet_key(h):
+    return (h.normal, h.offset)
+
+
+def _canonical(dim, vertices, facets):
+    """A polytope in from_vertices' order: vertices sorted, facets sorted by
+    (normal, offset), except that in dimension 1 the order is [(1,), (-1,)]."""
+    return Polytope(dim, sorted(vertices), sorted(facets, key=_facet_key, reverse=dim == 1))
+
+
+def _cleared(v):
+    """A rational vector times the lcm of its denominators: an integer vector
+    with the same direction."""
+    q = lcm(*(Fraction(c).denominator for c in v))
+    return tuple(int(c * q) for c in v)
+
+
+def _primitive(v):
+    g = gcd(*v)
+    return tuple(c // g for c in v) if g > 1 else tuple(v)
+
+
+def _start(rows, d):
+    """The indices of the first d linearly independent rows, and the rays of
+    the simplicial cone they cut out, one per row: ray j is tight on every
+    chosen row but row j.  None if the rows have rank < d."""
+    chosen, echelon = [], []
+    for i, row in enumerate(rows):
+        v = list(row)
+        for c, e in echelon:
+            if v[c]:
+                v = _primitive([x * e[c] - v[c] * y for x, y in zip(v, e)])
+        pivot = next((c for c, x in enumerate(v) if x), None)
+        if pivot is not None:
+            chosen.append(i)
+            echelon.append((pivot, v))
+            if len(chosen) == d:
+                break
+    else:
+        return None
+    # Gauss-Jordan on [B^T | I] for the chosen rows B leaves E with
+    # E B^T diagonal, so row j of E is column j of B^-1 (the adjugate) up
+    # to scale.
+    m = [list(col) + [int(i == j) for j in range(d)]
+         for i, col in enumerate(zip(*(rows[i] for i in chosen)))]
+    for c in range(d):
+        p = next(i for i in range(c, d) if m[i][c])
+        m[c], m[p] = m[p], m[c]
+        for i in range(d):
+            if i != c and m[i][c]:
+                m[i] = _primitive([x * m[c][c] - m[i][c] * y for x, y in zip(m[i], m[c])])
+    return chosen, [_primitive([x if m[j][j] > 0 else -x for x in m[j][d:]]) for j in range(d)]
+
+
+def _extreme_rays(rows, d):
+    """Extreme rays of the cone {y in Q^d : <row, y> >= 0 for every row}.
+
+    Double description (Motzkin et al. 1953; Fukuda and Prodon, "Double
+    description method revisited", 1996) on integer rows.  It starts from
+    the simplicial cone of d independent rows and adds the other rows one
+    at a time.  A row keeps the rays on its nonnegative side, and each pair
+    of rays on opposite sides gives the ray where the 2-face they span
+    meets the row's hyperplane, if they do span a 2-face: by the
+    combinatorial test, no third ray is tight on every row both are tight
+    on.  Rays are primitive integer tuples.
+
+    Returns a list of (ray, tight) with ``tight`` the set of rows the ray
+    is tight on, as a bitmask of row indices.  Returns None if the rows
+    have rank < d, that is if the cone is not pointed.
+    """
+    start = _start(rows, d)
+    if start is None:
+        return None
+    chosen, first = start
+    every = sum(1 << i for i in chosen)
+    rays = [(ray, every & ~(1 << i)) for i, ray in zip(chosen, first)]
+    chosen = set(chosen)
+    for k, row in enumerate(rows):
+        if k in chosen:
+            continue
+        bit = 1 << k
+        kept, pos, neg = [], [], []
+        for ray, tight in rays:
+            s = sum(a * b for a, b in zip(row, ray))
+            if s > 0:
+                kept.append((ray, tight))
+                pos.append((ray, tight, s))
+            elif s < 0:
+                neg.append((ray, tight, s))
+            else:
+                kept.append((ray, tight | bit))
+        if neg:
+            masks = [tight for _, tight in rays]
+            for rp, tp, sp in pos:
+                for rn, tn, sn in neg:
+                    common = tp & tn
+                    if common.bit_count() < d - 2 or any(
+                        t & common == common and t != tp and t != tn for t in masks
+                    ):
+                        continue
+                    ray = _primitive([sp * b - sn * a for a, b in zip(rp, rn)])
+                    kept.append((ray, common | bit))
+        rays = kept
+    return rays
+
+
 class Polytope:
     """Full-dimensional bounded polytope with both descriptions computed.
 
     Vertices are tuples of Fractions, facets are Halfspace instances with
-    primitive integer normals.  Instances are immutable; the face lattice
-    and the 1-skeleton are computed once on first use.
+    primitive integer normals.  Instances are immutable; the vertex-facet
+    incidence, the face lattice and the 1-skeleton are computed once on
+    first use.
     """
 
     def __init__(self, dim, vertices, facets):
@@ -70,10 +178,7 @@ class Polytope:
         self._faces = None
         self._edges = None
         self._skeleton = None
-        self._active = tuple(
-            frozenset(i for i, h in enumerate(self.facets) if h.active(v))
-            for v in self.vertices
-        )
+        self._active = None
 
     # -- construction ---------------------------------------------------------
 
@@ -85,40 +190,23 @@ class Polytope:
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("points of mixed dimensions")
-        if exact.affine_rank(pts) != n:
+        # The cone of (beta, a) with <a, p> <= beta at every point: its
+        # extreme rays are the facets, and it is pointed iff the points
+        # affinely span R^n.
+        rays = _extreme_rays([_cleared((1,) + exact.vec_neg(p)) for p in pts], n + 1)
+        if rays is None:
             raise NotFullDimensional(f"hull is not full-dimensional in R^{n}")
-        facets = cls._hull_facets(pts, n)
+        facets = [Halfspace.make(ray[1:], ray[0]) for ray, _ in rays]
+        # A point is a vertex iff the facets through it meet in it alone.
         verts = []
-        for p in pts:
-            normals = [facets[i].normal for i, h in enumerate(facets) if h.active(p)]
-            if exact.rank(normals) == n:
+        for i, p in enumerate(pts):
+            meet = -1
+            for _, tight in rays:
+                if tight >> i & 1:
+                    meet &= tight
+            if meet == 1 << i:
                 verts.append(p)
-        return cls(n, verts, facets)
-
-    @staticmethod
-    def _hull_facets(pts, n):
-        if n == 1:
-            lo = min(p[0] for p in pts)
-            hi = max(p[0] for p in pts)
-            return [Halfspace((1,), Fraction(hi)), Halfspace((-1,), Fraction(-lo))]
-        seen = {}
-        for sub in combinations(pts, n):
-            w = exact.hyperplane_normal(sub)
-            if w is None:
-                continue
-            m = exact.dot(w, sub[0])
-            vals = [exact.dot(w, p) for p in pts]
-            if all(v <= m for v in vals):
-                cand = (w, m)
-            elif all(v >= m for v in vals):
-                cand = (exact.vec_neg(w), -m)
-            else:
-                continue
-            if cand not in seen:
-                active = [p for p, v in zip(pts, vals) if v == m]
-                if exact.affine_rank(active) == n - 1:
-                    seen[cand] = Halfspace(cand[0], Fraction(cand[1]))
-        return sorted(seen.values(), key=lambda h: (h.normal, h.offset))
+        return _canonical(n, verts, facets)
 
     @classmethod
     def from_halfspaces(cls, halfspaces):
@@ -134,46 +222,29 @@ class Polytope:
         n = len(hs[0].normal)
         if any(len(h.normal) != n for h in hs):
             raise DimensionMismatch("normals of mixed dimensions")
-        normals = [h.normal for h in hs]
-        if exact.rank(normals) < n:
+        # The homogenized cone of (t, x) with <a, x> <= b t and t >= 0.  A
+        # ray with t = 0 is a recession direction; with no ray at all the
+        # cone is {0} and the system is infeasible.
+        rows = [_cleared((h.offset,) + exact.vec_neg(h.normal)) for h in hs]
+        rays = _extreme_rays(rows + [(1,) + (0,) * n], n + 1)
+        if rays is None:
             raise Unbounded("normals do not span the ambient space")
-        cls._check_bounded(normals, n)
-        verts = set()
-        for sub in combinations(range(len(hs)), n):
-            mat = [hs[i].normal for i in sub]
-            rhs = [hs[i].offset for i in sub]
-            x = exact.solve_square(mat, rhs)
-            if x is None:
-                continue
-            if all(h.holds(x) for h in hs):
-                verts.add(x)
-        if not verts:
+        if any(ray[0] == 0 for ray, _ in rays):
+            raise Unbounded("halfspace intersection has a recession direction")
+        if not rays:
             raise EmptyPolytope("halfspace intersection is empty")
-        verts = sorted(verts)
-        if exact.affine_rank(verts) != n:
+        # A halfspace tight at every vertex is an implicit equality.
+        equalities = (1 << len(hs)) - 1
+        for _, tight in rays:
+            equalities &= tight
+        if equalities:
             raise NotFullDimensional("halfspace intersection is not full-dimensional")
-        facets = []
-        for h in hs:
-            active = [v for v in verts if h.active(v)]
-            if exact.affine_rank(active) == n - 1:
-                facets.append(h)
-        facets.sort(key=lambda h: (h.normal, h.offset))
-        return cls(n, verts, facets)
-
-    @staticmethod
-    def _check_bounded(normals, n):
-        # The recession cone {d : <l_i, d> <= 0} must be {0}.  Since the
-        # normals span R^n the cone is pointed, so a nonzero cone would
-        # contain an extreme ray tight on n-1 independent constraints.
-        for sub in combinations(normals, n - 1) if n > 1 else [()]:
-            if n > 1 and exact.rank(list(sub)) != n - 1:
-                continue
-            d = exact.null_direction(list(sub) if sub else [[0] * n])
-            if d is None:
-                continue
-            for cand in (d, exact.vec_neg(d)):
-                if all(exact.dot(l, cand) <= 0 for l in normals):
-                    raise Unbounded("halfspace intersection has a recession direction")
+        # Facets are the halfspaces whose vertex sets are maximal.
+        on = [sum(1 << j for j, (_, tight) in enumerate(rays) if tight >> i & 1)
+              for i in range(len(hs))]
+        facets = [h for h, s in zip(hs, on) if s and not any(s & t == s and s != t for t in on)]
+        verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray, _ in rays)
+        return cls(n, verts, sorted(facets, key=_facet_key))
 
     # -- faces ----------------------------------------------------------------
 
@@ -187,8 +258,8 @@ class Polytope:
         nv = len(self.vertices)
         all_ids = frozenset(range(nv))
         facet_verts = [
-            frozenset(i for i in range(nv) if h.active(self.vertices[i]))
-            for h in self.facets
+            frozenset(i for i in range(nv) if j in self.active_facets(i))
+            for j in range(len(self.facets))
         ]
         faces = {all_ids: Face(frozenset(), all_ids, self.dim)}
         queue = [all_ids]
@@ -268,21 +339,36 @@ class Polytope:
     # -- global operations ----------------------------------------------------
 
     def dual(self):
-        """Polar dual; requires the origin strictly interior."""
+        """Polar dual; requires the origin strictly interior.  Its vertices
+        are -a/b for the facets <x, a> <= b, and each vertex v gives the
+        facet <y, -v> <= 1."""
         if not all(h.offset > 0 for h in self.facets):
             raise OriginNotInterior("dual needs the origin strictly inside")
-        pts = [
-            tuple(Fraction(-c) / h.offset for c in h.normal) for h in self.facets
-        ]
-        return Polytope.from_vertices(pts)
+        verts = [tuple(Fraction(-c) / h.offset for c in h.normal) for h in self.facets]
+        facets = []
+        for v in self.vertices:
+            *w, q = _cleared(exact.vec_neg(v) + (1,))
+            facets.append(Halfspace.make(w, q))
+        return _canonical(self.dim, verts, facets)
 
     def dilate(self, r):
-        return Polytope.from_vertices(
-            [exact.vec_scale(Fraction(r), v) for v in self.vertices]
+        r = Fraction(r)
+        if r == 0:
+            raise NotFullDimensional("the 0-fold dilate is a point")
+        s = 1 if r > 0 else -1
+        return _canonical(
+            self.dim,
+            [exact.vec_scale(r, v) for v in self.vertices],
+            [Halfspace(exact.vec_scale(s, h.normal), abs(r) * h.offset) for h in self.facets],
         )
 
     def translate(self, t):
-        return Polytope.from_vertices([exact.vec_add(v, t) for v in self.vertices])
+        t = _as_point(t)
+        return _canonical(
+            self.dim,
+            [exact.vec_add(v, t) for v in self.vertices],
+            [Halfspace(h.normal, h.offset + exact.dot(h.normal, t)) for h in self.facets],
+        )
 
     def contains(self, point, strict=False):
         return all(h.holds(point, strict=strict) for h in self.facets)
@@ -331,6 +417,12 @@ class Polytope:
             raise KeyError(f"{point} is not a vertex")
 
     def active_facets(self, vid):
+        """Indices of the facets through vertex vid.  Computed once."""
+        if self._active is None:
+            self._active = tuple(
+                frozenset(i for i, h in enumerate(self.facets) if h.active(v))
+                for v in self.vertices
+            )
         return self._active[vid]
 
     def __eq__(self, other):

@@ -178,3 +178,9 @@ def test_evaluate_half_matches_indexed_formula(n, k0):
     h = (1,) + half + (tuple(reversed(half))[1:] if n % 2 == 0 else tuple(reversed(half))) + (1,)
     assert len(h) == n + 1
     assert bounds.evaluate_half(n, k0, half) == bounds.c_indexed_from_h(k0, n, h)
+
+
+@pytest.mark.parametrize("n, k0", [(4, 0), (4, 9), (4, -1), (1, 1), (-3, 1)])
+def test_enumerate_rejects_index_out_of_range(n, k0):
+    with pytest.raises(MalformedVector):
+        bounds.enumerate_admissible(n, k0, cap=3)

@@ -145,6 +145,24 @@ def test_bounds_enumerate_unbounded(capsys):
     assert main(["bounds", "enumerate", "--n", "6", "--k0", "1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "delzant", "catalog:a2-flag"],
+    ["check", "gorenstein", "catalog:cube"],
+    ["verify", "main", "catalog:a2-flag"],
+    ["verify", "graph-corollary", "catalog:cube"],
+    ["dual", "catalog:gr24-graph"],
+    ["fvector", "catalog:b2-flag"],
+    ["gkm", "check", "catalog:square"],
+    ["verify", "gorenstein:abc", "catalog:unit-square"],
+    ["gkm", "build", "A", "3", "--I", "a,b"],
+    ["bounds", "enumerate", "--n", "4", "--k0", "0", "--cap", "3"],
+    ["bounds", "enumerate", "--n", "4", "--k0", "9"],
+])
+def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_catalog_list(capsys):
     code, out = run(capsys, "catalog", "list")
     assert code == 0

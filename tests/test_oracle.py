@@ -1,11 +1,141 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, oracle
-from delzant.errors import UnsupportedDimension
+from delzant.errors import DelzantError, UnsupportedDimension
+from delzant.polytope import Polytope, cross_polytope
 
 POLYTOPES = catalog.names("polytope")
+
+COORD = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3)),
+)
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+def _pairs(P):
+    return list(P.vertices), [(h.normal, h.offset) for h in P.facets]
+
+
+def _outcome(fn, *args, **kwargs):
+    """(vertices, facet pairs) of a hull, or the class of the error raised."""
+    try:
+        out = fn(*args, **kwargs)
+    except DelzantError as e:
+        return type(e)
+    return _pairs(out) if isinstance(out, Polytope) else out
+
+
+@st.composite
+def point_sets(draw):
+    n = draw(st.integers(1, 4))
+    pts = draw(st.lists(st.tuples(*[COORD] * n), min_size=n + 1, max_size=n + 5))
+    shape = draw(st.sampled_from(["plain", "plain", "duplicates", "flat", "mixed"]))
+    if shape == "duplicates":
+        pts += pts[: draw(st.integers(1, len(pts)))]
+    elif shape == "flat":
+        pts = [p[:-1] + (0,) for p in pts]
+    elif shape == "mixed":
+        pts.append(pts[0] + (0,))
+    return pts
+
+
+@st.composite
+def halfspace_sets(draw):
+    n = draw(st.integers(1, 4))
+    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    hs = draw(st.lists(st.tuples(normal, COORD), min_size=1, max_size=n + 3))
+    shape = draw(st.sampled_from(["plain", "bounded", "duplicates", "flat", "empty"]))
+    if shape != "plain":
+        # a simplex around the origin makes the draw bounded; the other
+        # shapes build on it
+        hs += [(tuple(-int(j == i) for j in range(n)), 2) for i in range(n)]
+        hs.append(((1,) * n, 2))
+    if shape == "duplicates":
+        hs += hs[:2]
+    elif shape == "flat":
+        hs += [(hs[0][0], hs[0][1]), (tuple(-c for c in hs[0][0]), -Fraction(hs[0][1]))]
+    elif shape == "empty":
+        hs += [(hs[0][0], -3), (tuple(-c for c in hs[0][0]), -3)]
+    return hs
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets())
+@example(OCTAHEDRON)
+@example([p for p in cross_polytope(3).vertices] + [(0, 0, 0)])
+@example([(0, 0), (1, 0), (2, 0)])
+def test_from_vertices_matches_brute_hull(points):
+    assert _outcome(Polytope.from_vertices, points) == _outcome(oracle.brute_hull, points=points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(halfspace_sets())
+@example([(tuple(s * c for c in v), 1) for v in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+          for s in (1, -1)])
+@example([((1, 0), 1), ((0, 1), 1)])
+@example([((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1), ((1, 1), 2), ((1, -1), 3)])
+@example([((1,), 1), ((-1,), -2)])
+def test_from_halfspaces_matches_brute_hull(halfspaces):
+    assert _outcome(Polytope.from_halfspaces, halfspaces) == _outcome(
+        oracle.brute_hull, halfspaces=halfspaces
+    )
+
+
+def _moves(P, scale, shift):
+    """Each mapped operation next to a hull of its image's points."""
+    out = [
+        (lambda: P.dilate(scale), lambda: Polytope.from_vertices(
+            [tuple(Fraction(scale) * c for c in v) for v in P.vertices])),
+        (lambda: P.translate(shift), lambda: Polytope.from_vertices(
+            [tuple(c + t for c, t in zip(v, shift)) for v in P.vertices])),
+    ]
+    if all(h.offset > 0 for h in P.facets):
+        out.append((P.dual, lambda: Polytope.from_vertices(
+            [tuple(Fraction(-c) / h.offset for c in h.normal) for h in P.facets])))
+    return out
+
+
+@pytest.mark.parametrize("name", POLYTOPES + ["segment"])
+def test_mapped_operations_match_rehull_on_catalog(name):
+    # the segment comes in from_halfspaces' facet order, [(-1,), (1,)], and
+    # its images must come out in from_vertices' order, [(1,), (-1,)]
+    P = (Polytope.from_halfspaces([((1,), 2), ((-1,), 1)]) if name == "segment"
+         else catalog.load(name))
+    for scale in (2, -1, Fraction(-3, 2), 0):
+        for mapped, rehull in _moves(P, scale, tuple(range(1, P.dim + 1))):
+            assert _outcome(mapped) == _outcome(rehull), (name, scale)
+
+
+@st.composite
+def unimodular(draw, n):
+    """A GL(n, Z) matrix as a product of elementary moves."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                           st.integers(-2, 2)), max_size=6)):
+        if i == j:
+            u[i] = [-c for c in u[i]]
+        else:
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_mapped_operations_match_rehull_after_moves(data):
+    P = catalog.load(data.draw(st.sampled_from([n for n in POLYTOPES if n != "hypercube4"])))
+    u = data.draw(unimodular(P.dim))
+    Q = Polytope.from_vertices(
+        [tuple(sum(a * c for a, c in zip(row, v)) for row in u) for v in P.vertices]
+    )
+    scale = data.draw(st.sampled_from([1, 3, -2, Fraction(1, 2)]))
+    shift = data.draw(st.tuples(*[COORD] * P.dim))
+    for mapped, rehull in _moves(Q, scale, shift):
+        assert _outcome(mapped) == _outcome(rehull)
 
 
 def test_segment_counts():

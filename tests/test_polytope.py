@@ -27,6 +27,22 @@ def test_from_halfspaces_roundtrip():
     assert Q == P
 
 
+@pytest.mark.parametrize("n", [5, 6])
+def test_cube_roundtrips_through_its_vertices(n):
+    P = cube(n)
+    Q = Polytope.from_vertices(P.vertices)
+    assert (Q.vertices, Q.facets) == (P.vertices, P.facets)
+    assert len(Q.vertices) == 2**n and len(Q.facets) == 2 * n
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cross_polytope_roundtrips_through_its_facets(n):
+    P = cross_polytope(n)
+    Q = Polytope.from_halfspaces(P.facets)
+    assert (Q.vertices, Q.facets) == (P.vertices, P.facets)
+    assert len(Q.vertices) == 2 * n and len(Q.facets) == 2**n
+
+
 def test_unbounded_rejected():
     with pytest.raises(Unbounded):
         Polytope.from_halfspaces(
