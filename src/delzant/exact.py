@@ -180,15 +180,6 @@ def rank(rows):
     return r
 
 
-def affine_rank(points):
-    """Dimension of the affine hull of the given points (-1 for no points)."""
-    pts = list(points)
-    if not pts:
-        return -1
-    base = pts[0]
-    return rank([vec_sub(p, base) for p in pts[1:]])
-
-
 def hyperplane_normal(points):
     """Primitive integer normal of the hyperplane through n rational points in R^n.
 

@@ -44,6 +44,8 @@ class GkmGraph:
                 raise InvalidGraph(f"vertex {vid!r} has wrong dimension")
             self.coords[vid] = tuple(Fraction(c) for c in pt)
             self.ids.append(vid)
+        if not self.ids:
+            raise InvalidGraph("a graph needs at least one vertex")
         self.edge_list = []
         self._incident = {vid: [] for vid in self.ids}
         self._weight = {}
@@ -97,11 +99,8 @@ def validate(G):
             {"degree": len(inc), "expected": G.degree},
         )
         ws = [G.weight(e, tail=vid) for e in inc]
-        indep = True
-        for i in range(len(ws)):
-            for j in range(i + 1, len(ws)):
-                if exact.rank([ws[i], ws[j]]) < 2:
-                    indep = False
+        # Two primitive weights are dependent iff one is +-the other.
+        indep = len({max(w, exact.vec_neg(w)) for w in ws}) == len(ws)
         rep.add_item(f"gkm-condition {vid}", indep, {"weights": [list(w) for w in ws]})
     return rep
 

@@ -175,7 +175,7 @@ def _hull_from_vertices(points):
 def _hull_from_halfspaces(halfspaces):
     hs = []
     for normal, offset in halfspaces:
-        w, m = _primitive([int(c) for c in normal])
+        w, m = _primitive(normal)
         h = (w, Fraction(offset) / m)
         if h not in hs:
             hs.append(h)

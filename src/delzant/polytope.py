@@ -33,9 +33,12 @@ class Halfspace:
 
     @staticmethod
     def make(normal, offset):
-        """Normalize an integer-direction inequality to a primitive normal."""
-        w, m = exact.primitive(tuple(int(c) for c in normal))
-        return Halfspace(w, Fraction(offset) / m)
+        """Normalize an inequality with a rational normal to a primitive
+        integer normal: both sides times the lcm q of the normal's
+        denominators, then divided by the content of the integer normal."""
+        q = lcm(*(c.denominator for c in normal))
+        w, m = exact.primitive(tuple(int(c * q) for c in normal))
+        return Halfspace(w, Fraction(offset * q, m))
 
     def holds(self, point, strict=False):
         v = exact.dot(self.normal, point)
@@ -255,6 +258,8 @@ class Polytope:
         return self._faces
 
     def _compute_faces(self):
+        # The lattice is graded: the facets of a face F are the maximal
+        # proper nonempty sets F & facet, each one dimension below F.
         nv = len(self.vertices)
         all_ids = frozenset(range(nv))
         facet_verts = [
@@ -262,19 +267,18 @@ class Polytope:
             for j in range(len(self.facets))
         ]
         faces = {all_ids: Face(frozenset(), all_ids, self.dim)}
-        queue = [all_ids]
-        while queue:
-            cur = queue.pop()
-            for j, fv in enumerate(facet_verts):
-                w = cur & fv
-                if not w or w == cur or w in faces:
-                    continue
-                active = frozenset(
-                    k for k, kv in enumerate(facet_verts) if w <= kv
-                )
-                d = exact.affine_rank([self.vertices[i] for i in w])
-                faces[w] = Face(active, w, d)
-                queue.append(w)
+        layer = [all_ids]
+        for d in range(self.dim - 1, -1, -1):
+            nxt = []
+            for cur in layer:
+                subs = {cur & fv for fv in facet_verts} - {cur, frozenset()}
+                for w in subs:
+                    if w in faces or any(w < u for u in subs):
+                        continue
+                    active = frozenset(k for k, kv in enumerate(facet_verts) if w <= kv)
+                    faces[w] = Face(active, w, d)
+                    nxt.append(w)
+            layer = nxt
         return faces
 
     def faces_of_dim(self, d):

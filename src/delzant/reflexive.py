@@ -206,6 +206,8 @@ def verify_index_corollary(P):
     has length exactly k0."""
     k0 = index_k0(P)
     n = P.dim
+    if n < 2:
+        raise UnsupportedDimension("the indexed length-sum formula needs dimension >= 2")
     cf = bounds.c_indexed_from_f(k0, n, P.f_vector())
     ch = bounds.c_indexed_from_h(k0, n, P.h_vector_comb())
     lengths = [P.relative_length(e) for e in P.edges()]

@@ -7,8 +7,8 @@ form is the symmetrized Cartan matrix with long roots of square length 2.
 """
 
 from fractions import Fraction
+from math import factorial
 
-from . import exact
 from .errors import DegenerateBasePoint, NotARoot, UnsupportedType
 from .gkm import GkmGraph
 
@@ -62,10 +62,16 @@ class RootSystem:
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         ]
-        self.positive_roots = self._generate_positive()
-        self._root_set = set(self.positive_roots) | {
-            exact.vec_neg(r) for r in self.positive_roots
-        }
+        roots = self.closure(self.simple_roots, range(rank))
+        self.positive_roots = sorted(r for r in roots if all(c >= 0 for c in r))
+        # The coroot covector of each root beta: c_i = <alpha_i, beta^v> =
+        # 2 (alpha_i, beta) / (beta, beta), a Cartan integer, so that
+        # <x, beta^v> = sum_i x_i c_i on the root lattice.
+        self._coroot = {}
+        for beta in roots:
+            ab = [sum(row[j] * beta[j] for j in range(rank)) for row in self.form]
+            bb = sum(b * a for b, a in zip(beta, ab))
+            self._coroot[beta] = tuple(int(2 * a / bb) for a in ab)
 
     def pairing(self, x, y):
         """The invariant bilinear form (x, y) in simple-root coordinates."""
@@ -82,49 +88,43 @@ class RootSystem:
         out[j] -= c
         return tuple(out)
 
-    def _generate_positive(self):
-        roots = set(self.simple_roots)
-        frontier = set(self.simple_roots)
+    def closure(self, seeds, gens):
+        """The closure of the seed points under the simple reflections
+        indexed by gens, by breadth-first search; a set."""
+        seen = set(seeds)
+        frontier = list(seen)
         while frontier:
-            nxt = set()
-            for r in frontier:
-                for j in range(self.rank):
-                    s = self._simple_reflect(j, r)
-                    if s not in roots:
-                        roots.add(s)
-                        nxt.add(s)
+            nxt = []
+            for p in frontier:
+                for j in gens:
+                    s = self._simple_reflect(j, p)
+                    if s not in seen:
+                        seen.add(s)
+                        nxt.append(s)
             frontier = nxt
-        return sorted(r for r in roots if all(c >= 0 for c in r))
+        return seen
 
     def is_root(self, beta):
-        return tuple(beta) in self._root_set
+        return tuple(beta) in self._coroot
 
     def reflect(self, beta, x):
-        """Reflection of x in the hyperplane orthogonal to the root beta."""
+        """Reflection of x in the hyperplane orthogonal to the root beta:
+        x - <x, beta^v> beta."""
         beta = tuple(beta)
-        if not self.is_root(beta):
+        cov = self._coroot.get(beta)
+        if cov is None:
             raise NotARoot(f"{beta} is not a root")
-        t = 2 * self.pairing(x, beta) / self.pairing(beta, beta)
-        out = exact.vec_sub(tuple(Fraction(c) for c in x), exact.vec_scale(t, beta))
-        if all(Fraction(c).denominator == 1 for c in out):
-            return tuple(int(c) for c in out)
-        return out
+        t = sum(a * c for a, c in zip(x, cov))
+        return tuple(a - t * b for a, b in zip(x, beta))
 
 
 _WEYL_SIMPLE = {
-    "A": lambda d: _factorial(d + 1),
-    "B": lambda d: 2**d * _factorial(d),
-    "C": lambda d: 2**d * _factorial(d),
-    "D": lambda d: 2 ** (d - 1) * _factorial(d),
+    "A": lambda d: factorial(d + 1),
+    "B": lambda d: 2**d * factorial(d),
+    "C": lambda d: 2**d * factorial(d),
+    "D": lambda d: 2 ** (d - 1) * factorial(d),
     "G": lambda d: 12,
 }
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def build(kind, rank):
@@ -164,18 +164,7 @@ def parabolic_order(rs, I):
     """Order of the parabolic subgroup W_I, by orbit of an I-regular point."""
     span = parabolic_span(rs, I)
     q = tuple(-sum(r[i] for r in span) for i in range(rs.rank))
-    seen = {q}
-    frontier = [q]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for j in I:
-                s = rs._simple_reflect(j, p)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return len(seen)
+    return len(rs.closure([q], I))
 
 
 def base_point(rs, I):
@@ -194,19 +183,7 @@ def base_point(rs, I):
 
 def weyl_orbit(rs, p0):
     """Orbit of a point under the Weyl group, by simple-reflection closure."""
-    p0 = tuple(p0)
-    seen = {p0}
-    frontier = [p0]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for j in range(rs.rank):
-                s = rs._simple_reflect(j, p)
-                if s not in seen:
-                    seen.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return sorted(seen)
+    return sorted(rs.closure([tuple(p0)], range(rs.rank)))
 
 
 def coadjoint_graph(rs, I):

@@ -89,6 +89,13 @@ def graph_to_json(G):
     return out
 
 
+def _vertex_id(x):
+    # ids key dicts and sets, so a JSON list or object cannot be one
+    if isinstance(x, (list, dict)):
+        raise MalformedInput(f"vertex id {x!r} is not a JSON scalar")
+    return x
+
+
 def graph_from_json(data):
     if not isinstance(data, dict):
         raise MalformedInput("graph JSON must be an object")
@@ -100,10 +107,10 @@ def graph_from_json(data):
     for v in data["vertices"]:
         if not isinstance(v, dict) or "id" not in v or "coords" not in v:
             raise MalformedInput(f"bad graph vertex {v!r}")
-        vertices.append((v["id"], _point_from_json(v["coords"], dim)))
+        vertices.append((_vertex_id(v["id"]), _point_from_json(v["coords"], dim)))
     edges = []
     for e in data["edges"]:
         if not isinstance(e, dict) or "u" not in e or "v" not in e:
             raise MalformedInput(f"bad graph edge {e!r}")
-        edges.append((e["u"], e["v"]))
+        edges.append((_vertex_id(e["u"]), _vertex_id(e["v"])))
     return GkmGraph(dim, data["degree"], vertices, edges)

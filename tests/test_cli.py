@@ -202,3 +202,16 @@ def test_full_catalog_sweep(capsys):
     for name in catalog.names("gkm-graph"):
         assert main(["gkm", "check", f"catalog:{name}"]) == 0
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("normal, offset", [(["3/2", 0], 3), (["1/2", 0], 1)])
+def test_rational_facet_normal(tmp_path, capsys, normal, offset):
+    # both first facets are x <= 2: the box is [-1, 2] x [-1, 1], whose
+    # edges have lengths 3, 3, 2 and 2
+    facets = [{"normal": normal, "offset": offset}, {"normal": [-1, 0], "offset": 1},
+              {"normal": [0, 1], "offset": 1}, {"normal": [0, -1], "offset": 1}]
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"dim": 2, "facets": facets}))
+    code, out = run(capsys, "lengths", str(path))
+    assert code == 0
+    assert json.loads(out)["sum"] == 10

@@ -11,6 +11,7 @@ import contextlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from delzant import catalog
@@ -85,3 +86,26 @@ def test_cli_contract(argv):
     assert "Traceback" not in err, argv
     if code == 1:
         assert json.loads(out)["pass"] is False, argv
+
+
+SEGMENT = {"dim": 1, "vertices": [[-1], [1]]}
+LIST_ID = {"ambient_dim": 1, "degree": 1, "vertices": [
+    {"id": [0], "coords": [-1]}, {"id": 1, "coords": [1]}], "edges": [{"u": [0], "v": 1}]}
+LIST_END = {"ambient_dim": 1, "degree": 1, "vertices": [
+    {"id": 0, "coords": [-1]}, {"id": 1, "coords": [1]}], "edges": [{"u": 0, "v": [1]}]}
+EMPTY_GRAPH = {"ambient_dim": 1, "degree": 1, "vertices": [], "edges": []}
+
+
+@pytest.mark.parametrize("argv, data, error", [
+    (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
+    (["gkm", "check"], LIST_ID, "is not a JSON scalar"),
+    (["check", "gkm"], LIST_END, "is not a JSON scalar"),
+    (["gkm", "check"], EMPTY_GRAPH, "InvalidGraph"),
+    (["check", "gorenstein"], EMPTY_GRAPH, "InvalidGraph"),
+])
+def test_json_input_exits_2(tmp_path, argv, data, error):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(argv + [str(path)])
+    assert (code, out) == (2, ""), (argv, code, err)
+    assert error in err and "Traceback" not in err

@@ -47,7 +47,9 @@ def point_sets(draw):
 @st.composite
 def halfspace_sets(draw):
     n = draw(st.integers(1, 4))
-    normal = st.tuples(*[st.integers(-2, 2)] * n).filter(any)
+    normal = st.tuples(*[st.one_of(
+        st.integers(-2, 2), st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    )] * n).filter(any)
     hs = draw(st.lists(st.tuples(normal, COORD), min_size=1, max_size=n + 3))
     shape = draw(st.sampled_from(["plain", "bounded", "duplicates", "flat", "empty"]))
     if shape != "plain":
@@ -71,6 +73,18 @@ def halfspace_sets(draw):
 @example([(0, 0), (1, 0), (2, 0)])
 def test_from_vertices_matches_brute_hull(points):
     assert _outcome(Polytope.from_vertices, points) == _outcome(oracle.brute_hull, points=points)
+
+
+@settings(max_examples=100, deadline=None)
+@given(point_sets())
+@example(OCTAHEDRON)
+def test_face_dimensions_match_oracle(points):
+    try:
+        P = Polytope.from_vertices(points)
+    except DelzantError:
+        return
+    for ids, face in P.face_lattice().items():
+        assert face.dim == oracle._affine_dim([P.vertices[i] for i in ids]), sorted(ids)
 
 
 @settings(max_examples=100, deadline=None)

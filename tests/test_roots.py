@@ -146,8 +146,8 @@ def test_gr24_graph_geometry():
     assert G.sum_lengths() == 48
 
 
-@given(st.sampled_from([("A", 2), ("B", 2), ("A", 3), ("G", 2)]),
-       st.tuples(st.integers(-5, 5), st.integers(-5, 5), st.integers(-5, 5)))
+@given(st.sampled_from([("A", 2), ("B", 2), ("A", 3), ("G", 2), ("B", 3), ("C", 3), ("D", 4)]),
+       st.tuples(*[st.integers(-5, 5)] * 4))
 def test_reflection_involution_and_isometry(case, point):
     kind, rank = case
     rs = roots.build(kind, rank)
@@ -156,3 +156,6 @@ def test_reflection_involution_and_isometry(case, point):
         y = rs.reflect(beta, x)
         assert tuple(rs.reflect(beta, y)) == tuple(x)
         assert rs.pairing(y, y) == rs.pairing(x, x)
+        # s_beta(x) = x - 2 (x, beta) / (beta, beta) beta, through the form
+        t = 2 * rs.pairing(x, beta) / rs.pairing(beta, beta)
+        assert y == tuple(a - t * b for a, b in zip(x, beta))
