@@ -112,9 +112,8 @@ def cmd_check(args):
     elif which == "gkm":
         rep = gkm.validate(obj)
     elif which == "gorenstein":
-        cert = gkm.gorenstein_index(obj)
-        rep = VerificationReport("gorenstein", cert.valid)
-        rep.add_item("index", True, {"r": cert.r})
+        rep = VerificationReport("gorenstein", True)
+        rep.add_item("index", True, {"r": gkm.gorenstein_index(obj)})
     else:  # pragma: no cover - argparse restricts choices
         raise MalformedInput(f"unknown check {which!r}")
     return _report_exit(rep, args.text)
@@ -221,7 +220,7 @@ def cmd_gkm_build(args):
     rep = gkm.verify_graph_corollary(G)
     out = serialize.graph_to_json(G)
     out["h"] = next(i["detail"]["h"] for i in rep.per_item if i["id"] == "h-vector")
-    out["sum_lengths"] = serialize.num_to_json(G.sum_lengths())
+    out["sum_lengths"] = serialize.num_to_json(rep.lhs)
     out["verification"] = rep.to_dict()
     _emit(out, args.text)
     return 0 if rep.passed else 1
@@ -271,7 +270,10 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_show(args):
-    obj = catalog.load(args.name)
+    try:
+        obj = catalog.load(args.name)
+    except KeyError as e:
+        raise MalformedInput(str(e))
     if isinstance(obj, Polytope):
         _emit(serialize.polytope_to_json(obj), args.text)
     else:
@@ -364,7 +366,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MalformedInput, UnboundedSearch, KeyError) as e:
+    except (MalformedInput, UnboundedSearch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DelzantError as e:

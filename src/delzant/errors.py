@@ -19,10 +19,6 @@ class DimensionMismatch(DelzantError):
     pass
 
 
-class NotParallel(DelzantError):
-    pass
-
-
 # -- polytope construction ----------------------------------------------------
 
 class NotFullDimensional(DelzantError):
@@ -104,10 +100,6 @@ class InconsistentIndex(DelzantError):
 
 
 class NonPositiveIndex(DelzantError):
-    pass
-
-
-class NotGorenstein(DelzantError):
     pass
 
 

@@ -8,7 +8,7 @@ is used anywhere in the package.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import DimensionMismatch, NonSquare, NotParallel, ZeroVector
+from .errors import DimensionMismatch, NonSquare, ZeroVector
 
 
 def content(v):
@@ -117,26 +117,6 @@ def is_lattice_basis(vectors):
     return abs(det(vectors)) == 1
 
 
-def solve_scalar(a, b):
-    """The rational t with b = t*a, or NotParallel if no such t exists."""
-    if all(c == 0 for c in a):
-        raise ZeroVector("cannot solve against the zero vector")
-    if len(a) != len(b):
-        raise DimensionMismatch("vectors of different dimensions")
-    t = None
-    for x, y in zip(a, b):
-        if x == 0:
-            if y != 0:
-                raise NotParallel(f"{b} is not a rational multiple of {a}")
-            continue
-        s = Fraction(y, x) if isinstance(y, int) and isinstance(x, int) else Fraction(y) / Fraction(x)
-        if t is None:
-            t = s
-        elif t != s:
-            raise NotParallel(f"{b} is not a rational multiple of {a}")
-    return t
-
-
 def solve_square(rows, rhs):
     """Solve an n x n rational system exactly.  Returns None if singular."""
     n = len(rows)
@@ -243,11 +223,4 @@ def null_direction(rows):
 
 
 def is_integral(point):
-    return all(Fraction(c).denominator == 1 for c in point)
-
-
-def to_lattice(point):
-    """Convert a rational point with integer entries to an int tuple."""
-    if not is_integral(point):
-        raise ValueError(f"{point} is not a lattice point")
-    return tuple(int(Fraction(c)) for c in point)
+    return all(c.denominator == 1 for c in point)

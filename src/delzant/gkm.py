@@ -5,6 +5,7 @@ h-vectors, and the edge-length-sum identity for graphs."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd, lcm
 
 from . import bounds, exact
 from .errors import (
@@ -14,22 +15,29 @@ from .errors import (
     NonPositiveIndex,
     InconsistentIndex,
     NotDelzant,
-    NotGorenstein,
     NotReflexive,
+    ZeroVector,
 )
 from .report import VerificationReport
 
 _GENERIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def _ratio(a, b):
+    """a / b as an int when b divides a, else as a Fraction."""
+    return a // b if a % b == 0 else Fraction(a, b)
+
+
 class GkmGraph:
     """An n-regular graph embedded in Q^d with derived primitive edge weights.
 
-    Vertices are identified by hashable ids; coordinates are tuples of
-    Fractions (or ints).  Weights and lengths are always derived from the
-    embedding, never given independently.  The adjacency map and the weight
-    of each edge in both orientations are built once, so ``incident`` and
-    ``weight`` are lookups.
+    Vertices are identified by hashable ids; ``coords`` keeps each vertex's
+    coordinates as given (ints or Fractions).  The graph is made integer
+    once: q is the lcm of the coordinate denominators and ``lattice`` holds
+    the integer points q * p.  Each edge's weight (in both orientations)
+    and length are derived from the integer difference d of its ends, as
+    d / gcd(d) and gcd(d) / q, never given independently, so ``incident``,
+    ``weight`` and ``length`` are lookups.
     """
 
     def __init__(self, ambient_dim, degree, vertices, edges):
@@ -42,13 +50,19 @@ class GkmGraph:
                 raise InvalidGraph(f"duplicate vertex id {vid!r}")
             if len(pt) != ambient_dim:
                 raise InvalidGraph(f"vertex {vid!r} has wrong dimension")
-            self.coords[vid] = tuple(Fraction(c) for c in pt)
+            self.coords[vid] = tuple(pt)
             self.ids.append(vid)
         if not self.ids:
             raise InvalidGraph("a graph needs at least one vertex")
+        q = self.q = lcm(*(c.denominator for pt in self.coords.values() for c in pt))
+        self.lattice = {
+            vid: tuple(c.numerator * (q // c.denominator) for c in pt)
+            for vid, pt in self.coords.items()
+        }
         self.edge_list = []
         self._incident = {vid: [] for vid in self.ids}
         self._weight = {}
+        self._length = {}
         for u, v in edges:
             if u not in self.coords or v not in self.coords:
                 raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
@@ -56,15 +70,17 @@ class GkmGraph:
                 raise InvalidGraph(f"loop at {u!r}")
             if (u, v) in self._weight:
                 raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
-            self.edge_list.append((u, v))
-            self._incident[u].append((u, v))
-            self._incident[v].append((u, v))
-            w, _ = exact.rational_direction(exact.vec_sub(self.coords[v], self.coords[u]))
-            self._weight[u, v] = w
-            self._weight[v, u] = exact.vec_neg(w)
-
-    def point(self, vid):
-        return self.coords[vid]
+            e = (u, v)
+            self.edge_list.append(e)
+            self._incident[u].append(e)
+            self._incident[v].append(e)
+            d = [b - a for a, b in zip(self.lattice[u], self.lattice[v])]
+            g = gcd(*d)
+            if g == 0:
+                raise ZeroVector("zero displacement")
+            self._weight[e] = tuple(c // g for c in d)
+            self._weight[v, u] = tuple(-c // g for c in d)
+            self._length[e] = _ratio(g, q)
 
     def edges(self):
         return list(self.edge_list)
@@ -81,12 +97,12 @@ class GkmGraph:
         return self._weight[u, v]
 
     def length(self, edge):
+        """Lattice length of the edge, given in either orientation."""
         u, v = edge
-        _, t = exact.rational_direction(exact.vec_sub(self.coords[v], self.coords[u]))
-        return int(t) if t.denominator == 1 else t
+        return self._length[(u, v) if (u, v) in self._length else (v, u)]
 
     def sum_lengths(self):
-        return sum(self.length(e) for e in self.edge_list)
+        return sum(self._length.values())
 
 
 def validate(G):
@@ -105,65 +121,57 @@ def validate(G):
     return rep
 
 
+def _weight_sum(G, vid):
+    """The integer sum of the weights leaving vid."""
+    s = [0] * G.ambient_dim
+    for e in G.incident(vid):
+        for i, c in enumerate(G.weight(e, tail=vid)):
+            s[i] += c
+    return s
+
+
 def is_reflexive_graph(G):
     """Weight sum -v at every vertex, lattice vertices, vertex sum zero."""
     if not validate(G):
         raise InvalidGraph("graph fails GKM validation")
     rep = VerificationReport("gkm-reflexive", True)
-    total = (Fraction(0),) * G.ambient_dim
     for vid in G.ids:
-        v = G.coords[vid]
-        total = exact.vec_add(total, v)
-        rep.add_item(f"lattice {vid}", exact.is_integral(v), {"coords": list(v)})
-        s = (0,) * G.ambient_dim
-        for e in G.incident(vid):
-            s = exact.vec_add(s, G.weight(e, tail=vid))
-        ok = all(Fraction(a) == -b for a, b in zip(s, v))
-        rep.add_item(f"weight-sum {vid}", ok, {"sum": list(s), "vertex": list(v)})
-    rep.add_item("vertex-sum-zero", all(c == 0 for c in total), {"sum": list(total)})
+        v, L = G.coords[vid], G.lattice[vid]
+        rep.add_item(f"lattice {vid}", all(c % G.q == 0 for c in L), {"coords": list(v)})
+        s = _weight_sum(G, vid)
+        ok = all(G.q * a == -b for a, b in zip(s, L))
+        rep.add_item(f"weight-sum {vid}", ok, {"sum": s, "vertex": list(v)})
+    total = [sum(col) for col in zip(*G.coords.values())]
+    rep.add_item("vertex-sum-zero", all(c == 0 for c in total), {"sum": total})
     return rep
 
 
-@dataclass(frozen=True)
-class GorensteinCertificate:
-    r: Fraction
-    residuals: dict
-
-    @property
-    def valid(self):
-        return all(all(c == 0 for c in res) for res in self.residuals.values())
-
-
 def gorenstein_index(G):
-    """The unique r > 0 with weight sum = -r*v at every vertex."""
+    """The unique r > 0 with weight sum = -r*v at every vertex.
+
+    With L = q*v the integer point, s is parallel to L iff
+    s_i * L_k = s_k * L_i for every i, k the first nonzero coordinate of L,
+    and then r = -q * s_k / L_k.
+    """
     if not validate(G):
         raise InvalidGraph("graph fails GKM validation")
     r = None
-    sums = {}
     for vid in G.ids:
-        v = G.coords[vid]
-        s = (0,) * G.ambient_dim
-        for e in G.incident(vid):
-            s = exact.vec_add(s, G.weight(e, tail=vid))
-        sums[vid] = s
-        if all(c == 0 for c in v):
+        L = G.lattice[vid]
+        s = _weight_sum(G, vid)
+        k = next((i for i, c in enumerate(L) if c), None)
+        if k is None:
             raise InvalidGraph("vertex at the origin has no well-defined index")
-        try:
-            t = exact.solve_scalar(v, s)
-        except exact.NotParallel:
+        if any(a * L[k] != s[k] * b for a, b in zip(s, L)):
             raise InconsistentIndex(f"weight sum at {vid!r} is not parallel to the vertex")
-        cand = -t
+        cand = _ratio(-G.q * s[k], L[k])
         if r is None:
             r = cand
         elif r != cand:
             raise InconsistentIndex(f"index {cand} at {vid!r} disagrees with {r}")
     if r is None or r <= 0:
         raise NonPositiveIndex(f"computed index {r}")
-    residuals = {
-        vid: exact.vec_sub(sums[vid], exact.vec_scale(-r, G.coords[vid]))
-        for vid in G.ids
-    }
-    return GorensteinCertificate(r, residuals)
+    return r
 
 
 def _generic_directions(G):
@@ -194,6 +202,8 @@ def _h_for_xi(G, xi):
                 raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
             if pair < 0:
                 indeg += 1
+        if indeg > G.degree:
+            raise InvalidGraph(f"vertex {vid!r} has more than {G.degree} edges")
         h[indeg] += 1
     return tuple(h)
 
@@ -218,16 +228,12 @@ def h_vector_graph(G, xi=None):
 
 def verify_graph_corollary(G):
     """Sum of edge lengths against C(n, h) / r."""
-    cert = gorenstein_index(G)
-    if not cert.valid:
-        raise NotGorenstein("no consistent Gorenstein index")
+    r = gorenstein_index(G)
     h = h_vector_graph(G)
     total = G.sum_lengths()
-    rhs = Fraction(bounds.c_from_h(G.degree, h)) / cert.r
-    if rhs.denominator == 1:
-        rhs = int(rhs)
+    rhs = _ratio(bounds.c_from_h(G.degree, h) * r.denominator, r.numerator)
     rep = VerificationReport("graph-length-sum", total == rhs, total, (rhs,))
-    rep.add_item("index", True, {"r": cert.r})
+    rep.add_item("index", True, {"r": r})
     rep.add_item("h-vector", True, {"h": list(h)})
     return rep
 

@@ -329,16 +329,12 @@ class Polytope:
         S = self.skeleton()
         return all(len(S.incident(v)) == self.dim for v in S.ids)
 
-    def edge_direction(self, edge):
-        a, b = edge
-        return exact.vec_sub(self.vertices[b], self.vertices[a])
-
     def relative_length(self, edge):
         """Lattice length of an edge with integral endpoint difference."""
-        d = self.edge_direction(edge)
-        if not exact.is_integral(d):
-            raise NonLatticeEdge(f"edge {edge} has non-integral displacement {d}")
-        return exact.content(exact.to_lattice(d))
+        length = self.skeleton().length(edge)
+        if not isinstance(length, int):
+            raise NonLatticeEdge(f"edge {edge} has non-integral length {length}")
+        return length
 
     # -- global operations ----------------------------------------------------
 

@@ -37,7 +37,7 @@ def vertex_fano_check(P):
         total = (0,) * P.dim
         for w in P.vertex_weights(vid):
             total = exact.vec_add(total, w)
-        ok = all(Fraction(t) == -c for t, c in zip(total, v))
+        ok = all(t == -c for t, c in zip(total, v))
         rep.add_item(f"vertex {vid}", ok, {"weight_sum": list(total), "vertex": list(v)})
     return rep
 
@@ -75,6 +75,7 @@ def _contributions(P, edge):
     S = P.skeleton()
     u, v = edge
     w1 = S.weight(edge)
+    k = next(i for i, c in enumerate(w1) if c)
     shared = P.active_facets(u) & P.active_facets(v)
     out = []
     for i in sorted(shared):
@@ -82,10 +83,11 @@ def _contributions(P, edge):
         face = frozenset(x for x in range(len(P.vertices)) if rest <= P.active_facets(x))
         wu = _weight_leaving(P, S, u, i)
         wv = _weight_leaving(P, S, v, i)
-        t = exact.solve_scalar(w1, exact.vec_sub(wu, wv))
-        if t.denominator != 1:
-            raise MatchingFailed(f"non-integer contribution {t} on edge {edge}")
-        out.append((face, int(t)))
+        diff = exact.vec_sub(wu, wv)
+        a, rem = divmod(diff[k], w1[k])
+        if rem or any(x != a * c for x, c in zip(diff, w1)):
+            raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {edge}")
+        out.append((face, a))
     return out
 
 
@@ -223,16 +225,26 @@ def verify_index_corollary(P):
 
 def verify_gorenstein(P, r):
     """Check the rescaled length-sum formula for a polytope whose r-th dilate
-    has a reflexive lattice translate."""
+    has a reflexive lattice translate.
+
+    A reflexive rP - t has every facet at offset 1, so <u_i, t> = b_i - 1
+    for the facets <x, u_i> <= b_i of rP through its vertex 0.  P is
+    Delzant, so those n normals form a lattice basis and the system has one
+    solution, a lattice point when every b_i is an integer: the only
+    candidate for t.
+    """
     _require_delzant(P)
     rP = P.dilate(r)
-    translate = None
-    for t in rP.interior_lattice_points():
-        cand = rP.translate(exact.vec_neg(t))
-        if is_reflexive(cand):
-            translate = exact.vec_neg(t)
-            break
-    if translate is None:
+    tight = [h for h in rP.facets if h.active(rP.vertices[0])]
+    if any(h.offset.denominator != 1 for h in tight):
+        raise NotGorensteinOfIndex(f"the {r}-fold dilate has a non-integral facet offset")
+    U = [h.normal for h in tight]
+    b = [h.offset.numerator - 1 for h in tight]
+    d = exact.det(U)  # +-1, so dividing by d is multiplying by d
+    t = [d * exact.det([row[:j] + (bi,) + row[j + 1:] for row, bi in zip(U, b)])
+         for j in range(P.dim)]
+    translate = exact.vec_neg(t)
+    if not is_reflexive(rP.translate(translate)):
         raise NotGorensteinOfIndex(f"no reflexive translate of the {r}-fold dilate")
     total = sum_lengths(P)
     f = P.f_vector()

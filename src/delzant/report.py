@@ -5,9 +5,8 @@ from fractions import Fraction
 
 
 def num_to_json(x):
-    """An exact number as a JSON integer, or as a "p/q" string."""
-    x = Fraction(x)
-    return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    """An int or Fraction as a JSON integer, or as a "p/q" string."""
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _plain(x):

@@ -42,18 +42,30 @@ def polytope_to_json(P):
     }
 
 
+def _list(data, key):
+    x = data.get(key, [])
+    if not isinstance(x, list):
+        raise MalformedInput(f"{key!r} must be a JSON list, got {x!r}")
+    return x
+
+
+def _count(data, key, least=0):
+    x = data[key]
+    if isinstance(x, bool) or not isinstance(x, int) or x < least:
+        raise MalformedInput(f"{key!r} must be an integer >= {least}, got {x!r}")
+    return x
+
+
 def polytope_from_json(data):
     if not isinstance(data, dict) or "dim" not in data:
         raise MalformedInput("polytope JSON must be an object with a 'dim' key")
-    dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
-        raise MalformedInput(f"bad dimension {dim!r}")
-    if "vertices" in data and data["vertices"]:
-        verts = [_point_from_json(v, dim) for v in data["vertices"]]
-        P = Polytope.from_vertices(verts)
-    elif "facets" in data and data["facets"]:
+    dim = _count(data, "dim", 1)
+    vertices, facets = _list(data, "vertices"), _list(data, "facets")
+    if vertices:
+        P = Polytope.from_vertices([_point_from_json(v, dim) for v in vertices])
+    elif facets:
         halves = []
-        for h in data["facets"]:
+        for h in facets:
             if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
                 raise MalformedInput(f"bad facet {h!r}")
             halves.append(
@@ -82,7 +94,7 @@ def graph_to_json(G):
             {
                 "u": u,
                 "v": v,
-                "weight": [int(c) for c in G.weight((u, v))],
+                "weight": list(G.weight((u, v))),
                 "length": num_to_json(G.length((u, v))),
             }
         )
@@ -102,15 +114,15 @@ def graph_from_json(data):
     for key in ("ambient_dim", "degree", "vertices", "edges"):
         if key not in data:
             raise MalformedInput(f"graph JSON missing {key!r}")
-    dim = data["ambient_dim"]
+    dim = _count(data, "ambient_dim")
     vertices = []
-    for v in data["vertices"]:
+    for v in _list(data, "vertices"):
         if not isinstance(v, dict) or "id" not in v or "coords" not in v:
             raise MalformedInput(f"bad graph vertex {v!r}")
         vertices.append((_vertex_id(v["id"]), _point_from_json(v["coords"], dim)))
     edges = []
-    for e in data["edges"]:
+    for e in _list(data, "edges"):
         if not isinstance(e, dict) or "u" not in e or "v" not in e:
             raise MalformedInput(f"bad graph edge {e!r}")
         edges.append((_vertex_id(e["u"]), _vertex_id(e["v"])))
-    return GkmGraph(dim, data["degree"], vertices, edges)
+    return GkmGraph(dim, _count(data, "degree"), vertices, edges)

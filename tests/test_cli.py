@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from delzant import catalog, serialize
+from delzant import catalog, cli, serialize
 from delzant.cli import main
 
 
@@ -157,6 +158,7 @@ def test_bounds_enumerate_unbounded(capsys):
     ["gkm", "build", "A", "3", "--I", "a,b"],
     ["bounds", "enumerate", "--n", "4", "--k0", "0", "--cap", "3"],
     ["bounds", "enumerate", "--n", "4", "--k0", "9"],
+    ["catalog", "show", "no-such-entry"],
 ])
 def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -215,3 +217,41 @@ def test_rational_facet_normal(tmp_path, capsys, normal, offset):
     code, out = run(capsys, "lengths", str(path))
     assert code == 0
     assert json.loads(out)["sum"] == 10
+
+
+def test_internal_key_error_is_not_an_input_error(monkeypatch):
+    def broken(args):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "cmd_fvector", broken)
+    with pytest.raises(KeyError):
+        main(["fvector", "catalog:cube"])
+
+
+# The a2-flag graph scaled by 1/3: "p/q" coordinates, lengths and r = 3.
+A2_THIRD = {
+    "ambient_dim": 2, "degree": 3,
+    "vertices": [{"id": i, "coords": c} for i, c in enumerate(
+        [["-2/3", "-2/3"], ["-2/3", 0], [0, "-2/3"], [0, "2/3"], ["2/3", 0], ["2/3", "2/3"]])],
+    "edges": [{"u": u, "v": v} for u, v in
+              [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]],
+}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["gkm", "build", "B", "3"],
+     "257a80138c8e2fb564066df2bc1404120ddf9d8200bb54b85268de993920b636"),
+    (["gkm", "build", "G2", "2", "--I", "0"],
+     "0dc8e3f6b306985defb6e10fedb4390f8acfe22ca74cf15b4312ab44973e333d"),
+    (["lengths", "A2_THIRD"],
+     "5e47a6f37465c75f8997bac3f6464f14ce70023a485b80bc1f57194465cb7eb3"),
+    (["check", "gorenstein", "A2_THIRD"],
+     "193e8f6311a9cd72e7fa9f19c8eee54526c88c5bf44ca9bffe0b098516a644b9"),
+])
+def test_output_is_byte_identical(tmp_path, capsys, argv, digest):
+    # the SHA-256 of stdout as the Fraction-based graph code printed it
+    path = tmp_path / "a2_third.json"
+    path.write_text(json.dumps(A2_THIRD))
+    code, out = run(capsys, *(str(path) if a == "A2_THIRD" else a for a in argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

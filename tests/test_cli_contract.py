@@ -96,12 +96,32 @@ LIST_END = {"ambient_dim": 1, "degree": 1, "vertices": [
 EMPTY_GRAPH = {"ambient_dim": 1, "degree": 1, "vertices": [], "edges": []}
 
 
+def segment_graph(**change):
+    return {"ambient_dim": 1, "degree": 1, "vertices": [
+        {"id": 0, "coords": [-1]}, {"id": 1, "coords": [1]}], "edges": [{"u": 0, "v": 1}], **change}
+
+
+SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
+    {"id": i, "coords": c} for i, c in enumerate([[1, 1], [-1, 1], [-1, -1], [1, -1]])],
+    "edges": [{"u": i, "v": (i + 1) % 4} for i in range(4)]}
+
+
 @pytest.mark.parametrize("argv, data, error", [
     (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
     (["gkm", "check"], LIST_ID, "is not a JSON scalar"),
     (["check", "gkm"], LIST_END, "is not a JSON scalar"),
     (["gkm", "check"], EMPTY_GRAPH, "InvalidGraph"),
     (["check", "gorenstein"], EMPTY_GRAPH, "InvalidGraph"),
+    (["gkm", "check"], segment_graph(vertices=5), "'vertices' must be a JSON list"),
+    (["hvector"], segment_graph(edges=5), "'edges' must be a JSON list"),
+    (["hvector"], segment_graph(degree="1"), "'degree' must be an integer"),
+    (["lengths"], segment_graph(degree=True), "'degree' must be an integer"),
+    (["hvector"], segment_graph(degree=-1), "'degree' must be an integer"),
+    (["check", "gkm"], segment_graph(ambient_dim="1"), "'ambient_dim' must be an integer"),
+    (["hvector"], SQUARE_DEGREE_1, "InvalidGraph"),
+    (["fvector"], {"dim": 2, "vertices": 5}, "'vertices' must be a JSON list"),
+    (["lengths"], {"dim": 2, "facets": 5}, "'facets' must be a JSON list"),
+    (["fvector"], {"dim": True, "vertices": [[0], [1]]}, "'dim' must be an integer"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

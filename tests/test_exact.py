@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from delzant import exact
-from delzant.errors import NotParallel, ZeroVector
+from delzant.errors import ZeroVector
 
 
 def test_content():
@@ -32,13 +32,6 @@ def test_is_lattice_basis():
     assert exact.is_lattice_basis([(1, 0), (0, 1)])
     assert exact.is_lattice_basis([(1, 1), (0, 1)])
     assert not exact.is_lattice_basis([(2, 0), (0, 1)])
-
-
-def test_solve_scalar():
-    assert exact.solve_scalar((1, 0), (3, 0)) == 3
-    assert exact.solve_scalar((2, -2), (-1, 1)) == Fraction(-1, 2)
-    with pytest.raises(NotParallel):
-        exact.solve_scalar((1, 0), (0, 1))
 
 
 def test_rational_direction():
@@ -108,11 +101,3 @@ def test_det_multiplicative(a, b):
     ]
     assert exact.det(prod) == exact.det(a) * exact.det(b)
 
-
-@given(
-    nonzero_vec,
-    st.fractions(min_value=-10, max_value=10),
-)
-def test_solve_scalar_roundtrip(a, t):
-    b = tuple(t * c for c in a)
-    assert exact.solve_scalar(a, b) == t

@@ -1,10 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
-from delzant import catalog, gkm, reflexive
+from delzant import catalog, gkm, oracle, reflexive
 from delzant.errors import (
     DirectionDependent,
+    InconsistentIndex,
     InvalidGraph,
     NonGenericDirection,
 )
@@ -59,11 +62,22 @@ def test_is_reflexive_graph():
 
 
 def test_gorenstein_index():
-    cert = gkm.gorenstein_index(catalog.load("octahedron-skeleton"))
-    assert cert.r == 4 and cert.valid
+    assert gkm.gorenstein_index(catalog.load("octahedron-skeleton")) == 4
     for name in ["a2-flag", "b2-flag", "gr24-graph"]:
-        cert = gkm.gorenstein_index(catalog.load(name))
-        assert cert.r == 1 and cert.valid, name
+        assert gkm.gorenstein_index(catalog.load(name)) == 1, name
+
+
+def test_gorenstein_index_rejects_a_non_parallel_weight_sum():
+    # the square's skeleton moved by (0, 1/2): the first coordinates alone
+    # still give r = 1 at every vertex
+    G = GkmGraph(
+        2, 2,
+        [(0, (-1, Fraction(-1, 2))), (1, (1, Fraction(-1, 2))),
+         (2, (1, Fraction(3, 2))), (3, (-1, Fraction(3, 2)))],
+        [(0, 1), (1, 2), (2, 3), (3, 0)],
+    )
+    with pytest.raises(InconsistentIndex):
+        gkm.gorenstein_index(G)
 
 
 def test_h_vector_graph_values():
@@ -157,3 +171,67 @@ def test_rational_lengths_allowed():
         [(0, 1)],
     )
     assert G.length((0, 1)) == Fraction(1, 2)
+
+
+@st.composite
+def rational_graphs(draw):
+    """Random graphs with integral, common-denominator or mixed-denominator
+    coordinates, each edge a random pair of distinct points."""
+    d = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["integral", "common", "mixed"]))
+    q = draw(st.integers(2, 12))
+
+    def coord():
+        if kind == "integral":
+            return draw(st.integers(-9, 9))
+        den = q if kind == "common" else draw(st.integers(1, 12))
+        return Fraction(draw(st.integers(-30, 30)), den)
+
+    n = draw(st.integers(2, 6))
+    pts = list(dict.fromkeys(tuple(coord() for _ in range(d)) for _ in range(n)))
+    if len(pts) < 2:
+        pts.append(tuple(c + 1 for c in pts[0]))
+    pairs = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    return GkmGraph(d, 1, list(enumerate(pts)), edges)
+
+
+def _edge_oracle(G, u, v):
+    """Weight and length of one edge from its own endpoints: clear the
+    denominators of the difference, then divide by its content."""
+    diff = [Fraction(b) - Fraction(a) for a, b in zip(G.coords[u], G.coords[v])]
+    m = lcm(*(c.denominator for c in diff))
+    ints = [int(c * m) for c in diff]
+    g = oracle._content(ints)
+    return tuple(c // g for c in ints), Fraction(g, m)
+
+
+@given(rational_graphs())
+def test_integer_core_matches_per_edge_oracle(G):
+    total = 0
+    for u, v in G.edges():
+        w, length = _edge_oracle(G, u, v)
+        assert G.weight((u, v)) == w
+        assert G.weight((u, v), tail=v) == tuple(-c for c in w)
+        assert G.length((u, v)) == G.length((v, u)) == length
+        assert isinstance(G.length((u, v)), int) == (length.denominator == 1)
+        total += length
+    assert G.sum_lengths() == total
+
+
+@given(st.sampled_from(catalog.names("gkm-graph")), st.integers(1, 7))
+def test_scaling_coordinates_scales_index_and_lengths(name, k):
+    G = catalog.load(name)
+    H = GkmGraph(
+        G.ambient_dim, G.degree,
+        [(v, tuple(Fraction(c, k) for c in G.coords[v])) for v in G.ids],
+        G.edges(),
+    )
+    r = gkm.gorenstein_index(H)
+    assert r == k * gkm.gorenstein_index(G)
+    # the weight sum is -v at every vertex exactly when the index is 1
+    rep = gkm.is_reflexive_graph(H)
+    assert all(i["pass"] for i in rep.per_item if i["id"].startswith("weight-sum")) == (r == 1)
+    for e in G.edges():
+        assert H.weight(e) == G.weight(e)
+        assert H.length(e) == Fraction(G.length(e), k)

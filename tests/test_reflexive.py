@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from delzant import catalog, exact, reflexive
@@ -69,7 +71,11 @@ def _contributions_by_2face_scan(P, edge):
     for f in P.faces_of_dim(2):
         if {u, v} <= f.vertex_ids:
             diff = exact.vec_sub(weight_in_face(u, f.vertex_ids), weight_in_face(v, f.vertex_ids))
-            out.append((f.vertex_ids, exact.solve_scalar(_direction(P, u, v), diff)))
+            w1 = _direction(P, u, v)
+            k = next(i for i, c in enumerate(w1) if c)
+            a = Fraction(diff[k], w1[k])
+            assert diff == tuple(a * c for c in w1)
+            out.append((f.vertex_ids, a))
     return sorted(out, key=lambda p: sorted(p[0]))
 
 
@@ -167,6 +173,33 @@ def test_gorenstein():
     assert reflexive.verify_gorenstein(catalog.load("std-simplex"), 3).passed
     with pytest.raises(NotGorensteinOfIndex):
         reflexive.verify_gorenstein(catalog.load("unit-square"), 3)
+    with pytest.raises(NotGorensteinOfIndex):  # no scan of the 199^2 interior points
+        reflexive.verify_gorenstein(catalog.load("unit-square"), 200)
+
+
+def _shift_by_scan(P, r):
+    """The shift -t for the first interior lattice point t of rP whose
+    translate rP - t is reflexive, or None: the scan over every candidate."""
+    rP = P.dilate(r)
+    for t in rP.interior_lattice_points():
+        if reflexive.is_reflexive(rP.translate(exact.vec_neg(t))):
+            return list(exact.vec_neg(t))
+    return None
+
+
+def test_gorenstein_shift_matches_scan():
+    delzant = [catalog.load(n) for n in catalog.names("polytope")
+               if reflexive.is_delzant(catalog.load(n)).overall]
+    moved = [catalog.load("unit-square").translate((2, -1)), cube(3).translate((1, 0, 0))]
+    for P in delzant + moved:
+        for r in [1, -1, 2, -2, 3, 4, Fraction(1, 2), Fraction(3, 2)]:
+            want = _shift_by_scan(P, r)
+            if want is None:
+                with pytest.raises(NotGorensteinOfIndex):
+                    reflexive.verify_gorenstein(P, r)
+            else:
+                rep = reflexive.verify_gorenstein(P, r)
+                assert rep.per_item[0]["detail"]["shift"] == want, (P, r)
 
 
 def test_gorenstein_requires_delzant():
