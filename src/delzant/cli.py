@@ -7,6 +7,7 @@ Exit codes: 0 on pass, 1 on identity failure, 2 on input or usage errors.
 import argparse
 import json
 import sys
+from itertools import islice
 
 from . import bounds, catalog, gkm, reflexive, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
@@ -18,17 +19,19 @@ _KIND = {Polytope: "a polytope", GkmGraph: "a GKM graph"}
 
 
 def _read_json(source):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
             with open(source) as fh:
                 text = fh.read()
-        except OSError as e:
-            raise MalformedInput(f"cannot read {source!r}: {e}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise MalformedInput(f"cannot read {source!r}: {e}")
+    # ValueError also covers an integer literal too long to convert, and
+    # RecursionError arrays or objects nested too deep.
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:
         raise MalformedInput(f"invalid JSON in {source!r}: {e}")
 
 
@@ -68,8 +71,14 @@ def _parse_ints(text, what):
 def _emit(payload, text=False):
     if text:
         _emit_text(payload)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        return
+    # The encoder's chunks go out in batches: json.dumps would hold every
+    # chunk and the whole string at once, several times the output's size.
+    out = sys.stdout
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    for batch in iter(lambda: list(islice(chunks, 1 << 16)), []):
+        out.write("".join(batch))
+    out.write("\n")
 
 
 def _emit_text(payload, indent=0):

@@ -222,5 +222,12 @@ def null_direction(rows):
     return tuple(sol)
 
 
+def common_denominator(points):
+    """q = the lcm of the denominators of every coordinate (ints or
+    Fractions, read off ``.denominator``), and the integer points q * p."""
+    q = lcm(*(c.denominator for p in points for c in p))
+    return q, [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
+
+
 def is_integral(point):
     return all(c.denominator == 1 for c in point)

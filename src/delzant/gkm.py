@@ -5,7 +5,7 @@ h-vectors, and the edge-length-sum identity for graphs."""
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import gcd
 
 from . import bounds, exact
 from .errors import (
@@ -54,11 +54,9 @@ class GkmGraph:
             self.ids.append(vid)
         if not self.ids:
             raise InvalidGraph("a graph needs at least one vertex")
-        q = self.q = lcm(*(c.denominator for pt in self.coords.values() for c in pt))
-        self.lattice = {
-            vid: tuple(c.numerator * (q // c.denominator) for c in pt)
-            for vid, pt in self.coords.items()
-        }
+        q, points = exact.common_denominator(self.coords.values())
+        self.q = q
+        self.lattice = dict(zip(self.coords, points))
         self.edge_list = []
         self._incident = {vid: [] for vid in self.ids}
         self._weight = {}
@@ -216,6 +214,10 @@ def h_vector_graph(G, xi=None):
     disagreement means the graph is not of the manifold type where the
     census is direction-independent.
     """
+    # A vertex has at most |V| - 1 edges; a larger degree cannot be met, and
+    # the census would be a list of that length.
+    if G.degree >= len(G.ids):
+        raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
     if xi is not None:
         return _h_for_xi(G, tuple(xi))
     results = [_h_for_xi(G, d) for d in islice(_generic_directions(G), 3)]

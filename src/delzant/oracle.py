@@ -227,6 +227,12 @@ def brute_hull(points=None, halfspaces=None):
     return _hull_from_halfspaces(halfspaces)
 
 
+def _on(h, v):
+    """Whether the point v lies on the hyperplane of the halfspace h, by a
+    Fraction dot product."""
+    return sum(Fraction(a) * c for a, c in zip(h.normal, v)) == h.offset
+
+
 def brute_f_vector(P):
     """f-vector by exhausting facet subsets, independent of the face lattice."""
     n = P.dim
@@ -237,7 +243,7 @@ def brute_f_vector(P):
             verts = [
                 v
                 for v in P.vertices
-                if all(P.facets[i].active(v) for i in subset)
+                if all(_on(P.facets[i], v) for i in subset)
             ]
             if not verts:
                 continue

@@ -11,6 +11,7 @@ map the vertex/facet pair they already have.  The subset-scan hull
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
+from operator import mul
 
 from . import exact, gkm
 from .errors import (
@@ -43,9 +44,6 @@ class Halfspace:
     def holds(self, point, strict=False):
         v = exact.dot(self.normal, point)
         return v < self.offset if strict else v <= self.offset
-
-    def active(self, point):
-        return exact.dot(self.normal, point) == self.offset
 
 
 @dataclass(frozen=True)
@@ -170,8 +168,8 @@ class Polytope:
 
     Vertices are tuples of Fractions, facets are Halfspace instances with
     primitive integer normals.  Instances are immutable; the vertex-facet
-    incidence, the face lattice and the 1-skeleton are computed once on
-    first use.
+    incidence (in integers), the face lattice and the 1-skeleton are
+    computed once on first use, the latter two from the incidence alone.
     """
 
     def __init__(self, dim, vertices, facets):
@@ -181,7 +179,7 @@ class Polytope:
         self._faces = None
         self._edges = None
         self._skeleton = None
-        self._active = None
+        self._incidence = None
 
     # -- construction ---------------------------------------------------------
 
@@ -260,12 +258,8 @@ class Polytope:
     def _compute_faces(self):
         # The lattice is graded: the facets of a face F are the maximal
         # proper nonempty sets F & facet, each one dimension below F.
-        nv = len(self.vertices)
-        all_ids = frozenset(range(nv))
-        facet_verts = [
-            frozenset(i for i in range(nv) if j in self.active_facets(i))
-            for j in range(len(self.facets))
-        ]
+        all_ids = frozenset(range(len(self.vertices)))
+        facet_verts = self.incidence()[1]
         faces = {all_ids: Face(frozenset(), all_ids, self.dim)}
         layer = [all_ids]
         for d in range(self.dim - 1, -1, -1):
@@ -416,14 +410,30 @@ class Polytope:
         except ValueError:
             raise KeyError(f"{point} is not a vertex")
 
+    def incidence(self):
+        """The vertex-facet incidence both ways: the facet ids at each vertex
+        and the vertex ids on each facet, as two tuples of frozensets.
+        Computed once, in one integer pass: with q the common denominator
+        of the vertices, vertex v is on the facet <x, a> <= b iff
+        <a, q v> * den(b) == q * num(b)."""
+        if self._incidence is None:
+            q, points = exact.common_denominator(self.vertices)
+            rows = [(h.normal, q * h.offset.numerator, h.offset.denominator)
+                    for h in self.facets]
+            at_vertex, on_facet = [], [[] for _ in rows]
+            for i, p in enumerate(points):
+                here = []
+                for j, (a, rhs, den) in enumerate(rows):
+                    if sum(map(mul, a, p)) * den == rhs:
+                        here.append(j)
+                        on_facet[j].append(i)
+                at_vertex.append(frozenset(here))
+            self._incidence = tuple(at_vertex), tuple(frozenset(s) for s in on_facet)
+        return self._incidence
+
     def active_facets(self, vid):
-        """Indices of the facets through vertex vid.  Computed once."""
-        if self._active is None:
-            self._active = tuple(
-                frozenset(i for i, h in enumerate(self.facets) if h.active(v))
-                for v in self.vertices
-            )
-        return self._active[vid]
+        """Indices of the facets through vertex vid."""
+        return self.incidence()[0][vid]
 
     def __eq__(self, other):
         return (

@@ -42,12 +42,13 @@ def vertex_fano_check(P):
     return rep
 
 
-def _weight_leaving(P, S, vid, i):
-    """The weight at vid of the one skeleton edge there that leaves facet i."""
+def _weight_leaving(S, at_vertex, vid, i):
+    """The weight at vid of the one skeleton edge there that leaves facet i;
+    ``at_vertex`` is the facet ids at each vertex."""
     hits = [
         S.weight((a, b), tail=vid)
         for a, b in S.incident(vid)
-        if i not in P.active_facets(b if a == vid else a)
+        if i not in at_vertex[b if a == vid else a]
     ]
     if len(hits) != 1:
         raise MatchingFailed(f"not exactly one edge at vertex {vid} leaves facet {i}")
@@ -73,16 +74,17 @@ def _contributions(P, edge):
     second edge of that 2-face at u (and at v) is the one that leaves facet i.
     """
     S = P.skeleton()
+    at_vertex, on_facet = P.incidence()
     u, v = edge
     w1 = S.weight(edge)
     k = next(i for i, c in enumerate(w1) if c)
-    shared = P.active_facets(u) & P.active_facets(v)
+    shared = at_vertex[u] & at_vertex[v]
+    every = frozenset(range(len(P.vertices)))
     out = []
     for i in sorted(shared):
-        rest = shared - {i}
-        face = frozenset(x for x in range(len(P.vertices)) if rest <= P.active_facets(x))
-        wu = _weight_leaving(P, S, u, i)
-        wv = _weight_leaving(P, S, v, i)
+        face = every.intersection(*(on_facet[j] for j in shared if j != i))
+        wu = _weight_leaving(S, at_vertex, u, i)
+        wv = _weight_leaving(S, at_vertex, v, i)
         diff = exact.vec_sub(wu, wv)
         a, rem = divmod(diff[k], w1[k])
         if rem or any(x != a * c for x, c in zip(diff, w1)):
@@ -94,6 +96,8 @@ def _contributions(P, edge):
 def verify_thm_combinatorics2(P):
     """Sum of all normal contributions against 12*f2 - 3*(n-1)*f1."""
     _require_delzant(P)
+    if P.dim < 2:
+        raise UnsupportedDimension("the normal-contribution sum needs dimension >= 2")
     f = P.f_vector()
     total = 0
     per_edge = []
@@ -234,8 +238,10 @@ def verify_gorenstein(P, r):
     candidate for t.
     """
     _require_delzant(P)
+    if P.dim < 2:
+        raise UnsupportedDimension("the rescaled length-sum formula needs dimension >= 2")
     rP = P.dilate(r)
-    tight = [h for h in rP.facets if h.active(rP.vertices[0])]
+    tight = [rP.facets[j] for j in sorted(rP.active_facets(0))]
     if any(h.offset.denominator != 1 for h in tight):
         raise NotGorensteinOfIndex(f"the {r}-fold dilate has a non-integral facet offset")
     U = [h.normal for h in tight]

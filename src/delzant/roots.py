@@ -7,7 +7,8 @@ form is the symmetrized Cartan matrix with long roots of square length 2.
 """
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
+from operator import mul
 
 from .errors import DegenerateBasePoint, NotARoot, UnsupportedType
 from .gkm import GkmGraph
@@ -54,9 +55,12 @@ class RootSystem:
         self.rank = rank
         self.cartan = _cartan_matrix(kind, rank)
         half = _root_lengths(kind, rank)
-        # form[i][j] = (alpha_i, alpha_j) = cartan[i][j] * (alpha_j, alpha_j)/2
-        self.form = [
-            [Fraction(self.cartan[i][j]) * half[j] for j in range(rank)]
+        # The form in integers: gram[i][j] = m (alpha_i, alpha_j) =
+        # m cartan[i][j] (alpha_j, alpha_j)/2, with m the lcm of the
+        # denominators of the half squared lengths.
+        self.scale = lcm(*(h.denominator for h in half))
+        self.gram = [
+            [self.cartan[i][j] * int(self.scale * half[j]) for j in range(rank)]
             for i in range(rank)
         ]
         self.simple_roots = [
@@ -65,21 +69,20 @@ class RootSystem:
         roots = self.closure(self.simple_roots, range(rank))
         self.positive_roots = sorted(r for r in roots if all(c >= 0 for c in r))
         # The coroot covector of each root beta: c_i = <alpha_i, beta^v> =
-        # 2 (alpha_i, beta) / (beta, beta), a Cartan integer, so that
-        # <x, beta^v> = sum_i x_i c_i on the root lattice.
+        # 2 (alpha_i, beta) / (beta, beta), a Cartan integer (m cancels, so
+        # the division is exact), so that <x, beta^v> = sum_i x_i c_i on
+        # the root lattice.
         self._coroot = {}
         for beta in roots:
-            ab = [sum(row[j] * beta[j] for j in range(rank)) for row in self.form]
-            bb = sum(b * a for b, a in zip(beta, ab))
-            self._coroot[beta] = tuple(int(2 * a / bb) for a in ab)
+            gb = [sum(map(mul, row, beta)) for row in self.gram]
+            bb = sum(map(mul, beta, gb))
+            self._coroot[beta] = tuple(2 * a // bb for a in gb)
 
     def pairing(self, x, y):
-        """The invariant bilinear form (x, y) in simple-root coordinates."""
-        return sum(
-            Fraction(x[i]) * self.form[i][j] * Fraction(y[j])
-            for i in range(self.rank)
-            for j in range(self.rank)
-        )
+        """The invariant bilinear form (x, y) in simple-root coordinates, as
+        an exact Fraction."""
+        gy = [sum(map(mul, row, y)) for row in self.gram]
+        return Fraction(sum(map(mul, x, gy)), self.scale)
 
     def _simple_reflect(self, j, x):
         # s_j subtracts <x, alpha_j^v> = sum_i x_i cartan[i][j] from coordinate j
@@ -175,8 +178,9 @@ def base_point(rs, I):
     for i in I:
         if rs.reflect(rs.simple_roots[i], p0) != p0:
             raise DegenerateBasePoint(f"p0 moved by the simple reflection {i}")
+    # <p0, r^v> = 2 (p0, r) / (r, r) has the sign of (p0, r).
     for r in outside:
-        if rs.pairing(p0, r) >= 0:
+        if sum(map(mul, p0, rs._coroot[r])) >= 0:
             raise DegenerateBasePoint(f"p0 not strictly negative against {r}")
     return p0
 

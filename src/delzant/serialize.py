@@ -4,6 +4,7 @@ Numbers are serialized exactly: integers as JSON integers, other rationals
 as "p/q" strings.  No floats are ever emitted or accepted.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import MalformedInput
@@ -12,16 +13,23 @@ from .polytope import Halfspace, Polytope
 from .report import num_to_json
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def num_from_json(x):
     if isinstance(x, bool):
         raise MalformedInput(f"boolean {x!r} is not a number")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError):
-            raise MalformedInput(f"cannot parse rational {x!r}")
+        # Only "p" or "p/q": Fraction would also read "1.5" and "1e999999",
+        # whose integer has a million digits.
+        if _RATIONAL.fullmatch(x):
+            try:
+                return Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise MalformedInput(f"cannot parse rational {x!r}")
     raise MalformedInput(f"expected an integer or 'p/q' string, got {x!r}")
 
 

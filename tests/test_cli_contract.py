@@ -4,7 +4,10 @@
 Each example runs ``cli.main`` in-process on a subcommand, a catalog entry
 and an identity or argument drawn by Hypothesis, including polytopes given
 to graph commands and the reverse, unparsable Gorenstein indices and
-simple-root indices, and index ranges outside [1, n + 1].
+simple-root indices, and index ranges outside [1, n + 1].  A second fuzz
+writes polytope and graph documents with wrong types, missing keys,
+booleans, nulls, huge integers and "p/q" strings, and runs them through
+the commands that read JSON.
 """
 
 import contextlib
@@ -108,6 +111,8 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
 
 @pytest.mark.parametrize("argv, data, error", [
     (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
+    (["verify", "combinatorics2"], SEGMENT, "UnsupportedDimension"),
+    (["verify", "gorenstein:1"], SEGMENT, "UnsupportedDimension"),
     (["gkm", "check"], LIST_ID, "is not a JSON scalar"),
     (["check", "gkm"], LIST_END, "is not a JSON scalar"),
     (["gkm", "check"], EMPTY_GRAPH, "InvalidGraph"),
@@ -119,9 +124,13 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
     (["hvector"], segment_graph(degree=-1), "'degree' must be an integer"),
     (["check", "gkm"], segment_graph(ambient_dim="1"), "'ambient_dim' must be an integer"),
     (["hvector"], SQUARE_DEGREE_1, "InvalidGraph"),
+    (["hvector"], segment_graph(degree=2), "more than 2 vertices allow"),
+    (["hvector"], segment_graph(degree=10**30), "more than 2 vertices allow"),
     (["fvector"], {"dim": 2, "vertices": 5}, "'vertices' must be a JSON list"),
     (["lengths"], {"dim": 2, "facets": 5}, "'facets' must be a JSON list"),
     (["fvector"], {"dim": True, "vertices": [[0], [1]]}, "'dim' must be an integer"),
+    (["fvector"], {"dim": 1, "vertices": [["1.5"], [-1]]}, "cannot parse rational"),
+    (["lengths"], {"dim": 1, "vertices": [["1e100000"], [-1]]}, "cannot parse rational"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"
@@ -129,3 +138,99 @@ def test_json_input_exits_2(tmp_path, argv, data, error):
     code, out, err = run(argv + [str(path)])
     assert (code, out) == (2, ""), (argv, code, err)
     assert error in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, error", [
+    (b"[" * 100000 + b"]" * 100000, "invalid JSON"),
+    (b'{"dim": 1, "vertices": [[' + b"9" * 5000 + b"], [1]]}", "invalid JSON"),
+    (b'{"dim": 1, "vertices": [["\xff"], [1]]}', "cannot read"),
+])
+def test_unreadable_json_exits_2(tmp_path, text, error):
+    path = tmp_path / "input.json"
+    path.write_bytes(text)
+    code, out, err = run(["fvector", str(path)])
+    assert (code, out) == (2, ""), err
+    assert error in err and "Traceback" not in err
+
+
+# -- JSON documents ---------------------------------------------------------------
+
+SQUARE_GRAPH = {"ambient_dim": 2, "degree": 2, "vertices": [
+    {"id": i, "coords": c} for i, c in enumerate([[1, 1], [-1, 1], [-1, -1], [1, -1]])],
+    "edges": [{"u": i, "v": (i + 1) % 4} for i in range(4)]}
+THIRD_SQUARE_GRAPH = {**SQUARE_GRAPH, "vertices": [
+    {"id": i, "coords": c} for i, c in enumerate(
+        [["1/3", "1/3"], ["-1/3", "1/3"], ["-1/3", "-1/3"], ["1/3", "-1/3"]])]}
+DOCUMENTS = [
+    SEGMENT,
+    {"dim": 2, "vertices": [[1, 1], [-1, 1], [-1, -1], [1, -1]]},
+    {"dim": 2, "vertices": [[1, 0], [0, 1], [-1, -1]]},
+    {"dim": 2, "vertices": [["1/2", 0], [0, "2/3"], ["-5/4", "-1/6"]]},
+    {"dim": 2, "facets": [{"normal": [1, 0], "offset": 1}, {"normal": [-1, 0], "offset": 1},
+                          {"normal": [0, 1], "offset": 1}, {"normal": [0, -1], "offset": "1/2"}]},
+    {"dim": 3, "vertices": [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]},
+    segment_graph(),
+    SQUARE_GRAPH,
+    THIRD_SQUARE_GRAPH,
+]
+BAD_VALUES = st.one_of(
+    st.sampled_from([None, True, False, "", "x", "1/2", "-3/4", "1/0", "p/q", "1.5", "1e100000",
+                     1.5, [], {}, [[]], 0, -1, 1, 2]),
+    st.sampled_from([10**30, -10**30, 2**64, 2**63 - 1, 10**9]),
+    st.integers(-5, 5).map(str),
+)
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value inside a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for k, v in items:
+        yield prefix + (k,)
+        yield from _paths(v, prefix + (k,))
+
+
+@st.composite
+def documents(draw):
+    doc = json.loads(json.dumps(draw(st.sampled_from(DOCUMENTS))))
+    for _ in range(draw(st.integers(0, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *head, last = draw(st.sampled_from(paths))
+        parent = doc
+        for k in head:
+            parent = parent[k]
+        action = draw(st.sampled_from(["replace", "replace", "delete", "repeat"]))
+        if action == "replace":
+            parent[last] = json.loads(json.dumps(draw(BAD_VALUES)))  # a fresh copy
+        elif action == "delete":
+            del parent[last]
+        elif isinstance(parent, list):  # a repeated vertex, facet or edge
+            parent.append(parent[last])
+        else:  # a value wrapped in a list
+            parent[last] = [parent[last]]
+    return doc
+
+
+JSON_COMMANDS = st.one_of(
+    st.sampled_from(["delzant", "reflexive", "gkm", "gorenstein"]).map(lambda w: ["check", w]),
+    st.sampled_from(["main", "12-24", "combinatorics2", "length-decomposition",
+                     "index-corollary", "graph-corollary", "gorenstein:1", "gorenstein:2"]
+                    ).map(lambda i: ["verify", i]),
+    st.sampled_from([["hvector"], ["lengths"], ["gkm", "check"]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_COMMANDS, documents())
+def test_json_input_contract(tmp_path_factory, argv, doc):
+    path = tmp_path_factory.mktemp("doc") / "input.json"
+    path.write_text(json.dumps(doc))
+    try:
+        code, out, err = run(argv + [str(path)])
+    except Exception as e:  # an exception out of main is a traceback from the shell
+        pytest.fail(f"{argv} {doc}: {type(e).__name__}: {e}")
+    assert code in (0, 1, 2), (argv, doc, code)
+    assert "Traceback" not in err, (argv, doc)
+    if code == 1:
+        assert json.loads(out)["pass"] is False, (argv, doc)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, oracle
 from delzant.errors import DelzantError, UnsupportedDimension
-from delzant.polytope import Polytope, cross_polytope
+from delzant.polytope import Halfspace, Polytope, cross_polytope
 
 POLYTOPES = catalog.names("polytope")
 
@@ -98,6 +98,83 @@ def test_from_halfspaces_matches_brute_hull(halfspaces):
     assert _outcome(Polytope.from_halfspaces, halfspaces) == _outcome(
         oracle.brute_hull, halfspaces=halfspaces
     )
+
+
+PYRAMID = [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]
+RATIONAL = [(Fraction(1, 2), 0), (0, Fraction(2, 3)), (Fraction(-5, 4), Fraction(-1, 6)),
+            (Fraction(1, 5), Fraction(-7, 3))]
+
+
+def _scan_incidence(P):
+    """The facet ids at each vertex, by a Fraction dot product per pair."""
+    return [
+        frozenset(j for j, h in enumerate(P.facets)
+                  if sum(Fraction(a) * c for a, c in zip(h.normal, v)) == Fraction(h.offset))
+        for v in P.vertices
+    ]
+
+
+def _assert_incidence_matches_scan(P):
+    scan = _scan_incidence(P)
+    nv, nf = len(P.vertices), len(P.facets)
+    assert [P.active_facets(i) for i in range(nv)] == scan
+    at_vertex, on_facet = P.incidence()
+    assert list(at_vertex) == scan
+    assert list(on_facet) == [frozenset(i for i in range(nv) if j in scan[i]) for j in range(nf)]
+    # The faces are P itself and the nonempty intersections of facets.
+    faces = {frozenset(range(nv))}
+    for j in range(nf):
+        faces |= {w & on_facet[j] for w in faces} - {frozenset()}
+    assert set(P.face_lattice()) == faces
+    for ids, face in P.face_lattice().items():
+        assert face.vertex_ids == ids
+        assert face.active_facets == frozenset(j for j in range(nf) if all(j in scan[i] for i in ids))
+
+
+def _rebuilt(P, offset):
+    """P from its stored vertex and (normal, offset) pairs, with the offsets
+    passed through ``offset``, as the benchmark rebuilds its inputs."""
+    pairs = [(h.normal, offset(h.offset)) for h in P.facets]
+    return Polytope(P.dim, P.vertices, [Halfspace(a, b) for a, b in pairs])
+
+
+def _int_when_integral(b):
+    return int(b) if b.denominator == 1 else b
+
+
+def _check_incidence_and_rebuilds(P):
+    _assert_incidence_matches_scan(P)
+    for offset in (Fraction, _int_when_integral):
+        Q = _rebuilt(P, offset)
+        _assert_incidence_matches_scan(Q)
+        assert Q.face_lattice() == P.face_lattice()
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+@example(OCTAHEDRON)
+@example(PYRAMID)
+@example([p + (0,) for p in PYRAMID] + [(0, 0, 0, 1)])
+@example(RATIONAL)
+def test_incidence_matches_fraction_scan_from_vertices(points):
+    try:
+        P = Polytope.from_vertices(points)
+    except DelzantError:
+        return
+    _check_incidence_and_rebuilds(P)
+
+
+@settings(max_examples=60, deadline=None)
+@given(halfspace_sets())
+@example([(tuple(s * c for c in v), 1) for v in [(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)]
+          for s in (1, -1)])
+@example([((2, 1), Fraction(7, 3)), ((-1, 3), Fraction(5, 2)), ((0, -1), 4), ((-3, -1), Fraction(11, 6))])
+def test_incidence_matches_fraction_scan_from_halfspaces(halfspaces):
+    try:
+        P = Polytope.from_halfspaces(halfspaces)
+    except DelzantError:
+        return
+    _check_incidence_and_rebuilds(P)
 
 
 def _moves(P, scale, shift):

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, strategies as st
@@ -159,3 +160,79 @@ def test_reflection_involution_and_isometry(case, point):
         # s_beta(x) = x - 2 (x, beta) / (beta, beta) beta, through the form
         t = 2 * rs.pairing(x, beta) / rs.pairing(beta, beta)
         assert y == tuple(a - t * b for a, b in zip(x, beta))
+
+
+# (alpha_i, alpha_i) for each simple root, long roots of square length 2.
+SQUARED_LENGTHS = {
+    "A": lambda d: [2] * d,
+    "B": lambda d: [2] * (d - 1) + [1],
+    "C": lambda d: [1] * (d - 1) + [2],
+    "D": lambda d: [2] * d,
+    "G": lambda d: [Fraction(2, 3), 2],
+}
+SYSTEMS = ([("A", d) for d in range(1, 7)] + [("B", d) for d in range(2, 7)]
+           + [("C", d) for d in range(2, 7)] + [("D", d) for d in range(3, 7)] + [("G", 2)])
+
+
+def _fraction_form(rs):
+    """The invariant form from the Cartan matrix and the squared lengths:
+    (alpha_i, alpha_j) = cartan[i][j] (alpha_j, alpha_j) / 2."""
+    sq = SQUARED_LENGTHS[rs.kind](rs.rank)
+    F = [[Fraction(rs.cartan[i][j]) * sq[j] / 2 for j in range(rs.rank)] for i in range(rs.rank)]
+    assert all(F[i][j] == F[j][i] for i in range(rs.rank) for j in range(rs.rank))
+    return lambda x, y: sum(x[i] * F[i][j] * y[j] for i in range(rs.rank) for j in range(rs.rank))
+
+
+def _subsets(items):
+    return chain.from_iterable(combinations(items, k) for k in range(len(items) + 1))
+
+
+def _degenerate(rs, form, I):
+    """The Fraction sign test: p0 moved by a simple reflection in I, or not
+    strictly negative against a positive root outside <I>."""
+    outside = [r for r in rs.positive_roots if any(c for i, c in enumerate(r) if i not in I)]
+    p0 = tuple(-sum(r[i] for r in outside) for i in range(rs.rank))
+    moved = any(form(p0, rs.simple_roots[i]) != 0 for i in I)
+    return p0, moved or any(form(p0, r) >= 0 for r in outside)
+
+
+def _assert_base_point_matches(rs, form, I):
+    p0, degenerate = _degenerate(rs, form, I)
+    if degenerate:
+        with pytest.raises(DegenerateBasePoint):
+            roots.base_point(rs, I)
+    else:
+        assert roots.base_point(rs, I) == p0
+
+
+@pytest.mark.parametrize("kind, rank", SYSTEMS)
+def test_integer_form_matches_fraction_form(kind, rank):
+    rs = roots.build(kind, rank)
+    form = _fraction_form(rs)
+    rng = random.Random(f"{kind}{rank}")
+    points = rs.simple_roots + [tuple(rng.randint(-4, 4) for _ in range(rank)) for _ in range(4)]
+    every = rs.positive_roots + [tuple(-c for c in r) for r in rs.positive_roots]
+    for beta in every:
+        bb = form(beta, beta)
+        for x in points:
+            xb = form(x, beta)
+            assert rs.pairing(x, beta) == xb
+            t = 2 * xb / bb
+            assert rs.reflect(beta, x) == tuple(a - t * b for a, b in zip(x, beta)), (beta, x)
+    for I in _subsets(range(rank)):
+        _assert_base_point_matches(rs, form, I)
+
+
+@pytest.mark.parametrize("kind, rank", [("A", 2), ("B", 2), ("G", 2), ("A", 3)])
+def test_base_point_sign_test_on_root_subsets(kind, rank):
+    # With only some positive roots kept, p0 can be moved or fail to be
+    # strictly negative; base_point must raise exactly then.
+    raised = 0
+    for kept in _subsets(roots.build(kind, rank).positive_roots):
+        rs = roots.build(kind, rank)
+        rs.positive_roots = list(kept)
+        form = _fraction_form(rs)
+        for I in _subsets(range(rank)):
+            _assert_base_point_matches(rs, form, I)
+            raised += _degenerate(rs, form, I)[1]
+    assert raised
