@@ -111,8 +111,6 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
 
 @pytest.mark.parametrize("argv, data, error", [
     (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
-    (["verify", "combinatorics2"], SEGMENT, "UnsupportedDimension"),
-    (["verify", "gorenstein:1"], SEGMENT, "UnsupportedDimension"),
     (["gkm", "check"], LIST_ID, "is not a JSON scalar"),
     (["check", "gkm"], LIST_END, "is not a JSON scalar"),
     (["gkm", "check"], EMPTY_GRAPH, "InvalidGraph"),
@@ -124,11 +122,13 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
     (["hvector"], segment_graph(degree=-1), "'degree' must be an integer"),
     (["check", "gkm"], segment_graph(ambient_dim="1"), "'ambient_dim' must be an integer"),
     (["hvector"], SQUARE_DEGREE_1, "InvalidGraph"),
-    (["hvector"], segment_graph(degree=2), "more than 2 vertices allow"),
-    (["hvector"], segment_graph(degree=10**30), "more than 2 vertices allow"),
     (["fvector"], {"dim": 2, "vertices": 5}, "'vertices' must be a JSON list"),
     (["lengths"], {"dim": 2, "facets": 5}, "'facets' must be a JSON list"),
     (["fvector"], {"dim": True, "vertices": [[0], [1]]}, "'dim' must be an integer"),
+    (["verify", "combinatorics2"], SEGMENT, "UnsupportedDimension"),
+    (["verify", "gorenstein:1"], SEGMENT, "UnsupportedDimension"),
+    (["hvector"], segment_graph(degree=2), "more than 2 vertices allow"),
+    (["hvector"], segment_graph(degree=10**30), "more than 2 vertices allow"),
     (["fvector"], {"dim": 1, "vertices": [["1.5"], [-1]]}, "cannot parse rational"),
     (["lengths"], {"dim": 1, "vertices": [["1e100000"], [-1]]}, "cannot parse rational"),
 ])
