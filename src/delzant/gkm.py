@@ -2,13 +2,16 @@
 validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
+from operator import add, mul, sub
 
 from . import bounds, exact
 from .errors import (
+    DimensionMismatch,
     DirectionDependent,
     InvalidGraph,
     NonGenericDirection,
@@ -106,26 +109,33 @@ class GkmGraph:
 def validate(G):
     """Regularity, the GKM pairwise-independence condition, simple edges."""
     rep = VerificationReport("gkm-valid", True)
+    weight = G._weight
     for vid in G.ids:
-        inc = G.incident(vid)
+        inc = G._incident[vid]
         rep.add_item(
             f"degree {vid}", len(inc) == G.degree,
             {"degree": len(inc), "expected": G.degree},
         )
-        ws = [G.weight(e, tail=vid) for e in inc]
-        # Two primitive weights are dependent iff one is +-the other.
-        indep = len({max(w, exact.vec_neg(w)) for w in ws}) == len(ws)
+        others = [v if u == vid else u for u, v in inc]
+        ws = [weight[vid, o] for o in others]
+        # Two primitive weights are dependent iff one is +-the other, so k
+        # weights are independent iff the 2k weights +-w are distinct.  Minus
+        # the weight leaving vid is the weight leaving the other end.
+        indep = len({*ws, *(weight[o, vid] for o in others)}) == 2 * len(ws)
         rep.add_item(f"gkm-condition {vid}", indep, {"weights": [list(w) for w in ws]})
     return rep
 
 
-def _weight_sum(G, vid):
-    """The integer sum of the weights leaving vid."""
-    s = [0] * G.ambient_dim
-    for e in G.incident(vid):
-        for i, c in enumerate(G.weight(e, tail=vid)):
-            s[i] += c
-    return s
+def _weight_sums(G):
+    """The integer sum of the weights leaving each vertex, in one pass over
+    the edges."""
+    sums = dict.fromkeys(G.ids, (0,) * G.ambient_dim)
+    for e in G.edge_list:
+        u, v = e
+        w = G._weight[e]
+        sums[u] = tuple(map(add, sums[u], w))
+        sums[v] = tuple(map(sub, sums[v], w))
+    return sums
 
 
 def is_reflexive_graph(G):
@@ -133,10 +143,11 @@ def is_reflexive_graph(G):
     if not validate(G):
         raise InvalidGraph("graph fails GKM validation")
     rep = VerificationReport("gkm-reflexive", True)
+    sums = _weight_sums(G)
     for vid in G.ids:
         v, L = G.coords[vid], G.lattice[vid]
         rep.add_item(f"lattice {vid}", all(c % G.q == 0 for c in L), {"coords": list(v)})
-        s = _weight_sum(G, vid)
+        s = list(sums[vid])
         ok = all(G.q * a == -b for a, b in zip(s, L))
         rep.add_item(f"weight-sum {vid}", ok, {"sum": s, "vertex": list(v)})
     total = [sum(col) for col in zip(*G.coords.values())]
@@ -154,9 +165,10 @@ def gorenstein_index(G):
     if not validate(G):
         raise InvalidGraph("graph fails GKM validation")
     r = None
+    sums = _weight_sums(G)
     for vid in G.ids:
         L = G.lattice[vid]
-        s = _weight_sum(G, vid)
+        s = sums[vid]
         k = next((i for i, c in enumerate(L) if c), None)
         if k is None:
             raise InvalidGraph("vertex at the origin has no well-defined index")
@@ -172,55 +184,75 @@ def gorenstein_index(G):
     return r
 
 
-def _generic_directions(G):
-    """The distinct candidates (1, b, b^2, ...), b prime, on which no edge
-    weight vanishes, in order of b."""
-    weights = [G.weight(e) for e in G.edge_list]
-    for xi in dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in _GENERIC_BASES):
-        if all(exact.dot(w, xi) != 0 for w in weights):
-            yield xi
+def _candidates(G):
+    """The distinct directions (1, b, b^2, ...), b prime, in order of b."""
+    return dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in _GENERIC_BASES)
+
+
+def _in_degrees(G, xi):
+    """The number of edges at each vertex that xi orients into it, as a
+    Counter without the vertices of in-degree 0, from one pairing per edge:
+    the end that xi puts higher is the head.  None when xi vanishes on an
+    edge weight."""
+    heads = []
+    for e in G.edge_list:
+        pair = sum(map(mul, G._weight[e], xi))
+        if not pair:
+            return None
+        heads.append(e[1] if pair > 0 else e[0])
+    return Counter(heads)
 
 
 def generic_direction(G, avoid=()):
     """The first generic direction that is not in ``avoid``."""
-    for xi in _generic_directions(G):
-        if xi not in avoid:
+    for xi in _candidates(G):
+        if xi not in avoid and _in_degrees(G, xi) is not None:
             return xi
     raise NonGenericDirection("no generic direction among the built-in candidates")
 
 
 def _h_for_xi(G, xi):
+    """The in-degree census of a regular graph under xi, or None when xi is
+    not generic."""
+    indeg = _in_degrees(G, xi)
+    if indeg is None:
+        return None
     h = [0] * (G.degree + 1)
-    for vid in G.ids:
-        indeg = 0
-        for e in G.incident(vid):
-            w = G.weight(e, tail=vid)
-            pair = exact.dot(w, xi)
-            if pair == 0:
-                raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
-            if pair < 0:
-                indeg += 1
-        if indeg > G.degree:
-            raise InvalidGraph(f"vertex {vid!r} has more than {G.degree} edges")
-        h[indeg] += 1
+    h[0] = len(G.ids) - len(indeg)
+    for k in indeg.values():
+        h[k] += 1
     return tuple(h)
 
 
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
-    When no direction is supplied, up to three distinct generic directions
-    are tried (ambient dimension 1 has only one) and must agree; a
+    The graph must be regular.  When no direction is supplied, the census
+    is taken under each candidate direction in turn, a candidate that
+    vanishes on an edge weight is dropped, and the first three censuses
+    (ambient dimension 1 has only one candidate) must agree; a
     disagreement means the graph is not of the manifold type where the
     census is direction-independent.
     """
-    # A vertex has at most |V| - 1 edges; a larger degree cannot be met, and
-    # the census would be a list of that length.
+    # A vertex has at most |V| - 1 edges, so a larger degree cannot be met
+    # by any vertex; say so before naming one.
     if G.degree >= len(G.ids):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
+    for vid, inc in G._incident.items():
+        if len(inc) != G.degree:
+            raise InvalidGraph(f"vertex {vid!r} has {len(inc)} edges, not {G.degree}")
     if xi is not None:
-        return _h_for_xi(G, tuple(xi))
-    results = [_h_for_xi(G, d) for d in islice(_generic_directions(G), 3)]
+        xi = tuple(xi)
+        if len(xi) != G.ambient_dim:
+            raise DimensionMismatch(
+                f"direction of length {len(xi)} in ambient dimension {G.ambient_dim}"
+            )
+        h = _h_for_xi(G, xi)
+        if h is None:
+            raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
+        return h
+    censuses = (_h_for_xi(G, d) for d in _candidates(G))
+    results = list(islice((h for h in censuses if h is not None), 3))
     if not results:
         raise NonGenericDirection("no generic direction among the built-in candidates")
     if len(set(results)) != 1:

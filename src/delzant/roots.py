@@ -194,17 +194,21 @@ def coadjoint_graph(rs, I):
     """The coadjoint-orbit GKM graph of the parabolic choice I.
 
     Vertices are the Weyl orbit of the base point; two points are joined
-    when a positive-root reflection swaps them.
+    when a positive-root reflection swaps them.  s_beta maps p to
+    p - t beta with t = <p, beta^v>, and flips the sign of t, so each edge
+    is found once, at the end where t > 0.
     """
     p0 = base_point(rs, I)
     orbit = weyl_orbit(rs, p0)
     index = {p: i for i, p in enumerate(orbit)}
     degree = len(rs.positive_roots) - len(parabolic_span(rs, I))
-    edges = set()
-    for p in orbit:
-        for beta in rs.positive_roots:
-            q = rs.reflect(beta, p)
-            if q != p:
-                edges.add(tuple(sorted((index[p], index[q]))))
-    vertices = [(i, p) for i, p in enumerate(orbit)]
-    return GkmGraph(rs.rank, degree, vertices, sorted(edges))
+    coroots = [(beta, rs._coroot[beta]) for beta in rs.positive_roots]
+    edges = []
+    for i, p in enumerate(orbit):
+        for beta, cov in coroots:
+            t = sum(map(mul, p, cov))
+            if t > 0:
+                j = index[tuple([a - t * b for a, b in zip(p, beta)])]
+                edges.append((i, j) if i < j else (j, i))
+    edges.sort()
+    return GkmGraph(rs.rank, degree, list(enumerate(orbit)), edges)

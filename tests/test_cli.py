@@ -159,6 +159,7 @@ def test_bounds_enumerate_unbounded(capsys):
     ["bounds", "enumerate", "--n", "4", "--k0", "0", "--cap", "3"],
     ["bounds", "enumerate", "--n", "4", "--k0", "9"],
     ["catalog", "show", "no-such-entry"],
+    ["hvector", "catalog:a2-flag", "--xi", "1,2,3"],
 ])
 def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -247,9 +248,14 @@ A2_THIRD = {
      "5e47a6f37465c75f8997bac3f6464f14ce70023a485b80bc1f57194465cb7eb3"),
     (["check", "gorenstein", "A2_THIRD"],
      "193e8f6311a9cd72e7fa9f19c8eee54526c88c5bf44ca9bffe0b098516a644b9"),
+    (["gkm", "build", "A", "4"],
+     "de074c4a20164ec5303534f8b5dcf42c9bd9174a64b0cff228af0ac8d5eaaee2"),
+    (["gkm", "build", "D", "4", "--I", "1,2,3"],
+     "ea74bf9fba8787fd6791d1208ba168c694fad3218a86e8c4a7049eef6ae7fda6"),
 ])
 def test_output_is_byte_identical(tmp_path, capsys, argv, digest):
-    # the SHA-256 of stdout as the Fraction-based graph code printed it
+    # the SHA-256 of stdout as the Fraction-based graph code printed it; the
+    # last two as the edge search that found each edge from both ends did
     path = tmp_path / "a2_third.json"
     path.write_text(json.dumps(A2_THIRD))
     code, out = run(capsys, *(str(path) if a == "A2_THIRD" else a for a in argv))

@@ -108,6 +108,11 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
     {"id": i, "coords": c} for i, c in enumerate([[1, 1], [-1, 1], [-1, -1], [1, -1]])],
     "edges": [{"u": i, "v": (i + 1) % 4} for i in range(4)]}
 
+# Three vertices, one edge and degree 2: `gkm check` fails it, and the census
+# would count the two bare vertices at in-degree 0.
+NON_REGULAR = {"ambient_dim": 1, "degree": 2, "vertices": [
+    {"id": i, "coords": [c]} for i, c in enumerate([-1, 0, 1])], "edges": [{"u": 0, "v": 2}]}
+
 
 @pytest.mark.parametrize("argv, data, error", [
     (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
@@ -131,6 +136,7 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
     (["hvector"], segment_graph(degree=10**30), "more than 2 vertices allow"),
     (["fvector"], {"dim": 1, "vertices": [["1.5"], [-1]]}, "cannot parse rational"),
     (["lengths"], {"dim": 1, "vertices": [["1e100000"], [-1]]}, "cannot parse rational"),
+    (["hvector"], NON_REGULAR, "InvalidGraph"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

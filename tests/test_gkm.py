@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from delzant import catalog, gkm, oracle, reflexive
 from delzant.errors import (
+    DimensionMismatch,
     DirectionDependent,
     InconsistentIndex,
     InvalidGraph,
@@ -115,6 +116,24 @@ def test_polytope_skeleton_is_the_graph():
 def test_h_vector_rejects_non_generic_direction():
     with pytest.raises(NonGenericDirection):
         gkm.h_vector_graph(square_skeleton(), xi=(1, 0))
+
+
+def test_h_vector_refuses_a_non_regular_graph():
+    # three vertices, one edge, degree 2: the census would count the two
+    # bare vertices at in-degree 0 and print (2, 1, 0)
+    G = GkmGraph(1, 2, [(0, (-1,)), (1, (0,)), (2, (1,))], [(0, 2)])
+    assert not gkm.validate(G).passed
+    for xi in [None, (1,)]:
+        with pytest.raises(InvalidGraph):
+            gkm.h_vector_graph(G, xi)
+
+
+def test_h_vector_rejects_a_direction_of_the_wrong_length():
+    # a shorter direction must not be paired with a prefix of each weight
+    G = catalog.load("a2-flag")
+    for xi in [(1,), (1, 2, 3)]:
+        with pytest.raises(DimensionMismatch):
+            gkm.h_vector_graph(G, xi)
 
 
 def test_verify_graph_corollary():
@@ -235,3 +254,84 @@ def test_scaling_coordinates_scales_index_and_lengths(name, k):
     for e in G.edges():
         assert H.weight(e) == G.weight(e)
         assert H.length(e) == Fraction(G.length(e), k)
+
+
+# The candidate directions are (1, b, b^2, ...) for these primes b.
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _in_degrees_by_vertex(G, xi):
+    """The in-degree of each vertex, vertex by vertex, from the coordinates:
+    the number of its neighbours that xi puts lower."""
+    height = {v: sum(Fraction(c) * x for c, x in zip(G.coords[v], xi)) for v in G.ids}
+    indeg = {}
+    for v in G.ids:
+        nbrs = [b if a == v else a for a, b in G.edges() if v in (a, b)]
+        if any(height[u] == height[v] for u in nbrs):
+            raise NonGenericDirection(f"{xi} is constant on an edge at {v}")
+        indeg[v] = sum(height[u] < height[v] for u in nbrs)
+    return indeg
+
+
+def _census_by_vertex(G, xi):
+    h = [0] * (G.degree + 1)
+    for k in _in_degrees_by_vertex(G, xi).values():
+        h[k] += 1
+    return tuple(h)
+
+
+def _h_vector_oracle(G, xi=None):
+    if any(sum(v in e for e in G.edges()) != G.degree for v in G.ids):
+        raise InvalidGraph("not regular")
+    if xi is not None:
+        return _census_by_vertex(G, xi)
+    results = []
+    for d in dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in PRIMES):
+        try:
+            results.append(_census_by_vertex(G, d))
+        except NonGenericDirection:
+            continue
+        if len(results) == 3:
+            break
+    if not results:
+        raise NonGenericDirection("no candidate is generic")
+    if len(set(results)) != 1:
+        raise DirectionDependent(str(results))
+    return results[0]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InvalidGraph, NonGenericDirection, DirectionDependent) as e:
+        return type(e)
+
+
+@given(rational_graphs(), st.data())
+def test_census_matches_per_vertex_oracle(G, data):
+    # as drawn (degree 1), and with the degree of the first vertex, which
+    # makes a regular graph likelier
+    k = len(G.incident(G.ids[0]))
+    for H in [G, GkmGraph(G.ambient_dim, k, G.coords.items(), G.edges())]:
+        assert _outcome(gkm.h_vector_graph, H) == _outcome(_h_vector_oracle, H)
+        xi = data.draw(st.tuples(*[st.integers(-3, 3)] * H.ambient_dim))
+        assert _outcome(gkm.h_vector_graph, H, xi) == _outcome(_h_vector_oracle, H, xi)
+        # a regular census is often palindromic, so compare the in-degrees
+        # themselves too: they tell the head of an edge from its tail
+        indeg = gkm._in_degrees(H, xi)
+        got = NonGenericDirection if indeg is None else {v: indeg[v] for v in H.ids}
+        assert got == _outcome(_in_degrees_by_vertex, H, xi)
+
+
+def test_census_matches_per_vertex_oracle_on_catalog():
+    outcomes = set()
+    for name in catalog.names():
+        obj = catalog.load(name)
+        G = obj if isinstance(obj, GkmGraph) else obj.skeleton()
+        d = G.ambient_dim
+        for xi in [None, (1,) + (0,) * (d - 1), tuple(range(1, d + 1)),
+                   *(tuple(b**i for i in range(d)) for b in PRIMES[:4])]:
+            got = _outcome(gkm.h_vector_graph, G, xi)
+            assert got == _outcome(_h_vector_oracle, G, xi), (name, xi)
+            outcomes.add(got if isinstance(got, type) else tuple)
+    assert outcomes == {tuple, InvalidGraph, NonGenericDirection}

@@ -139,6 +139,30 @@ def test_coadjoint_graphs_reflexive():
         assert gkm.verify_graph_corollary(G).passed, (kind, rank, I)
 
 
+@pytest.mark.parametrize("kind, rank, I", [
+    ("A", 1, ()), ("A", 2, ()), ("A", 2, (0,)), ("A", 3, ()), ("A", 3, (1,)), ("A", 4, ()),
+    ("A", 4, (0, 3)), ("A", 5, (1, 2, 3, 4)), ("A", 5, (0, 2, 4)),
+    ("B", 2, ()), ("B", 2, (1,)), ("B", 3, ()), ("B", 3, (0,)), ("B", 4, (1, 2, 3)), ("B", 4, (0, 2)),
+    ("C", 2, ()), ("C", 2, (0,)), ("C", 3, ()), ("C", 3, (2,)), ("C", 4, (0, 1, 2)), ("C", 4, (1, 3)),
+    ("D", 4, ()), ("D", 4, (1,)), ("D", 4, (0, 2, 3)),
+    ("G", 2, ()), ("G", 2, (0,)), ("G", 2, (1,)),
+])
+def test_coadjoint_edges_match_pairwise_scan(kind, rank, I):
+    # p and q are joined when q = p - 2 (p, beta) / (beta, beta) beta for a
+    # positive root beta, through the Fraction form
+    rs = roots.build(kind, rank)
+    G = roots.coadjoint_graph(rs, I)
+    pts = [G.coords[v] for v in G.ids]
+    images = [
+        {tuple(a - 2 * rs.pairing(p, b) / rs.pairing(b, b) * c for a, c in zip(p, b))
+         for b in rs.positive_roots}
+        for p in pts
+    ]
+    expected = [(G.ids[i], G.ids[j]) for i in range(len(pts)) for j in range(i + 1, len(pts))
+                if pts[j] in images[i]]
+    assert G.edges() == expected
+
+
 def test_gr24_graph_geometry():
     rs = roots.build("A", 3)
     G = roots.coadjoint_graph(rs, (0, 2))
