@@ -9,9 +9,13 @@ of formulas coincide under that identification.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import isqrt
+from math import isqrt, prod
 
 from .errors import MalformedVector, NonNegativeS, UnboundedSearch
+
+# The most candidate vectors enumerate_admissible will try, about 15 s of
+# search: a larger box is refused before it starts.
+SEARCH_LIMIT = 10**7
 
 
 def c_from_f(n, f):
@@ -153,6 +157,8 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
         unimodality bounds the entries up to the sign-change threshold and
         is enforced on the output;
       * otherwise an explicit cap is required (completeness not asserted).
+
+    A search over more than SEARCH_LIMIT candidates raises UnboundedSearch.
     """
     m = n // 2
     if m < 1:
@@ -195,6 +201,11 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
 
     if any(c < 1 for c in caps):
         return AdmissibleSet(n, k0, constraints, [], caps, complete)
+    size = prod(caps)
+    if size > SEARCH_LIMIT:
+        raise UnboundedSearch(
+            f"the search for n={n}, k0={k0} has {size} candidates, more than the limit {SEARCH_LIMIT}"
+        )
 
     found = []
     for half in product(*(range(1, c + 1) for c in caps)):

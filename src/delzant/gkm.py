@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from operator import add, mul, sub
+from operator import add, mul, neg, sub
 
 from . import bounds, exact
 from .errors import (
@@ -59,29 +59,31 @@ class GkmGraph:
             raise InvalidGraph("a graph needs at least one vertex")
         q, points = exact.common_denominator(self.coords.values())
         self.q = q
-        self.lattice = dict(zip(self.coords, points))
+        self.lattice = lattice = dict(zip(self.coords, points))
         self.edge_list = []
-        self._incident = {vid: [] for vid in self.ids}
-        self._weight = {}
-        self._length = {}
+        self._incident = incident = {vid: [] for vid in self.ids}
+        self._weight = weight = {}
+        self._length = length = {}
         for u, v in edges:
-            if u not in self.coords or v not in self.coords:
+            if u not in lattice or v not in lattice:
                 raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
             if u == v:
                 raise InvalidGraph(f"loop at {u!r}")
-            if (u, v) in self._weight:
-                raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
             e = (u, v)
+            if e in weight:
+                raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
             self.edge_list.append(e)
-            self._incident[u].append(e)
-            self._incident[v].append(e)
-            d = [b - a for a, b in zip(self.lattice[u], self.lattice[v])]
+            incident[u].append(e)
+            incident[v].append(e)
+            d = tuple(map(sub, lattice[v], lattice[u]))
             g = gcd(*d)
             if g == 0:
                 raise ZeroVector("zero displacement")
-            self._weight[e] = tuple(c // g for c in d)
-            self._weight[v, u] = tuple(-c // g for c in d)
-            self._length[e] = _ratio(g, q)
+            if g != 1:
+                d = tuple(c // g for c in d)
+            weight[e] = d
+            weight[v, u] = tuple(map(neg, d))
+            length[e] = _ratio(g, q)
 
     def edges(self):
         return list(self.edge_list)

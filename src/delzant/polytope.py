@@ -57,6 +57,16 @@ def _as_point(p):
     return tuple(Fraction(c) for c in p)
 
 
+def _ids(mask):
+    """The positions of the set bits of a mask, as a frozenset."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(out)
+
+
 def _facet_key(h):
     return (h.normal, h.offset)
 
@@ -168,18 +178,21 @@ class Polytope:
 
     Vertices are tuples of Fractions, facets are Halfspace instances with
     primitive integer normals.  Instances are immutable; the vertex-facet
-    incidence (in integers), the face lattice and the 1-skeleton are
-    computed once on first use, the latter two from the incidence alone.
+    incidence (in integers, as bitmasks), the face lattice and the
+    1-skeleton are computed once on first use, the latter two from the
+    incidence alone.
     """
 
     def __init__(self, dim, vertices, facets):
         self.dim = dim
         self.vertices = tuple(vertices)
         self.facets = tuple(facets)
+        self._bits = None
+        self._incidence = None
         self._faces = None
+        self._lattice = None
         self._edges = None
         self._skeleton = None
-        self._incidence = None
 
     # -- construction ---------------------------------------------------------
 
@@ -250,38 +263,61 @@ class Polytope:
     # -- faces ----------------------------------------------------------------
 
     def face_lattice(self):
-        """All faces, keyed by frozenset of vertex ids.  Computed once."""
-        if self._faces is None:
-            self._faces = self._compute_faces()
-        return self._faces
+        """All faces, keyed by frozenset of vertex ids.  Built from the walk
+        the first time it is called."""
+        if self._lattice is None:
+            self._lattice = {}
+            for w, (active, d) in self._walk().items():
+                ids = _ids(w)
+                self._lattice[ids] = Face(_ids(active), ids, d)
+        return self._lattice
 
-    def _compute_faces(self):
-        # The lattice is graded: the facets of a face F are the maximal
-        # proper nonempty sets F & facet, each one dimension below F.
-        all_ids = frozenset(range(len(self.vertices)))
-        facet_verts = self.incidence()[1]
-        faces = {all_ids: Face(frozenset(), all_ids, self.dim)}
-        layer = [all_ids]
-        for d in range(self.dim - 1, -1, -1):
-            nxt = []
-            for cur in layer:
-                subs = {cur & fv for fv in facet_verts} - {cur, frozenset()}
-                for w in subs:
-                    if w in faces or any(w < u for u in subs):
-                        continue
-                    active = frozenset(k for k, kv in enumerate(facet_verts) if w <= kv)
-                    faces[w] = Face(active, w, d)
-                    nxt.append(w)
-            layer = nxt
-        return faces
+    def _walk(self):
+        """Every nonempty face as {vertex mask: (facet mask, dim)}, walked
+        down from P one dimension at a time.  Computed once.
+
+        The lattice is graded: the facets of a face F are the maximal sets
+        F & facet_j over the facets j not through F.  The cover test of
+        Kaibel and Pfetsch ("Computing the face lattice of a polytope from
+        its vertex-facet incidences", 2002) decides maximality without
+        comparing candidates: w is a facet of F iff the facets through w
+        that are not through F are exactly the j that produced w.
+        """
+        if self._faces is None:
+            at_vertex, on_facet = self._incidence_bits()
+            top = (1 << len(self.vertices)) - 1
+            faces = {top: (0, self.dim)}
+            layer = [(top, 0)]
+            for d in range(self.dim - 1, -1, -1):
+                nxt = []
+                for F, A in layer:
+                    producers = {}
+                    for j, fv in enumerate(on_facet):
+                        w = F & fv
+                        if w and not A >> j & 1:
+                            producers[w] = producers.get(w, 0) | 1 << j
+                    for w, js in producers.items():
+                        if w in faces:
+                            continue
+                        meet, rest = -1, w
+                        while rest:
+                            low = rest & -rest
+                            meet &= at_vertex[low.bit_length() - 1]
+                            rest ^= low
+                        if meet & ~A == js:
+                            faces[w] = (meet, d)
+                            nxt.append((w, meet))
+                layer = nxt
+            self._faces = faces
+        return self._faces
 
     def faces_of_dim(self, d):
         return [f for f in self.face_lattice().values() if f.dim == d]
 
     def f_vector(self):
         counts = [0] * (self.dim + 1)
-        for f in self.face_lattice().values():
-            counts[f.dim] += 1
+        for _, d in self._walk().values():
+            counts[d] += 1
         return tuple(counts)
 
     def h_vector_comb(self):
@@ -297,9 +333,10 @@ class Polytope:
         """Sorted vertex-id pairs spanning the 1-dimensional faces."""
         if self._edges is None:
             out = []
-            for f in self.faces_of_dim(1):
-                a, b = sorted(f.vertex_ids)
-                out.append((a, b))
+            for w, (_, d) in self._walk().items():
+                if d == 1:
+                    b = w.bit_length() - 1
+                    out.append(((w ^ 1 << b).bit_length() - 1, b))
             self._edges = tuple(sorted(out))
         return list(self._edges)
 
@@ -413,23 +450,31 @@ class Polytope:
     def incidence(self):
         """The vertex-facet incidence both ways: the facet ids at each vertex
         and the vertex ids on each facet, as two tuples of frozensets.
-        Computed once, in one integer pass: with q the common denominator
-        of the vertices, vertex v is on the facet <x, a> <= b iff
-        <a, q v> * den(b) == q * num(b)."""
+        Computed once, from the bitmasks of ``_incidence_bits``."""
         if self._incidence is None:
+            at_vertex, on_facet = self._incidence_bits()
+            self._incidence = tuple(map(_ids, at_vertex)), tuple(map(_ids, on_facet))
+        return self._incidence
+
+    def _incidence_bits(self):
+        """The incidence as int bitmasks: the facet mask at each vertex and
+        the vertex mask on each facet.  Computed once, in one integer pass:
+        with q the common denominator of the vertices, vertex v is on the
+        facet <x, a> <= b iff <a, q v> * den(b) == q * num(b)."""
+        if self._bits is None:
             q, points = exact.common_denominator(self.vertices)
             rows = [(h.normal, q * h.offset.numerator, h.offset.denominator)
                     for h in self.facets]
-            at_vertex, on_facet = [], [[] for _ in rows]
+            at_vertex, on_facet = [], [0] * len(rows)
             for i, p in enumerate(points):
-                here = []
+                here = 0
                 for j, (a, rhs, den) in enumerate(rows):
                     if sum(map(mul, a, p)) * den == rhs:
-                        here.append(j)
-                        on_facet[j].append(i)
-                at_vertex.append(frozenset(here))
-            self._incidence = tuple(at_vertex), tuple(frozenset(s) for s in on_facet)
-        return self._incidence
+                        here |= 1 << j
+                        on_facet[j] |= 1 << i
+                at_vertex.append(here)
+            self._bits = at_vertex, on_facet
+        return self._bits
 
     def active_facets(self, vid):
         """Indices of the facets through vertex vid."""

@@ -42,55 +42,74 @@ def vertex_fano_check(P):
     return rep
 
 
-def _weight_leaving(S, at_vertex, vid, i):
-    """The weight at vid of the one skeleton edge there that leaves facet i;
-    ``at_vertex`` is the facet ids at each vertex."""
-    hits = [
-        S.weight((a, b), tail=vid)
-        for a, b in S.incident(vid)
-        if i not in at_vertex[b if a == vid else a]
-    ]
-    if len(hits) != 1:
-        raise MatchingFailed(f"not exactly one edge at vertex {vid} leaves facet {i}")
-    return hits[0]
-
-
 def normal_contributions(P, edge):
     """Integer contribution of the edge in each 2-face containing it.
 
     For the edge u -> v with primitive direction w1, each 2-face F pairs
     the second weight w at u with the second weight w~ at v, and the
-    contribution is the integer a with w - w~ = a * w1.
+    contribution is the integer a with w - w~ = a * w1.  Returns a list of
+    (vertex ids of F, a).
     """
     _require_delzant(P)
-    return _contributions(P, edge)
+    at_vertex, on_facet = P.incidence()
+    u, v = edge
+    shared = at_vertex[u] & at_vertex[v]
+    every = frozenset(range(len(P.vertices)))
+    return [
+        (every.intersection(*(on_facet[j] for j in shared if j != i)), a)
+        for i, a in _contributions(P, _leaving_table(P), edge)
+    ]
 
 
-def _contributions(P, edge):
-    """normal_contributions for a polytope already checked to be Delzant.
+def _leaving_table(P):
+    """For each vertex, a dict from facet id to the weights there of the
+    skeleton edges that leave that facet: the edges to a neighbour off it."""
+    S = P.skeleton()
+    at_vertex = P.incidence()[0]
+    table = []
+    for vid, here in enumerate(at_vertex):
+        leaving = {}
+        for a, b in S.incident(vid):
+            w = S.weight((a, b), tail=vid)
+            for i in here - at_vertex[b if a == vid else a]:
+                leaving.setdefault(i, []).append(w)
+        table.append(leaving)
+    return table
 
-    In a simple polytope the edge u v lies on n-1 facets.  Leaving out one
-    of them, facet i, the others cut out a 2-face through the edge, and the
-    second edge of that 2-face at u (and at v) is the one that leaves facet i.
+
+def _contributions(P, leaving, edge):
+    """The contribution of the edge u v in each 2-face through it, as
+    (facet id, a), for a polytope already checked to be Delzant;
+    ``leaving`` is its ``_leaving_table``.
+
+    In a simple polytope the edge lies on n-1 facets.  Leaving out one of
+    them, facet i, the others cut out a 2-face through the edge, and the
+    second edge of that 2-face at u (and at v) is the one that leaves
+    facet i.
     """
     S = P.skeleton()
-    at_vertex, on_facet = P.incidence()
+    at_vertex = P.incidence()[0]
     u, v = edge
     w1 = S.weight(edge)
     k = next(i for i, c in enumerate(w1) if c)
-    shared = at_vertex[u] & at_vertex[v]
-    every = frozenset(range(len(P.vertices)))
     out = []
-    for i in sorted(shared):
-        face = every.intersection(*(on_facet[j] for j in shared if j != i))
-        wu = _weight_leaving(S, at_vertex, u, i)
-        wv = _weight_leaving(S, at_vertex, v, i)
+    for i in sorted(at_vertex[u] & at_vertex[v]):
+        wu = _one_leaving(leaving, u, i)
+        wv = _one_leaving(leaving, v, i)
         diff = exact.vec_sub(wu, wv)
         a, rem = divmod(diff[k], w1[k])
         if rem or any(x != a * c for x, c in zip(diff, w1)):
             raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {edge}")
-        out.append((face, a))
+        out.append((i, a))
     return out
+
+
+def _one_leaving(leaving, vid, i):
+    """The weight at vid of the one skeleton edge there that leaves facet i."""
+    hits = leaving[vid].get(i, ())
+    if len(hits) != 1:
+        raise MatchingFailed(f"not exactly one edge at vertex {vid} leaves facet {i}")
+    return hits[0]
 
 
 def verify_thm_combinatorics2(P):
@@ -99,10 +118,11 @@ def verify_thm_combinatorics2(P):
     if P.dim < 2:
         raise UnsupportedDimension("the normal-contribution sum needs dimension >= 2")
     f = P.f_vector()
+    leaving = _leaving_table(P)
     total = 0
     per_edge = []
     for e in P.edges():
-        s = sum(a for _, a in _contributions(P, e))
+        s = sum(a for _, a in _contributions(P, leaving, e))
         per_edge.append((e, s))
         total += s
     rhs = 12 * f[2] - 3 * (P.dim - 1) * f[1]
@@ -120,11 +140,12 @@ def verify_length_decomposition(P):
     """Per-edge check of l(e) = 2 + (sum of normal contributions)."""
     _require_delzant(P)
     _require_reflexive(P)
+    leaving = _leaving_table(P)
     rep = VerificationReport("length-decomposition", True)
     total = 0
     for e in P.edges():
         length = P.relative_length(e)
-        s = 2 + sum(a for _, a in _contributions(P, e))
+        s = 2 + sum(a for _, a in _contributions(P, leaving, e))
         rep.add_item(f"edge {e}", length == s, {"length": length, "2+sum_a": s})
         total += s
     rep.lhs = sum_lengths(P)
@@ -155,22 +176,6 @@ def verify_main_theorem(P):
     return rep
 
 
-def _dual_edge_of(P, dual, edge):
-    """The edge of the dual polytope paired with the given edge (n = 3)."""
-    u, v = edge
-    shared = sorted(P.active_facets(u) & P.active_facets(v))
-    if len(shared) != 2:
-        raise MatchingFailed(f"edge {edge} not on exactly two facets")
-    i, j = shared
-    pi = tuple(Fraction(-c) / P.facets[i].offset for c in P.facets[i].normal)
-    pj = tuple(Fraction(-c) / P.facets[j].offset for c in P.facets[j].normal)
-    a, b = dual.vertex_id(pi), dual.vertex_id(pj)
-    pair = tuple(sorted((a, b)))
-    if pair not in dual.edges():
-        raise MatchingFailed(f"dual vertices of edge {edge} do not span a dual edge")
-    return pair
-
-
 def verify_12_24(P):
     """The dimension-2 "12" and dimension-3 "24" identities for reflexive
     polytopes (smoothness not required)."""
@@ -183,10 +188,22 @@ def verify_12_24(P):
         rep.add_item("dual", True, {"sum": sum_lengths(dual)})
         return rep
     if P.dim == 3:
+        # Facet <x, a> <= b of P is paired with the dual vertex -a/b, and an
+        # edge of P on facets i and j with the dual edge of their vertices.
+        dual_id = {p: k for k, p in enumerate(dual.vertices)}
+        dual_of = [dual_id[tuple(Fraction(-c) / h.offset for c in h.normal)] for h in P.facets]
+        dual_edges = set(dual.edges())
+        at_vertex = P.incidence()[0]
         total = 0
         rep = VerificationReport("twenty-four", True)
         for e in P.edges():
-            de = _dual_edge_of(P, dual, e)
+            u, v = e
+            shared = at_vertex[u] & at_vertex[v]
+            if len(shared) != 2:
+                raise MatchingFailed(f"edge {e} not on exactly two facets")
+            de = tuple(sorted(dual_of[i] for i in shared))
+            if de not in dual_edges:
+                raise MatchingFailed(f"dual vertices of edge {e} do not span a dual edge")
             term = P.relative_length(e) * dual.relative_length(de)
             total += term
             rep.add_item(f"edge {e}", True, {"l*l_dual": term})

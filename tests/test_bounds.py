@@ -184,3 +184,22 @@ def test_evaluate_half_matches_indexed_formula(n, k0):
 def test_enumerate_rejects_index_out_of_range(n, k0):
     with pytest.raises(MalformedVector):
         bounds.enumerate_admissible(n, k0, cap=3)
+
+
+@pytest.mark.parametrize("n, k0, unimodal, cap, size", [
+    (10, 11, False, 60, 60**5),
+    (20, 18, True, None, 4935168000),
+])
+def test_enumerate_refuses_a_search_over_the_limit(n, k0, unimodal, cap, size):
+    # both searches would run for hours; they are refused before they start
+    with pytest.raises(UnboundedSearch, match=f"{size} candidates.*{bounds.SEARCH_LIMIT}"):
+        bounds.enumerate_admissible(n, k0, require_unimodal=unimodal, cap=cap)
+
+
+def test_enumerate_limit_is_inclusive(monkeypatch):
+    # cap 2 in dimension 6 is a box of 2^3 = 8 candidates
+    monkeypatch.setattr(bounds, "SEARCH_LIMIT", 8)
+    assert bounds.enumerate_admissible(6, 1, cap=2).half_vectors
+    monkeypatch.setattr(bounds, "SEARCH_LIMIT", 7)
+    with pytest.raises(UnboundedSearch):
+        bounds.enumerate_admissible(6, 1, cap=2)

@@ -160,6 +160,8 @@ def test_bounds_enumerate_unbounded(capsys):
     ["bounds", "enumerate", "--n", "4", "--k0", "9"],
     ["catalog", "show", "no-such-entry"],
     ["hvector", "catalog:a2-flag", "--xi", "1,2,3"],
+    ["bounds", "enumerate", "--n", "10", "--k0", "11", "--cap", "60"],
+    ["bounds", "enumerate", "--n", "20", "--k0", "18", "--unimodal"],
 ])
 def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -252,10 +254,22 @@ A2_THIRD = {
      "de074c4a20164ec5303534f8b5dcf42c9bd9174a64b0cff228af0ac8d5eaaee2"),
     (["gkm", "build", "D", "4", "--I", "1,2,3"],
      "ea74bf9fba8787fd6791d1208ba168c694fad3218a86e8c4a7049eef6ae7fda6"),
+    (["verify", "12-24", "catalog:cube"],
+     "b7e20c14e0992e5780d17036ac124f8bbc0045614e90451d8f1669aa36a80757"),
+    (["verify", "12-24", "catalog:octahedron"],
+     "a48a6485aefd1edd35ea6f9499ac03e8090750085fac32597b8f584cfa1353fe"),
+    (["verify", "combinatorics2", "catalog:hypercube4"],
+     "28ec388339083f28cf29c697ee3b439ba5d9392e8c92cacb149a760f0bfaec51"),
+    (["verify", "length-decomposition", "catalog:hexagon"],
+     "a4aad681e42ffc00789b80cb9e4d74f1f11dff6826fb9a9e622d285e8ffd761b"),
+    (["fvector", "catalog:octahedron"],
+     "5237d8f23361bc835f94ab67735d27e2eafc1d45fb8ea5f7e7688e0f0c2c48a5"),
 ])
 def test_output_is_byte_identical(tmp_path, capsys, argv, digest):
     # the SHA-256 of stdout as the Fraction-based graph code printed it; the
-    # last two as the edge search that found each edge from both ends did
+    # next two as the edge search that found each edge from both ends did;
+    # the last five as the frozenset face walk and the per-edge scans of
+    # the incident edges and of the dual's vertices did
     path = tmp_path / "a2_third.json"
     path.write_text(json.dumps(A2_THIRD))
     code, out = run(capsys, *(str(path) if a == "A2_THIRD" else a for a in argv))

@@ -103,6 +103,9 @@ def test_from_halfspaces_matches_brute_hull(halfspaces):
 PYRAMID = [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]
 RATIONAL = [(Fraction(1, 2), 0), (0, Fraction(2, 3)), (Fraction(-5, 4), Fraction(-1, 6)),
             (Fraction(1, 5), Fraction(-7, 3))]
+# brute_f_vector tries all 2^f facet subsets, so it runs only on polytopes
+# with at most this many facets.
+BRUTE_FACETS = 12
 
 
 def _scan_incidence(P):
@@ -125,10 +128,20 @@ def _assert_incidence_matches_scan(P):
     faces = {frozenset(range(nv))}
     for j in range(nf):
         faces |= {w & on_facet[j] for w in faces} - {frozenset()}
+    # The f-vector and the edges of a fresh copy, read before its face
+    # lattice exists, against the faces above counted by affine dimension.
+    fresh = Polytope(P.dim, P.vertices, P.facets)
+    f, edges = fresh.f_vector(), fresh.edges()
+    dims = [oracle._affine_dim([P.vertices[i] for i in w]) for w in faces]
+    assert f == tuple(dims.count(d) for d in range(P.dim + 1))
+    if nf <= BRUTE_FACETS:
+        assert f == oracle.brute_f_vector(P)
     assert set(P.face_lattice()) == faces
     for ids, face in P.face_lattice().items():
         assert face.vertex_ids == ids
         assert face.active_facets == frozenset(j for j in range(nf) if all(j in scan[i] for i in ids))
+    assert edges == sorted(tuple(sorted(ids)) for ids, face in P.face_lattice().items()
+                           if face.dim == 1)
 
 
 def _rebuilt(P, offset):

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from delzant import catalog, exact, reflexive
+from delzant import catalog, exact, oracle, reflexive
 from delzant.errors import (
     InconsistentCones,
+    MatchingFailed,
     NotDelzant,
     NotGorensteinOfIndex,
     NotReflexive,
@@ -83,9 +84,20 @@ def test_normal_contributions_match_2face_scan():
     delzant = [n for n in catalog.names("polytope") if reflexive.is_delzant(catalog.load(n)).overall]
     assert set(DELZANT_REFLEXIVE) <= set(delzant)
     for P in [catalog.load(n) for n in delzant] + [cube(4)]:
+        sums = {item["id"]: item["detail"]["contribution_sum"]
+                for item in reflexive.verify_thm_combinatorics2(P).per_item}
         for e in P.edges():
             got = sorted(reflexive.normal_contributions(P, e), key=lambda p: sorted(p[0]))
             assert got == _contributions_by_2face_scan(P, e), (P, e)
+            assert sums[f"edge {e}"] == sum(a for _, a in got), (P, e)
+
+
+def test_contributions_need_one_leaving_edge():
+    # at a vertex of the octahedron two edges leave each facet through it;
+    # the verifiers never get here, since they check the Delzant property
+    P = catalog.load("octahedron")
+    with pytest.raises(MatchingFailed, match="not exactly one edge"):
+        reflexive._contributions(P, reflexive._leaving_table(P), P.edges()[0])
 
 
 def test_dim2_contribution_sum():
@@ -138,6 +150,35 @@ def test_twenty_four():
     for name in ["cube", "cp3-simplex", "octahedron"]:
         rep = reflexive.verify_12_24(catalog.load(name))
         assert rep.passed and rep.lhs == 24, name
+
+
+# Two GL(3, Z) matrices, of determinant 1 and -1.
+MOVES_3 = ([[1, 2, 0], [0, 1, 0], [1, 0, 1]], [[2, 1, 1], [1, 1, 0], [0, 0, -1]])
+
+
+def _segment_length(p, q):
+    return oracle.lattice_points_on_segment(p, q) - 1
+
+
+def test_twenty_four_terms_match_segment_scan():
+    # each edge's term is its lattice length times that of the segment
+    # joining the dual vertices -a_i/b_i and -a_j/b_j of its two facets
+    for name in ["cube", "cp3-simplex", "octahedron"]:
+        P = catalog.load(name)
+        moved = [Polytope.from_vertices([tuple(sum(a * c for a, c in zip(row, v)) for row in u)
+                                         for v in P.vertices]) for u in MOVES_3]
+        for Q in [P] + moved:
+            terms = {item["id"]: item["detail"]["l*l_dual"]
+                     for item in reflexive.verify_12_24(Q).per_item}
+            assert len(terms) == len(Q.edges())
+            for u, v in Q.edges():
+                i, j = [h for h in Q.facets
+                        if all(sum(Fraction(a) * c for a, c in zip(h.normal, Q.vertices[w]))
+                               == h.offset for w in (u, v))]
+                di, dj = ([Fraction(-a) / h.offset for a in h.normal] for h in (i, j))
+                want = (_segment_length(Q.vertices[u], Q.vertices[v])
+                        * _segment_length(di, dj))
+                assert terms[f"edge {(u, v)}"] == want, (name, u, v)
 
 
 def test_twelve_24_unsupported_dim():
