@@ -5,6 +5,7 @@ Exit codes: 0 on pass, 1 on identity failure, 2 on input or usage errors.
 """
 
 import argparse
+import functools
 import json
 import sys
 from itertools import islice
@@ -68,15 +69,84 @@ def _parse_ints(text, what):
         raise MalformedInput(f"cannot parse {what} {text!r}")
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _key(k):
+    if not isinstance(k, str):
+        raise TypeError(f"keys must be str, not {type(k).__name__}")
+    return _encode_str(k)
+
+
+def _dumps(o, pad):
+    """The text of ``json.dumps(o, indent=2, sort_keys=True)`` for a value
+    written after the newline-and-indent ``pad``.  Only str, int, bool,
+    None, list, tuple and dict with str keys are taken; anything else,
+    a float included, raises TypeError."""
+    if type(o) is int:
+        return int.__repr__(o)
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = pad + "  "
+        # Ints, most of a graph's values, are written without a call here
+        # and below.  Sorted items order by key alone: the keys are distinct.
+        return "{" + inner + ("," + inner).join([
+            _key(k) + ": " + (int.__repr__(v) if type(v) is int else _dumps(v, inner))
+            for k, v in sorted(o.items())
+        ]) + pad + "}"
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = pad + "  "
+        return "[" + inner + ("," + inner).join([
+            int.__repr__(v) if type(v) is int else _dumps(v, inner) for v in o
+        ]) + pad + "]"
+    if isinstance(o, str):
+        return _encode_str(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):  # a subclass of int
+        return int.__repr__(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+def _stream(o, pad="\n", depth=2):
+    """The text of ``_dumps(o, pad)`` in pieces: containers in the top
+    ``depth`` levels are walked, so no piece holds more than one of their
+    members, and deeper values are written whole."""
+    if not (depth and o and isinstance(o, (list, tuple, dict))):
+        yield _dumps(o, pad)
+        return
+    inner = pad + "  "
+    if isinstance(o, dict):
+        close = "}"
+        members = ((_key(k) + ": ", v) for k, v in sorted(o.items()))
+        sep = "{" + inner
+    else:
+        close = "]"
+        members = (("", v) for v in o)
+        sep = "[" + inner
+    for head, v in members:
+        yield sep + head
+        yield from _stream(v, inner, depth - 1)
+        sep = "," + inner
+    yield pad + close
+
+
 def _emit(payload, text=False):
     if text:
         _emit_text(payload)
         return
-    # The encoder's chunks go out in batches: json.dumps would hold every
-    # chunk and the whole string at once, several times the output's size.
+    # The pieces go out in batches, so a large document (gkm build D 6 is
+    # 58 MB) is never held as one string.
     out = sys.stdout
-    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
-    for batch in iter(lambda: list(islice(chunks, 1 << 16)), []):
+    chunks = _stream(payload)
+    for batch in iter(lambda: list(islice(chunks, 1 << 12)), []):
         out.write("".join(batch))
     out.write("\n")
 
@@ -242,6 +312,9 @@ def cmd_gkm_check(args):
 
 
 def cmd_bounds_table(args):
+    for flag, value in (("--n-min", args.n_min), ("--k0-min", args.k0_min)):
+        if value < 1:
+            raise MalformedInput(f"{flag} must be at least 1, not {value}")
     ns = range(args.n_min, args.n_max + 1)
     k0s = range(args.k0_min, args.k0_max + 1)
     table = bounds.table_c(ns, k0s)
@@ -290,7 +363,11 @@ def cmd_catalog_show(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process on first use.  Each
+    subcommand's ``func`` default is the name of its handler, looked up in
+    this module at call time."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--text", action="store_true", help="aligned text output instead of JSON"
@@ -305,32 +382,32 @@ def build_parser():
     c = sub.add_parser("check", parents=[common], help="validate an input object")
     c.add_argument("which", choices=["delzant", "reflexive", "gkm", "gorenstein"])
     c.add_argument("input")
-    c.set_defaults(func=cmd_check)
+    c.set_defaults(func="cmd_check")
 
     v = sub.add_parser("verify", parents=[common], help="verify an identity on an input object")
     v.add_argument("identity")
     v.add_argument("input")
     v.add_argument("--with-oracle", action="store_true")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func="cmd_verify")
 
     d = sub.add_parser("dual", parents=[common], help="polar dual of a reflexive polytope")
     d.add_argument("input")
-    d.set_defaults(func=cmd_dual)
+    d.set_defaults(func="cmd_dual")
 
     f = sub.add_parser("fvector", parents=[common], help="f-vector of a polytope")
     f.add_argument("input")
     f.add_argument("--with-oracle", action="store_true")
-    f.set_defaults(func=cmd_fvector)
+    f.set_defaults(func="cmd_fvector")
 
     h = sub.add_parser("hvector", parents=[common], help="h-vector of a polytope or graph")
     h.add_argument("input")
     h.add_argument("--xi", help="generic direction as comma-separated integers")
     h.add_argument("--directed", action="store_true")
-    h.set_defaults(func=cmd_hvector)
+    h.set_defaults(func="cmd_hvector")
 
     l = sub.add_parser("lengths", parents=[common], help="edge lengths and their sum")
     l.add_argument("input")
-    l.set_defaults(func=cmd_lengths)
+    l.set_defaults(func="cmd_lengths")
 
     g = sub.add_parser("gkm", help="GKM graph operations")
     gsub = g.add_subparsers(dest="gkm_command", required=True)
@@ -338,10 +415,10 @@ def build_parser():
     gb.add_argument("type", help="root system type: A, B, C, D or G2")
     gb.add_argument("rank", type=int)
     gb.add_argument("--I", default="", help="comma-separated 0-based simple-root indices")
-    gb.set_defaults(func=cmd_gkm_build)
+    gb.set_defaults(func="cmd_gkm_build")
     gc = gsub.add_parser("check", parents=[common], help="validate a GKM graph")
     gc.add_argument("input")
-    gc.set_defaults(func=cmd_gkm_check)
+    gc.set_defaults(func="cmd_gkm_check")
 
     b = sub.add_parser("bounds", help="coefficient tables and admissible vectors")
     bsub = b.add_subparsers(dest="bounds_command", required=True)
@@ -350,31 +427,30 @@ def build_parser():
     bt.add_argument("--n-max", type=int, default=5)
     bt.add_argument("--k0-min", type=int, default=1)
     bt.add_argument("--k0-max", type=int, default=6)
-    bt.set_defaults(func=cmd_bounds_table)
+    bt.set_defaults(func="cmd_bounds_table")
     be = bsub.add_parser("enumerate", parents=[common], help="admissible symmetric vectors for (n, k0)")
     be.add_argument("--n", type=int, required=True)
     be.add_argument("--k0", type=int, required=True)
     be.add_argument("--unimodal", action="store_true")
     be.add_argument("--cap", type=int)
-    be.set_defaults(func=cmd_bounds_enumerate)
+    be.set_defaults(func="cmd_bounds_enumerate")
 
     cat = sub.add_parser("catalog", help="built-in example catalog")
     csub = cat.add_subparsers(dest="catalog_command", required=True)
     cl = csub.add_parser("list", parents=[common])
     cl.add_argument("--kind", choices=["polytope", "gkm-graph"])
-    cl.set_defaults(func=cmd_catalog_list)
+    cl.set_defaults(func="cmd_catalog_list")
     cs = csub.add_parser("show", parents=[common])
     cs.add_argument("name")
-    cs.set_defaults(func=cmd_catalog_show)
+    cs.set_defaults(func="cmd_catalog_show")
 
     return p
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except (MalformedInput, UnboundedSearch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -82,7 +82,9 @@ class MalformedVector(DelzantError):
 # -- bounds / enumeration -----------------------------------------------------
 
 class UnboundedSearch(DelzantError):
-    """Finiteness of the admissible set is not guaranteed and no cap was given."""
+    """A search with no finite bound, or one larger than its limit: the
+    admissible set with no cap given, or a brute-force oracle over too
+    many facets."""
 
 
 class NonNegativeS(DelzantError):

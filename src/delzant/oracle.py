@@ -13,6 +13,7 @@ from .errors import (
     EmptyPolytope,
     NotFullDimensional,
     Unbounded,
+    UnboundedSearch,
     UnsupportedDimension,
     ZeroVector,
 )
@@ -233,10 +234,24 @@ def _on(h, v):
     return sum(Fraction(a) * c for a, c in zip(h.normal, v)) == h.offset
 
 
+# brute_f_vector tries every subset of the facets: 12 facets (the 6-cube)
+# take about 20 s, and each further facet at least doubles that.
+BRUTE_FACET_LIMIT = 12
+
+
 def brute_f_vector(P):
-    """f-vector by exhausting facet subsets, independent of the face lattice."""
+    """f-vector by exhausting facet subsets, independent of the face lattice.
+
+    A polytope with more than BRUTE_FACET_LIMIT facets raises
+    UnboundedSearch before any subset is tried.
+    """
     n = P.dim
     nf = len(P.facets)
+    if nf > BRUTE_FACET_LIMIT:
+        raise UnboundedSearch(
+            f"the f-vector oracle tries all 2^{nf} subsets of the {nf} facets; "
+            f"it takes at most {BRUTE_FACET_LIMIT} facets"
+        )
     by_vertexset = {}
     for size in range(nf + 1):
         for subset in combinations(range(nf), size):

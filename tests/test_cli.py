@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
@@ -162,6 +164,9 @@ def test_bounds_enumerate_unbounded(capsys):
     ["hvector", "catalog:a2-flag", "--xi", "1,2,3"],
     ["bounds", "enumerate", "--n", "10", "--k0", "11", "--cap", "60"],
     ["bounds", "enumerate", "--n", "20", "--k0", "18", "--unimodal"],
+    ["bounds", "table", "--n-min", "0"],
+    ["bounds", "table", "--k0-min", "0"],
+    ["bounds", "table", "--n-min", "-3", "--k0-min", "-1"],
 ])
 def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
     assert main(argv) == 2
@@ -275,3 +280,36 @@ def test_output_is_byte_identical(tmp_path, capsys, argv, digest):
     code, out = run(capsys, *(str(path) if a == "A2_THIRD" else a for a in argv))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _call(argv):
+    """Exit code, stdout and stderr of one in-process call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:  # argparse's usage errors and --help
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _fresh_call(argv):
+    cli.build_parser.cache_clear()
+    return _call(argv)
+
+
+@pytest.mark.parametrize("argv, flag, code", [
+    (["hvector", "catalog:cube"], "--directed", 0),
+    (["verify", "main", "catalog:cube"], "--with-oracle", 0),
+    (["verify", "main", "catalog:cube"], "--text", 0),
+    (["verify", "main", "catalog:cube"], "--no-such-flag", 2),
+    (["verify", "main", "catalog:cube"], "--help", 0),
+])
+def test_cached_parser_keeps_no_state_between_calls(argv, flag, code):
+    # the parser is built once per process; a flag given to one call must
+    # not change the next call's output
+    fresh = [_fresh_call(argv + [flag]), _fresh_call(argv)]
+    assert fresh[0][0] == code
+    cli.build_parser.cache_clear()
+    assert [_call(argv + [flag]), _call(argv)] == fresh
+    assert cli.build_parser() is cli.build_parser()

@@ -113,6 +113,11 @@ SQUARE_DEGREE_1 = {"ambient_dim": 2, "degree": 1, "vertices": [
 NON_REGULAR = {"ambient_dim": 1, "degree": 2, "vertices": [
     {"id": i, "coords": [c]} for i, c in enumerate([-1, 0, 1])], "edges": [{"u": 0, "v": 2}]}
 
+# The 7-cube by its 14 facets: the f-vector oracle would try 2^14 subsets.
+CUBE7 = {"dim": 7, "facets": [
+    {"normal": [s if j == i else 0 for j in range(7)], "offset": 1}
+    for i in range(7) for s in (1, -1)]}
+
 
 @pytest.mark.parametrize("argv, data, error", [
     (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
@@ -137,6 +142,8 @@ NON_REGULAR = {"ambient_dim": 1, "degree": 2, "vertices": [
     (["fvector"], {"dim": 1, "vertices": [["1.5"], [-1]]}, "cannot parse rational"),
     (["lengths"], {"dim": 1, "vertices": [["1e100000"], [-1]]}, "cannot parse rational"),
     (["hvector"], NON_REGULAR, "InvalidGraph"),
+    (["fvector", "--with-oracle"], CUBE7, "takes at most 12 facets"),
+    (["verify", "main", "--with-oracle"], CUBE7, "takes at most 12 facets"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"
