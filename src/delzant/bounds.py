@@ -222,7 +222,12 @@ def table_c(n_range, k0_range):
 
     Returns {(n, k0): (constant, coefficients of positions 1..n//2)} with
     position 0 substituted as 1, matching the printed table layout.
+    A value of n or k0 below 1 raises MalformedVector.
     """
+    for name, values in (("n", n_range), ("k0", k0_range)):
+        low = min(values, default=1)
+        if low < 1:
+            raise MalformedVector(f"{name} = {low} is below 1")
     out = {}
     for n in n_range:
         for k0 in k0_range:

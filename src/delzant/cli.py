@@ -110,8 +110,6 @@ def _dumps(o, pad):
         return "true"
     if o is False:
         return "false"
-    if isinstance(o, int):  # a subclass of int
-        return int.__repr__(o)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -312,9 +310,6 @@ def cmd_gkm_check(args):
 
 
 def cmd_bounds_table(args):
-    for flag, value in (("--n-min", args.n_min), ("--k0-min", args.k0_min)):
-        if value < 1:
-            raise MalformedInput(f"{flag} must be at least 1, not {value}")
     ns = range(args.n_min, args.n_max + 1)
     k0s = range(args.k0_min, args.k0_max + 1)
     table = bounds.table_c(ns, k0s)

@@ -113,6 +113,9 @@ def _vertex_id(x):
     # ids key dicts and sets, so a JSON list or object cannot be one
     if isinstance(x, (list, dict)):
         raise MalformedInput(f"vertex id {x!r} is not a JSON scalar")
+    # ids are written back out, and no float is accepted or emitted
+    if isinstance(x, float):
+        raise MalformedInput(f"vertex id {x!r} is a float")
     return x
 
 

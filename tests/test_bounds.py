@@ -53,6 +53,16 @@ def test_table_1_reproduction():
     assert len(table) == 18
 
 
+@pytest.mark.parametrize("n_range, k0_range", [
+    (range(0, 3), range(1, 3)),
+    (range(2, 4), range(0, 2)),
+    (range(-3, 2), range(-1, 2)),
+])
+def test_table_refuses_values_below_1(n_range, k0_range):
+    with pytest.raises(MalformedVector, match="is below 1"):
+        bounds.table_c(n_range, k0_range)
+
+
 def test_constant_term_closed_form():
     for (n, k0), (c, _) in TABLE_1.items():
         assert c == n * (3 * n - k0 - 1)

@@ -96,6 +96,8 @@ LIST_ID = {"ambient_dim": 1, "degree": 1, "vertices": [
     {"id": [0], "coords": [-1]}, {"id": 1, "coords": [1]}], "edges": [{"u": [0], "v": 1}]}
 LIST_END = {"ambient_dim": 1, "degree": 1, "vertices": [
     {"id": 0, "coords": [-1]}, {"id": 1, "coords": [1]}], "edges": [{"u": 0, "v": [1]}]}
+FLOAT_IDS = {"ambient_dim": 1, "degree": 1, "vertices": [
+    {"id": 0.5, "coords": [-1]}, {"id": 1.5, "coords": [1]}], "edges": [{"u": 0.5, "v": 1.5}]}
 EMPTY_GRAPH = {"ambient_dim": 1, "degree": 1, "vertices": [], "edges": []}
 
 
@@ -144,6 +146,8 @@ CUBE7 = {"dim": 7, "facets": [
     (["hvector"], NON_REGULAR, "InvalidGraph"),
     (["fvector", "--with-oracle"], CUBE7, "takes at most 12 facets"),
     (["verify", "main", "--with-oracle"], CUBE7, "takes at most 12 facets"),
+    (["lengths"], FLOAT_IDS, "is a float"),
+    (["gkm", "check"], segment_graph(edges=[{"u": 0, "v": 1.0}]), "is a float"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"
