@@ -6,7 +6,9 @@ Exit codes: 0 on pass, 1 on identity failure, 2 on input or usage errors.
 
 import argparse
 import functools
+import gc
 import json
+import os
 import sys
 from itertools import islice
 
@@ -14,7 +16,7 @@ from . import bounds, catalog, gkm, reflexive, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
 from .gkm import GkmGraph
 from .polytope import Polytope
-from .report import VerificationReport
+from .report import VerificationReport, num_to_json
 
 _KIND = {Polytope: "a polytope", GkmGraph: "a GKM graph"}
 
@@ -140,13 +142,56 @@ def _emit(payload, text=False):
     if text:
         _emit_text(payload)
         return
-    # The pieces go out in batches, so a large document (gkm build D 6 is
-    # 58 MB) is never held as one string.
+    # The pieces go out in batches, so a large document is never held as
+    # one string.
     out = sys.stdout
     chunks = _stream(payload)
     for batch in iter(lambda: list(islice(chunks, 1 << 12)), []):
         out.write("".join(batch))
     out.write("\n")
+
+
+def _emit_graph(G, extra):
+    """Print ``json.dumps(serialize.graph_to_json(G) | extra, indent=2,
+    sort_keys=True)`` and a newline.  The vertex and edge records are
+    formatted straight from G's tables and written in batches, never built
+    as dicts; ids other than ints and "p/q" numbers go through ``_dumps``."""
+    out = sys.stdout
+
+    def num(x):
+        return x if type(x) is int else _dumps(num_to_json(x), "")
+
+    def numbers(k):
+        # a list of k numbers inside a record, one %s each
+        return "[\n        " + ",\n        ".join(["%s"] * k) + "\n      ]" if k else "[]"
+
+    def records(texts):
+        sep = "[\n    "
+        for batch in iter(lambda: list(islice(texts, 1 << 12)), []):
+            out.write(sep + ",\n    ".join(batch))
+            sep = ",\n    "
+        out.write("[]" if sep == "[\n    " else "\n  ]")
+
+    ids = {vid: int.__repr__(vid) if type(vid) is int else _dumps(vid, "") for vid in G.ids}
+    coords, weight, length = G.coords, G._weight, G._length
+    vertex = '{\n      "coords": ' + numbers(G.ambient_dim) + ',\n      "id": %s\n    }'
+    edge = ('{\n      "length": %s,\n      "u": %s,\n      "v": %s,\n      "weight": '
+            + numbers(G.ambient_dim) + "\n    }")
+    vertices = (vertex % (*map(num, coords[v]), ids[v]) for v in G.ids)
+    edges = (edge % (num(length[e]), ids[e[0]], ids[e[1]], *weight[e]) for e in G.edge_list)
+
+    doc = {"ambient_dim": G.ambient_dim, "degree": G.degree,
+           "vertices": vertices, "edges": edges} | extra
+    sep = "{\n  "
+    for k in sorted(doc):
+        out.write(sep + _key(k) + ": ")
+        v = doc[k]
+        if v is vertices or v is edges:
+            records(v)
+        else:
+            out.write(_dumps(v, "\n  "))
+        sep = ",\n  "
+    out.write("\n}\n")
 
 
 def _emit_text(payload, indent=0):
@@ -288,6 +333,13 @@ def cmd_lengths(args):
     return 0
 
 
+def _show_graph(G, text, extra):
+    if text:
+        _emit(serialize.graph_to_json(G) | extra, text=True)
+    else:
+        _emit_graph(G, extra)
+
+
 def cmd_gkm_build(args):
     from . import roots
 
@@ -295,11 +347,11 @@ def cmd_gkm_build(args):
     rs = roots.build(args.type, args.rank)
     G = roots.coadjoint_graph(rs, I)
     rep = gkm.verify_graph_corollary(G)
-    out = serialize.graph_to_json(G)
-    out["h"] = next(i["detail"]["h"] for i in rep.per_item if i["id"] == "h-vector")
-    out["sum_lengths"] = serialize.num_to_json(rep.lhs)
-    out["verification"] = rep.to_dict()
-    _emit(out, args.text)
+    _show_graph(G, args.text, {
+        "h": next(i["detail"]["h"] for i in rep.per_item if i["id"] == "h-vector"),
+        "sum_lengths": num_to_json(rep.lhs),
+        "verification": rep.to_dict(),
+    })
     return 0 if rep.passed else 1
 
 
@@ -354,7 +406,7 @@ def cmd_catalog_show(args):
     if isinstance(obj, Polytope):
         _emit(serialize.polytope_to_json(obj), args.text)
     else:
-        _emit(serialize.graph_to_json(obj), args.text)
+        _show_graph(obj, args.text, {})
     return 0
 
 
@@ -411,9 +463,9 @@ def build_parser():
     gb.add_argument("rank", type=int)
     gb.add_argument("--I", default="", help="comma-separated 0-based simple-root indices")
     gb.set_defaults(func="cmd_gkm_build")
-    gc = gsub.add_parser("check", parents=[common], help="validate a GKM graph")
-    gc.add_argument("input")
-    gc.set_defaults(func="cmd_gkm_check")
+    gk = gsub.add_parser("check", parents=[common], help="validate a GKM graph")
+    gk.add_argument("input")
+    gk.set_defaults(func="cmd_gkm_check")
 
     b = sub.add_parser("bounds", help="coefficient tables and admissible vectors")
     bsub = b.add_subparsers(dest="bounds_command", required=True)
@@ -444,14 +496,29 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    # A command makes no reference cycles, so the cyclic collector would
+    # only rescan its growing heap; it is off until the command returns.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        return globals()[args.func](args)
+        code = globals()[args.func](args)
+        sys.stdout.flush()
+        return code
     except (MalformedInput, UnboundedSearch) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DelzantError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed standard output.  Point it at devnull so that
+        # the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed", file=sys.stderr)
+        return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

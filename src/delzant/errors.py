@@ -84,7 +84,7 @@ class MalformedVector(DelzantError):
 class UnboundedSearch(DelzantError):
     """A search with no finite bound, or one larger than its limit: the
     admissible set with no cap given, or a brute-force oracle over too
-    many facets."""
+    many facets or too large a segment box."""
 
 
 class NonNegativeS(DelzantError):

@@ -108,22 +108,39 @@ class GkmGraph:
         return sum(self._length.values())
 
 
-def validate(G):
-    """Regularity, the GKM pairwise-independence condition, simple edges."""
-    rep = VerificationReport("gkm-valid", True)
+def _star(G, vid):
+    """The weights leaving vid, in edge order, and whether they satisfy
+    the GKM condition there: pairwise independent."""
     weight = G._weight
+    others = [v if u == vid else u for u, v in G._incident[vid]]
+    ws = [weight[vid, o] for o in others]
+    # Two primitive weights are dependent iff one is +-the other, so k
+    # weights are independent iff the 2k weights +-w are distinct.  Minus
+    # the weight leaving vid is the weight leaving the other end.
+    return ws, len({*ws, *(weight[o, vid] for o in others)}) == 2 * len(ws)
+
+
+def _gkm_ok(G):
+    """Whether every vertex has ``G.degree`` edges and meets the GKM
+    condition: ``validate``'s verdict without its report."""
+    degree = G.degree
     for vid in G.ids:
-        inc = G._incident[vid]
+        ws, indep = _star(G, vid)
+        if len(ws) != degree or not indep:
+            return False
+    return True
+
+
+def validate(G):
+    """Regularity, the GKM pairwise-independence condition, simple edges,
+    with one degree item and one GKM item per vertex."""
+    rep = VerificationReport("gkm-valid", True)
+    for vid in G.ids:
+        ws, indep = _star(G, vid)
         rep.add_item(
-            f"degree {vid}", len(inc) == G.degree,
-            {"degree": len(inc), "expected": G.degree},
+            f"degree {vid}", len(ws) == G.degree,
+            {"degree": len(ws), "expected": G.degree},
         )
-        others = [v if u == vid else u for u, v in inc]
-        ws = [weight[vid, o] for o in others]
-        # Two primitive weights are dependent iff one is +-the other, so k
-        # weights are independent iff the 2k weights +-w are distinct.  Minus
-        # the weight leaving vid is the weight leaving the other end.
-        indep = len({*ws, *(weight[o, vid] for o in others)}) == 2 * len(ws)
         rep.add_item(f"gkm-condition {vid}", indep, {"weights": [list(w) for w in ws]})
     return rep
 
@@ -142,7 +159,7 @@ def _weight_sums(G):
 
 def is_reflexive_graph(G):
     """Weight sum -v at every vertex, lattice vertices, vertex sum zero."""
-    if not validate(G):
+    if not _gkm_ok(G):
         raise InvalidGraph("graph fails GKM validation")
     rep = VerificationReport("gkm-reflexive", True)
     sums = _weight_sums(G)
@@ -164,7 +181,7 @@ def gorenstein_index(G):
     s_i * L_k = s_k * L_i for every i, k the first nonzero coordinate of L,
     and then r = -q * s_k / L_k.
     """
-    if not validate(G):
+    if not _gkm_ok(G):
         raise InvalidGraph("graph fails GKM validation")
     r = None
     sums = _weight_sums(G)

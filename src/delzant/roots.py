@@ -54,6 +54,8 @@ class RootSystem:
         self.kind = kind
         self.rank = rank
         self.cartan = _cartan_matrix(kind, rank)
+        # Column j holds <alpha_i, alpha_j^v> for every i.
+        self._cartan_cols = list(zip(*self.cartan))
         half = _root_lengths(kind, rank)
         # The form in integers: gram[i][j] = m (alpha_i, alpha_j) =
         # m cartan[i][j] (alpha_j, alpha_j)/2, with m the lcm of the
@@ -86,9 +88,8 @@ class RootSystem:
 
     def _simple_reflect(self, j, x):
         # s_j subtracts <x, alpha_j^v> = sum_i x_i cartan[i][j] from coordinate j
-        c = sum(x[i] * self.cartan[i][j] for i in range(self.rank))
         out = list(x)
-        out[j] -= c
+        out[j] -= sum(map(mul, x, self._cartan_cols[j]))
         return tuple(out)
 
     def closure(self, seeds, gens):
@@ -106,9 +107,6 @@ class RootSystem:
                         nxt.append(s)
             frontier = nxt
         return seen
-
-    def is_root(self, beta):
-        return tuple(beta) in self._coroot
 
     def reflect(self, beta, x):
         """Reflection of x in the hyperplane orthogonal to the root beta:

@@ -1,10 +1,16 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import delzant
 from delzant import catalog, cli, serialize
 from delzant.cli import main
 
@@ -269,12 +275,18 @@ A2_THIRD = {
      "a4aad681e42ffc00789b80cb9e4d74f1f11dff6826fb9a9e622d285e8ffd761b"),
     (["fvector", "catalog:octahedron"],
      "5237d8f23361bc835f94ab67735d27e2eafc1d45fb8ea5f7e7688e0f0c2c48a5"),
+    (["gkm", "build", "B", "3", "--text"],
+     "e8343806267e41360f4b48deb0cb135f86a3f129718b9898074a23fa39c3a2c6"),
+    (["catalog", "show", "b2-flag"],
+     "5076e06814e37f760076393f2f53133ce131a43222bbb04debadd0bccd0b11c0"),
 ])
 def test_output_is_byte_identical(tmp_path, capsys, argv, digest):
     # the SHA-256 of stdout as the Fraction-based graph code printed it; the
     # next two as the edge search that found each edge from both ends did;
-    # the last five as the frozenset face walk and the per-edge scans of
-    # the incident edges and of the dual's vertices did
+    # the next five as the frozenset face walk and the per-edge scans of
+    # the incident edges and of the dual's vertices did; the last two as
+    # graph_to_json and the generic writer did, before graphs were written
+    # from their tables
     path = tmp_path / "a2_third.json"
     path.write_text(json.dumps(A2_THIRD))
     code, out = run(capsys, *(str(path) if a == "A2_THIRD" else a for a in argv))
@@ -313,3 +325,50 @@ def test_cached_parser_keeps_no_state_between_calls(argv, flag, code):
     cli.build_parser.cache_clear()
     assert [_call(argv + [flag]), _call(argv)] == fresh
     assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["check", "delzant", "catalog:square"], 0),
+    (["check", "delzant", "catalog:octahedron"], 1),
+    (["check", "reflexive", "catalog:nope"], 2),
+])
+def test_main_restores_the_collector(argv, code, collecting):
+    # main turns the cyclic collector off for the command and puts back
+    # the state it found, whatever the exit
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        assert _call(argv)[0] == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_closed_pipe_exits_2_without_a_traceback():
+    # the B4 full flag's 447 kB overflow the pipe, so the writer is still
+    # writing when the reader leaves after one line
+    src = os.path.dirname(os.path.dirname(delzant.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    with subprocess.Popen(
+        [sys.executable, "-m", "delzant.cli", "gkm", "build", "B", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as p:
+        assert p.stdout.readline() == b"{\n"
+        p.stdout.close()
+        err = p.stderr.read().decode()
+        assert p.wait(timeout=60) == 2
+    assert "Traceback" not in err and "standard output was closed" in err
+
+
+def test_oracle_refuses_a_long_diagonal_edge_at_once(tmp_path):
+    # the parallelogram's diagonal edges of length 300 have bounding boxes
+    # of 301^2 points; the scan took 4.1 s before it was refused
+    path = tmp_path / "parallelogram.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [300, 0], [600, 300], [300, 300]]}))
+    t0 = time.perf_counter()
+    code, out, err = _call(["verify", "combinatorics2", str(path), "--with-oracle"])
+    assert time.perf_counter() - t0 < 0.5
+    assert (code, out) == (2, "")
+    assert "takes at most 10000" in err and "Traceback" not in err
+    assert _call(["verify", "combinatorics2", str(path)])[0] == 0

@@ -1,15 +1,19 @@
-"""The CLI's JSON writer against the standard library's encoder: ``_emit``
+"""The CLI's JSON writers against the standard library's encoder: ``_emit``
 must print exactly ``json.dumps(x, indent=2, sort_keys=True)`` and a
-newline for every JSON-like value without floats."""
+newline for every JSON-like value without floats, and ``_emit_graph`` the
+same for ``serialize.graph_to_json(G) | extra``."""
 
 import contextlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delzant import cli
+from delzant import catalog, cli, gkm, roots, serialize
+from delzant.gkm import GkmGraph
+from delzant.report import num_to_json
 
 # Quotes, backslashes, control characters, DEL and non-ASCII (including
 # characters outside the basic plane, written as surrogate pairs).
@@ -64,3 +68,60 @@ def test_emit_matches_json_dumps(payload):
 def test_emit_refuses_floats_other_types_and_non_str_keys(payload):
     with pytest.raises(TypeError):
         emitted(payload)
+
+
+# The coadjoint orbits of the weyl benchmark workload, and the D5 full
+# flag, whose 19200 edges span several batches.
+WEYL = [
+    ("A", 1, ()), ("A", 2, ()), ("A", 2, (1,)), ("A", 3, ()), ("A", 3, (0, 2)),
+    ("A", 4, (0,)), ("A", 4, (1, 2, 3)), ("A", 4, (0, 1)),
+    ("A", 5, (1, 2, 3, 4)), ("A", 5, (0, 1, 3, 4)),
+    ("B", 2, ()), ("B", 2, (0,)), ("B", 3, ()), ("B", 3, (0,)),
+    ("B", 4, (1, 2, 3)), ("B", 4, (0, 1, 2)),
+    ("C", 2, ()), ("C", 3, ()), ("C", 3, (0, 1)), ("C", 4, (1, 2, 3)), ("C", 4, (0, 1, 2)),
+    ("D", 4, (1, 2, 3)), ("D", 4, (0, 2, 3)), ("D", 5, (1, 2, 3, 4)), ("D", 5, (0, 1, 2, 3)),
+    ("G", 2, ()), ("G", 2, (0,)), ("G", 2, (1,)),
+    ("D", 5, ()),
+]
+
+# The A2 flag at a third of its size, with string ids: "p/q" coordinates
+# and lengths.
+A2_THIRD = serialize.graph_from_json({
+    "ambient_dim": 2, "degree": 3,
+    "vertices": [{"id": f"v{i}", "coords": c} for i, c in enumerate(
+        [["-2/3", "-2/3"], ["-2/3", 0], [0, "-2/3"], [0, "2/3"], ["2/3", 0], ["2/3", "2/3"]])],
+    "edges": [{"u": f"v{u}", "v": f"v{v}"} for u, v in
+              [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]],
+})
+
+
+def _build_extra(G):
+    # the members cmd_gkm_build adds to the graph
+    rep = gkm.verify_graph_corollary(G)
+    return {"h": rep.per_item[1]["detail"]["h"], "sum_lengths": num_to_json(rep.lhs),
+            "verification": rep.to_dict()}
+
+
+def _graph_cases():
+    for name in catalog.names("gkm-graph"):
+        yield name, lambda name=name: (catalog.load(name), {})
+    yield "a2-third", lambda: (A2_THIRD, {})
+    yield "a2-third-extra", lambda: (A2_THIRD, _build_extra(A2_THIRD) | {"a": None, "zz": [True]})
+    yield "no-edges", lambda: (GkmGraph(2, 0, [("a", (1, -2)), (None, (Fraction(1, 3), 0)),
+                                               (True, (0, 0)), ('"\u00e9', (3, 4))], []), {})
+    yield "no-coordinates", lambda: (GkmGraph(0, 0, [(0, ())], []), {})
+    for kind, rank, I in WEYL:
+        def case(kind=kind, rank=rank, I=I):
+            G = roots.coadjoint_graph(roots.build(kind, rank), I)
+            return G, _build_extra(G)
+        yield f"{kind}{rank}" + (f"-I{''.join(map(str, I))}" if I else ""), case
+
+
+@pytest.mark.parametrize("make", [m for _, m in _graph_cases()], ids=[n for n, _ in _graph_cases()])
+def test_graph_writer_matches_json_dumps(make):
+    G, extra = make()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit_graph(G, extra)
+    want = serialize.graph_to_json(G) | extra
+    assert out.getvalue() == json.dumps(want, indent=2, sort_keys=True) + "\n"

@@ -1,10 +1,11 @@
+import gc
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from delzant import catalog, gkm, oracle, reflexive
+from delzant import catalog, gkm, oracle, reflexive, roots
 from delzant.errors import (
     DimensionMismatch,
     DirectionDependent,
@@ -134,6 +135,31 @@ def test_h_vector_rejects_a_direction_of_the_wrong_length():
     for xi in [(1,), (1, 2, 3)]:
         with pytest.raises(DimensionMismatch):
             gkm.h_vector_graph(G, xi)
+
+
+def test_build_and_corollary_make_no_reference_cycles():
+    # cli.main turns the cyclic collector off for a command on this premise:
+    # with it off, nothing the build and the checks leave needs it
+    gc.collect()
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        G = roots.coadjoint_graph(roots.build("D", 5), ())
+        assert gkm.verify_graph_corollary(G).passed
+        del G
+    finally:
+        if was:
+            gc.enable()
+    assert gc.collect() == 0
+
+
+def test_gkm_ok_is_validate_verdict():
+    bad_degree = GkmGraph(1, 2, [(0, (0,)), (1, (1,))], [(0, 1)])
+    parallel = GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
+                        [(0, 1), (1, 2), (2, 3), (3, 0)])
+    for G in [square_skeleton(), catalog.load("b2-flag"), bad_degree, parallel]:
+        assert gkm._gkm_ok(G) is gkm.validate(G).passed
+    assert not gkm._gkm_ok(bad_degree) and not gkm._gkm_ok(parallel)
 
 
 def test_verify_graph_corollary():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, oracle
-from delzant.errors import DelzantError, UnsupportedDimension
+from delzant.errors import DelzantError, UnboundedSearch, UnsupportedDimension
 from delzant.polytope import Halfspace, Polytope, cross_polytope
 
 POLYTOPES = catalog.names("polytope")
@@ -246,6 +246,15 @@ def test_segment_counts():
     assert oracle.lattice_points_on_segment((-1, -1), (1, -1)) == 3
     assert oracle.lattice_points_on_segment((0, 0), (2, 4)) == 3
     assert oracle.lattice_points_on_segment((0, 0, 0), (1, 1, 1)) == 2
+
+
+def test_segment_box_limit():
+    # the box of [0, 9999] holds exactly the limit; one more point is refused
+    assert oracle.SEGMENT_BOX_LIMIT == 10**4
+    assert oracle.lattice_points_on_segment((0,), (9999,)) == 10**4
+    for u, v in [((0,), (10**4,)), ((0, 0, 0), (21, 21, 21)), ((0, 0), (300, 300))]:
+        with pytest.raises(UnboundedSearch, match="takes at most 10000"):
+            oracle.lattice_points_on_segment(u, v)
 
 
 def test_lengths_match_oracle_on_catalog():
