@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import itemgetter, mul, neg, sub
 
 from . import bounds, exact
 from .errors import (
@@ -40,7 +40,9 @@ class GkmGraph:
     the integer points q * p.  Each edge's weight (in both orientations)
     and length are derived from the integer difference d of its ends, as
     d / gcd(d) and gcd(d) / q, never given independently, so ``incident``,
-    ``weight`` and ``length`` are lookups.
+    ``weight`` and ``length`` are lookups.  The one exception is
+    ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
+    edge's weight and length already known.
     """
 
     def __init__(self, ambient_dim, degree, vertices, edges):
@@ -85,6 +87,29 @@ class GkmGraph:
             weight[v, u] = tuple(map(neg, d))
             length[e] = _ratio(g, q)
 
+    @classmethod
+    def _from_edge_table(cls, ambient_dim, degree, points, edges):
+        """The graph on the ids 0, 1, ... of distinct integer points, from
+        rows (u, v, weight u -> v, weight v -> u, length) sorted by (u, v):
+        the tables ``__init__`` would derive from the same points and (u, v)
+        pairs, taken as given.  The caller vouches for every row."""
+        G = cls.__new__(cls)
+        G.ambient_dim = ambient_dim
+        G.degree = degree
+        G.ids = list(range(len(points)))
+        G.coords = G.lattice = dict(enumerate(points))
+        G.q = 1
+        G.edge_list = edge_list = list(map(itemgetter(0, 1), edges))
+        G._weight = weight = dict(zip(edge_list, map(itemgetter(2), edges)))
+        weight.update(zip(map(itemgetter(1, 0), edges), map(itemgetter(3), edges)))
+        G._length = dict(zip(edge_list, map(itemgetter(4), edges)))
+        incident = [[] for _ in points]
+        for e in edge_list:
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
+        G._incident = dict(enumerate(incident))
+        return G
+
     def edges(self):
         return list(self.edge_list)
 
@@ -120,15 +145,19 @@ def _star(G, vid):
     return ws, len({*ws, *(weight[o, vid] for o in others)}) == 2 * len(ws)
 
 
-def _gkm_ok(G):
-    """Whether every vertex has ``G.degree`` edges and meets the GKM
-    condition: ``validate``'s verdict without its report."""
+def _star_sums(G):
+    """The sum of the weights leaving each vertex, from one pass over the
+    stars, or None when a vertex has not ``G.degree`` edges or fails the
+    GKM condition."""
     degree = G.degree
+    zero = (0,) * G.ambient_dim
+    sums = {}
     for vid in G.ids:
         ws, indep = _star(G, vid)
         if len(ws) != degree or not indep:
-            return False
-    return True
+            return None
+        sums[vid] = tuple(map(sum, zip(*ws))) or zero
+    return sums
 
 
 def validate(G):
@@ -145,24 +174,12 @@ def validate(G):
     return rep
 
 
-def _weight_sums(G):
-    """The integer sum of the weights leaving each vertex, in one pass over
-    the edges."""
-    sums = dict.fromkeys(G.ids, (0,) * G.ambient_dim)
-    for e in G.edge_list:
-        u, v = e
-        w = G._weight[e]
-        sums[u] = tuple(map(add, sums[u], w))
-        sums[v] = tuple(map(sub, sums[v], w))
-    return sums
-
-
 def is_reflexive_graph(G):
     """Weight sum -v at every vertex, lattice vertices, vertex sum zero."""
-    if not _gkm_ok(G):
+    sums = _star_sums(G)
+    if sums is None:
         raise InvalidGraph("graph fails GKM validation")
     rep = VerificationReport("gkm-reflexive", True)
-    sums = _weight_sums(G)
     for vid in G.ids:
         v, L = G.coords[vid], G.lattice[vid]
         rep.add_item(f"lattice {vid}", all(c % G.q == 0 for c in L), {"coords": list(v)})
@@ -181,10 +198,10 @@ def gorenstein_index(G):
     s_i * L_k = s_k * L_i for every i, k the first nonzero coordinate of L,
     and then r = -q * s_k / L_k.
     """
-    if not _gkm_ok(G):
+    sums = _star_sums(G)
+    if sums is None:
         raise InvalidGraph("graph fails GKM validation")
     r = None
-    sums = _weight_sums(G)
     for vid in G.ids:
         L = G.lattice[vid]
         s = sums[vid]

@@ -8,7 +8,7 @@ form is the symmetrized Cartan matrix with long roots of square length 2.
 
 from fractions import Fraction
 from math import factorial, lcm
-from operator import mul
+from operator import mul, neg
 
 from .errors import DegenerateBasePoint, NotARoot, UnsupportedType
 from .gkm import GkmGraph
@@ -58,13 +58,12 @@ class RootSystem:
         self._cartan_cols = list(zip(*self.cartan))
         half = _root_lengths(kind, rank)
         # The form in integers: gram[i][j] = m (alpha_i, alpha_j) =
-        # m cartan[i][j] (alpha_j, alpha_j)/2, with m the lcm of the
-        # denominators of the half squared lengths.
+        # cartan[i][j] m (alpha_j, alpha_j)/2, with m the lcm of the
+        # denominators of the half squared lengths, so column j scales by
+        # one integer.
         self.scale = lcm(*(h.denominator for h in half))
-        self.gram = [
-            [self.cartan[i][j] * int(self.scale * half[j]) for j in range(rank)]
-            for i in range(rank)
-        ]
+        col = [self.scale // h.denominator * h.numerator for h in half]
+        self.gram = [list(map(mul, row, col)) for row in self.cartan]
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         ]
@@ -73,12 +72,14 @@ class RootSystem:
         # The coroot covector of each root beta: c_i = <alpha_i, beta^v> =
         # 2 (alpha_i, beta) / (beta, beta), a Cartan integer (m cancels, so
         # the division is exact), so that <x, beta^v> = sum_i x_i c_i on
-        # the root lattice.
+        # the root lattice.  It is odd in beta: -beta gets -c.
         self._coroot = {}
-        for beta in roots:
+        for beta in self.positive_roots:
             gb = [sum(map(mul, row, beta)) for row in self.gram]
             bb = sum(map(mul, beta, gb))
-            self._coroot[beta] = tuple(2 * a // bb for a in gb)
+            c = tuple(2 * a // bb for a in gb)
+            self._coroot[beta] = c
+            self._coroot[tuple(map(neg, beta))] = tuple(map(neg, c))
 
     def pairing(self, x, y):
         """The invariant bilinear form (x, y) in simple-root coordinates, as
@@ -86,25 +87,26 @@ class RootSystem:
         gy = [sum(map(mul, row, y)) for row in self.gram]
         return Fraction(sum(map(mul, x, gy)), self.scale)
 
-    def _simple_reflect(self, j, x):
-        # s_j subtracts <x, alpha_j^v> = sum_i x_i cartan[i][j] from coordinate j
-        out = list(x)
-        out[j] -= sum(map(mul, x, self._cartan_cols[j]))
-        return tuple(out)
-
     def closure(self, seeds, gens):
         """The closure of the seed points under the simple reflections
         indexed by gens, by breadth-first search; a set."""
+        # s_j subtracts t = <x, alpha_j^v> = sum_i x_i cartan[i][j] from
+        # coordinate j, and fixes x when t = 0.
+        cols = [(j, self._cartan_cols[j]) for j in gens]
         seen = set(seeds)
         frontier = list(seen)
         while frontier:
             nxt = []
             for p in frontier:
-                for j in gens:
-                    s = self._simple_reflect(j, p)
-                    if s not in seen:
-                        seen.add(s)
-                        nxt.append(s)
+                for j, col in cols:
+                    t = sum(map(mul, p, col))
+                    if t:
+                        s = list(p)
+                        s[j] -= t
+                        s = tuple(s)
+                        if s not in seen:
+                            seen.add(s)
+                            nxt.append(s)
             frontier = nxt
         return seen
 
@@ -200,13 +202,17 @@ def coadjoint_graph(rs, I):
     orbit = weyl_orbit(rs, p0)
     index = {p: i for i, p in enumerate(orbit)}
     degree = len(rs.positive_roots) - len(parabolic_span(rs, I))
-    coroots = [(beta, rs._coroot[beta]) for beta in rs.positive_roots]
+    coroots = [(beta, tuple(map(neg, beta)), rs._coroot[beta]) for beta in rs.positive_roots]
+    # The other end p - t beta comes first in the sorted orbit, as t > 0
+    # and beta >= 0, so the edge is (j, i).  Its ends differ by t beta with
+    # beta primitive: the weight j -> i is beta, i -> j is -beta, and the
+    # length is t.
     edges = []
     for i, p in enumerate(orbit):
-        for beta, cov in coroots:
+        for beta, minus, cov in coroots:
             t = sum(map(mul, p, cov))
             if t > 0:
                 j = index[tuple([a - t * b for a, b in zip(p, beta)])]
-                edges.append((i, j) if i < j else (j, i))
+                edges.append((j, i, beta, minus, t))
     edges.sort()
-    return GkmGraph(rs.rank, degree, list(enumerate(orbit)), edges)
+    return GkmGraph._from_edge_table(rs.rank, degree, orbit, edges)

@@ -4,6 +4,7 @@ newline for every JSON-like value without floats, and ``_emit_graph`` the
 same for ``serialize.graph_to_json(G) | extra``."""
 
 import contextlib
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -14,6 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 from delzant import catalog, cli, gkm, roots, serialize
 from delzant.gkm import GkmGraph
 from delzant.report import num_to_json
+
+import weyl_corpus
 
 # Quotes, backslashes, control characters, DEL and non-ASCII (including
 # characters outside the basic plane, written as surrogate pairs).
@@ -72,17 +75,7 @@ def test_emit_refuses_floats_other_types_and_non_str_keys(payload):
 
 # The coadjoint orbits of the weyl benchmark workload, and the D5 full
 # flag, whose 19200 edges span several batches.
-WEYL = [
-    ("A", 1, ()), ("A", 2, ()), ("A", 2, (1,)), ("A", 3, ()), ("A", 3, (0, 2)),
-    ("A", 4, (0,)), ("A", 4, (1, 2, 3)), ("A", 4, (0, 1)),
-    ("A", 5, (1, 2, 3, 4)), ("A", 5, (0, 1, 3, 4)),
-    ("B", 2, ()), ("B", 2, (0,)), ("B", 3, ()), ("B", 3, (0,)),
-    ("B", 4, (1, 2, 3)), ("B", 4, (0, 1, 2)),
-    ("C", 2, ()), ("C", 3, ()), ("C", 3, (0, 1)), ("C", 4, (1, 2, 3)), ("C", 4, (0, 1, 2)),
-    ("D", 4, (1, 2, 3)), ("D", 4, (0, 2, 3)), ("D", 5, (1, 2, 3, 4)), ("D", 5, (0, 1, 2, 3)),
-    ("G", 2, ()), ("G", 2, (0,)), ("G", 2, (1,)),
-    ("D", 5, ()),
-]
+WEYL = weyl_corpus.WEYL + [("D", 5, ())]
 
 # The A2 flag at a third of its size, with string ids: "p/q" coordinates
 # and lengths.
@@ -125,3 +118,24 @@ def test_graph_writer_matches_json_dumps(make):
         cli._emit_graph(G, extra)
     want = serialize.graph_to_json(G) | extra
     assert out.getvalue() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
+# SHA-256 of `delzant gkm build ...` standard output, recorded before the
+# orbit graphs were built from their root data: the build must not change
+# a byte of it.
+BUILD_SHA256 = {
+    ("A", "3"): "6fc897c8ef93b56c4670b198a67887a4970d5b5c8949343818929d118cc07224",
+    ("B", "3", "--I", "0"): "c63cfcc6f56ace0286abc53a9b0477ff4a8c46123fb74504b26289fe3bc85725",
+    ("C", "3"): "e12f22bd2aa865fde0d460ccc2cd07580e38bfe8310df526a263f9af1805d3ad",
+    ("D", "4", "--I", "1,2,3"): "ea74bf9fba8787fd6791d1208ba168c694fad3218a86e8c4a7049eef6ae7fda6",
+    ("G2", "2", "--I", "1"): "8e57156e55f55d122e62a749f8b8df6fdb69c1db512a7fe8321caaab67b735da",
+    ("A", "2", "--text"): "fdbd92c90ae75ab5073797925ee46776babdd5e18f07bde7a9af710a4c996d97",
+}
+
+
+@pytest.mark.parametrize("args", list(BUILD_SHA256), ids=" ".join)
+def test_gkm_build_output_is_pinned(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["gkm", "build", *args]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BUILD_SHA256[args]

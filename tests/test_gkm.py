@@ -12,9 +12,12 @@ from delzant.errors import (
     InconsistentIndex,
     InvalidGraph,
     NonGenericDirection,
+    NonPositiveIndex,
 )
 from delzant.gkm import GkmGraph
 from delzant.polytope import Polytope, cube, simplex_cpn
+
+import weyl_corpus
 
 
 def square_skeleton():
@@ -157,9 +160,19 @@ def test_gkm_ok_is_validate_verdict():
     bad_degree = GkmGraph(1, 2, [(0, (0,)), (1, (1,))], [(0, 1)])
     parallel = GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
                         [(0, 1), (1, 2), (2, 3), (3, 0)])
+    # the star pass gives no weight sums exactly when `validate` fails
     for G in [square_skeleton(), catalog.load("b2-flag"), bad_degree, parallel]:
-        assert gkm._gkm_ok(G) is gkm.validate(G).passed
-    assert not gkm._gkm_ok(bad_degree) and not gkm._gkm_ok(parallel)
+        assert (gkm._star_sums(G) is not None) is gkm.validate(G).passed
+    assert gkm._star_sums(bad_degree) is None and gkm._star_sums(parallel) is None
+
+
+def test_an_edgeless_graph_has_zero_weight_sums():
+    G = GkmGraph(2, 0, [(0, (1, 0)), (1, (-1, 0))], [])
+    with pytest.raises(NonPositiveIndex):
+        gkm.gorenstein_index(G)
+    rep = gkm.is_reflexive_graph(G)
+    sums = [i["detail"]["sum"] for i in rep.per_item if i["id"].startswith("weight-sum")]
+    assert sums == [[0, 0], [0, 0]] and not rep.passed
 
 
 def test_verify_graph_corollary():
@@ -361,3 +374,87 @@ def test_census_matches_per_vertex_oracle_on_catalog():
             assert got == _outcome(_h_vector_oracle, G, xi), (name, xi)
             outcomes.add(got if isinstance(got, type) else tuple)
     assert outcomes == {tuple, InvalidGraph, NonGenericDirection}
+
+
+def _star_census(G, xi):
+    """The census under xi from each vertex's star: its in-degree is the
+    number of weights leaving it that pair negatively with xi."""
+    h = [0] * (G.degree + 1)
+    for v in G.ids:
+        pairs = [sum(a * b for a, b in zip(G.weight(e, tail=v), xi)) for e in G.incident(v)]
+        if 0 in pairs:
+            raise NonGenericDirection(f"{xi} vanishes on a weight at {v}")
+        h[sum(p < 0 for p in pairs)] += 1
+    return tuple(h)
+
+
+def _h_vector_by_stars(G, xi=None):
+    if any(len(G.incident(v)) != G.degree for v in G.ids):
+        raise InvalidGraph("not regular")
+    if xi is not None:
+        return _star_census(G, xi)
+    results = []
+    for d in dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in PRIMES):
+        try:
+            results.append(_star_census(G, d))
+        except NonGenericDirection:
+            continue
+        if len(results) == 3:
+            break
+    if not results:
+        raise NonGenericDirection("no candidate is generic")
+    if len(set(results)) != 1:
+        raise DirectionDependent(str(results))
+    return results[0]
+
+
+def _census_cases():
+    for name in catalog.names("gkm-graph"):
+        yield name, lambda name=name: catalog.load(name)
+    for kind, rank, I in weyl_corpus.WEYL:
+        yield f"{kind}{rank}-I{''.join(map(str, I))}", (
+            lambda kind=kind, rank=rank, I=I: roots.coadjoint_graph(roots.build(kind, rank), I))
+
+
+@pytest.mark.parametrize("make", [m for _, m in _census_cases()],
+                         ids=[n for n, _ in _census_cases()])
+def test_census_matches_star_oracle(make):
+    G = make()
+    d = G.ambient_dim
+    for xi in [None, (1,) + (0,) * (d - 1), tuple(range(1, d + 1)),
+               *(tuple(b**i for i in range(d)) for b in PRIMES[:4])]:
+        assert _outcome(gkm.h_vector_graph, G, xi) == _outcome(_h_vector_by_stars, G, xi), xi
+
+
+# A parallelogram whose sides (2, -1) pair to 0 with the first candidate
+# (1, 2), once before the repeat of (0, 1) and once after it.
+PARALLELOGRAM = [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))]
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (0, 2), (1, 3), (2, 3)],
+    [(0, 2), (1, 3), (0, 1), (2, 3)],
+    [(0, 2), (1, 3), (3, 2), (1, 0)],
+])
+def test_a_vanishing_weight_that_repeats_drops_the_candidate(edges):
+    G = GkmGraph(2, 2, PARALLELOGRAM, edges)
+    assert gkm._in_degrees(G, (1, 2)) is None
+    with pytest.raises(NonGenericDirection):
+        gkm.h_vector_graph(G, (1, 2))
+    assert gkm.generic_direction(G) == (1, 3)
+    assert gkm.h_vector_graph(G) == (1, 2, 1) == _h_vector_oracle(G) == _h_vector_by_stars(G)
+
+
+def test_a_cycle_on_which_every_candidate_vanishes():
+    # the sides (b, -1) for every candidate prime b, (2, -1) twice, and the
+    # side that closes the cycle
+    steps = [(2, -1), *((b, -1) for b in PRIMES), (2, -1)]
+    pts = [(0, 0)]
+    for x, y in steps:
+        pts.append((pts[-1][0] + x, pts[-1][1] + y))
+    n = len(pts)
+    G = GkmGraph(2, 2, list(enumerate(pts)), [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    for xi in gkm._candidates(G):
+        assert gkm._in_degrees(G, xi) is None
+    for fn in (gkm.h_vector_graph, _h_vector_oracle, _h_vector_by_stars):
+        assert _outcome(fn, G) is NonGenericDirection

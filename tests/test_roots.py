@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from delzant import gkm, roots
 from delzant.errors import DegenerateBasePoint, NotARoot, UnsupportedType
 
+import weyl_corpus
+
 
 def test_positive_root_counts():
     assert len(roots.build("A", 2).positive_roots) == 3
@@ -260,3 +262,34 @@ def test_base_point_sign_test_on_root_subsets(kind, rank):
             _assert_base_point_matches(rs, form, I)
             raised += _degenerate(rs, form, I)[1]
     assert raised
+
+
+@pytest.mark.parametrize("kind, rank", SYSTEMS)
+def test_coroot_table_matches_fraction_form(kind, rank):
+    # both signs of every root: the table stores -c for -beta
+    rs = roots.build(kind, rank)
+    form = _fraction_form(rs)
+    every = rs.positive_roots + [tuple(-c for c in r) for r in rs.positive_roots]
+    assert set(rs._coroot) == set(every)
+    for beta in every:
+        bb = form(beta, beta)
+        assert list(rs._coroot[beta]) == [2 * form(a, beta) / bb for a in rs.simple_roots], beta
+
+
+# The weyl benchmark's orbits, and five full flags.
+ORBITS = weyl_corpus.WEYL + [("A", 4, ()), ("B", 4, ()), ("C", 4, ()), ("D", 4, ()), ("A", 5, ())]
+
+
+@pytest.mark.parametrize("kind, rank, I", ORBITS)
+def test_orbit_tables_match_the_general_constructor(kind, rank, I):
+    # coadjoint_graph hands its weights and lengths to the graph; the
+    # general constructor derives them again from the points
+    G = roots.coadjoint_graph(roots.build(kind, rank), I)
+    H = gkm.GkmGraph(rank, G.degree, list(G.coords.items()), G.edge_list)
+    assert G.ids == H.ids and G.coords == H.coords
+    assert G.edge_list == H.edge_list
+    assert G._incident == H._incident
+    assert G._weight == H._weight
+    assert G._length == H._length
+    assert all(type(G._length[e]) is type(H._length[e]) for e in G.edge_list)
+    assert G.lattice == H.lattice and G.q == H.q
