@@ -158,13 +158,16 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
         is enforced on the output;
       * otherwise an explicit cap is required (completeness not asserted).
 
-    A search over more than SEARCH_LIMIT candidates raises UnboundedSearch.
+    A search over more than SEARCH_LIMIT candidates raises UnboundedSearch,
+    and a negative cap MalformedVector.
     """
     m = n // 2
     if m < 1:
         raise MalformedVector("no free positions for dimension < 2")
     if not 1 <= k0 <= n + 1:
         raise MalformedVector(f"index {k0} outside [1, {n + 1}]")
+    if cap is not None and cap < 0:
+        raise MalformedVector(f"cap {cap} is negative")
     a = coefficients(n, k0)
     constraints = f"C(k0={k0}, n={n}, .) >= 0 and divisible by {k0}"
 

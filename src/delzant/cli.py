@@ -222,12 +222,7 @@ def cmd_check(args):
     which = args.which
     obj = _load_input(args.input, Polytope if which in ("delzant", "reflexive") else GkmGraph)
     if which == "delzant":
-        dr = reflexive.is_delzant(obj)
-        rep = VerificationReport("delzant", dr.overall)
-        rep.add_item("simple", dr.simple)
-        rep.add_item("rational", dr.rational)
-        for vid, ok in dr.smooth_per_vertex.items():
-            rep.add_item(f"smooth vertex {vid}", ok)
+        rep = reflexive.is_delzant(obj)
     elif which == "reflexive":
         ok = reflexive.is_reflexive(obj)
         rep = VerificationReport("reflexive", ok)

@@ -3,7 +3,6 @@ validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -133,16 +132,24 @@ class GkmGraph:
         return sum(self._length.values())
 
 
+def star(G, vid):
+    """The star of vid, in edge order: its neighbours, the weights leaving
+    vid toward them, and the weights leaving them toward vid (minus the
+    first).  The one reader of a vertex's star: outside GkmGraph's methods,
+    only this reads the adjacency table or orients a weight away from a
+    given vertex."""
+    weight = G._weight
+    others = [v if u == vid else u for u, v in G._incident[vid]]
+    return others, [weight[vid, o] for o in others], [weight[o, vid] for o in others]
+
+
 def _star(G, vid):
     """The weights leaving vid, in edge order, and whether they satisfy
     the GKM condition there: pairwise independent."""
-    weight = G._weight
-    others = [v if u == vid else u for u, v in G._incident[vid]]
-    ws = [weight[vid, o] for o in others]
+    _, ws, back = star(G, vid)
     # Two primitive weights are dependent iff one is +-the other, so k
-    # weights are independent iff the 2k weights +-w are distinct.  Minus
-    # the weight leaving vid is the weight leaving the other end.
-    return ws, len({*ws, *(weight[o, vid] for o in others)}) == 2 * len(ws)
+    # weights are independent iff the 2k weights +-w are distinct.
+    return ws, len({*ws, *back}) == 2 * len(ws)
 
 
 def _star_sums(G):
@@ -274,9 +281,10 @@ def h_vector_graph(G, xi=None):
     # by any vertex; say so before naming one.
     if G.degree >= len(G.ids):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
-    for vid, inc in G._incident.items():
-        if len(inc) != G.degree:
-            raise InvalidGraph(f"vertex {vid!r} has {len(inc)} edges, not {G.degree}")
+    for vid in G.ids:
+        k = len(G.incident(vid))
+        if k != G.degree:
+            raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
     if xi is not None:
         xi = tuple(xi)
         if len(xi) != G.ambient_dim:
@@ -309,30 +317,27 @@ def verify_graph_corollary(G):
 
 
 # -- polytopes ------------------------------------------------------------------
-# The Delzant and reflexive predicates live here, not in reflexive, because
+# The Delzant and reflexive checks live here, not in reflexive, because
 # from_polytope needs them and the polytope module imports this one for
 # Polytope.skeleton(); reflexive imports both.
 
 
-@dataclass(frozen=True)
-class DelzantReport:
-    simple: bool
-    rational: bool
-    smooth_per_vertex: dict
-    overall: bool
-
-
 def is_delzant(P):
-    """Check simplicity, rationality and per-vertex smoothness.
+    """Simplicity, rationality and smoothness at each vertex, from one pass
+    over the skeleton's stars: the report ``check delzant`` prints.
 
-    The edges of a polytope with rational vertices are always rational.
+    The edges of a polytope with rational vertices are always rational.  A
+    vertex is smooth when its n weights form a lattice basis.
     """
-    simple = P.is_simple()
-    smooth = {}
-    for vid in range(len(P.vertices)):
-        weights = P.vertex_weights(vid)
-        smooth[vid] = len(weights) == P.dim and abs(exact.det(weights)) == 1
-    return DelzantReport(simple, True, smooth, simple and all(smooth.values()))
+    S = P.skeleton()
+    n = P.dim
+    stars = [star(S, vid)[1] for vid in S.ids]
+    rep = VerificationReport("delzant", True)
+    rep.add_item("simple", all(len(ws) == n for ws in stars))
+    rep.add_item("rational", True)
+    for vid, ws in enumerate(stars):
+        rep.add_item(f"smooth vertex {vid}", len(ws) == n and abs(exact.det(ws)) == 1)
+    return rep
 
 
 def is_reflexive(P):
@@ -344,7 +349,7 @@ def is_reflexive(P):
 
 def from_polytope(P):
     """The 1-skeleton of a Delzant reflexive polytope as a GKM graph."""
-    if not is_delzant(P).overall:
+    if not is_delzant(P).passed:
         raise NotDelzant("polytope is not Delzant")
     if not is_reflexive(P):
         raise NotReflexive("polytope is not reflexive")

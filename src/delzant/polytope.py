@@ -311,9 +311,6 @@ class Polytope:
             self._faces = faces
         return self._faces
 
-    def faces_of_dim(self, d):
-        return [f for f in self.face_lattice().values() if f.dim == d]
-
     def f_vector(self):
         counts = [0] * (self.dim + 1)
         for _, d in self._walk().values():
@@ -353,12 +350,11 @@ class Polytope:
 
     def vertex_weights(self, vid):
         """Primitive lattice directions of the edges leaving vertex vid."""
-        S = self.skeleton()
-        return [S.weight(e, tail=vid) for e in S.incident(vid)]
+        return gkm.star(self.skeleton(), vid)[1]
 
     def is_simple(self):
         S = self.skeleton()
-        return all(len(S.incident(v)) == self.dim for v in S.ids)
+        return all(len(gkm.star(S, v)[0]) == self.dim for v in S.ids)
 
     def relative_length(self, edge):
         """Lattice length of an edge with integral endpoint difference."""

@@ -5,10 +5,11 @@ gkm.is_delzant and gkm.is_reflexive, re-exported here."""
 from fractions import Fraction
 from math import gcd
 
-from . import bounds, exact
+from . import bounds, exact, gkm
 from .errors import (
     InconsistentCones,
     MatchingFailed,
+    NonPositiveIndex,
     NotDelzant,
     NotGorensteinOfIndex,
     NotReflexive,
@@ -20,26 +21,13 @@ from .report import VerificationReport
 
 
 def _require_delzant(P):
-    if not is_delzant(P).overall:
+    if not is_delzant(P).passed:
         raise NotDelzant("polytope is not Delzant")
 
 
 def _require_reflexive(P):
     if not is_reflexive(P):
         raise NotReflexive("polytope is not reflexive")
-
-
-def vertex_fano_check(P):
-    """Per-vertex check that the weights sum to minus the vertex."""
-    _require_delzant(P)
-    rep = VerificationReport("vertex-fano", True)
-    for vid, v in enumerate(P.vertices):
-        total = (0,) * P.dim
-        for w in P.vertex_weights(vid):
-            total = exact.vec_add(total, w)
-        ok = all(t == -c for t, c in zip(total, v))
-        rep.add_item(f"vertex {vid}", ok, {"weight_sum": list(total), "vertex": list(v)})
-    return rep
 
 
 def normal_contributions(P, edge):
@@ -69,9 +57,9 @@ def _leaving_table(P):
     table = []
     for vid, here in enumerate(at_vertex):
         leaving = {}
-        for a, b in S.incident(vid):
-            w = S.weight((a, b), tail=vid)
-            for i in here - at_vertex[b if a == vid else a]:
+        others, ws, _ = gkm.star(S, vid)
+        for o, w in zip(others, ws):
+            for i in here - at_vertex[o]:
                 leaving.setdefault(i, []).append(w)
         table.append(leaving)
     return table
@@ -252,8 +240,10 @@ def verify_gorenstein(P, r):
     for the facets <x, u_i> <= b_i of rP through its vertex 0.  P is
     Delzant, so those n normals form a lattice basis and the system has one
     solution, a lattice point when every b_i is an integer: the only
-    candidate for t.
+    candidate for t.  The index r must be positive.
     """
+    if r <= 0:
+        raise NonPositiveIndex(f"the index {r} is not positive")
     _require_delzant(P)
     if P.dim < 2:
         raise UnsupportedDimension("the rescaled length-sum formula needs dimension >= 2")
@@ -300,6 +290,6 @@ def reconstruct_from_cones(cones):
         got = sorted(P.vertex_weights(vid))
         if got != sorted(tuple(w) for w in weights):
             raise InconsistentCones(f"cone at {label} not reproduced")
-    if not is_delzant(P).overall or not is_reflexive(P):
+    if not is_delzant(P).passed or not is_reflexive(P):
         raise InconsistentCones("reconstruction is not Delzant reflexive")
     return P

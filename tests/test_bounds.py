@@ -169,6 +169,8 @@ def test_enumerate_with_explicit_cap():
     res = bounds.enumerate_admissible(6, 1, cap=2)
     assert not res.complete
     assert all(all(1 <= b <= 2 for b in h) for h in res.half_vectors)
+    # cap 0 is an empty box
+    assert bounds.enumerate_admissible(6, 1, cap=0).half_vectors == []
 
 
 def test_catalog_h_vectors_are_admissible():

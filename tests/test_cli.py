@@ -173,6 +173,9 @@ def test_bounds_enumerate_unbounded(capsys):
     ["bounds", "table", "--n-min", "0"],
     ["bounds", "table", "--k0-min", "0"],
     ["bounds", "table", "--n-min", "-3", "--k0-min", "-1"],
+    ["verify", "gorenstein:-1", "catalog:cube"],
+    ["verify", "gorenstein:-2", "catalog:unit-square"],
+    ["bounds", "enumerate", "--n", "8", "--k0", "1", "--cap", "-3"],
 ])
 def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
     assert main(argv) == 2

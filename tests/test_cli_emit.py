@@ -139,3 +139,49 @@ def test_gkm_build_output_is_pinned(args):
     with contextlib.redirect_stdout(out):
         assert cli.main(["gkm", "build", *args]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BUILD_SHA256[args]
+
+
+# SHA-256 of `delzant check delzant catalog:NAME [--text]` standard output
+# and its exit code, recorded before the Delzant check became one pass over
+# the skeleton's stars: the report must not change a byte.
+DELZANT_SHA256 = {
+    ("cp2-triangle",): (0, "bce80da5bfb066c293ad20327348087a24dc99b62ec7cb7a134f74c35d5f87bb"),
+    ("cp2-triangle", "--text"): (0, "32045b68d9837d6ff1ef864cd00c302862a23f7ba184253efd302f909f4b7205"),
+    ("square",): (0, "f06060a12ace58f6384d1676be1b5e4e31736f9ea8c97cbd49b555e9da56dd59"),
+    ("square", "--text"): (0, "dff00494a5045375b739ef18f0cb964866593d9d92cb1a12d4d8e0686cf91ab8"),
+    ("blowup1",): (0, "f06060a12ace58f6384d1676be1b5e4e31736f9ea8c97cbd49b555e9da56dd59"),
+    ("blowup1", "--text"): (0, "dff00494a5045375b739ef18f0cb964866593d9d92cb1a12d4d8e0686cf91ab8"),
+    ("blowup2",): (0, "58a8613949cbe47001cf8de0f94bd819148397d77067699c0f3bf2cf59e247e2"),
+    ("blowup2", "--text"): (0, "6f05bd62d2ed28c2fa872bd8e97dad22340e91e5926b6a9f9146f4f9bd43ca80"),
+    ("hexagon",): (0, "58878724b5167b2cd1663042f7a6a699f03399239747c75e617f15e93b02b066"),
+    ("hexagon", "--text"): (0, "bd07cc23f7533361839f9ca137137f07ff5595d2334edbe77d4ff15c16992cef"),
+    ("cube",): (0, "2eb21836256bed4f7a3c86543620bcba15e348c54188045af8ce022f9f3b3efc"),
+    ("cube", "--text"): (0, "e93e0777b24d62557a00e7ea1b183127f68e64f06620695b66d45930c043e92f"),
+    ("cp3-simplex",): (0, "f06060a12ace58f6384d1676be1b5e4e31736f9ea8c97cbd49b555e9da56dd59"),
+    ("cp3-simplex", "--text"): (0, "dff00494a5045375b739ef18f0cb964866593d9d92cb1a12d4d8e0686cf91ab8"),
+    ("hypercube4",): (0, "4a04d487ecc352308811641d147f5533f6f74493108425b598d7f88b826f3367"),
+    ("hypercube4", "--text"): (0, "fb86a6a5088313654277237279ab728e98898fa3a2ebebf2425fdf2b4c91117a"),
+    ("octahedron",): (1, "d550ca33bbdc70f90055c659a4dae6dc534383d4d21d288edcc6d81397f9a26f"),
+    ("octahedron", "--text"): (1, "38664f309ad1e6e6e3e257453ccc3d3f02acff6890fdb6e55fa7ac4a774200d0"),
+    ("diamond",): (1, "7b4eac5a28715fd5eb200dbe3ba5066de49c9e02f1e9ea96b0317d8b7fa6ea4a"),
+    ("diamond", "--text"): (1, "c6f4e4ddb6336bd19f917d133244f9d2cb514a0d5a085f5e8754d0a2023fa4cd"),
+    ("rect",): (0, "f06060a12ace58f6384d1676be1b5e4e31736f9ea8c97cbd49b555e9da56dd59"),
+    ("rect", "--text"): (0, "dff00494a5045375b739ef18f0cb964866593d9d92cb1a12d4d8e0686cf91ab8"),
+    ("unit-square",): (0, "f06060a12ace58f6384d1676be1b5e4e31736f9ea8c97cbd49b555e9da56dd59"),
+    ("unit-square", "--text"): (0, "dff00494a5045375b739ef18f0cb964866593d9d92cb1a12d4d8e0686cf91ab8"),
+    ("std-simplex",): (0, "bce80da5bfb066c293ad20327348087a24dc99b62ec7cb7a134f74c35d5f87bb"),
+    ("std-simplex", "--text"): (0, "32045b68d9837d6ff1ef864cd00c302862a23f7ba184253efd302f909f4b7205"),
+}
+
+
+def test_every_catalog_polytope_has_a_pinned_delzant_check():
+    assert {name for name, *_ in DELZANT_SHA256} == set(catalog.names("polytope"))
+
+
+@pytest.mark.parametrize("args", list(DELZANT_SHA256), ids=" ".join)
+def test_check_delzant_output_is_pinned(args):
+    name, *flags = args
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "delzant", f"catalog:{name}", *flags])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == DELZANT_SHA256[args]

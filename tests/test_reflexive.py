@@ -2,10 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from delzant import catalog, exact, oracle, reflexive
+from delzant import catalog, exact, gkm, oracle, reflexive
 from delzant.errors import (
     InconsistentCones,
     MatchingFailed,
+    NonPositiveIndex,
     NotDelzant,
     NotGorensteinOfIndex,
     NotReflexive,
@@ -17,13 +18,17 @@ SMOOTH_POLYGONS = ["cp2-triangle", "square", "blowup1", "blowup2", "hexagon"]
 DELZANT_REFLEXIVE = SMOOTH_POLYGONS + ["cube", "cp3-simplex", "hypercube4"]
 
 
+def _simple(rep):
+    return next(item["pass"] for item in rep.per_item if item["id"] == "simple")
+
+
 def test_is_delzant():
     for name in DELZANT_REFLEXIVE + ["rect", "unit-square", "std-simplex"]:
-        assert reflexive.is_delzant(catalog.load(name)).overall, name
+        assert reflexive.is_delzant(catalog.load(name)).passed, name
     rep = reflexive.is_delzant(catalog.load("octahedron"))
-    assert not rep.overall and not rep.simple
+    assert not rep.passed and not _simple(rep)
     rep = reflexive.is_delzant(catalog.load("diamond"))
-    assert rep.simple and not rep.overall  # vertex cones are not unimodular
+    assert _simple(rep) and not rep.passed  # vertex cones are not unimodular
 
 
 def test_is_reflexive():
@@ -34,12 +39,13 @@ def test_is_reflexive():
 
 
 def test_vertex_fano():
+    # the weights at each vertex sum to minus the vertex
     for name in DELZANT_REFLEXIVE:
-        assert reflexive.vertex_fano_check(catalog.load(name)).passed, name
+        assert gkm.is_reflexive_graph(catalog.load(name).skeleton()).passed, name
 
 
 def test_vertex_fano_fails_off_reflexive():
-    rep = reflexive.vertex_fano_check(catalog.load("rect"))
+    rep = gkm.is_reflexive_graph(catalog.load("rect").skeleton())
     assert not rep.passed
 
 
@@ -69,8 +75,8 @@ def _contributions_by_2face_scan(P, edge):
         return w
 
     out = []
-    for f in P.faces_of_dim(2):
-        if {u, v} <= f.vertex_ids:
+    for f in P.face_lattice().values():
+        if f.dim == 2 and {u, v} <= f.vertex_ids:
             diff = exact.vec_sub(weight_in_face(u, f.vertex_ids), weight_in_face(v, f.vertex_ids))
             w1 = _direction(P, u, v)
             k = next(i for i, c in enumerate(w1) if c)
@@ -81,7 +87,7 @@ def _contributions_by_2face_scan(P, edge):
 
 
 def test_normal_contributions_match_2face_scan():
-    delzant = [n for n in catalog.names("polytope") if reflexive.is_delzant(catalog.load(n)).overall]
+    delzant = [n for n in catalog.names("polytope") if reflexive.is_delzant(catalog.load(n)).passed]
     assert set(DELZANT_REFLEXIVE) <= set(delzant)
     for P in [catalog.load(n) for n in delzant] + [cube(4)]:
         sums = {item["id"]: item["detail"]["contribution_sum"]
@@ -230,10 +236,16 @@ def _shift_by_scan(P, r):
 
 def test_gorenstein_shift_matches_scan():
     delzant = [catalog.load(n) for n in catalog.names("polytope")
-               if reflexive.is_delzant(catalog.load(n)).overall]
+               if reflexive.is_delzant(catalog.load(n)).passed]
     moved = [catalog.load("unit-square").translate((2, -1)), cube(3).translate((1, 0, 0))]
     for P in delzant + moved:
         for r in [1, -1, 2, -2, 3, 4, Fraction(1, 2), Fraction(3, 2)]:
+            if r < 0:
+                # a negative dilate may have a reflexive translate, but the
+                # index of a Gorenstein polytope is positive
+                with pytest.raises(NonPositiveIndex):
+                    reflexive.verify_gorenstein(P, r)
+                continue
             want = _shift_by_scan(P, r)
             if want is None:
                 with pytest.raises(NotGorensteinOfIndex):
