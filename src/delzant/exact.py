@@ -61,10 +61,6 @@ def vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vec_scale(t, a):
-    return tuple(t * x for x in a)
-
-
 def vec_neg(a):
     return tuple(-x for x in a)
 

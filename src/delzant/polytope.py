@@ -6,12 +6,19 @@ extreme rays of the cone of inequalities valid on the points, vertices the
 extreme rays of the cone over the halfspaces.  Dual, dilate and translate
 map the vertex/facet pair they already have.  The subset-scan hull
 ``oracle.brute_hull`` is the independent cross-check.
+
+The hulls and the maps work in integers from input to output.  The input
+is cleared once (points at one common denominator, each halfspace to a
+primitive normal and an offset p/q in lowest terms), points are sorted on
+integer keys, and each output coordinate and offset becomes a Fraction
+once, when the result is built.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
-from operator import mul
+from numbers import Rational
+from operator import add, mul
 
 from . import exact, gkm
 from .errors import (
@@ -22,7 +29,29 @@ from .errors import (
     NotSimple,
     OriginNotInterior,
     Unbounded,
+    UnboundedSearch,
 )
+
+# The most work one row of the double description may take: its pair test
+# scans every ray for each pair of rays on opposite sides of the row, so
+# the work is len(pos) * len(neg) * len(rays).  Above it, the hull raises
+# UnboundedSearch before the row's pair loop starts.
+HULL_WORK_LIMIT = 10**7
+
+
+def _cleared(normal, offset):
+    """The inequality <x, normal> <= offset, for a rational normal and a
+    rational offset, as integers (w, p, q): w the primitive normal and p/q
+    the offset in lowest terms, q > 0.  Both sides are multiplied by the lcm
+    of the normal's denominators and divided by the content of the integer
+    normal."""
+    d = lcm(*(c.denominator for c in normal))
+    w, m = exact.primitive(tuple(c.numerator * (d // c.denominator) for c in normal))
+    if not isinstance(offset, Rational):
+        raise TypeError(f"offset {offset!r} is not a rational number")
+    p, q = offset.numerator * d, offset.denominator * m
+    g = gcd(p, q)
+    return w, p // g, q // g
 
 
 @dataclass(frozen=True)
@@ -37,9 +66,8 @@ class Halfspace:
         """Normalize an inequality with a rational normal to a primitive
         integer normal: both sides times the lcm q of the normal's
         denominators, then divided by the content of the integer normal."""
-        q = lcm(*(c.denominator for c in normal))
-        w, m = exact.primitive(tuple(int(c * q) for c in normal))
-        return Halfspace(w, Fraction(offset * q, m))
+        w, p, q = _cleared(normal, offset)
+        return Halfspace(w, Fraction(p, q))
 
     def holds(self, point, strict=False):
         v = exact.dot(self.normal, point)
@@ -53,8 +81,26 @@ class Face:
     dim: int
 
 
-def _as_point(p):
-    return tuple(Fraction(c) for c in p)
+def _rational(c):
+    """c itself if it is an int or a Fraction, else Fraction(c)."""
+    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+
+
+def _point(x, t):
+    """The point x / t, for an integer vector x and an integer t > 0, as a
+    tuple of Fractions."""
+    if t == 1:
+        return tuple(map(Fraction, x))
+    return tuple(Fraction(c, t) for c in x)
+
+
+def _points(rays):
+    """The points x / t of homogeneous integer rays (t, x1, ..., xn) with
+    t > 0, as tuples of Fractions in sorted order.  The sort is on the
+    integer vectors x * (l / t), l the lcm of the t's: they are the points
+    times l > 0, so they come in the points' order."""
+    l = lcm(*(r[0] for r in rays))
+    return [_point(x, l) for x in sorted(tuple(c * (l // r[0]) for c in r[1:]) for r in rays)]
 
 
 def _ids(mask):
@@ -72,16 +118,10 @@ def _facet_key(h):
 
 
 def _canonical(dim, vertices, facets):
-    """A polytope in from_vertices' order: vertices sorted, facets sorted by
-    (normal, offset), except that in dimension 1 the order is [(1,), (-1,)]."""
-    return Polytope(dim, sorted(vertices), sorted(facets, key=_facet_key, reverse=dim == 1))
-
-
-def _cleared(v):
-    """A rational vector times the lcm of its denominators: an integer vector
-    with the same direction."""
-    q = lcm(*(Fraction(c).denominator for c in v))
-    return tuple(int(c * q) for c in v)
+    """A polytope in from_vertices' order, from vertices already sorted:
+    facets sorted by (normal, offset), except that in dimension 1 the order
+    is [(1,), (-1,)]."""
+    return Polytope(dim, vertices, sorted(facets, key=_facet_key, reverse=dim == 1))
 
 
 def _primitive(v):
@@ -135,7 +175,9 @@ def _extreme_rays(rows, d):
 
     Returns a list of (ray, tight) with ``tight`` the set of rows the ray
     is tight on, as a bitmask of row indices.  Returns None if the rows
-    have rank < d, that is if the cone is not pointed.
+    have rank < d, that is if the cone is not pointed.  Raises
+    UnboundedSearch before a row whose pair test would take more than
+    HULL_WORK_LIMIT steps.
     """
     start = _start(rows, d)
     if start is None:
@@ -150,7 +192,7 @@ def _extreme_rays(rows, d):
         bit = 1 << k
         kept, pos, neg = [], [], []
         for ray, tight in rays:
-            s = sum(a * b for a, b in zip(row, ray))
+            s = sum(map(mul, row, ray))
             if s > 0:
                 kept.append((ray, tight))
                 pos.append((ray, tight, s))
@@ -159,6 +201,12 @@ def _extreme_rays(rows, d):
             else:
                 kept.append((ray, tight | bit))
         if neg:
+            work = len(pos) * len(neg) * len(rays)
+            if work > HULL_WORK_LIMIT:
+                raise UnboundedSearch(
+                    f"the double-description hull would take {work} steps at row {k}, "
+                    f"more than its limit of {HULL_WORK_LIMIT}"
+                )
             masks = [tight for _, tight in rays]
             for rp, tp, sp in pos:
                 for rn, tn, sn in neg:
@@ -193,33 +241,44 @@ class Polytope:
         self._lattice = None
         self._edges = None
         self._skeleton = None
+        # Filled in by reflexive: the Delzant verdict and the table of the
+        # edges leaving each facet at each vertex.
+        self._delzant = None
+        self._leaving = None
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
     def from_vertices(cls, points):
-        pts = sorted(set(_as_point(p) for p in points))
+        pts = [tuple(map(_rational, p)) for p in points]
         if not pts:
             raise EmptyPolytope("no points given")
         n = len(pts[0])
         if any(len(p) != n for p in pts):
             raise DimensionMismatch("points of mixed dimensions")
+        # At one common denominator q > 0 the points keep their order, so
+        # the sorted integer points are the sorted rational ones.
+        q, ints = exact.common_denominator(pts)
+        ints = sorted(set(ints))
         # The cone of (beta, a) with <a, p> <= beta at every point: its
         # extreme rays are the facets, and it is pointed iff the points
         # affinely span R^n.
-        rays = _extreme_rays([_cleared((1,) + exact.vec_neg(p)) for p in pts], n + 1)
+        rays = _extreme_rays([(q,) + tuple(-c for c in x) for x in ints], n + 1)
         if rays is None:
             raise NotFullDimensional(f"hull is not full-dimensional in R^{n}")
-        facets = [Halfspace.make(ray[1:], ray[0]) for ray, _ in rays]
+        facets = []
+        for ray, _ in rays:
+            w, m = exact.primitive(ray[1:])
+            facets.append(Halfspace(w, Fraction(ray[0], m)))
         # A point is a vertex iff the facets through it meet in it alone.
         verts = []
-        for i, p in enumerate(pts):
+        for i, x in enumerate(ints):
             meet = -1
             for _, tight in rays:
                 if tight >> i & 1:
                     meet &= tight
             if meet == 1 << i:
-                verts.append(p)
+                verts.append(_point(x, q))
         return _canonical(n, verts, facets)
 
     @classmethod
@@ -227,19 +286,19 @@ class Polytope:
         hs = []
         seen = set()
         for h in halfspaces:
-            h = Halfspace.make(h.normal, h.offset) if isinstance(h, Halfspace) else Halfspace.make(*h)
-            if (h.normal, h.offset) not in seen:
-                seen.add((h.normal, h.offset))
+            h = _cleared(h.normal, h.offset) if isinstance(h, Halfspace) else _cleared(*h)
+            if h not in seen:
+                seen.add(h)
                 hs.append(h)
         if not hs:
             raise Unbounded("no halfspaces given")
-        n = len(hs[0].normal)
-        if any(len(h.normal) != n for h in hs):
+        n = len(hs[0][0])
+        if any(len(w) != n for w, _, _ in hs):
             raise DimensionMismatch("normals of mixed dimensions")
         # The homogenized cone of (t, x) with <a, x> <= b t and t >= 0.  A
         # ray with t = 0 is a recession direction; with no ray at all the
         # cone is {0} and the system is infeasible.
-        rows = [_cleared((h.offset,) + exact.vec_neg(h.normal)) for h in hs]
+        rows = [(p,) + tuple(-q * c for c in w) for w, p, q in hs]
         rays = _extreme_rays(rows + [(1,) + (0,) * n], n + 1)
         if rays is None:
             raise Unbounded("normals do not span the ambient space")
@@ -256,9 +315,9 @@ class Polytope:
         # Facets are the halfspaces whose vertex sets are maximal.
         on = [sum(1 << j for j, (_, tight) in enumerate(rays) if tight >> i & 1)
               for i in range(len(hs))]
-        facets = [h for h, s in zip(hs, on) if s and not any(s & t == s and s != t for t in on)]
-        verts = sorted(tuple(Fraction(c, ray[0]) for c in ray[1:]) for ray, _ in rays)
-        return cls(n, verts, sorted(facets, key=_facet_key))
+        facets = [Halfspace(w, Fraction(p, q)) for (w, p, q), s in zip(hs, on)
+                  if s and not any(s & t == s and s != t for t in on)]
+        return cls(n, _points([ray for ray, _ in rays]), sorted(facets, key=_facet_key))
 
     # -- faces ----------------------------------------------------------------
 
@@ -371,11 +430,15 @@ class Polytope:
         facet <y, -v> <= 1."""
         if not all(h.offset > 0 for h in self.facets):
             raise OriginNotInterior("dual needs the origin strictly inside")
-        verts = [tuple(Fraction(-c) / h.offset for c in h.normal) for h in self.facets]
+        # -a/b is the ray (num(b), -den(b) a), and with the vertices at
+        # their common denominator q, the facet of v = x/q is <y, -x> <= q.
+        verts = _points([(h.offset.numerator,) + tuple(-h.offset.denominator * c for c in h.normal)
+                         for h in self.facets])
+        q, points = exact.common_denominator(self.vertices)
         facets = []
-        for v in self.vertices:
-            *w, q = _cleared(exact.vec_neg(v) + (1,))
-            facets.append(Halfspace.make(w, q))
+        for x in points:
+            w, m = exact.primitive(tuple(-c for c in x))
+            facets.append(Halfspace(w, Fraction(q, m)))
         return _canonical(self.dim, verts, facets)
 
     def dilate(self, r):
@@ -383,19 +446,29 @@ class Polytope:
         if r == 0:
             raise NotFullDimensional("the 0-fold dilate is a point")
         s = 1 if r > 0 else -1
+        a, b = r.numerator, r.denominator
+        q, points = exact.common_denominator(self.vertices)
         return _canonical(
             self.dim,
-            [exact.vec_scale(r, v) for v in self.vertices],
-            [Halfspace(exact.vec_scale(s, h.normal), abs(r) * h.offset) for h in self.facets],
+            _points([(b * q,) + tuple(a * c for c in x) for x in points]),
+            [Halfspace(tuple(s * c for c in h.normal),
+                       Fraction(s * a * h.offset.numerator, b * h.offset.denominator))
+             for h in self.facets],
         )
 
     def translate(self, t):
-        t = _as_point(t)
-        return _canonical(
-            self.dim,
-            [exact.vec_add(v, t) for v in self.vertices],
-            [Halfspace(h.normal, h.offset + exact.dot(h.normal, t)) for h in self.facets],
-        )
+        t = tuple(map(_rational, t))
+        if len(t) != self.dim:
+            raise DimensionMismatch(f"dot of lengths {self.dim} and {len(t)}")
+        # With the vertices and t at one common denominator q, the facet
+        # <x, a> <= b moves to <x, a> <= (num(b) q + den(b) <a, q t>) / (den(b) q).
+        q, points = exact.common_denominator(self.vertices + (t,))
+        shift = points.pop()
+        facets = []
+        for h in self.facets:
+            p, d = h.offset.numerator, h.offset.denominator
+            facets.append(Halfspace(h.normal, Fraction(p * q + d * sum(map(mul, h.normal, shift)), d * q)))
+        return _canonical(self.dim, _points([(q,) + tuple(map(add, x, shift)) for x in points]), facets)
 
     def contains(self, point, strict=False):
         return all(h.holds(point, strict=strict) for h in self.facets)
@@ -437,7 +510,7 @@ class Polytope:
     # -- misc -----------------------------------------------------------------
 
     def vertex_id(self, point):
-        p = _as_point(point)
+        p = tuple(map(_rational, point))
         try:
             return self.vertices.index(p)
         except ValueError:

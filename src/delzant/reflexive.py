@@ -4,6 +4,7 @@ gkm.is_delzant and gkm.is_reflexive, re-exported here."""
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import bounds, exact, gkm
 from .errors import (
@@ -21,7 +22,11 @@ from .report import VerificationReport
 
 
 def _require_delzant(P):
-    if not is_delzant(P).passed:
+    """Raise NotDelzant unless P is Delzant.  The verdict is found once per
+    polytope and kept on it."""
+    if P._delzant is None:
+        P._delzant = is_delzant(P).passed
+    if not P._delzant:
         raise NotDelzant("polytope is not Delzant")
 
 
@@ -51,18 +56,21 @@ def normal_contributions(P, edge):
 
 def _leaving_table(P):
     """For each vertex, a dict from facet id to the weights there of the
-    skeleton edges that leave that facet: the edges to a neighbour off it."""
-    S = P.skeleton()
-    at_vertex = P.incidence()[0]
-    table = []
-    for vid, here in enumerate(at_vertex):
-        leaving = {}
-        others, ws, _ = gkm.star(S, vid)
-        for o, w in zip(others, ws):
-            for i in here - at_vertex[o]:
-                leaving.setdefault(i, []).append(w)
-        table.append(leaving)
-    return table
+    skeleton edges that leave that facet: the edges to a neighbour off it.
+    Built once per polytope and kept on it."""
+    if P._leaving is None:
+        S = P.skeleton()
+        at_vertex = P.incidence()[0]
+        table = []
+        for vid, here in enumerate(at_vertex):
+            leaving = {}
+            others, ws, _ = gkm.star(S, vid)
+            for o, w in zip(others, ws):
+                for i in here - at_vertex[o]:
+                    leaving.setdefault(i, []).append(w)
+            table.append(leaving)
+        P._leaving = table
+    return P._leaving
 
 
 def _contributions(P, leaving, edge):
@@ -248,7 +256,9 @@ def verify_gorenstein(P, r):
     if P.dim < 2:
         raise UnsupportedDimension("the rescaled length-sum formula needs dimension >= 2")
     rP = P.dilate(r)
-    tight = [rP.facets[j] for j in sorted(rP.active_facets(0))]
+    q, (x,) = exact.common_denominator(rP.vertices[:1])
+    tight = [h for h in rP.facets
+             if sum(map(mul, h.normal, x)) * h.offset.denominator == q * h.offset.numerator]
     if any(h.offset.denominator != 1 for h in tight):
         raise NotGorensteinOfIndex(f"the {r}-fold dilate has a non-integral facet offset")
     U = [h.normal for h in tight]

@@ -119,6 +119,11 @@ NON_REGULAR = {"ambient_dim": 1, "degree": 2, "vertices": [
 CUBE7 = {"dim": 7, "facets": [
     {"normal": [s if j == i else 0 for j in range(7)], "offset": 1}
     for i in range(7) for s in (1, -1)]}
+# The 13-cube by its 26 facets: the hull's last row would test 4096 x 4096
+# ray pairs against 8193 rays, more than polytope.HULL_WORK_LIMIT.
+CUBE13 = {"dim": 13, "facets": [
+    {"normal": [s if j == i else 0 for j in range(13)], "offset": 1}
+    for i in range(13) for s in (1, -1)]}
 
 
 @pytest.mark.parametrize("argv, data, error", [
@@ -148,6 +153,7 @@ CUBE7 = {"dim": 7, "facets": [
     (["verify", "main", "--with-oracle"], CUBE7, "takes at most 12 facets"),
     (["lengths"], FLOAT_IDS, "is a float"),
     (["gkm", "check"], segment_graph(edges=[{"u": 0, "v": 1.0}]), "is a float"),
+    (["fvector"], CUBE13, "more than its limit of 10000000"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

@@ -185,3 +185,79 @@ def test_check_delzant_output_is_pinned(args):
     with contextlib.redirect_stdout(out):
         code = cli.main(["check", "delzant", f"catalog:{name}", *flags])
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == DELZANT_SHA256[args]
+
+
+# Exit code and SHA-256 of the standard output of `delzant dual|fvector
+# catalog:NAME [--text]`, recorded before the hull and the maps kept their
+# work in integers between reading the input and building the output.  A
+# dual that exits 2 (origin not strictly inside) prints nothing.
+POLYTOPE_SHA256 = {
+    ("dual", "cp2-triangle"): (0, "a6dca1848b6e1ff354deb27ff7f24b739d77d0cf3a5d81cdfcb723b27af9c31f"),
+    ("dual", "cp2-triangle", "--text"): (0, "06db16b443780d87535ba0bfe37e33ebb8bd53f1ae81e4422edba4e8a70a87cb"),
+    ("fvector", "cp2-triangle"): (0, "8656c3ea1f4301599e43ff39b2fcd27a3d807b63c87a45d32d79791c1c38c567"),
+    ("fvector", "cp2-triangle", "--text"): (0, "307124c76d0a968195d9daa284abad54932072b50b49404fce15eb5beb528356"),
+    ("dual", "square"): (0, "14b9d9cbdd3f5e4150d3affc0b7db06096bb10d30bd22bdcc16e35fc5b35e03a"),
+    ("dual", "square", "--text"): (0, "7a1ca4445aa71babcc48a20a0d7c0d125af9cebcb55cdaa6b0fb164305f54c45"),
+    ("fvector", "square"): (0, "1c48f5e64efccad43984a841f9eadfc420456a68764bab488dd38e04495dbd76"),
+    ("fvector", "square", "--text"): (0, "d83fa11278628e7c55c9010331afbb47999785f6d6b042d3d579c9fce7752a8d"),
+    ("dual", "blowup1"): (0, "53c2f66e9bb7fbafa8fa52188f10b4419786c5ce0fca5466766f17db91b8595b"),
+    ("dual", "blowup1", "--text"): (0, "123d83cb71ec73b0dcea8960982d8fb8b1f3fa64c26a6857f7a2fa2d9d671fc6"),
+    ("fvector", "blowup1"): (0, "1c48f5e64efccad43984a841f9eadfc420456a68764bab488dd38e04495dbd76"),
+    ("fvector", "blowup1", "--text"): (0, "d83fa11278628e7c55c9010331afbb47999785f6d6b042d3d579c9fce7752a8d"),
+    ("dual", "blowup2"): (0, "c6088344528db90a66015c4c8c79f0ccc2c0770acca8fad97d0e3d2b33c182bc"),
+    ("dual", "blowup2", "--text"): (0, "00e68db539a711f65cb470e7bce7d9ebb9797331d9d69d110d45a00d76a86d83"),
+    ("fvector", "blowup2"): (0, "1ddb3220ae08f4a9cd79a2e938761d5cd15e2c7c6d1df014718a99c7e6c617a2"),
+    ("fvector", "blowup2", "--text"): (0, "839a23a124948e525379f4365d53bb39b10bb2d0ced7282589076e31c42f5fa4"),
+    ("dual", "hexagon"): (0, "d7af6e2444a16838da097fa2f3c5ef86f540fb43739ef3042538dbd951d2f3c3"),
+    ("dual", "hexagon", "--text"): (0, "1151406a2c5c391c735c81d7d60fe642c0a8b506a4bff744f6fd377b351f5621"),
+    ("fvector", "hexagon"): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ("fvector", "hexagon", "--text"): (0, "42869987192deeeb02debd49e6a06c5250bc68fd8b980f2713f737c498fec609"),
+    ("dual", "cube"): (0, "2f471845e57e6244444674f29a1b1da40ca8e516e98e1107a8ab2b6c80a4f323"),
+    ("dual", "cube", "--text"): (0, "a9052d8c4c1143990bd954814430c633990743a8f6f438524dcdbedb9a1b5a90"),
+    ("fvector", "cube"): (0, "7bf21b6847a0727d2445c4bb56ecd8e45f8109c499842e7a2ed69ba860ab19d7"),
+    ("fvector", "cube", "--text"): (0, "c92e74621b03c683d7917bca83bdc7b0e1a3476b99f8d27996c989151bae0008"),
+    ("dual", "cp3-simplex"): (0, "96c61fef16ba4c4b62f7ae185b3090fce1ba3d3ea717229b842fdd92a48b3620"),
+    ("dual", "cp3-simplex", "--text"): (0, "90619c135294f72157ce13cc347820cded51c7e2badbf594699056f04028464d"),
+    ("fvector", "cp3-simplex"): (0, "e99653d70c1ab9ca0f1e5189628c30ae05c1190d81c55077b6ece6f4cb2815c3"),
+    ("fvector", "cp3-simplex", "--text"): (0, "d73e0d583fc4b851b6b574d01dffa7c57ecbeec66034bc2e2157ed43245049d3"),
+    ("dual", "hypercube4"): (0, "e04bb9346cd4bd8c73178ec6f92d9cda4e90897069f59fe2d5cd43dc5bc8ccb6"),
+    ("dual", "hypercube4", "--text"): (0, "11b3f9a892400294bca621afb08f934f83ab046aef5eae689c27ed995fd40c65"),
+    ("fvector", "hypercube4"): (0, "e4fe73ebec76db79f66ff2f0f199aadf0dbee328d7a9e4f4efe7a9a42f9b74c9"),
+    ("fvector", "hypercube4", "--text"): (0, "6358d58ba73fc98d2405223e749c9f1dc4c21fe9a24c72b005443cf891539336"),
+    ("dual", "octahedron"): (0, "124a4238449e885f397cd033436689be901d9f4758deccf0cf976f95e48ac8e5"),
+    ("dual", "octahedron", "--text"): (0, "fc4b407aba34f0a051bcaef737f3418b2fb8946093bee8940996791a260db441"),
+    ("fvector", "octahedron"): (0, "5237d8f23361bc835f94ab67735d27e2eafc1d45fb8ea5f7e7688e0f0c2c48a5"),
+    ("fvector", "octahedron", "--text"): (0, "08e433ca2aec95fcb058e419a55c38dc862604de707fac18211f823520f8bc29"),
+    ("dual", "diamond"): (0, "8f9750e446937e4719b38bce836b7262827860b0d8b95555fe7f2b0352e3f261"),
+    ("dual", "diamond", "--text"): (0, "7c04a664904bf890c8117a32b41a9473dbc9ab59486bd1b79aecb08bbe4ed603"),
+    ("fvector", "diamond"): (0, "1c48f5e64efccad43984a841f9eadfc420456a68764bab488dd38e04495dbd76"),
+    ("fvector", "diamond", "--text"): (0, "d83fa11278628e7c55c9010331afbb47999785f6d6b042d3d579c9fce7752a8d"),
+    ("dual", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dual", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fvector", "rect"): (0, "1c48f5e64efccad43984a841f9eadfc420456a68764bab488dd38e04495dbd76"),
+    ("fvector", "rect", "--text"): (0, "d83fa11278628e7c55c9010331afbb47999785f6d6b042d3d579c9fce7752a8d"),
+    ("dual", "unit-square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dual", "unit-square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fvector", "unit-square"): (0, "1c48f5e64efccad43984a841f9eadfc420456a68764bab488dd38e04495dbd76"),
+    ("fvector", "unit-square", "--text"): (0, "d83fa11278628e7c55c9010331afbb47999785f6d6b042d3d579c9fce7752a8d"),
+    ("dual", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("dual", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("fvector", "std-simplex"): (0, "8656c3ea1f4301599e43ff39b2fcd27a3d807b63c87a45d32d79791c1c38c567"),
+    ("fvector", "std-simplex", "--text"): (0, "307124c76d0a968195d9daa284abad54932072b50b49404fce15eb5beb528356"),
+}
+
+
+def test_every_catalog_polytope_has_pinned_dual_and_fvector_outputs():
+    for cmd in ("dual", "fvector"):
+        for flags in ((), ("--text",)):
+            pinned = {name for c, name, *f in POLYTOPE_SHA256 if c == cmd and tuple(f) == flags}
+            assert pinned == set(catalog.names("polytope")), (cmd, flags)
+
+
+@pytest.mark.parametrize("args", list(POLYTOPE_SHA256), ids=" ".join)
+def test_polytope_command_output_is_pinned(args):
+    cmd, name, *flags = args
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([cmd, f"catalog:{name}", *flags])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == POLYTOPE_SHA256[args]

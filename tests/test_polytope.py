@@ -1,15 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from delzant import catalog
+from delzant import catalog, polytope
 from delzant.errors import (
     NonLatticeEdge,
     NotFullDimensional,
     NotSimple,
     OriginNotInterior,
     Unbounded,
+    UnboundedSearch,
 )
 from delzant.polytope import Halfspace, Polytope, cube, cross_polytope, simplex_cpn
 
@@ -41,6 +42,21 @@ def test_cross_polytope_roundtrips_through_its_facets(n):
     Q = Polytope.from_halfspaces(P.facets)
     assert (Q.vertices, Q.facets) == (P.vertices, P.facets)
     assert len(Q.vertices) == 2 * n and len(Q.facets) == 2**n
+
+
+def test_hull_work_limit(monkeypatch):
+    # The 8-cube takes 16512 steps in one row of the hull from its facets
+    # and 176 from its vertices: far inside the limit, and refused just
+    # below those figures.
+    P = cube(8)
+    assert Polytope.from_vertices(P.vertices) == P
+    monkeypatch.setattr(polytope, "HULL_WORK_LIMIT", 16511)
+    with pytest.raises(UnboundedSearch, match="more than its limit of 16511"):
+        cube(8)
+    assert Polytope.from_vertices(P.vertices) == P
+    monkeypatch.setattr(polytope, "HULL_WORK_LIMIT", 175)
+    with pytest.raises(UnboundedSearch):
+        Polytope.from_vertices(P.vertices)
 
 
 def test_unbounded_rejected():
@@ -187,3 +203,66 @@ def test_f_vector_invariant_under_dilation_translation(name, r, shift):
     Q = P.dilate(r).translate(t)
     assert Q.f_vector() == P.f_vector()
     assert Q.h_vector_comb() == P.h_vector_comb()
+
+
+# Rationals with denominators 1-6.  `_written` gives an integral one as an
+# int or as a Fraction, so one value reaches the hull in both forms (2 and
+# Fraction(4, 2)).
+RATIONALS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _written(draw, x):
+    return int(x) if x.denominator == 1 and draw(st.booleans()) else x
+
+
+@st.composite
+def _written_all(draw, xs):
+    return tuple(draw(_written(x)) for x in xs)
+
+
+@st.composite
+def _point_sets(draw):
+    """Points in dimension 1-3 with duplicates, each written afresh."""
+    dim = draw(st.integers(1, 3))
+    pts = draw(st.lists(st.tuples(*[RATIONALS] * dim), min_size=dim + 1, max_size=7))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    return [draw(_written_all(p)) for p in pts]
+
+
+def _assert_exact(P):
+    """Fraction coordinates and offsets, int normals, vertices in sorted()
+    order.  Comparisons with == would not tell Fraction(1) from 1."""
+    assert all(type(c) is Fraction for v in P.vertices for c in v)
+    assert all(type(h.offset) is Fraction for h in P.facets)
+    assert all(type(c) is int for h in P.facets for c in h.normal)
+    assert list(P.vertices) == sorted(P.vertices)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_point_sets(), st.data())
+def test_hulls_and_maps_keep_fractions_and_integer_normals(points, data):
+    try:
+        P = Polytope.from_vertices(points)
+    except NotFullDimensional:
+        assume(False)
+    _assert_exact(P)
+    # the facets again, each scaled by a positive rational and written
+    # afresh, some of them twice
+    halfspaces = []
+    for h in P.facets + tuple(data.draw(st.lists(st.sampled_from(P.facets), max_size=3))):
+        s = data.draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)]))
+        normal = data.draw(_written_all(tuple(s * c for c in h.normal)))
+        halfspaces.append((normal, data.draw(_written(s * h.offset))))
+    Q = Polytope.from_halfspaces(halfspaces)
+    _assert_exact(Q)
+    assert Q.vertices == P.vertices
+    r = data.draw(RATIONALS.filter(bool))
+    _assert_exact(P.dilate(data.draw(_written(r))))
+    t = data.draw(_written_all(data.draw(st.tuples(*[RATIONALS] * P.dim))))
+    _assert_exact(P.translate(t))
+    # moved so that the origin is strictly inside, the vertices' centroid
+    centroid = tuple(sum(v[i] for v in P.vertices) / len(P.vertices) for i in range(P.dim))
+    R = P.translate(data.draw(_written_all(tuple(-c for c in centroid))))
+    _assert_exact(R)
+    _assert_exact(R.dual())

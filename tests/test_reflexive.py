@@ -98,6 +98,24 @@ def test_normal_contributions_match_2face_scan():
             assert sums[f"edge {e}"] == sum(a for _, a in got), (P, e)
 
 
+def test_normal_contributions_check_and_tabulate_once(monkeypatch):
+    # the Delzant verdict and the leaving-facet table are kept on the
+    # polytope, so one per polytope serves every edge and every verifier
+    calls = []
+    monkeypatch.setattr(reflexive, "is_delzant", lambda P: calls.append(P) or gkm.is_delzant(P))
+    P = cube(5)
+    table = reflexive._leaving_table(P)
+    for e in P.edges():
+        reflexive.normal_contributions(P, e)
+    assert reflexive.verify_thm_combinatorics2(P).passed
+    assert calls == [P] and reflexive._leaving_table(P) is table
+    Q = catalog.load("octahedron")
+    for _ in range(2):
+        with pytest.raises(NotDelzant):
+            reflexive.normal_contributions(Q, Q.edges()[0])
+    assert calls == [P, Q]
+
+
 def test_contributions_need_one_leaving_edge():
     # at a vertex of the octahedron two edges leave each facet through it;
     # the verifiers never get here, since they check the Delzant property
