@@ -39,28 +39,47 @@ class GkmGraph:
     the integer points q * p.  Each edge's weight (in both orientations)
     and length are derived from the integer difference d of its ends, as
     d / gcd(d) and gcd(d) / q, never given independently, so ``incident``,
-    ``weight`` and ``length`` are lookups.  The one exception is
+    ``weight`` and ``length`` are lookups.  ``_on_points`` takes the
+    integer points as already made (``Polytope.skeleton`` has them from
+    the incidence pass); the one exception to the derivation is
     ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
     edge's weight and length already known.
     """
 
     def __init__(self, ambient_dim, degree, vertices, edges):
-        self.ambient_dim = ambient_dim
-        self.degree = degree
-        self.coords = {}
-        self.ids = []
+        coords = {}
         for vid, pt in vertices:
-            if vid in self.coords:
+            if vid in coords:
                 raise InvalidGraph(f"duplicate vertex id {vid!r}")
             if len(pt) != ambient_dim:
                 raise InvalidGraph(f"vertex {vid!r} has wrong dimension")
-            self.coords[vid] = tuple(pt)
-            self.ids.append(vid)
-        if not self.ids:
+            coords[vid] = tuple(pt)
+        if not coords:
             raise InvalidGraph("a graph needs at least one vertex")
-        q, points = exact.common_denominator(self.coords.values())
+        q, points = exact.common_denominator(coords.values())
+        self._fill(ambient_dim, degree, coords, q, points, edges)
+
+    @classmethod
+    def _on_points(cls, ambient_dim, degree, coords, q, points, edges):
+        """The graph on the ids 0, 1, ... of the distinct points ``coords``
+        (tuples of length ambient_dim), from their integer points already
+        made: ``q, points`` is ``exact.common_denominator(coords)``.  The
+        edges go through the same checks and derivations as in
+        ``__init__``."""
+        G = cls.__new__(cls)
+        G._fill(ambient_dim, degree, dict(enumerate(coords)), q, points, edges)
+        return G
+
+    def _fill(self, ambient_dim, degree, coords, q, points, edges):
+        """Set the tables from the coordinates by id, their common
+        denominator q and their integer points (in the order of
+        ``coords``), deriving each edge's weights and length."""
+        self.ambient_dim = ambient_dim
+        self.degree = degree
+        self.coords = coords
+        self.ids = list(coords)
         self.q = q
-        self.lattice = lattice = dict(zip(self.coords, points))
+        self.lattice = lattice = dict(zip(coords, points))
         self.edge_list = []
         self._incident = incident = {vid: [] for vid in self.ids}
         self._weight = weight = {}
@@ -228,8 +247,22 @@ def gorenstein_index(G):
 
 
 def _candidates(G):
-    """The distinct directions (1, b, b^2, ...), b prime, in order of b."""
-    return dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in _GENERIC_BASES)
+    """The distinct directions (1, b, b^2, ...), b prime, in order of b,
+    then (1, B, B^2, ...) with B = 2m + 1, m the largest absolute
+    coordinate of an edge weight.  The last is generic: a weight w is
+    nonzero with every |w_i| <= m, so <w, xi> = sum w_i B^i is w written in
+    balanced base B, which is 0 only for w = 0.  It is made only when the
+    primes are used up."""
+    seen = set()
+    for b in _GENERIC_BASES:
+        xi = tuple(b**i for i in range(G.ambient_dim))
+        if xi not in seen:
+            seen.add(xi)
+            yield xi
+    m = max((abs(c) for e in G.edge_list for c in G._weight[e]), default=0)
+    xi = tuple((2 * m + 1) ** i for i in range(G.ambient_dim))
+    if xi not in seen:
+        yield xi
 
 
 def _in_degrees(G, xi):
@@ -267,6 +300,12 @@ def _h_for_xi(G, xi):
     return tuple(h)
 
 
+def first_census(G):
+    """The in-degree census of a regular graph under its first generic
+    candidate direction, from one pass per candidate tried."""
+    return next(h for h in (_h_for_xi(G, xi) for xi in _candidates(G)) if h is not None)
+
+
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
@@ -295,10 +334,9 @@ def h_vector_graph(G, xi=None):
         if h is None:
             raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
         return h
+    # The last candidate is generic, so there is at least one census.
     censuses = (_h_for_xi(G, d) for d in _candidates(G))
     results = list(islice((h for h in censuses if h is not None), 3))
-    if not results:
-        raise NonGenericDirection("no generic direction among the built-in candidates")
     if len(set(results)) != 1:
         raise DirectionDependent(f"h-vector depends on the direction: {results}")
     return results[0]
@@ -327,16 +365,31 @@ def is_delzant(P):
     over the skeleton's stars: the report ``check delzant`` prints.
 
     The edges of a polytope with rational vertices are always rational.  A
-    vertex is smooth when its n weights form a lattice basis.
+    vertex is smooth when its n weights form a lattice basis.  A vertex
+    with n edges lies on exactly n facets (its vertex figure is a simplex),
+    and each edge there leaves exactly one of them, a different one for
+    each edge.  With the primitive normals a_i of those facets as the rows
+    of A and the weights w_i of the edges leaving them as the columns of W,
+    A W is diagonal with the negative entries <a_i, w_i>.  If each is -1,
+    det A det W = +-1 in integers, so |det W| = 1.  If |det W| = 1, then
+    A = D W^-1 with W^-1 integral, so each entry of D divides the
+    primitive row a_i and is -1.  So the vertex is smooth iff each weight
+    pairs to -1 with the normal of the facet its edge leaves.
     """
     S = P.skeleton()
     n = P.dim
-    stars = [star(S, vid)[1] for vid in S.ids]
+    at_vertex = P._incidence_bits()[0]
+    normals = [h.normal for h in P.facets]
+    stars = [star(S, vid)[:2] for vid in S.ids]
     rep = VerificationReport("delzant", True)
-    rep.add_item("simple", all(len(ws) == n for ws in stars))
+    rep.add_item("simple", all(len(ws) == n for _, ws in stars))
     rep.add_item("rational", True)
-    for vid, ws in enumerate(stars):
-        rep.add_item(f"smooth vertex {vid}", len(ws) == n and abs(exact.det(ws)) == 1)
+    for vid, (others, ws) in enumerate(stars):
+        here = at_vertex[vid]
+        rep.add_item(f"smooth vertex {vid}", len(ws) == n and all(
+            sum(map(mul, normals[(here & ~at_vertex[o]).bit_length() - 1], w)) == -1
+            for o, w in zip(others, ws)
+        ))
     return rep
 
 

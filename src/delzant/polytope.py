@@ -103,14 +103,17 @@ def _points(rays):
     return [_point(x, l) for x in sorted(tuple(c * (l // r[0]) for c in r[1:]) for r in rays)]
 
 
-def _ids(mask):
-    """The positions of the set bits of a mask, as a frozenset."""
-    out = []
+def _bits(mask):
+    """The positions of the set bits of a mask, in increasing order."""
     while mask:
         low = mask & -mask
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         mask ^= low
-    return frozenset(out)
+
+
+def _ids(mask):
+    """The positions of the set bits of a mask, as a frozenset."""
+    return frozenset(_bits(mask))
 
 
 def _facet_key(h):
@@ -235,6 +238,7 @@ class Polytope:
         self.dim = dim
         self.vertices = tuple(vertices)
         self.facets = tuple(facets)
+        self._ints = None
         self._bits = None
         self._incidence = None
         self._faces = None
@@ -386,22 +390,41 @@ class Polytope:
         )
 
     def edges(self):
-        """Sorted vertex-id pairs spanning the 1-dimensional faces."""
+        """Sorted vertex-id pairs spanning the 1-dimensional faces, read off
+        the incidence bitmasks without the face lattice.  The smallest face
+        through u and v is cut out by the facets through both, so u v is an
+        edge iff those facets meet in {u, v} alone.  An edge lies on at
+        least n - 1 facets, so a pair on fewer is passed over before the
+        meet.  The meet starts from every vertex: in dimension 1 the two
+        vertices share no facet and P itself is the edge."""
         if self._edges is None:
+            at_vertex, on_facet = self._incidence_bits()
+            least = self.dim - 1
+            top = (1 << len(at_vertex)) - 1
             out = []
-            for w, (_, d) in self._walk().items():
-                if d == 1:
-                    b = w.bit_length() - 1
-                    out.append(((w ^ 1 << b).bit_length() - 1, b))
-            self._edges = tuple(sorted(out))
+            for u, here in enumerate(at_vertex):
+                near = [(v, common) for v, common in enumerate(
+                    [here & there for there in at_vertex[u + 1:]], u + 1)
+                    if common.bit_count() >= least]
+                for v, common in near:
+                    pair, meet = 1 << u | 1 << v, top
+                    while common and meet != pair:
+                        low = common & -common
+                        meet &= on_facet[low.bit_length() - 1]
+                        common ^= low
+                    if meet == pair:
+                        out.append((u, v))
+            self._edges = tuple(out)
         return list(self._edges)
 
     def skeleton(self):
         """The weighted 1-skeleton as a GkmGraph on the vertex ids, the same
-        graph the GKM verifiers use.  Computed once."""
+        graph the GKM verifiers use, on the integer points of the incidence
+        pass.  Computed once."""
         if self._skeleton is None:
-            self._skeleton = gkm.GkmGraph(
-                self.dim, self.dim, enumerate(self.vertices), self.edges()
+            q, points = self._integer_vertices()
+            self._skeleton = gkm.GkmGraph._on_points(
+                self.dim, self.dim, self.vertices, q, points, self.edges()
             )
         return self._skeleton
 
@@ -501,11 +524,12 @@ class Polytope:
         return gkm.generic_direction(self.skeleton(), avoid)
 
     def h_vector_directed(self, xi=None):
-        """In-degree census of the edge orientation induced by xi."""
+        """In-degree census of the edge orientation induced by xi, by
+        default the first generic candidate direction."""
         if not self.is_simple():
             raise NotSimple("directed h-vector is defined for simple polytopes")
         S = self.skeleton()
-        return gkm.h_vector_graph(S, gkm.generic_direction(S) if xi is None else xi)
+        return gkm.first_census(S) if xi is None else gkm.h_vector_graph(S, xi)
 
     # -- misc -----------------------------------------------------------------
 
@@ -531,7 +555,7 @@ class Polytope:
         with q the common denominator of the vertices, vertex v is on the
         facet <x, a> <= b iff <a, q v> * den(b) == q * num(b)."""
         if self._bits is None:
-            q, points = exact.common_denominator(self.vertices)
+            q, points = self._integer_vertices()
             rows = [(h.normal, q * h.offset.numerator, h.offset.denominator)
                     for h in self.facets]
             at_vertex, on_facet = [], [0] * len(rows)
@@ -544,6 +568,14 @@ class Polytope:
                 at_vertex.append(here)
             self._bits = at_vertex, on_facet
         return self._bits
+
+    def _integer_vertices(self):
+        """q, the common denominator of the vertices, and the integer points
+        q v, shared by the incidence pass and the skeleton.  Computed
+        once."""
+        if self._ints is None:
+            self._ints = exact.common_denominator(self.vertices)
+        return self._ints
 
     def active_facets(self, vid):
         """Indices of the facets through vertex vid."""

@@ -3,8 +3,8 @@ of the edge-length-sum identities.  The Delzant and reflexivity checks are
 gkm.is_delzant and gkm.is_reflexive, re-exported here."""
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import comb, gcd
+from operator import mul, sub
 
 from . import bounds, exact, gkm
 from .errors import (
@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .gkm import is_delzant, is_reflexive
-from .polytope import Polytope
+from .polytope import Polytope, _bits
 from .report import VerificationReport
 
 
@@ -28,6 +28,17 @@ def _require_delzant(P):
         P._delzant = is_delzant(P).passed
     if not P._delzant:
         raise NotDelzant("polytope is not Delzant")
+
+
+def _census(P):
+    """The f-vector and h-vector of a polytope already checked to be
+    Delzant, without its face lattice: h is the in-degree census of the
+    skeleton under its first generic direction (``P.h_vector_directed()``
+    without the simplicity check), and f_k = sum_i C(i, k) h_i, since each
+    k-face has one highest vertex, where it holds k of that vertex's
+    in-edges, and each k of them span a k-face."""
+    h = gkm.first_census(P.skeleton())
+    return tuple(sum(comb(i, k) * c for i, c in enumerate(h)) for k in range(len(h))), h
 
 
 def _require_reflexive(P):
@@ -57,16 +68,16 @@ def normal_contributions(P, edge):
 def _leaving_table(P):
     """For each vertex, a dict from facet id to the weights there of the
     skeleton edges that leave that facet: the edges to a neighbour off it.
-    Built once per polytope and kept on it."""
+    Built once per polytope, from the incidence bitmasks, and kept on it."""
     if P._leaving is None:
         S = P.skeleton()
-        at_vertex = P.incidence()[0]
+        at_vertex = P._incidence_bits()[0]
         table = []
         for vid, here in enumerate(at_vertex):
             leaving = {}
             others, ws, _ = gkm.star(S, vid)
             for o, w in zip(others, ws):
-                for i in here - at_vertex[o]:
+                for i in _bits(here & ~at_vertex[o]):
                     leaving.setdefault(i, []).append(w)
             table.append(leaving)
         P._leaving = table
@@ -83,18 +94,15 @@ def _contributions(P, leaving, edge):
     second edge of that 2-face at u (and at v) is the one that leaves
     facet i.
     """
-    S = P.skeleton()
-    at_vertex = P.incidence()[0]
+    at_vertex = P._incidence_bits()[0]
     u, v = edge
-    w1 = S.weight(edge)
+    w1 = P.skeleton().weight(edge)
     k = next(i for i, c in enumerate(w1) if c)
     out = []
-    for i in sorted(at_vertex[u] & at_vertex[v]):
-        wu = _one_leaving(leaving, u, i)
-        wv = _one_leaving(leaving, v, i)
-        diff = exact.vec_sub(wu, wv)
-        a, rem = divmod(diff[k], w1[k])
-        if rem or any(x != a * c for x, c in zip(diff, w1)):
+    for i in _bits(at_vertex[u] & at_vertex[v]):
+        diff = tuple(map(sub, _one_leaving(leaving, u, i), _one_leaving(leaving, v, i)))
+        a = diff[k] // w1[k]
+        if diff != tuple(a * c for c in w1):
             raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {edge}")
         out.append((i, a))
     return out
@@ -113,7 +121,7 @@ def verify_thm_combinatorics2(P):
     _require_delzant(P)
     if P.dim < 2:
         raise UnsupportedDimension("the normal-contribution sum needs dimension >= 2")
-    f = P.f_vector()
+    f, _ = _census(P)
     leaving = _leaving_table(P)
     total = 0
     per_edge = []
@@ -157,8 +165,7 @@ def verify_main_theorem(P):
     if n < 2:
         raise UnsupportedDimension("length-sum formula needs dimension >= 2")
     total = sum_lengths(P)
-    f = P.f_vector()
-    h = P.h_vector_comb()
+    f, h = _census(P)
     rhs = [bounds.c_from_f(n, f), bounds.c_from_h(n, h)]
     if n >= 3:
         rhs.append(bounds.c_from_f3(n, f))
@@ -189,12 +196,12 @@ def verify_12_24(P):
         dual_id = {p: k for k, p in enumerate(dual.vertices)}
         dual_of = [dual_id[tuple(Fraction(-c) / h.offset for c in h.normal)] for h in P.facets]
         dual_edges = set(dual.edges())
-        at_vertex = P.incidence()[0]
+        at_vertex = P._incidence_bits()[0]
         total = 0
         rep = VerificationReport("twenty-four", True)
         for e in P.edges():
             u, v = e
-            shared = at_vertex[u] & at_vertex[v]
+            shared = list(_bits(at_vertex[u] & at_vertex[v]))
             if len(shared) != 2:
                 raise MatchingFailed(f"edge {e} not on exactly two facets")
             de = tuple(sorted(dual_of[i] for i in shared))
@@ -227,8 +234,9 @@ def verify_index_corollary(P):
     n = P.dim
     if n < 2:
         raise UnsupportedDimension("the indexed length-sum formula needs dimension >= 2")
-    cf = bounds.c_indexed_from_f(k0, n, P.f_vector())
-    ch = bounds.c_indexed_from_h(k0, n, P.h_vector_comb())
+    f, h = _census(P)
+    cf = bounds.c_indexed_from_f(k0, n, f)
+    ch = bounds.c_indexed_from_h(k0, n, h)
     lengths = [P.relative_length(e) for e in P.edges()]
     all_k0 = all(l == k0 for l in lengths)
     ok = cf == ch and cf >= 0 and cf % k0 == 0 and ((cf == 0) == all_k0)
@@ -270,7 +278,7 @@ def verify_gorenstein(P, r):
     if not is_reflexive(rP.translate(translate)):
         raise NotGorensteinOfIndex(f"no reflexive translate of the {r}-fold dilate")
     total = sum_lengths(P)
-    f = P.f_vector()
+    f, _ = _census(P)
     rhs = Fraction(bounds.c_from_f(P.dim, f), r)
     rep = VerificationReport("gorenstein-length-sum", total == rhs, total, (rhs,))
     rep.add_item("translate", True, {"shift": list(translate)})

@@ -261,3 +261,212 @@ def test_polytope_command_output_is_pinned(args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([cmd, f"catalog:{name}", *flags])
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == POLYTOPE_SHA256[args]
+
+
+# Exit code and SHA-256 of the standard output of `delzant verify IDENTITY
+# catalog:NAME [--text]`, recorded before the verifiers stopped walking the
+# face lattice (edges from the incidence, f and h from the in-degree
+# census, smoothness from the normal-weight pairing).  A verifier that
+# exits 2 prints nothing.
+VERIFY_SHA256 = {
+    ("main", "cp2-triangle"): (0, "bdb878afbfc6c01719b9a49aa7969ac7c58f0f358a3b4da50089473645e9f676"),
+    ("main", "cp2-triangle", "--text"): (0, "21522695faa54bf1226fc2efbfc9e5c17d23353113eee34327e1132255db9499"),
+    ("index-corollary", "cp2-triangle"): (0, "a34c41df496a51daa84a58f03ee056b4d887ef3005a2e417e041fa2f8d0bdf9e"),
+    ("index-corollary", "cp2-triangle", "--text"): (0, "f8c1828a8f037a53c1ef954d56c7ae0f9486fe5f258597874ec5e2460c110832"),
+    ("combinatorics2", "cp2-triangle"): (0, "1f7b66af15fa70aa2c159559e6959d4df11424827c46daefb45e6e90ad36a831"),
+    ("combinatorics2", "cp2-triangle", "--text"): (0, "e6a78292d5489a75b0cfa1ff3c082611614d9b0c8acd3a3dc2076e2bf6fc595e"),
+    ("length-decomposition", "cp2-triangle"): (0, "a1141be2e9589e01e17f41951f4cbf7aa6f30cd477e158bd7be71364b33af77a"),
+    ("length-decomposition", "cp2-triangle", "--text"): (0, "988d9c83bd6ba1585159bcd591e9077e6f91e23833a852d32014c8f23a5bf4bc"),
+    ("12-24", "cp2-triangle"): (0, "47faeb174c78b02a5c692179a2b117831da871e3cada70303f7e0696e943fd15"),
+    ("12-24", "cp2-triangle", "--text"): (0, "3853c9c9c707797fac33b27574a023767ac0e76b0631f8377e7a83351df2c838"),
+    ("gorenstein:1", "cp2-triangle"): (0, "6959e646ff65b9b040bb01c97416234cd2f2500cc459addc12255a17ffb6af9f"),
+    ("gorenstein:1", "cp2-triangle", "--text"): (0, "406f938b603c8508ab983843eb93754ee7655928e99e6359f3c65a2dd5ff13cb"),
+    ("gorenstein:2", "cp2-triangle"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "cp2-triangle", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "square"): (0, "512db9ef4e85b057fa59aa2b97806c8290f480420fd2ed04a9949206acbf2ae3"),
+    ("main", "square", "--text"): (0, "7da87b8d78a7b079800e11e0a0bbe8e2eaee5b68fe8e44e8d41d05fae3c77f93"),
+    ("index-corollary", "square"): (0, "85c98b3a0d76d7b9b997f8643f7ffba785f571d5e87f4099c84d70f180f17773"),
+    ("index-corollary", "square", "--text"): (0, "d2c612c58a9e07a0661f37739e52c53700f941bdb3ae3f1f456725a30a49ff9a"),
+    ("combinatorics2", "square"): (0, "5cf80cb9cc4adc77c7eb8e2bf1233adb42b3562658558cc231b1f482bd609824"),
+    ("combinatorics2", "square", "--text"): (0, "f9f36b58e90c21d8c9a23d70eb14c2cb2de3278a5623d5b28b7839703c4b18b9"),
+    ("length-decomposition", "square"): (0, "6c8b91a76c443af06102a51b0dcef7ba69039642a11bb967f1f68f21b1b4b91f"),
+    ("length-decomposition", "square", "--text"): (0, "b7cd23ee1b5c31e8379c6d4dd60af7ec2c93563bed93cf46e617c1ac54f5ad49"),
+    ("12-24", "square"): (0, "a360b85c631ac697e4df0bac601d5c9214c6b1aa565aeacd44661e8e3a0e72d3"),
+    ("12-24", "square", "--text"): (0, "7de622765cb5a978c07a5dd6bd51b91ba4b681d1cb68622ddcf2828ea77d9708"),
+    ("gorenstein:1", "square"): (0, "95773ed0513e58ddf8767d741de2e68842def226d94413fb2f51cf43e96f034e"),
+    ("gorenstein:1", "square", "--text"): (0, "b3e1289a70027b23d8caa5ebd89af9d1775eba4ed63bc31cf6ac5dff472ffda4"),
+    ("gorenstein:2", "square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "blowup1"): (0, "512db9ef4e85b057fa59aa2b97806c8290f480420fd2ed04a9949206acbf2ae3"),
+    ("main", "blowup1", "--text"): (0, "7da87b8d78a7b079800e11e0a0bbe8e2eaee5b68fe8e44e8d41d05fae3c77f93"),
+    ("index-corollary", "blowup1"): (0, "a757ab972ab3874be961d699fa0264d9bae858f16f53a600b0f54f163e26a9ad"),
+    ("index-corollary", "blowup1", "--text"): (0, "3fc5170a58184da78aedeff885059491f0a8ab83430f8064e12d00588c4b4cf0"),
+    ("combinatorics2", "blowup1"): (0, "dd13b110ab7ea8546916e8f252540aede05e0d7a3caa75b386acaaae8496169a"),
+    ("combinatorics2", "blowup1", "--text"): (0, "c333d3c5a17c53c217780c9faade0b9da04c1de895b139fb1cc686499610ffdc"),
+    ("length-decomposition", "blowup1"): (0, "d230fe88ca91119860903330b2b0c0f0a2d787d7ab77da7d36389cebc7dc9854"),
+    ("length-decomposition", "blowup1", "--text"): (0, "b0c21f6172c384c0d209bfb36b2859da0ebc552bd926bdaab20d82d5fdd64eab"),
+    ("12-24", "blowup1"): (0, "a360b85c631ac697e4df0bac601d5c9214c6b1aa565aeacd44661e8e3a0e72d3"),
+    ("12-24", "blowup1", "--text"): (0, "7de622765cb5a978c07a5dd6bd51b91ba4b681d1cb68622ddcf2828ea77d9708"),
+    ("gorenstein:1", "blowup1"): (0, "95773ed0513e58ddf8767d741de2e68842def226d94413fb2f51cf43e96f034e"),
+    ("gorenstein:1", "blowup1", "--text"): (0, "b3e1289a70027b23d8caa5ebd89af9d1775eba4ed63bc31cf6ac5dff472ffda4"),
+    ("gorenstein:2", "blowup1"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "blowup1", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "blowup2"): (0, "b8300ff74a2ec9420600209a17feddb39aeb8ae983cc8c70145e15e41138347f"),
+    ("main", "blowup2", "--text"): (0, "d26bb88d814ac22d859bc05e0b890471b812b7c4174db9a60be41c88df056960"),
+    ("index-corollary", "blowup2"): (0, "e532df8d041427752d131f4b847b65ae1c59b00f7c0451de1f43de40b9669fbe"),
+    ("index-corollary", "blowup2", "--text"): (0, "5f360dcacca02593e4dd655e15cc243785e980bbf2f4499709b779f9f4ecbab2"),
+    ("combinatorics2", "blowup2"): (0, "5b65ac6bb7bb7c7791f0de4e2d7f1b5666530b1451aed3034d05c2a4403a5c8f"),
+    ("combinatorics2", "blowup2", "--text"): (0, "b1e4379fed16d9bfc41b8ad1fbbab6683d943c8d9349142fdaad28c933e6d466"),
+    ("length-decomposition", "blowup2"): (0, "64524158cfa66c8b179357396839f01cd1310bf8ecbf11d8b5809a4f98e2287c"),
+    ("length-decomposition", "blowup2", "--text"): (0, "ed14eac91fd2cd88758dbaf7d0fe8b6e2417fb73119a52549c45c45ad9fcf35b"),
+    ("12-24", "blowup2"): (0, "11e9450f1d9d75aa872d7ed52f324335762e498fe54b7bce69e2f2c5e7b172ab"),
+    ("12-24", "blowup2", "--text"): (0, "af5c597c18b3b6038d8a789e3248a3620c6ad706a5c7e3981edc898762749f03"),
+    ("gorenstein:1", "blowup2"): (0, "876ad03002cda9e57d836339dead4656c26998ff22159ee7beeb175641c621f5"),
+    ("gorenstein:1", "blowup2", "--text"): (0, "e6ed7fca59c8955245b42d0ef5ef35fe5e8c17036e1e63a86ed482df6322aed9"),
+    ("gorenstein:2", "blowup2"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "blowup2", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "hexagon"): (0, "3e24a9cb514e72e92fa400de9a9843c19692d2ee22d01efa4c41631498a760c2"),
+    ("main", "hexagon", "--text"): (0, "718f9aa21da921c7ec31be67476c454cf306feed73a54bd19979c347b20105b4"),
+    ("index-corollary", "hexagon"): (0, "d4fb804d425e732f5167d37fb359c39836cd083a3afa5554fd9bdd1476a36992"),
+    ("index-corollary", "hexagon", "--text"): (0, "69cf55e9b5e4ef0391e88d3879aaa4da0b0a09d35c3339910020b26e021e38fd"),
+    ("combinatorics2", "hexagon"): (0, "39de30777cd1751e333da92944fc028a57ad40c5f9d3185f81698ae7e2259f7f"),
+    ("combinatorics2", "hexagon", "--text"): (0, "4e47171222fb2dbec1049a09acf869a6a2e814480290d480eeff53399d1c5d9a"),
+    ("length-decomposition", "hexagon"): (0, "a4aad681e42ffc00789b80cb9e4d74f1f11dff6826fb9a9e622d285e8ffd761b"),
+    ("length-decomposition", "hexagon", "--text"): (0, "f4456da1fdf67529fe766092fb91306d9ba07d71acaae06b07ab2fcff5b59ec3"),
+    ("12-24", "hexagon"): (0, "041e18aa13283addb9ecf81aaa32c14bac883292452a1f9b486bdf37d80607df"),
+    ("12-24", "hexagon", "--text"): (0, "9eee8e00b938128b0bffb699a9f28e8a0a06bcd67b8986ec0e4debf645a5d2fd"),
+    ("gorenstein:1", "hexagon"): (0, "ed266afa3644ef30b7137ad6b49b8c7750f8b65e64c799ab6df002c632e65653"),
+    ("gorenstein:1", "hexagon", "--text"): (0, "1b2a3370dc32f6639e2b7f1b2439e067c31ae2258581e83b747e47c8eaf4e2e4"),
+    ("gorenstein:2", "hexagon"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "hexagon", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "cube"): (0, "8c3d0fa72d256edd0d406440d88a94ad3d3e98bbdc7a261515aea493c7e38d15"),
+    ("main", "cube", "--text"): (0, "720c77bed008d9b07b30b0725acd4b1eff582ca408474c86e64fb8a971d58f67"),
+    ("index-corollary", "cube"): (0, "37dfb6b422d820859599c859c7786c0861a4b677395d6faf3b2817defcc90357"),
+    ("index-corollary", "cube", "--text"): (0, "003e4d89357189f7e95dfc50e2b22810370407cf85cf7e53197c114481c6cb3d"),
+    ("combinatorics2", "cube"): (0, "6778edee498a1b9f43f284f33d071f426520b4f4bb874e43a00faabd9ecef9e3"),
+    ("combinatorics2", "cube", "--text"): (0, "0d51415b32c6410bc39d2ef530845440d87dd8c149aa187fb4fc1b0c1104d07e"),
+    ("length-decomposition", "cube"): (0, "038128f3195815ab13ffeef827d6802579e81781daa5d884a2fa6cac8049e61f"),
+    ("length-decomposition", "cube", "--text"): (0, "07fa295e832f2e2a34149909e09c3cd9d409c54e9f1d72dff052e3a8523b1e0d"),
+    ("12-24", "cube"): (0, "b7e20c14e0992e5780d17036ac124f8bbc0045614e90451d8f1669aa36a80757"),
+    ("12-24", "cube", "--text"): (0, "739999612e0d84d1ee17e4bc2d42ac228c40c465919ad931ea332ba475985d4a"),
+    ("gorenstein:1", "cube"): (0, "e321c8f9f8da844de950b53792de953c9388273a320f66441ab6eb57b6240fc7"),
+    ("gorenstein:1", "cube", "--text"): (0, "e40ffbea3b385119f9074ea814aa8091d72c008e45728102bf1f4205f43f0b76"),
+    ("gorenstein:2", "cube"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "cube", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "cp3-simplex"): (0, "8c3d0fa72d256edd0d406440d88a94ad3d3e98bbdc7a261515aea493c7e38d15"),
+    ("main", "cp3-simplex", "--text"): (0, "720c77bed008d9b07b30b0725acd4b1eff582ca408474c86e64fb8a971d58f67"),
+    ("index-corollary", "cp3-simplex"): (0, "c83b093777b47391d3a121a59792bac222724e3f871deb2a441ce99811f24a8b"),
+    ("index-corollary", "cp3-simplex", "--text"): (0, "3bcfe502e60be5effd07c2dbe1efc621504dd05e0f9e8843d68a0c2ef3283dcd"),
+    ("combinatorics2", "cp3-simplex"): (0, "8b4ab108d816f629edb5ef123dbead2035e8a0638878920034287ab81de02003"),
+    ("combinatorics2", "cp3-simplex", "--text"): (0, "1c5dbb3229f8b6fcf8f72683b9af24dd8857a55b17b2fa065143e107402a5af1"),
+    ("length-decomposition", "cp3-simplex"): (0, "502c3b78052695c8029cb70eb9f85934b5b4450e32a09b6548322c4db005b41e"),
+    ("length-decomposition", "cp3-simplex", "--text"): (0, "c8b83ff39635fe78106baef95f2d60b8f68f13462872da56eb14ed5484b9b0b5"),
+    ("12-24", "cp3-simplex"): (0, "321dc2537a175824ceeeef418fa02c755f5134e8ce194478a77f5bb1bee647b0"),
+    ("12-24", "cp3-simplex", "--text"): (0, "a6cc9328d5419e336100096371fefce5bf523728b40191940110d89a75230f69"),
+    ("gorenstein:1", "cp3-simplex"): (0, "e321c8f9f8da844de950b53792de953c9388273a320f66441ab6eb57b6240fc7"),
+    ("gorenstein:1", "cp3-simplex", "--text"): (0, "e40ffbea3b385119f9074ea814aa8091d72c008e45728102bf1f4205f43f0b76"),
+    ("gorenstein:2", "cp3-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "cp3-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "hypercube4"): (0, "51b3d0fdbe98fd52fe5df971536f6fc8ab055f9e36c7592d65b9549de621bf3c"),
+    ("main", "hypercube4", "--text"): (0, "0dd487d24a854d5bec9c349067d06aa776b78461e48c1dfefc7055db238c49db"),
+    ("index-corollary", "hypercube4"): (0, "30a8750789969d1dc2eafb70cdb01ea1c57ae9996074c6cb30db7197758b8a19"),
+    ("index-corollary", "hypercube4", "--text"): (0, "7174e3efe74c3b29914f4723740a3d45d9b79aaca2bb22be6d80cff221e38fba"),
+    ("combinatorics2", "hypercube4"): (0, "28ec388339083f28cf29c697ee3b439ba5d9392e8c92cacb149a760f0bfaec51"),
+    ("combinatorics2", "hypercube4", "--text"): (0, "b13dd2935389d89862bb261a0dd010be97fb1fe81d9105e18e921ad82bd53948"),
+    ("length-decomposition", "hypercube4"): (0, "fc55673662f23a50fdb3e5752118423be206057397b67bcacee70221ff45ebf2"),
+    ("length-decomposition", "hypercube4", "--text"): (0, "f05687ecc2097fb2a96cf7aff04c8545e74d937dfab38dcabb11576e0b6ea194"),
+    ("12-24", "hypercube4"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "hypercube4", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "hypercube4"): (0, "b0a47c84296ee3173cbb1e8d474fe3ebbbc3f3b46ce38b64bca36ef9826d66e7"),
+    ("gorenstein:1", "hypercube4", "--text"): (0, "7e663203808977de6f6cae43be4a056fc4e4695a9e317603b60ac9d3141a991a"),
+    ("gorenstein:2", "hypercube4"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "hypercube4", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "octahedron"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "octahedron", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "octahedron"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "octahedron", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "octahedron"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "octahedron", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "octahedron"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "octahedron", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "octahedron"): (0, "a48a6485aefd1edd35ea6f9499ac03e8090750085fac32597b8f584cfa1353fe"),
+    ("12-24", "octahedron", "--text"): (0, "c7e338e8f806f6960d64c80ca7c501be96cc9d33f4df229c52b524703e09c1e2"),
+    ("gorenstein:1", "octahedron"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "octahedron", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "octahedron"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "octahedron", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "diamond"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "diamond", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "diamond"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "diamond", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "diamond"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "diamond", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "diamond"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "diamond", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "diamond"): (0, "e370a38c50a272c4bc3b4d3ac332432a406c86944f967efd3f7c09ebaa2a3cf4"),
+    ("12-24", "diamond", "--text"): (0, "792796ab3038e38a3fd92407f5729165f3c2034ec905d1adeb9b270df4226970"),
+    ("gorenstein:1", "diamond"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "diamond", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "diamond"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "diamond", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "rect"): (0, "5cf80cb9cc4adc77c7eb8e2bf1233adb42b3562658558cc231b1f482bd609824"),
+    ("combinatorics2", "rect", "--text"): (0, "f9f36b58e90c21d8c9a23d70eb14c2cb2de3278a5623d5b28b7839703c4b18b9"),
+    ("length-decomposition", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "rect"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "rect", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "unit-square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "unit-square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "unit-square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "unit-square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "unit-square"): (0, "5cf80cb9cc4adc77c7eb8e2bf1233adb42b3562658558cc231b1f482bd609824"),
+    ("combinatorics2", "unit-square", "--text"): (0, "f9f36b58e90c21d8c9a23d70eb14c2cb2de3278a5623d5b28b7839703c4b18b9"),
+    ("length-decomposition", "unit-square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "unit-square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "unit-square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "unit-square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "unit-square"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "unit-square", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "unit-square"): (0, "e9f5845823384c83ce4e07d58120fd519e3596a1435d3a067bd10d94988fb83b"),
+    ("gorenstein:2", "unit-square", "--text"): (0, "678ab3704b026ed1066fb4393975c4c53bc625e87b0e597cb9502d26ae395991"),
+    ("main", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("main", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("index-corollary", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("combinatorics2", "std-simplex"): (0, "1f7b66af15fa70aa2c159559e6959d4df11424827c46daefb45e6e90ad36a831"),
+    ("combinatorics2", "std-simplex", "--text"): (0, "e6a78292d5489a75b0cfa1ff3c082611614d9b0c8acd3a3dc2076e2bf6fc595e"),
+    ("length-decomposition", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("length-decomposition", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("12-24", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:1", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "std-simplex"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("gorenstein:2", "std-simplex", "--text"): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+VERIFY_IDENTITIES = ("main", "index-corollary", "combinatorics2", "length-decomposition",
+                     "12-24", "gorenstein:1", "gorenstein:2")
+
+
+def test_every_catalog_polytope_has_pinned_verify_outputs():
+    for ident in VERIFY_IDENTITIES:
+        for flags in ((), ("--text",)):
+            pinned = {name for i, name, *f in VERIFY_SHA256 if i == ident and tuple(f) == flags}
+            assert pinned == set(catalog.names("polytope")), (ident, flags)
+
+
+@pytest.mark.parametrize("args", list(VERIFY_SHA256), ids=" ".join)
+def test_verify_output_is_pinned(args):
+    ident, name, *flags = args
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", ident, f"catalog:{name}", *flags])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == VERIFY_SHA256[args]

@@ -1,6 +1,6 @@
 import gc
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -295,8 +295,22 @@ def test_scaling_coordinates_scales_index_and_lengths(name, k):
         assert H.length(e) == Fraction(G.length(e), k)
 
 
-# The candidate directions are (1, b, b^2, ...) for these primes b.
+# The candidate directions are (1, b, b^2, ...) for these primes b, then
+# (1, B, B^2, ...) for B = 2m + 1, m the largest absolute coordinate of a
+# primitive edge direction.
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _directions(G):
+    m = 0
+    for u, v in G.edges():
+        d = [Fraction(b) - Fraction(a) for a, b in zip(G.coords[u], G.coords[v])]
+        q = lcm(*(c.denominator for c in d))
+        ints = [int(c * q) for c in d]
+        m = max(m, *(abs(c) // gcd(*ints) for c in ints))
+    n = G.ambient_dim
+    return dict.fromkeys([*(tuple(b**i for i in range(n)) for b in PRIMES),
+                          tuple((2 * m + 1) ** i for i in range(n))])
 
 
 def _in_degrees_by_vertex(G, xi):
@@ -325,7 +339,7 @@ def _h_vector_oracle(G, xi=None):
     if xi is not None:
         return _census_by_vertex(G, xi)
     results = []
-    for d in dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in PRIMES):
+    for d in _directions(G):
         try:
             results.append(_census_by_vertex(G, d))
         except NonGenericDirection:
@@ -394,7 +408,7 @@ def _h_vector_by_stars(G, xi=None):
     if xi is not None:
         return _star_census(G, xi)
     results = []
-    for d in dict.fromkeys(tuple(b**i for i in range(G.ambient_dim)) for b in PRIMES):
+    for d in _directions(G):
         try:
             results.append(_star_census(G, d))
         except NonGenericDirection:
@@ -445,16 +459,20 @@ def test_a_vanishing_weight_that_repeats_drops_the_candidate(edges):
     assert gkm.h_vector_graph(G) == (1, 2, 1) == _h_vector_oracle(G) == _h_vector_by_stars(G)
 
 
-def test_a_cycle_on_which_every_candidate_vanishes():
+def test_a_cycle_on_which_every_prime_candidate_vanishes():
     # the sides (b, -1) for every candidate prime b, (2, -1) twice, and the
-    # side that closes the cycle
+    # side that closes the cycle: only the last candidate, in balanced base
+    # 2m + 1, is generic
     steps = [(2, -1), *((b, -1) for b in PRIMES), (2, -1)]
     pts = [(0, 0)]
     for x, y in steps:
         pts.append((pts[-1][0] + x, pts[-1][1] + y))
     n = len(pts)
     G = GkmGraph(2, 2, list(enumerate(pts)), [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    for xi in gkm._candidates(G):
+    *primes, last = gkm._candidates(G)
+    assert primes == [(1, b) for b in PRIMES] and last == list(_directions(G))[-1]
+    for xi in primes:
         assert gkm._in_degrees(G, xi) is None
-    for fn in (gkm.h_vector_graph, _h_vector_oracle, _h_vector_by_stars):
-        assert _outcome(fn, G) is NonGenericDirection
+    assert gkm.generic_direction(G) == last
+    h = gkm.h_vector_graph(G)
+    assert h == _h_vector_oracle(G) == _h_vector_by_stars(G) == _census_by_vertex(G, last)
