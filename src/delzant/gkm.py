@@ -2,7 +2,7 @@
 validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import islice
 from math import gcd
@@ -43,8 +43,11 @@ class GkmGraph:
     integer points as already made (``Polytope.skeleton`` has them from
     the incidence pass); the one exception to the derivation is
     ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
-    edge's weight and length already known.
+    edge's weight and length already known.  ``_folded`` keeps the
+    graph's ``_fold`` once made.
     """
+
+    _folded = None
 
     def __init__(self, ambient_dim, degree, vertices, edges):
         coords = {}
@@ -106,21 +109,22 @@ class GkmGraph:
             length[e] = _ratio(g, q)
 
     @classmethod
-    def _from_edge_table(cls, ambient_dim, degree, points, edges):
+    def _from_edge_table(cls, ambient_dim, degree, points, edge_list, forward, back, lengths):
         """The graph on the ids 0, 1, ... of distinct integer points, from
-        rows (u, v, weight u -> v, weight v -> u, length) sorted by (u, v):
-        the tables ``__init__`` would derive from the same points and (u, v)
-        pairs, taken as given.  The caller vouches for every row."""
+        its edges (u, v) sorted by (u, v) and, edge by edge, the weights
+        u -> v and v -> u and the lengths: the tables ``__init__`` would
+        derive from the same points and edges, taken as given.  The caller
+        vouches for every edge."""
         G = cls.__new__(cls)
         G.ambient_dim = ambient_dim
         G.degree = degree
         G.ids = list(range(len(points)))
         G.coords = G.lattice = dict(enumerate(points))
         G.q = 1
-        G.edge_list = edge_list = list(map(itemgetter(0, 1), edges))
-        G._weight = weight = dict(zip(edge_list, map(itemgetter(2), edges)))
-        weight.update(zip(map(itemgetter(1, 0), edges), map(itemgetter(3), edges)))
-        G._length = dict(zip(edge_list, map(itemgetter(4), edges)))
+        G.edge_list = edge_list
+        G._weight = weight = dict(zip(edge_list, forward))
+        weight.update(zip(map(itemgetter(1, 0), edge_list), back))
+        G._length = dict(zip(edge_list, lengths))
         incident = [[] for _ in points]
         for e in edge_list:
             incident[e[0]].append(e)
@@ -162,28 +166,76 @@ def star(G, vid):
     return others, [weight[vid, o] for o in others], [weight[o, vid] for o in others]
 
 
-def _star(G, vid):
-    """The weights leaving vid, in edge order, and whether they satisfy
-    the GKM condition there: pairwise independent."""
-    _, ws, back = star(G, vid)
-    # Two primitive weights are dependent iff one is +-the other, so k
-    # weights are independent iff the 2k weights +-w are distinct.
-    return ws, len({*ws, *back}) == 2 * len(ws)
-
-
-def _star_sums(G):
-    """The sum of the weights leaving each vertex, from one pass over the
-    stars, or None when a vertex has not ``G.degree`` edges or fails the
-    GKM condition."""
-    degree = G.degree
-    zero = (0,) * G.ambient_dim
-    sums = {}
+def stars(G):
+    """The weights leaving each vertex, in ``G.ids`` and edge order."""
     for vid in G.ids:
-        ws, indep = _star(G, vid)
-        if len(ws) != degree or not indep:
-            return None
-        sums[vid] = tuple(map(sum, zip(*ws))) or zero
-    return sums
+        yield star(G, vid)[1]
+
+
+_Fold = namedtuple("_Fold", "sums censuses")
+
+
+def _fold(degree, dim, leaving):
+    """One pass over the weights leaving each vertex (``leaving``, in id
+    order) of a graph of the given degree in Q^dim.  ``sums``: the weight
+    sum at each vertex, or None when a vertex has not ``degree`` weights
+    or two of them are parallel (the GKM condition).  ``censuses``: the
+    in-degree censuses under the first three distinct candidates, or None
+    when a vertex has not ``degree`` weights or a candidate vanishes on a
+    weight.  A vertex's in-degree is the number of weights leaving it that
+    pair negatively with the direction."""
+    xis = list(dict.fromkeys(tuple(b**i for i in range(dim)) for b in _GENERIC_BASES[:3]))
+    # Per weight, made once with its negative: its line +-w, and a code
+    # with the bit of field c set when w pairs negatively with xis[c], and
+    # the top bit when it pairs to 0.  A field holds a degree, so a
+    # vertex's codes sum to its in-degrees under every candidate at once.
+    shift = degree.bit_length()
+    bits = [1 << shift * c for c in range(len(xis))]
+    vanished = 1 << shift * len(xis)
+    seen = {}
+
+    def new(w):
+        m = tuple(map(neg, w))
+        below = above = 0
+        for xi, bit in zip(xis, bits):
+            pair = sum(map(mul, w, xi))
+            if pair < 0:
+                below += bit
+            elif pair > 0:
+                above += bit
+            else:
+                below |= vanished
+                above |= vanished
+        line = max(w, m)
+        seen[m] = (line, above)
+        seen[w] = got = (line, below)
+        return got
+
+    zero = (0,) * dim
+    sums, codes = [], []
+    regular = independent = True
+    for ws in leaving:
+        got = [seen.get(w) or new(w) for w in ws]
+        regular = regular and len(ws) == degree
+        independent = independent and len({line for line, _ in got}) == len(ws)
+        sums.append(tuple(map(sum, zip(*ws))) or zero)
+        codes.append(sum([code for _, code in got]))
+    censuses = None
+    if regular and all(code < vanished for code in codes):
+        mask = (1 << shift) - 1
+        censuses = [[0] * (degree + 1) for _ in xis]
+        for code, count in Counter(codes).items():
+            for c, h in enumerate(censuses):
+                h[code >> shift * c & mask] += count
+        censuses = list(map(tuple, censuses))
+    return _Fold(sums if regular and independent else None, censuses)
+
+
+def _fold_of(G):
+    """G's fold over ``stars(G)``, made on first use and kept."""
+    if G._folded is None:
+        G._folded = _fold(G.degree, G.ambient_dim, stars(G))
+    return G._folded
 
 
 def validate(G):
@@ -191,7 +243,10 @@ def validate(G):
     with one degree item and one GKM item per vertex."""
     rep = VerificationReport("gkm-valid", True)
     for vid in G.ids:
-        ws, indep = _star(G, vid)
+        _, ws, back = star(G, vid)
+        # Two primitive weights are dependent iff one is +-the other, so k
+        # weights are independent iff the 2k weights +-w are distinct.
+        indep = len({*ws, *back}) == 2 * len(ws)
         rep.add_item(
             f"degree {vid}", len(ws) == G.degree,
             {"degree": len(ws), "expected": G.degree},
@@ -202,14 +257,14 @@ def validate(G):
 
 def is_reflexive_graph(G):
     """Weight sum -v at every vertex, lattice vertices, vertex sum zero."""
-    sums = _star_sums(G)
+    sums = _fold_of(G).sums
     if sums is None:
         raise InvalidGraph("graph fails GKM validation")
     rep = VerificationReport("gkm-reflexive", True)
-    for vid in G.ids:
+    for vid, s in zip(G.ids, sums):
         v, L = G.coords[vid], G.lattice[vid]
         rep.add_item(f"lattice {vid}", all(c % G.q == 0 for c in L), {"coords": list(v)})
-        s = list(sums[vid])
+        s = list(s)
         ok = all(G.q * a == -b for a, b in zip(s, L))
         rep.add_item(f"weight-sum {vid}", ok, {"sum": s, "vertex": list(v)})
     total = [sum(col) for col in zip(*G.coords.values())]
@@ -224,13 +279,12 @@ def gorenstein_index(G):
     s_i * L_k = s_k * L_i for every i, k the first nonzero coordinate of L,
     and then r = -q * s_k / L_k.
     """
-    sums = _star_sums(G)
+    sums = _fold_of(G).sums
     if sums is None:
         raise InvalidGraph("graph fails GKM validation")
     r = None
-    for vid in G.ids:
+    for vid, s in zip(G.ids, sums):
         L = G.lattice[vid]
-        s = sums[vid]
         k = next((i for i, c in enumerate(L) if c), None)
         if k is None:
             raise InvalidGraph("vertex at the origin has no well-defined index")
@@ -309,10 +363,11 @@ def first_census(G):
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
-    The graph must be regular.  When no direction is supplied, the census
-    is taken under each candidate direction in turn, a candidate that
-    vanishes on an edge weight is dropped, and the first three censuses
-    (ambient dimension 1 has only one candidate) must agree; a
+    The graph must be regular.  When no direction is supplied, the
+    censuses under the first three candidate directions (ambient dimension
+    1 has only one) come from the graph's fold; if one of them vanishes on
+    a weight, the census is taken under each candidate in turn and the
+    vanishing ones are dropped.  The three censuses must agree; a
     disagreement means the graph is not of the manifold type where the
     census is direction-independent.
     """
@@ -334,9 +389,12 @@ def h_vector_graph(G, xi=None):
         if h is None:
             raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
         return h
-    # The last candidate is generic, so there is at least one census.
-    censuses = (_h_for_xi(G, d) for d in _candidates(G))
-    results = list(islice((h for h in censuses if h is not None), 3))
+    results = _fold_of(G).censuses
+    if results is None:
+        # A candidate vanishes on a weight: drop it and take the next.  The
+        # last candidate is generic, so there is at least one census.
+        censuses = (_h_for_xi(G, d) for d in _candidates(G))
+        results = list(islice((h for h in censuses if h is not None), 3))
     if len(set(results)) != 1:
         raise DirectionDependent(f"h-vector depends on the direction: {results}")
     return results[0]

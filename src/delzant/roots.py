@@ -7,11 +7,12 @@ form is the symmetrized Cartan matrix with long roots of square length 2.
 """
 
 from fractions import Fraction
+from itertools import repeat
 from math import factorial, lcm
 from operator import mul, neg
 
+from . import gkm
 from .errors import DegenerateBasePoint, NotARoot, UnsupportedType
-from .gkm import GkmGraph
 
 _MAX_RANK = 6
 
@@ -67,8 +68,28 @@ class RootSystem:
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         ]
-        roots = self.closure(self.simple_roots, range(rank))
-        self.positive_roots = sorted(r for r in roots if all(c >= 0 for c in r))
+        # The positive roots, up from the simple roots: for beta != alpha_j,
+        # s_j beta = beta - <beta, alpha_j^v> alpha_j is a positive root, and
+        # each non-simple one is reached from a lower one.  images[beta][j]
+        # is s_j beta, recorded as it is found (alpha_j for -alpha_j).
+        found = list(self.simple_roots)
+        images = dict.fromkeys(found)
+        for beta in found:  # grows while it is read
+            row = images[beta] = []
+            for j, col in enumerate(self._cartan_cols):
+                img = beta
+                if beta != self.simple_roots[j]:
+                    img = beta[:j] + (beta[j] - sum(map(mul, beta, col)),) + beta[j + 1:]
+                    if img not in images:
+                        images[img] = None
+                        found.append(img)
+                row.append(img)
+        self.positive_roots = sorted(found)
+        # _reflected[j][b]: the place of s_j beta_b in positive_roots.
+        at = {beta: b for b, beta in enumerate(self.positive_roots)}
+        self._reflected = [
+            tuple(at[images[beta][j]] for beta in self.positive_roots) for j in range(rank)
+        ]
         # The coroot covector of each root beta: c_i = <alpha_i, beta^v> =
         # 2 (alpha_i, beta) / (beta, beta), a Cartan integer (m cancels, so
         # the division is exact), so that <x, beta^v> = sum_i x_i c_i on
@@ -190,29 +211,81 @@ def weyl_orbit(rs, p0):
     return sorted(rs.closure([tuple(p0)], range(rs.rank)))
 
 
+def _walk(rs, p0):
+    """The Weyl orbit of the antidominant point p0 in sorted order, walked
+    by simple reflections: the place values of the keys and, per point,
+    its key, the point and its pairing vector <p, beta^v> over the positive
+    roots.  Only p0's vector is made by dot products: as <s_j p, beta^v>
+    = <p, (s_j beta)^v>, s_j p takes the vector of p permuted by the s_j
+    table, with the alpha_j entry negated (s_j alpha_j = -alpha_j).
+
+    A point's key is sum_i p_i R^(d-1-i).  The orbit lies coordinatewise
+    between p0 and w0 p0, whose coordinates are those of -p0 permuted, so
+    with R = 2 max |p0_i| + 1 keys are distinct, sort as the points do, and
+    are linear.
+    """
+    d = rs.rank
+    betas = rs.positive_roots
+    R = 2 * max(map(abs, p0), default=0) + 1
+    place = [R ** (d - 1 - i) for i in range(d)]
+    simple = [(j, rs._reflected[j], betas.index(rs.simple_roots[j]), place[j])
+              for j in range(d)]
+    points = [p0]
+    pairings = [[sum(map(mul, p0, rs._coroot[beta])) for beta in betas]]
+    keys = [sum(map(mul, p0, place))]
+    seen = set(keys)
+    # The lists grow while they are read: each new point is visited in turn.
+    for p, tv, k in zip(points, pairings, keys):
+        for j, perm, a, e in simple:
+            t = tv[a]
+            kq = k - t * e
+            if t and kq not in seen:
+                seen.add(kq)
+                keys.append(kq)
+                q = list(p)
+                q[j] -= t
+                points.append(tuple(q))
+                tq = [tv[b] for b in perm]
+                tq[a] = -t
+                pairings.append(tq)
+    # The keys are distinct, so the sort never compares the rest.
+    keys, points, pairings = zip(*sorted(zip(keys, points, pairings)))
+    return place, keys, points, pairings
+
+
 def coadjoint_graph(rs, I):
     """The coadjoint-orbit GKM graph of the parabolic choice I.
 
-    Vertices are the Weyl orbit of the base point; two points are joined
-    when a positive-root reflection swaps them.  s_beta maps p to
-    p - t beta with t = <p, beta^v>, and flips the sign of t, so each edge
-    is found once, at the end where t > 0.
+    Vertices are the sorted Weyl orbit of the base point; two points are
+    joined when a positive-root reflection swaps them.  s_beta maps p to
+    p - t beta, t = <p, beta^v>, so that edge has weight -sign(t) beta
+    away from p and length |t|; it is written at its lower end, where
+    t < 0 (beta >= 0), and its other end is found by key.  The weights
+    leaving each point go to ``gkm._fold``, whose result the graph keeps.
     """
     p0 = base_point(rs, I)
-    orbit = weyl_orbit(rs, p0)
-    index = {p: i for i, p in enumerate(orbit)}
-    degree = len(rs.positive_roots) - len(parabolic_span(rs, I))
-    coroots = [(beta, tuple(map(neg, beta)), rs._coroot[beta]) for beta in rs.positive_roots]
-    # The other end p - t beta comes first in the sorted orbit, as t > 0
-    # and beta >= 0, so the edge is (j, i).  Its ends differ by t beta with
-    # beta primitive: the weight j -> i is beta, i -> j is -beta, and the
-    # length is t.
-    edges = []
-    for i, p in enumerate(orbit):
-        for beta, minus, cov in coroots:
-            t = sum(map(mul, p, cov))
-            if t > 0:
-                j = index[tuple([a - t * b for a, b in zip(p, beta)])]
-                edges.append((j, i, beta, minus, t))
-    edges.sort()
-    return GkmGraph._from_edge_table(rs.rank, degree, orbit, edges)
+    place, keys, points, pairings = _walk(rs, p0)
+    betas = rs.positive_roots
+    minus = [tuple(map(neg, beta)) for beta in betas]
+    encoded = [sum(map(mul, beta, place)) for beta in betas]
+    index = {k: u for u, k in enumerate(keys)}
+    edges, forward, back, lengths = [], [], [], []
+
+    def stars():
+        for u, (k, tv) in enumerate(zip(keys, pairings)):
+            # The edges to the higher neighbours, by the neighbour's place.
+            row = sorted([(index[k - t * e], -t, beta, m)
+                          for t, e, beta, m in zip(tv, encoded, betas, minus) if t < 0])
+            if row:
+                vs, ts, bs, ms = zip(*row)
+                edges.extend(zip(repeat(u), vs))
+                lengths.extend(ts)
+                forward.extend(bs)
+                back.extend(ms)
+            yield [beta if t < 0 else m for t, beta, m in zip(tv, betas, minus) if t]
+
+    degree = sum(1 for t in pairings[0] if t)
+    fold = gkm._fold(degree, rs.rank, stars())
+    G = gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, forward, back, lengths)
+    G._folded = fold
+    return G

@@ -116,6 +116,9 @@ def _vertex_id(x):
     # ids are written back out, and no float is accepted or emitted
     if isinstance(x, float):
         raise MalformedInput(f"vertex id {x!r} is a float")
+    # true and false would key the same entries as 1 and 0
+    if isinstance(x, bool):
+        raise MalformedInput(f"vertex id {x!r} is a boolean")
     return x
 
 

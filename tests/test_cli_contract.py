@@ -98,6 +98,12 @@ LIST_END = {"ambient_dim": 1, "degree": 1, "vertices": [
     {"id": 0, "coords": [-1]}, {"id": 1, "coords": [1]}], "edges": [{"u": 0, "v": [1]}]}
 FLOAT_IDS = {"ambient_dim": 1, "degree": 1, "vertices": [
     {"id": 0.5, "coords": [-1]}, {"id": 1.5, "coords": [1]}], "edges": [{"u": 0.5, "v": 1.5}]}
+# true is equal to 1 and false to 0 in Python: this edge would join vertex 1
+# to 2, and the id false would clash with 0.
+BOOL_END = {"ambient_dim": 1, "degree": 1, "vertices": [
+    {"id": i, "coords": [c]} for i, c in enumerate([-1, 0, 1])], "edges": [{"u": True, "v": 2}]}
+BOOL_ID = {"ambient_dim": 1, "degree": 1, "vertices": [
+    {"id": 0, "coords": [-1]}, {"id": False, "coords": [1]}], "edges": []}
 EMPTY_GRAPH = {"ambient_dim": 1, "degree": 1, "vertices": [], "edges": []}
 
 
@@ -154,6 +160,8 @@ CUBE13 = {"dim": 13, "facets": [
     (["lengths"], FLOAT_IDS, "is a float"),
     (["gkm", "check"], segment_graph(edges=[{"u": 0, "v": 1.0}]), "is a float"),
     (["fvector"], CUBE13, "more than its limit of 10000000"),
+    (["lengths"], BOOL_END, "is a boolean"),
+    (["gkm", "check"], BOOL_ID, "is a boolean"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

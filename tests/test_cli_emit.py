@@ -5,9 +5,11 @@ same for ``serialize.graph_to_json(G) | extra``."""
 
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,15 +132,74 @@ BUILD_SHA256 = {
     ("D", "4", "--I", "1,2,3"): "ea74bf9fba8787fd6791d1208ba168c694fad3218a86e8c4a7049eef6ae7fda6",
     ("G2", "2", "--I", "1"): "8e57156e55f55d122e62a749f8b8df6fdb69c1db512a7fe8321caaab67b735da",
     ("A", "2", "--text"): "fdbd92c90ae75ab5073797925ee46776babdd5e18f07bde7a9af710a4c996d97",
+    # the rest of the weyl corpus, recorded before the orbit walk
+    ("A", "1"): "9ae5dd292d6ba12723bb1232c069df49d934b2452b963be489f3557c0a8de9b1",
+    ("A", "2"): "689fcf44c522d11003ff54ef2bc792e80fd720d929e83e1df72a900856857df0",
+    ("A", "2", "--I", "1"): "69652f2a1717101e8a3336e6bdf01ded7299c56e870a5199af67f6cc2b5ff464",
+    ("A", "3", "--I", "0,2"): "77755aecc071c535912e0bb496b206d4d7c276c017d5c224be29ff598897c4bf",
+    ("A", "4", "--I", "0"): "53873452e2d645414428d58b9e88f891017ac3689ba02a5ea83448733e3de6f6",
+    ("A", "4", "--I", "1,2,3"): "b26825b6df4eadac02bd96f6d9468ea00732f6ff9297e992e8779fd34dc2c712",
+    ("A", "4", "--I", "0,1"): "8b9abe22b75c6b8c280457eddce52eb4447c0eb3c617d31a544e4df455f5d8c1",
+    ("A", "5", "--I", "1,2,3,4"): "306ba9c7282bcb6f7a467e6f927286d72f02f73f25b7d5cb872a0be5a34bdc94",
+    ("A", "5", "--I", "0,1,3,4"): "daaee9a8e6888dbb5dcaa8893de898498572d5f79a8e371e53d5a9e5e97d6533",
+    ("B", "2"): "318ec8d488add1363550a7215fc5fee8e4e98e6ab49710a905fa5b2983f0dc0f",
+    ("B", "2", "--I", "0"): "facaea13286adf9d51b667f08ee1b7411c1d610d28d7fb985c5b033dc722dbd0",
+    ("B", "3"): "257a80138c8e2fb564066df2bc1404120ddf9d8200bb54b85268de993920b636",
+    ("B", "4", "--I", "1,2,3"): "31289dc0648d1e3971bb32f560e7b102056e3f2eaaaa909176d3286569e9b1f8",
+    ("B", "4", "--I", "0,1,2"): "d499489c4dd1cc8ba7068576d20b5c1e084873482314cc0b2cdc188e623f4259",
+    ("C", "2"): "3f12a07c6ffe6d0db5f144ab576addc2f800992bea9ba8ee6a71fb7872acba8c",
+    ("C", "3", "--I", "0,1"): "a3c2862fd1bd97656e62845fe33cdc6d4052c3157a64df033bd499e044a705bf",
+    ("C", "4", "--I", "1,2,3"): "ccd39bda8b9aec15dca5b9361c9128781a9bf8eaac582a8afaf9400ab32c687f",
+    ("C", "4", "--I", "0,1,2"): "9edccbb89ee5c09a17259ae21d388790da53e4d394982b73a4a6dcdb5158e4dd",
+    ("D", "4", "--I", "0,2,3"): "0038018c660880c06d065457139335a4c6913cfe1c3aa594cdb26d61f72fe4a0",
+    ("D", "5", "--I", "1,2,3,4"): "2ccb18138d01e201a84d3d4cd764ecb2cb2cf25a1e4f24f594784ddc8caf2343",
+    ("D", "5", "--I", "0,1,2,3"): "2dfeb396172ddf4b3f21aa6daf645735d0132822ed6063fb7b2366cbf8ba97cf",
+    ("G2", "2"): "348ca61f6b782c88751118080cd48688fb3a381ecaea3a57ce896937eee06dc8",
+    ("G2", "2", "--I", "0"): "0dc8e3f6b306985defb6e10fedb4390f8acfe22ca74cf15b4312ab44973e333d",
 }
 
 
 @pytest.mark.parametrize("args", list(BUILD_SHA256), ids=" ".join)
 def test_gkm_build_output_is_pinned(args):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         assert cli.main(["gkm", "build", *args]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == BUILD_SHA256[args]
+    assert err.getvalue() == ""
+
+
+def test_every_weyl_orbit_has_a_pinned_build():
+    built = {("G2" if kind == "G" else kind, str(rank), *(("--I", ",".join(map(str, I))) if I else ()))
+             for kind, rank, I in weyl_corpus.WEYL}
+    assert built <= set(BUILD_SHA256)
+
+
+def test_orbit_probe_hashes_the_build_output(capsys):
+    # tools/orbit_probe.py streams `gkm build` through SHA-256
+    path = Path(__file__).resolve().parent.parent / "tools" / "orbit_probe.py"
+    spec = importlib.util.spec_from_file_location("orbit_probe", path)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.main(["A", "2"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("exit 0 ") and line.endswith(f"sha256 {BUILD_SHA256['A', '2']}\n")
+    assert " 1992 bytes " in line
+
+
+# `gkm build` with every simple root in I: the orbit is the origin alone,
+# which has no index.  Exit code and standard error, recorded before the
+# orbit walk.
+REFUSED_BUILDS = [("A", "1", "--I", "0"), ("A", "3", "--I", "0,1,2"), ("B", "2", "--I", "1,0"),
+                  ("G2", "2", "--I", "0,1")]
+
+
+@pytest.mark.parametrize("args", REFUSED_BUILDS, ids=" ".join)
+def test_gkm_build_refusal_is_pinned(args):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["gkm", "build", *args])
+    assert (code, out.getvalue(), err.getvalue()) == (
+        2, "", "error: InvalidGraph: vertex at the origin has no well-defined index\n")
 
 
 # SHA-256 of `delzant check delzant catalog:NAME [--text]` standard output

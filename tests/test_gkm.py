@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from delzant import catalog, gkm, oracle, reflexive, roots
 from delzant.errors import (
+    DelzantError,
     DimensionMismatch,
     DirectionDependent,
     InconsistentIndex,
@@ -16,6 +17,7 @@ from delzant.errors import (
 )
 from delzant.gkm import GkmGraph
 from delzant.polytope import Polytope, cube, simplex_cpn
+from delzant.report import VerificationReport
 
 import weyl_corpus
 
@@ -160,10 +162,71 @@ def test_gkm_ok_is_validate_verdict():
     bad_degree = GkmGraph(1, 2, [(0, (0,)), (1, (1,))], [(0, 1)])
     parallel = GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
                         [(0, 1), (1, 2), (2, 3), (3, 0)])
-    # the star pass gives no weight sums exactly when `validate` fails
+    # the fold gives no weight sums exactly when `validate` fails
     for G in [square_skeleton(), catalog.load("b2-flag"), bad_degree, parallel]:
-        assert (gkm._star_sums(G) is not None) is gkm.validate(G).passed
-    assert gkm._star_sums(bad_degree) is None and gkm._star_sums(parallel) is None
+        assert (gkm._fold_of(G).sums is not None) is gkm.validate(G).passed
+    assert gkm._fold_of(bad_degree).sums is None and gkm._fold_of(parallel).sums is None
+
+
+# Graphs that each reader refuses or passes, with the outcome each reader
+# gave before the readers shared one fold: the exception's type and
+# message, a report's verdict, or the value.
+SQUARE = [(0, (-1, -1)), (1, (1, -1)), (2, (1, 1)), (3, (-1, 1))]
+FAILURE_PATHS = {
+    "missing-edge": (
+        lambda: GkmGraph(2, 2, SQUARE, [(0, 1), (1, 2), (2, 3)]),
+        [(InvalidGraph, "graph fails GKM validation")] * 3
+        + [(InvalidGraph, "vertex 0 has 1 edges, not 2")]),
+    "parallel-weights": (
+        lambda: GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
+                         [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        [(InvalidGraph, "graph fails GKM validation")] * 3 + [(1, 2, 1)]),
+    "non-parallel-sum": (
+        lambda: GkmGraph(2, 2, [(0, (-1, Fraction(-1, 2))), (1, (1, Fraction(-1, 2))),
+                                (2, (1, Fraction(3, 2))), (3, (-1, Fraction(3, 2)))],
+                         [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        [(InconsistentIndex, "weight sum at 0 is not parallel to the vertex")] * 2
+        + [False, (1, 2, 1)]),
+    "disagreeing-indices": (
+        lambda: GkmGraph(1, 1, [(0, (-1,)), (1, (2,))], [(0, 1)]),
+        [(InconsistentIndex, "index 1/2 at 1 disagrees with 1")] * 2 + [False, (1, 1)]),
+    # (1, 2) vanishes on the repeated side (2, -1): the census drops it
+    "vanishing-repeat": (
+        lambda: GkmGraph(2, 2, [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))],
+                         [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        [(InvalidGraph, "vertex at the origin has no well-defined index")] * 2
+        + [False, (1, 2, 1)]),
+    "vanishing-repeat-centred": (
+        lambda: GkmGraph(2, 2, [(0, (-1, 0)), (1, (1, -1)), (2, (-1, 1)), (3, (1, 0))],
+                         [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        [True, 2, False, (1, 2, 1)]),
+    "edgeless": (
+        lambda: GkmGraph(2, 0, [(0, (1, 0)), (1, (-1, 0))], []),
+        [(NonPositiveIndex, "computed index 0")] * 2 + [False, (2,)]),
+    "degree-too-large": (
+        lambda: GkmGraph(1, 2, [(0, (-1,)), (1, (1,))], [(0, 1)]),
+        [(InvalidGraph, "graph fails GKM validation")] * 3
+        + [(InvalidGraph, "degree 2 is more than 2 vertices allow")]),
+}
+
+
+def _result(reader, G):
+    try:
+        got = reader(G)
+    except DelzantError as e:
+        return type(e), str(e)
+    return got.passed if isinstance(got, VerificationReport) else got
+
+
+@pytest.mark.parametrize("name", list(FAILURE_PATHS))
+def test_readers_keep_their_failure_paths(name):
+    make, want = FAILURE_PATHS[name]
+    readers = [gkm.verify_graph_corollary, gkm.gorenstein_index, gkm.is_reflexive_graph,
+               gkm.h_vector_graph]
+    shared = make()
+    for reader, expected in zip(readers, want):
+        # the fold made by this reader, and kept from the readers before it
+        assert _result(reader, make()) == _result(reader, shared) == expected, reader
 
 
 def test_an_edgeless_graph_has_zero_weight_sums():

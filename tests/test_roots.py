@@ -293,3 +293,31 @@ def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     assert G._length == H._length
     assert all(type(G._length[e]) is type(H._length[e]) for e in G.edge_list)
     assert G.lattice == H.lattice and G.q == H.q
+    # the fold the walk keeps is the one the readers would make
+    assert G._folded == gkm._fold(H.degree, H.ambient_dim, gkm.stars(H))
+
+
+@pytest.mark.parametrize("kind, rank, I", ORBITS)
+def test_walk_pairing_vectors_are_the_coroot_pairings(kind, rank, I):
+    rs = roots.build(kind, rank)
+    p0 = roots.base_point(rs, I)
+    _, keys, points, pairings = roots._walk(rs, p0)
+    assert list(points) == roots.weyl_orbit(rs, p0)
+    assert list(keys) == sorted(set(keys))
+    for p, tv in zip(points, pairings):
+        assert list(tv) == [sum(a * c for a, c in zip(p, rs._coroot[beta]))
+                            for beta in rs.positive_roots], p
+
+
+@pytest.mark.parametrize("kind, rank", SYSTEMS)
+def test_root_tables_match_the_closure(kind, rank):
+    rs = roots.build(kind, rank)
+    every = rs.closure(rs.simple_roots, range(rank))
+    assert rs.positive_roots == sorted(r for r in every if all(c >= 0 for c in r))
+    assert len(every) == 2 * len(rs.positive_roots)
+    for j, alpha in enumerate(rs.simple_roots):
+        for beta, image in zip(rs.positive_roots, rs._reflected[j]):
+            # the table keeps alpha_j for s_j alpha_j = -alpha_j
+            want = rs.reflect(alpha, beta)
+            assert rs.positive_roots[image] == (alpha if beta == alpha else want), (j, beta)
+        assert rs.reflect(alpha, alpha) == tuple(-c for c in alpha)
