@@ -32,11 +32,14 @@ from .errors import (
     UnboundedSearch,
 )
 
-# The most work one row of the double description may take: its pair test
-# scans every ray for each pair of rays on opposite sides of the row, so
-# the work is len(pos) * len(neg) * len(rays).  Above it, the hull raises
-# UnboundedSearch before the row's pair loop starts.
-HULL_WORK_LIMIT = 10**7
+# The budgets of one double-description hull, over all its rows.  A row
+# tests each pair of rays on opposite sides of it by the bit count of their
+# common tight set, about 0.12 us a pair, and scans every ray's mask for
+# each pair that passes, about 0.1 us a ray (shared 2-core Xeon).  The
+# pairs are charged before a row's pair loop, the scans as they happen;
+# the hull raises UnboundedSearch as soon as either is over its budget.
+HULL_PAIR_LIMIT = 3 * 10**6
+HULL_SCAN_LIMIT = 6 * 10**6
 
 
 def _cleared(normal, offset):
@@ -86,11 +89,16 @@ def _rational(c):
     return c if type(c) is int or type(c) is Fraction else Fraction(c)
 
 
+# Fraction(c) for -64 <= c <= 64, at index c (negative c from the end):
+# Fractions are immutable, so the points share them.
+_SMALL = [Fraction(c) for c in range(65)] + [Fraction(c) for c in range(-64, 0)]
+
+
 def _point(x, t):
     """The point x / t, for an integer vector x and an integer t > 0, as a
     tuple of Fractions."""
     if t == 1:
-        return tuple(map(Fraction, x))
+        return tuple([_SMALL[c] if -65 < c < 65 else Fraction(c) for c in x])
     return tuple(Fraction(c, t) for c in x)
 
 
@@ -134,34 +142,43 @@ def _primitive(v):
 
 def _start(rows, d):
     """The indices of the first d linearly independent rows, and the rays of
-    the simplicial cone they cut out, one per row: ray j is tight on every
-    chosen row but row j.  None if the rows have rank < d."""
-    chosen, echelon = [], []
+    the simplicial cone they cut out, one per row: ray j is primitive, tight
+    on every chosen row but row j and positive on row j.  None if the rows
+    have rank < d.
+
+    One elimination: ``free`` spans the vectors tight on the rows chosen so
+    far, starting from e_1, ..., e_d.  A row that pairs nonzero with a free
+    vector y is chosen, y (made positive on it) is its ray, and the other
+    free vectors and the earlier rays are made tight on it."""
+    chosen, rays = [], []
+    free = [tuple(int(i == j) for j in range(d)) for i in range(d)]
     for i, row in enumerate(rows):
-        v = list(row)
-        for c, e in echelon:
-            if v[c]:
-                v = _primitive([x * e[c] - v[c] * y for x, y in zip(v, e)])
-        pivot = next((c for c, x in enumerate(v) if x), None)
-        if pivot is not None:
-            chosen.append(i)
-            echelon.append((pivot, v))
-            if len(chosen) == d:
+        for k, y in enumerate(free):
+            s = sum(map(mul, row, y))
+            if s:
                 break
-    else:
-        return None
-    # Gauss-Jordan on [B^T | I] for the chosen rows B leaves E with
-    # E B^T diagonal, so row j of E is column j of B^-1 (the adjugate) up
-    # to scale.
-    m = [list(col) + [int(i == j) for j in range(d)]
-         for i, col in enumerate(zip(*(rows[i] for i in chosen)))]
-    for c in range(d):
-        p = next(i for i in range(c, d) if m[i][c])
-        m[c], m[p] = m[p], m[c]
-        for i in range(d):
-            if i != c and m[i][c]:
-                m[i] = _primitive([x * m[c][c] - m[i][c] * y for x, y in zip(m[i], m[c])])
-    return chosen, [_primitive([x if m[j][j] > 0 else -x for x in m[j][d:]]) for j in range(d)]
+        else:
+            continue
+        del free[k]
+        if s < 0:
+            y, s = tuple(-c for c in y), -s
+        free = _tight(free, row, y, s)
+        rays = _tight(rays, row, y, s)
+        chosen.append(i)
+        rays.append(y)
+        if not free:
+            return chosen, rays
+    return None
+
+
+def _tight(vectors, row, y, s):
+    """Each vector x made tight on the row by s x - <row, x> y, primitive,
+    for a y with <row, y> = s > 0."""
+    out = []
+    for x in vectors:
+        t = sum(map(mul, row, x))
+        out.append(_primitive([s * a - t * b for a, b in zip(x, y)]) if t else x)
+    return out
 
 
 def _extreme_rays(rows, d):
@@ -179,8 +196,8 @@ def _extreme_rays(rows, d):
     Returns a list of (ray, tight) with ``tight`` the set of rows the ray
     is tight on, as a bitmask of row indices.  Returns None if the rows
     have rank < d, that is if the cone is not pointed.  Raises
-    UnboundedSearch before a row whose pair test would take more than
-    HULL_WORK_LIMIT steps.
+    UnboundedSearch once the pair tests or the mask scans go over
+    HULL_PAIR_LIMIT or HULL_SCAN_LIMIT.
     """
     start = _start(rows, d)
     if start is None:
@@ -189,6 +206,7 @@ def _extreme_rays(rows, d):
     every = sum(1 << i for i in chosen)
     rays = [(ray, every & ~(1 << i)) for i, ray in zip(chosen, first)]
     chosen = set(chosen)
+    pairs = scans = 0
     for k, row in enumerate(rows):
         if k in chosen:
             continue
@@ -204,19 +222,25 @@ def _extreme_rays(rows, d):
             else:
                 kept.append((ray, tight | bit))
         if neg:
-            work = len(pos) * len(neg) * len(rays)
-            if work > HULL_WORK_LIMIT:
+            pairs += len(pos) * len(neg)
+            if pairs > HULL_PAIR_LIMIT:
                 raise UnboundedSearch(
-                    f"the double-description hull would take {work} steps at row {k}, "
-                    f"more than its limit of {HULL_WORK_LIMIT}"
+                    f"the double-description hull would test {pairs} ray pairs by row {k}, "
+                    f"more than its limit of {HULL_PAIR_LIMIT}"
                 )
             masks = [tight for _, tight in rays]
             for rp, tp, sp in pos:
                 for rn, tn, sn in neg:
                     common = tp & tn
-                    if common.bit_count() < d - 2 or any(
-                        t & common == common and t != tp and t != tn for t in masks
-                    ):
+                    if common.bit_count() < d - 2:
+                        continue
+                    scans += len(masks)
+                    if scans > HULL_SCAN_LIMIT:
+                        raise UnboundedSearch(
+                            f"the double-description hull would scan {scans} ray masks by row {k}, "
+                            f"more than its limit of {HULL_SCAN_LIMIT}"
+                        )
+                    if any(t & common == common and t != tp and t != tn for t in masks):
                         continue
                     ray = _primitive([sp * b - sn * a for a, b in zip(rp, rn)])
                     kept.append((ray, common | bit))

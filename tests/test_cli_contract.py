@@ -125,8 +125,9 @@ NON_REGULAR = {"ambient_dim": 1, "degree": 2, "vertices": [
 CUBE7 = {"dim": 7, "facets": [
     {"normal": [s if j == i else 0 for j in range(7)], "offset": 1}
     for i in range(7) for s in (1, -1)]}
-# The 13-cube by its 26 facets: the hull's last row would test 4096 x 4096
-# ray pairs against 8193 rays, more than polytope.HULL_WORK_LIMIT.
+# The 13-cube by its 26 facets: every ray pair of the hull passes the
+# bit-count filter, and the mask scans of its last row (4096 pairs against
+# 4097 rays) take the hull past polytope.HULL_SCAN_LIMIT.
 CUBE13 = {"dim": 13, "facets": [
     {"normal": [s if j == i else 0 for j in range(13)], "offset": 1}
     for i in range(13) for s in (1, -1)]}
@@ -159,7 +160,7 @@ CUBE13 = {"dim": 13, "facets": [
     (["verify", "main", "--with-oracle"], CUBE7, "takes at most 12 facets"),
     (["lengths"], FLOAT_IDS, "is a float"),
     (["gkm", "check"], segment_graph(edges=[{"u": 0, "v": 1.0}]), "is a float"),
-    (["fvector"], CUBE13, "more than its limit of 10000000"),
+    (["fvector"], CUBE13, "more than its limit of 6000000"),
     (["lengths"], BOOL_END, "is a boolean"),
     (["gkm", "check"], BOOL_ID, "is a boolean"),
 ])

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delzant import catalog, cli, gkm, roots, serialize
+from delzant import catalog, cli, gkm, polytope, roots, serialize
 from delzant.gkm import GkmGraph
 from delzant.report import num_to_json
 
@@ -174,16 +174,37 @@ def test_every_weyl_orbit_has_a_pinned_build():
     assert built <= set(BUILD_SHA256)
 
 
+def _tool(name):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_orbit_probe_hashes_the_build_output(capsys):
     # tools/orbit_probe.py streams `gkm build` through SHA-256
-    path = Path(__file__).resolve().parent.parent / "tools" / "orbit_probe.py"
-    spec = importlib.util.spec_from_file_location("orbit_probe", path)
-    probe = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(probe)
+    probe = _tool("orbit_probe")
     assert probe.main(["A", "2"]) == 0
     line = capsys.readouterr().out
     assert line.startswith("exit 0 ") and line.endswith(f"sha256 {BUILD_SHA256['A', '2']}\n")
     assert " 1992 bytes " in line
+
+
+def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
+    # tools/hull_probe.py on the cyclic 4-polytope with 9 vertices; the
+    # SHA-256 was recorded before the hull's start and its output Fractions
+    # changed.
+    probe = _tool("hull_probe")
+    assert [probe.cyclic_facets(d, n) for d, n in [(2, 5), (3, 6), (4, 40), (5, 9), (6, 28)]] == \
+        [5, 8, 740, 30, 2576]
+    assert probe.main(["4", "9"]) == 0
+    line = capsys.readouterr().out
+    assert " 27 facets (closed form 27)  sha256 " \
+        "ffb9a58d4759157ebf30b1cee0a74cace683035ee79a8c39847e0bee22a36f8a\n" in line
+    monkeypatch.setattr(polytope, "HULL_SCAN_LIMIT", 10)
+    assert probe.main(["4", "9"]) == 2
+    assert "UnboundedSearch" in capsys.readouterr().out
 
 
 # `gkm build` with every simple root in I: the orbit is the origin alone,
@@ -306,6 +327,52 @@ POLYTOPE_SHA256 = {
     ("fvector", "std-simplex"): (0, "8656c3ea1f4301599e43ff39b2fcd27a3d807b63c87a45d32d79791c1c38c567"),
     ("fvector", "std-simplex", "--text"): (0, "307124c76d0a968195d9daa284abad54932072b50b49404fce15eb5beb528356"),
 }
+
+
+# Exit code and SHA-256 of the standard output of `delzant catalog show
+# NAME [--text]` for every catalog polytope, recorded before the output
+# coordinates -64..64 were taken from one shared table of Fractions.
+SHOW_SHA256 = {
+    ("cp2-triangle",): (0, "273fa29f81fcecfa1f6851d1327eaedc2b08e77211af028d3a4eb0d0093c62a8"),
+    ("cp2-triangle", "--text"): (0, "695c4bb8b7fb142e811f1ae8b808a2a5883cfe16aca283241936f1acb333fd49"),
+    ("square",): (0, "8f9750e446937e4719b38bce836b7262827860b0d8b95555fe7f2b0352e3f261"),
+    ("square", "--text"): (0, "7c04a664904bf890c8117a32b41a9473dbc9ab59486bd1b79aecb08bbe4ed603"),
+    ("blowup1",): (0, "95413ca91376be5e4beede64e8d96013b120e97ee82abf5a4f5ee1189e169ea7"),
+    ("blowup1", "--text"): (0, "8f97d943ee6bd556f924c98247112454426029dea15aad355a608abcbb8b087b"),
+    ("blowup2",): (0, "9e255bc4f05b9ddf5e957c3232c26c6cd13788e79416aad194b23c4c339f662e"),
+    ("blowup2", "--text"): (0, "d8f9de5b0d5f491704de02c6aa2cb3495070e9ea03585c75ebb21733a0efc008"),
+    ("hexagon",): (0, "91f2b2166f55217dfbf191a4f8eaf554d45cd3de6b190f72f048a2929fa08393"),
+    ("hexagon", "--text"): (0, "e4748b952313870a344fd3d2d317132b2335947eb809919239c2226c6d66121d"),
+    ("cube",): (0, "124a4238449e885f397cd033436689be901d9f4758deccf0cf976f95e48ac8e5"),
+    ("cube", "--text"): (0, "fc4b407aba34f0a051bcaef737f3418b2fb8946093bee8940996791a260db441"),
+    ("cp3-simplex",): (0, "4324e057cf881e84c95ee2c6a8879bd911e90a1e57da5337b18ac37d0f0177d4"),
+    ("cp3-simplex", "--text"): (0, "e9f536bd1307281436fad9b6aafeddaa42c6998785c7b3a2f6412004e6b0f74d"),
+    ("hypercube4",): (0, "59ab796946c7426498558bc6885ccb7e37f50fc1ee4c15f9147f00e4ba04b8b9"),
+    ("hypercube4", "--text"): (0, "1c0084447984d49ae5539ae6ac213e2721aed12d5941ce519600775b7bec3385"),
+    ("octahedron",): (0, "2f471845e57e6244444674f29a1b1da40ca8e516e98e1107a8ab2b6c80a4f323"),
+    ("octahedron", "--text"): (0, "a9052d8c4c1143990bd954814430c633990743a8f6f438524dcdbedb9a1b5a90"),
+    ("diamond",): (0, "14b9d9cbdd3f5e4150d3affc0b7db06096bb10d30bd22bdcc16e35fc5b35e03a"),
+    ("diamond", "--text"): (0, "7a1ca4445aa71babcc48a20a0d7c0d125af9cebcb55cdaa6b0fb164305f54c45"),
+    ("rect",): (0, "d5e6a20991c761b885ec91ce7af136dafbb50299ee62049b08238f540dda2d39"),
+    ("rect", "--text"): (0, "1a5a8da5649f02590c0d714e2e45b149f5980f5299801b82f64b59d55db2614c"),
+    ("unit-square",): (0, "832ac195c16159f61dd4692abd61dd693afd7c8f00fed578b6444d03316b5f46"),
+    ("unit-square", "--text"): (0, "451b78168e3d86079cad3af348b1f36404dcc4efb074bb41ffaac968a9ee68b2"),
+    ("std-simplex",): (0, "c28a00d351cbe40bef4368c759b88daf13b3695b52a72a30ffa8ffa53530a7b3"),
+    ("std-simplex", "--text"): (0, "5ad557e5d10da359da3bd0f95cc7d5b507993061284dc48165f4f918f7dd918c"),
+}
+
+
+def test_every_catalog_polytope_has_a_pinned_show_output():
+    for flags in ((), ("--text",)):
+        assert {name for name, *f in SHOW_SHA256 if tuple(f) == flags} == set(catalog.names("polytope"))
+
+
+@pytest.mark.parametrize("args", list(SHOW_SHA256), ids=" ".join)
+def test_catalog_show_output_is_pinned(args):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["catalog", "show", *args])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == SHOW_SHA256[args]
 
 
 def test_every_catalog_polytope_has_pinned_dual_and_fvector_outputs():

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -98,6 +99,39 @@ def test_from_halfspaces_matches_brute_hull(halfspaces):
     assert _outcome(Polytope.from_halfspaces, halfspaces) == _outcome(
         oracle.brute_hull, halfspaces=halfspaces
     )
+
+
+def _cyclic(d, n):
+    """The points (t, t^2, ..., t^d) of the moment curve, t = 0, ..., n - 1."""
+    return [tuple(t**i for i in range(1, d + 1)) for t in range(n)]
+
+
+def _gale_even(S, n):
+    """Gale's evenness condition on a set S of points of the moment curve:
+    every two t < u outside S have an even number of points of S between
+    them.  The d-sets that meet it are the facets of the cyclic d-polytope."""
+    outside = [t for t in range(n) if t not in S]
+    return all(sum(a < s < b for s in S) % 2 == 0 for a, b in zip(outside, outside[1:]))
+
+
+@pytest.mark.parametrize("d, n", [(4, 7), (4, 8), (4, 9)])
+def test_cyclic_polytope_matches_brute_hull(d, n):
+    points = _cyclic(d, n)
+    assert _outcome(Polytope.from_vertices, points) == _outcome(oracle.brute_hull, points=points)
+
+
+@pytest.mark.parametrize("d, n, facets", [(4, 40, 740), (6, 28, 2576)])
+def test_cyclic_polytope_facets_by_gale_evenness(d, n, facets):
+    # The closed form n/(n - m) C(n - m, m), d = 2m, counts the d-sets that
+    # are Gale even; the hull finds that many distinct ones, so it finds
+    # all of them.  Points come out in the order of t, so vertex t is t.
+    m = d // 2
+    assert n * comb(n - m, m) == facets * (n - m)
+    P = Polytope.from_vertices(_cyclic(d, n))
+    assert P.vertices == tuple(_cyclic(d, n))
+    on_facet = set(P.incidence()[1])
+    assert len(on_facet) == len(P.facets) == facets
+    assert all(len(S) == d and _gale_even(S, n) for S in on_facet)
 
 
 PYRAMID = [(1, 1, 0), (1, -1, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]

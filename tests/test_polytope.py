@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings, strategies as st
 
 from delzant import catalog, polytope
@@ -45,18 +47,81 @@ def test_cross_polytope_roundtrips_through_its_facets(n):
 
 
 def test_hull_work_limit(monkeypatch):
-    # The 8-cube takes 16512 steps in one row of the hull from its facets
-    # and 176 from its vertices: far inside the limit, and refused just
-    # below those figures.
+    # The 8-cube from its facets takes 254 ray pairs and 22338 mask scans,
+    # from its vertices 1538 pairs and 13647 scans: far inside the budgets,
+    # accepted at those counts and refused one below each.
     P = cube(8)
-    assert Polytope.from_vertices(P.vertices) == P
-    monkeypatch.setattr(polytope, "HULL_WORK_LIMIT", 16511)
-    with pytest.raises(UnboundedSearch, match="more than its limit of 16511"):
-        cube(8)
-    assert Polytope.from_vertices(P.vertices) == P
-    monkeypatch.setattr(polytope, "HULL_WORK_LIMIT", 175)
-    with pytest.raises(UnboundedSearch):
-        Polytope.from_vertices(P.vertices)
+    for limit, count, hull in [
+        ("HULL_PAIR_LIMIT", 254, lambda: cube(8)),
+        ("HULL_SCAN_LIMIT", 22338, lambda: cube(8)),
+        ("HULL_PAIR_LIMIT", 1538, lambda: Polytope.from_vertices(P.vertices)),
+        ("HULL_SCAN_LIMIT", 13647, lambda: Polytope.from_vertices(P.vertices)),
+    ]:
+        with monkeypatch.context() as m:
+            m.setattr(polytope, limit, count)
+            assert hull() == P
+            m.setattr(polytope, limit, count - 1)
+            with pytest.raises(UnboundedSearch, match=f"more than its limit of {count - 1}$"):
+                hull()
+
+
+def _rank(rows):
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+@st.composite
+def start_rows(draw):
+    """Integer rows in dimension d <= 6, some of them combinations of
+    earlier ones."""
+    d = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append(tuple(x * p + y * q for p, q in zip(a, b)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=d, max_size=d))))
+    return rows, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(start_rows())
+def test_start_picks_the_first_independent_rows_and_their_rays(case):
+    rows, d = case
+    start = polytope._start(rows, d)
+    assert (start is None) == (_rank(rows) < d)
+    if start is None:
+        return
+    chosen, rays = start
+    # greedy: a row is chosen iff it is independent of the rows chosen
+    # before it, until d are chosen
+    greedy = []
+    for i, row in enumerate(rows):
+        if len(greedy) < d and _rank([rows[j] for j in greedy] + [row]) > len(greedy):
+            greedy.append(i)
+    assert chosen == greedy
+    assert len(rays) == d
+    for j, ray in enumerate(rays):
+        assert gcd(*ray) == 1
+        for k, i in enumerate(chosen):
+            s = sum(a * b for a, b in zip(rows[i], ray))
+            assert s > 0 if k == j else s == 0
+
+
+def test_output_coordinates_are_fractions_in_and_out_of_the_shared_table():
+    # -64..64 come from one shared table, 1000 and -65 do not; both are
+    # Fractions with the values and hashes of Fraction(c).
+    P = Polytope.from_vertices([(0, 0), (1000, 0), (0, -65), (64, 64), (-64, 3)])
+    for v in P.vertices:
+        for c in v:
+            assert type(c) is Fraction
+            assert (c, hash(c)) == (Fraction(c.numerator), hash(Fraction(c.numerator)))
+    assert (1000, 0) in P.vertices and (0, -65) in P.vertices and (-64, 3) in P.vertices
+    for c in range(-70, 71):
+        (x,) = polytope._point((c,), 1)
+        assert type(x) is Fraction and x == c and hash(x) == hash(c) == hash(Fraction(c))
 
 
 def test_unbounded_rejected():
