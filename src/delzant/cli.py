@@ -58,7 +58,8 @@ def _load_input(source, *kinds):
             obj = serialize.polytope_from_json(data)
     if not isinstance(obj, kinds):
         raise MalformedInput(
-            f"{source} is {_KIND[type(obj)]}; this command takes "
+            f"{source} is {_KIND[GkmGraph if isinstance(obj, GkmGraph) else Polytope]}; "
+            "this command takes "
             + " or ".join(_KIND[k] for k in kinds)
         )
     return obj
@@ -154,8 +155,10 @@ def _emit(payload, text=False):
 def _emit_graph(G, extra):
     """Print ``json.dumps(serialize.graph_to_json(G) | extra, indent=2,
     sort_keys=True)`` and a newline.  The vertex and edge records are
-    formatted straight from G's tables and written in batches, never built
-    as dicts; ids other than ints and "p/q" numbers go through ``_dumps``."""
+    formatted straight from G's coordinates and edge columns and written in
+    batches, never built as dicts; each distinct weight and length is
+    formatted once.  Ids other than ints and "p/q" numbers go through
+    ``_dumps``."""
     out = sys.stdout
 
     def num(x):
@@ -173,12 +176,16 @@ def _emit_graph(G, extra):
         out.write("[]" if sep == "[\n    " else "\n  ]")
 
     ids = {vid: int.__repr__(vid) if type(vid) is int else _dumps(vid, "") for vid in G.ids}
-    coords, weight, length = G.coords, G._weight, G._length
+    coords = G.coords
+    weights, lengths = G._columns()
     vertex = '{\n      "coords": ' + numbers(G.ambient_dim) + ',\n      "id": %s\n    }'
-    edge = ('{\n      "length": %s,\n      "u": %s,\n      "v": %s,\n      "weight": '
-            + numbers(G.ambient_dim) + "\n    }")
+    weight = numbers(G.ambient_dim)
+    wtext = {w: weight % w for w in set(weights)}
+    ltext = {x: str(num(x)) for x in set(lengths)}
+    edge = '{\n      "length": %s,\n      "u": %s,\n      "v": %s,\n      "weight": %s\n    }'
     vertices = (vertex % (*map(num, coords[v]), ids[v]) for v in G.ids)
-    edges = (edge % (num(length[e]), ids[e[0]], ids[e[1]], *weight[e]) for e in G.edge_list)
+    edges = (edge % (lt, ids[u], ids[v], wt) for (u, v), lt, wt in
+             zip(G.edge_list, map(ltext.__getitem__, lengths), map(wtext.__getitem__, weights)))
 
     doc = {"ambient_dim": G.ambient_dim, "degree": G.degree,
            "vertices": vertices, "edges": edges} | extra

@@ -4,7 +4,8 @@ h-vectors, and the edge-length-sum identity for graphs."""
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import islice
+from functools import cached_property
+from itertools import islice, repeat
 from math import gcd
 from operator import itemgetter, mul, neg, sub
 
@@ -36,15 +37,21 @@ class GkmGraph:
     Vertices are identified by hashable ids; ``coords`` keeps each vertex's
     coordinates as given (ints or Fractions).  The graph is made integer
     once: q is the lcm of the coordinate denominators and ``lattice`` holds
-    the integer points q * p.  Each edge's weight (in both orientations)
-    and length are derived from the integer difference d of its ends, as
-    d / gcd(d) and gcd(d) / q, never given independently, so ``incident``,
-    ``weight`` and ``length`` are lookups.  ``_on_points`` takes the
+    the integer points q * p.  Each edge's weight and length are derived
+    from the integer difference d of its ends, as d / gcd(d) and
+    gcd(d) / q, never given independently.  ``_on_points`` takes the
     integer points as already made (``Polytope.skeleton`` has them from
     the incidence pass); the one exception to the derivation is
-    ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
-    edge's weight and length already known.  ``_folded`` keeps the
-    graph's ``_fold`` once made.
+    ``_ColumnGraph._from_edge_table``, which ``roots.coadjoint_graph``
+    calls with every edge's weight and length already known.  ``_folded``
+    keeps the graph's ``_fold`` once made.
+
+    ``star``, ``weight``, ``length`` and ``incident`` read the edges as
+    tables by edge, which ``_fill`` sets: ``_weight`` in both
+    orientations, ``_length``, and ``_incident``, the edges at each
+    vertex.  The JSON writer reads them as columns in ``edge_list`` order
+    (``_columns``).  A ``_ColumnGraph`` holds the columns and makes the
+    tables only when they are read.
     """
 
     _folded = None
@@ -108,29 +115,10 @@ class GkmGraph:
             weight[v, u] = tuple(map(neg, d))
             length[e] = _ratio(g, q)
 
-    @classmethod
-    def _from_edge_table(cls, ambient_dim, degree, points, edge_list, forward, back, lengths):
-        """The graph on the ids 0, 1, ... of distinct integer points, from
-        its edges (u, v) sorted by (u, v) and, edge by edge, the weights
-        u -> v and v -> u and the lengths: the tables ``__init__`` would
-        derive from the same points and edges, taken as given.  The caller
-        vouches for every edge."""
-        G = cls.__new__(cls)
-        G.ambient_dim = ambient_dim
-        G.degree = degree
-        G.ids = list(range(len(points)))
-        G.coords = G.lattice = dict(enumerate(points))
-        G.q = 1
-        G.edge_list = edge_list
-        G._weight = weight = dict(zip(edge_list, forward))
-        weight.update(zip(map(itemgetter(1, 0), edge_list), back))
-        G._length = dict(zip(edge_list, lengths))
-        incident = [[] for _ in points]
-        for e in edge_list:
-            incident[e[0]].append(e)
-            incident[e[1]].append(e)
-        G._incident = dict(enumerate(incident))
-        return G
+    def _columns(self):
+        """The weights u -> v and the lengths of the edges, as two lists in
+        ``edge_list`` order."""
+        return [self._weight[e] for e in self.edge_list], [self._length[e] for e in self.edge_list]
 
     def edges(self):
         return list(self.edge_list)
@@ -153,6 +141,59 @@ class GkmGraph:
 
     def sum_lengths(self):
         return sum(self._length.values())
+
+
+class _ColumnGraph(GkmGraph):
+    """A GkmGraph held as three columns: ``edge_list`` and, edge by edge,
+    ``_weight_col`` (the weights u -> v) and ``_length_col``.  Its tables
+    by edge are views of the columns, made the first time a reader asks
+    for them.  The views live on this class alone, as CPython does not
+    specialize an attribute read that a class-level ``cached_property``
+    could answer, and other graphs read their tables at every star."""
+
+    @classmethod
+    def _from_edge_table(cls, ambient_dim, degree, points, edge_list, weights, lengths):
+        """The graph on the ids 0, 1, ... of distinct integer points, from
+        three columns: its edges (u, v) sorted by (u, v) and, edge by edge,
+        the weights u -> v and the lengths, which ``__init__`` would derive
+        from the same points and edges, taken as given.  The caller vouches
+        for every edge."""
+        G = cls.__new__(cls)
+        G.ambient_dim = ambient_dim
+        G.degree = degree
+        G.ids = list(range(len(points)))
+        G.coords = G.lattice = dict(enumerate(points))
+        G.q = 1
+        G.edge_list = edge_list
+        G._weight_col = weights
+        G._length_col = lengths
+        return G
+
+    def _columns(self):
+        return self._weight_col, self._length_col
+
+    def sum_lengths(self):
+        return sum(self._length_col)
+
+    @cached_property
+    def _weight(self):
+        cols = self._weight_col
+        minus = {w: tuple(map(neg, w)) for w in set(cols)}
+        weight = dict(zip(self.edge_list, cols))
+        weight.update(zip(map(itemgetter(1, 0), self.edge_list), map(minus.__getitem__, cols)))
+        return weight
+
+    @cached_property
+    def _length(self):
+        return dict(zip(self.edge_list, self._length_col))
+
+    @cached_property
+    def _incident(self):
+        incident = {vid: [] for vid in self.ids}
+        for e in self.edge_list:
+            incident[e[0]].append(e)
+            incident[e[1]].append(e)
+        return incident
 
 
 def star(G, vid):
@@ -272,30 +313,38 @@ def is_reflexive_graph(G):
     return rep
 
 
+def _index_at(G, vid, s):
+    """The index r = -q * s_k / L_k that the weight sum s at vid gives,
+    with L = q*v the integer point and k its first nonzero coordinate;
+    InvalidGraph at the origin, InconsistentIndex when s is not parallel
+    to L, that is when s_i * L_k != s_k * L_i for some i."""
+    L = G.lattice[vid]
+    k = next((i for i, c in enumerate(L) if c), None)
+    if k is None:
+        raise InvalidGraph("vertex at the origin has no well-defined index")
+    if any(a * L[k] != s[k] * b for a, b in zip(s, L)):
+        raise InconsistentIndex(f"weight sum at {vid!r} is not parallel to the vertex")
+    return _ratio(-G.q * s[k], L[k])
+
+
 def gorenstein_index(G):
     """The unique r > 0 with weight sum = -r*v at every vertex.
 
-    With L = q*v the integer point, s is parallel to L iff
-    s_i * L_k = s_k * L_i for every i, k the first nonzero coordinate of L,
-    and then r = -q * s_k / L_k.
+    r is read at the first vertex.  With r = a/b and L = q*v the integer
+    point, every vertex then needs q*b*s = -a*L and L != 0, one integer
+    list comparison; the first vertex that fails it is diagnosed as the
+    first one was.
     """
     sums = _fold_of(G).sums
     if sums is None:
         raise InvalidGraph("graph fails GKM validation")
-    r = None
-    for vid, s in zip(G.ids, sums):
-        L = G.lattice[vid]
-        k = next((i for i, c in enumerate(L) if c), None)
-        if k is None:
-            raise InvalidGraph("vertex at the origin has no well-defined index")
-        if any(a * L[k] != s[k] * b for a, b in zip(s, L)):
-            raise InconsistentIndex(f"weight sum at {vid!r} is not parallel to the vertex")
-        cand = _ratio(-G.q * s[k], L[k])
-        if r is None:
-            r = cand
-        elif r != cand:
+    r = _index_at(G, G.ids[0], sums[0])
+    qb, a = repeat(G.q * r.denominator), repeat(-r.numerator)
+    for vid, s, L in zip(G.ids, sums, map(G.lattice.__getitem__, G.ids)):
+        if list(map(mul, s, qb)) != list(map(mul, L, a)) or not any(L):
+            cand = _index_at(G, vid, s)
             raise InconsistentIndex(f"index {cand} at {vid!r} disagrees with {r}")
-    if r is None or r <= 0:
+    if r <= 0:
         raise NonPositiveIndex(f"computed index {r}")
     return r
 
@@ -363,22 +412,26 @@ def first_census(G):
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
-    The graph must be regular.  When no direction is supplied, the
-    censuses under the first three candidate directions (ambient dimension
-    1 has only one) come from the graph's fold; if one of them vanishes on
-    a weight, the census is taken under each candidate in turn and the
-    vanishing ones are dropped.  The three censuses must agree; a
-    disagreement means the graph is not of the manifold type where the
-    census is direction-independent.
+    The graph must be regular: a fold already kept on the graph proves it
+    when it has its sums or censuses, and otherwise each vertex's edges
+    are counted, which names the first vertex that fails.  When no
+    direction is supplied, the censuses under the first three candidate
+    directions (ambient dimension 1 has only one) come from the graph's
+    fold; if one of them vanishes on a weight, the census is taken under
+    each candidate in turn and the vanishing ones are dropped.  The three
+    censuses must agree; a disagreement means the graph is not of the
+    manifold type where the census is direction-independent.
     """
     # A vertex has at most |V| - 1 edges, so a larger degree cannot be met
     # by any vertex; say so before naming one.
     if G.degree >= len(G.ids):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
-    for vid in G.ids:
-        k = len(G.incident(vid))
-        if k != G.degree:
-            raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
+    fold = G._folded
+    if fold is None or fold.sums is None and fold.censuses is None:
+        for vid in G.ids:
+            k = len(G.incident(vid))
+            if k != G.degree:
+                raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
     if xi is not None:
         xi = tuple(xi)
         if len(xi) != G.ambient_dim:

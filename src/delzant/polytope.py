@@ -40,6 +40,13 @@ from .errors import (
 # the hull raises UnboundedSearch as soon as either is over its budget.
 HULL_PAIR_LIMIT = 3 * 10**6
 HULL_SCAN_LIMIT = 6 * 10**6
+# The budget of one face-lattice walk, in face-facet pairs.  A layer
+# intersects each of its faces with every facet, and each new face takes
+# at most one step per facet to find the facets through it: about 1 us a
+# pair on the cube(10), 2 us on the 12-cube, whose vertex masks are longer
+# (same machine).  Each layer is charged before its loop, and the walk
+# raises UnboundedSearch as soon as the total is over the budget.
+FACE_WALK_LIMIT = 2 * 10**6
 
 
 def _cleared(normal, offset):
@@ -368,14 +375,25 @@ class Polytope:
         Kaibel and Pfetsch ("Computing the face lattice of a polytope from
         its vertex-facet incidences", 2002) decides maximality without
         comparing candidates: w is a facet of F iff the facets through w
-        that are not through F are exactly the j that produced w.
+        that are not through F are exactly the j that produced w.  The
+        facets through w are met over its vertices or, when it has more
+        vertices than P has facets, found among the facets.  Raises
+        UnboundedSearch once the face-facet pairs go over FACE_WALK_LIMIT.
         """
         if self._faces is None:
             at_vertex, on_facet = self._incidence_bits()
+            facet_bits = [(fv, 1 << j) for j, fv in enumerate(on_facet)]
             top = (1 << len(self.vertices)) - 1
             faces = {top: (0, self.dim)}
             layer = [(top, 0)]
+            pairs = 0
             for d in range(self.dim - 1, -1, -1):
+                pairs += len(layer) * len(on_facet)
+                if pairs > FACE_WALK_LIMIT:
+                    raise UnboundedSearch(
+                        f"the face walk would test {pairs} face-facet pairs by dimension {d}, "
+                        f"more than its limit of {FACE_WALK_LIMIT}"
+                    )
                 nxt = []
                 for F, A in layer:
                     producers = {}
@@ -386,11 +404,14 @@ class Polytope:
                     for w, js in producers.items():
                         if w in faces:
                             continue
-                        meet, rest = -1, w
-                        while rest:
-                            low = rest & -rest
-                            meet &= at_vertex[low.bit_length() - 1]
-                            rest ^= low
+                        if w.bit_count() > len(on_facet):
+                            meet = sum([bit for fv, bit in facet_bits if w & fv == w])
+                        else:
+                            meet, rest = -1, w
+                            while rest:
+                                low = rest & -rest
+                                meet &= at_vertex[low.bit_length() - 1]
+                                rest ^= low
                         if meet & ~A == js:
                             faces[w] = (meet, d)
                             nxt.append((w, meet))

@@ -7,6 +7,7 @@ form is the symmetrized Cartan matrix with long roots of square length 2.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import repeat
 from math import factorial, lcm
 from operator import mul, neg
@@ -151,8 +152,18 @@ _WEYL_SIMPLE = {
 }
 
 
+@cache
+def _tables(kind, rank):
+    return vars(RootSystem(kind, rank))
+
+
 def build(kind, rank):
-    """Construct a root system of type A/B/C/D (rank <= 6) or G2."""
+    """A root system of type A/B/C/D (rank <= 6) or G2.
+
+    Each call returns a new object, so a caller that reassigns one of its
+    attributes changes only that object.  The tables it holds are made
+    once per (type, rank) in a process and shared by every system of that
+    type and rank: they are read-only."""
     kind = kind.upper()
     if kind == "G2":
         kind = "G"
@@ -169,7 +180,9 @@ def build(kind, rank):
             raise UnsupportedType(f"type {kind} needs rank between 2 and {_MAX_RANK}")
     elif not 1 <= rank <= _MAX_RANK:
         raise UnsupportedType(f"type A needs rank between 1 and {_MAX_RANK}")
-    return RootSystem(kind, rank)
+    rs = RootSystem.__new__(RootSystem)
+    rs.__dict__.update(_tables(kind, rank))
+    return rs
 
 
 def weyl_order(rs):
@@ -269,23 +282,22 @@ def coadjoint_graph(rs, I):
     minus = [tuple(map(neg, beta)) for beta in betas]
     encoded = [sum(map(mul, beta, place)) for beta in betas]
     index = {k: u for u, k in enumerate(keys)}
-    edges, forward, back, lengths = [], [], [], []
+    edges, forward, lengths = [], [], []
 
     def stars():
         for u, (k, tv) in enumerate(zip(keys, pairings)):
             # The edges to the higher neighbours, by the neighbour's place.
-            row = sorted([(index[k - t * e], -t, beta, m)
-                          for t, e, beta, m in zip(tv, encoded, betas, minus) if t < 0])
+            row = sorted([(index[k - t * e], -t, beta)
+                          for t, e, beta in zip(tv, encoded, betas) if t < 0])
             if row:
-                vs, ts, bs, ms = zip(*row)
+                vs, ts, bs = zip(*row)
                 edges.extend(zip(repeat(u), vs))
                 lengths.extend(ts)
                 forward.extend(bs)
-                back.extend(ms)
             yield [beta if t < 0 else m for t, beta, m in zip(tv, betas, minus) if t]
 
     degree = sum(1 for t in pairings[0] if t)
     fold = gkm._fold(degree, rs.rank, stars())
-    G = gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, forward, back, lengths)
+    G = gkm._ColumnGraph._from_edge_table(rs.rank, degree, points, edges, forward, lengths)
     G._folded = fold
     return G

@@ -132,6 +132,12 @@ CUBE13 = {"dim": 13, "facets": [
     {"normal": [s if j == i else 0 for j in range(13)], "offset": 1}
     for i in range(13) for s in (1, -1)]}
 
+# The 12-cube by its 24 facets: the hull accepts it, and its face walk
+# (531,441 faces) goes past polytope.FACE_WALK_LIMIT at the 5-faces.
+CUBE12 = {"dim": 12, "facets": [
+    {"normal": [s if j == i else 0 for j in range(12)], "offset": 1}
+    for i in range(12) for s in (1, -1)]}
+
 
 @pytest.mark.parametrize("argv, data, error", [
     (["verify", "index-corollary"], SEGMENT, "UnsupportedDimension"),
@@ -163,6 +169,7 @@ CUBE13 = {"dim": 13, "facets": [
     (["fvector"], CUBE13, "more than its limit of 6000000"),
     (["lengths"], BOOL_END, "is a boolean"),
     (["gkm", "check"], BOOL_ID, "is a boolean"),
+    (["fvector"], CUBE12, "2266776 face-facet pairs by dimension 5, more than its limit of 2000000"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

@@ -207,6 +207,34 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
     assert "UnboundedSearch" in capsys.readouterr().out
 
 
+def test_ab_bench_summary_of_fixed_runs():
+    # tools/ab_bench.py: medians and quartiles per side, the ratio of the
+    # medians, and the pairs won by the change, ties counting for neither
+    def run(rate, p50, failed):
+        return {"correct": True, "attempted": 28, "failed": failed,
+                "metrics": {"items_per_s": {"value": rate, "unit": "1/s"},
+                            "item_p50_ms": {"value": p50, "unit": "ms"}}}
+
+    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher"},
+               {"name": "item_p50_ms", "unit": "ms", "better": "lower"}]
+    runs = {"parent": [run(r, 1.0, 1) for r in (100, 110, 120, 130, 140)],
+            "change": [run(r, p, 0) for r, p in
+                       [(120, 1.0), (120, 0.9), (120, 0.9), (90, 1.1), (160, 0.8)]]}
+    tool = _tool("ab_bench")
+    got = tool.summarize(runs, metrics, ["parent", "change"] * 2 + ["parent"])
+    assert got["correct"] and got["pairs"] == 5
+    assert got["failed"] == {"parent": 5, "change": 0}
+    assert got["attempted"] == {"parent": 140, "change": 140}
+    rate, p50 = got["metrics"]["items_per_s"], got["metrics"]["item_p50_ms"]
+    assert rate["parent"] == {"median": 120, "q1": 105, "q3": 135}
+    assert rate["change"] == {"median": 120, "q1": 105, "q3": 140}
+    assert (rate["ratio_of_medians"], rate["change_better_pairs"]) == (1.0, 3)
+    assert (p50["ratio_of_medians"], p50["change_better_pairs"]) == (0.9, 3)
+    assert rate["runs"]["change"] == [120, 120, 120, 90, 160]
+    assert tool.report(got)[0] == ("items_per_s (1/s, higher is better): parent 120 [105.0, 135.0]  "
+                                   "change 120 [105.0, 140.0]  ratio 1.0  change won 3 of 5")
+
+
 # `gkm build` with every simple root in I: the orbit is the origin alone,
 # which has no index.  Exit code and standard error, recorded before the
 # orbit walk.

@@ -203,6 +203,11 @@ FAILURE_PATHS = {
     "edgeless": (
         lambda: GkmGraph(2, 0, [(0, (1, 0)), (1, (-1, 0))], []),
         [(NonPositiveIndex, "computed index 0")] * 2 + [False, (2,)]),
+    # vertex 0 gives r = 0; the origin after it has the zero weight sum,
+    # which is -r times it for any r, so it is refused apart
+    "origin-after-first": (
+        lambda: GkmGraph(2, 0, [(0, (1, 0)), (1, (0, 0))], []),
+        [(InvalidGraph, "vertex at the origin has no well-defined index")] * 2 + [False, (2,)]),
     "degree-too-large": (
         lambda: GkmGraph(1, 2, [(0, (-1,)), (1, (1,))], [(0, 1)]),
         [(InvalidGraph, "graph fails GKM validation")] * 3

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -5,7 +7,7 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from delzant import gkm, roots
+from delzant import cli, gkm, roots
 from delzant.errors import DegenerateBasePoint, NotARoot, UnsupportedType
 
 import weyl_corpus
@@ -45,6 +47,17 @@ def test_unsupported_types():
         roots.build("A", 7)
     with pytest.raises(UnsupportedType):
         roots.build("G", 3)
+
+
+def test_builds_share_tables_but_not_attributes():
+    a, b = roots.build("A", 3), roots.build("A", 3)
+    assert a is not b and vars(a) == vars(b)
+    a.positive_roots = a.positive_roots[:2]
+    assert len(b.positive_roots) == len(roots.build("A", 3).positive_roots) == 6
+    for _ in range(2):
+        for kind, rank in [("E", 6), ("A", 7), ("G", 3), ("D", 2)]:
+            with pytest.raises(UnsupportedType):
+                roots.build(kind, rank)
 
 
 def test_reflect_basics():
@@ -295,6 +308,19 @@ def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     assert G.lattice == H.lattice and G.q == H.q
     # the fold the walk keeps is the one the readers would make
     assert G._folded == gkm._fold(H.degree, H.ambient_dim, gkm.stars(H))
+
+
+def test_orbit_tables_by_edge_are_made_only_when_read():
+    G = roots.coadjoint_graph(roots.build("B", 3), ())
+    assert gkm.verify_graph_corollary(G).passed
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli._emit_graph(G, {})
+    lazy = ("_weight", "_length", "_incident")
+    assert not any(name in vars(G) for name in lazy)
+    gkm.star(G, 0)
+    assert "_weight" in vars(G) and "_incident" in vars(G)
+    G.length(G.edge_list[0])
+    assert all(name in vars(G) for name in lazy)
 
 
 @pytest.mark.parametrize("kind, rank, I", ORBITS)

@@ -1,0 +1,127 @@
+"""Paired runs of the benchmark on a parent checkout and on this one.
+
+    python3 tools/ab_bench.py PARENT_DIR --workload W [--seed S] [--pairs N] [--out FILE]
+
+Runs ``python3 perfbench/run.py --workload W --seed S --seconds 20`` in
+PARENT_DIR and in the checkout this file belongs to, N times each (10 by
+default), one pair at a time: the parent runs first in pairs 0, 2, 4, ...
+and the change first in the others.  Both sides run with
+PYTHONDONTWRITEBYTECODE=1, so neither reads or leaves a ``__pycache__``.
+For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
+median and quartiles (``statistics.quantiles``, n = 4), the ratio of the
+medians (change over parent), and the pairs the change won, ties counting
+for neither; then whether every output was correct and the failed and
+attempted item counts.  ``--out`` writes the same summary with every run
+listed, as JSON.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
+
+
+def run_once(checkout, workload, seed):
+    """One benchmark run in ``checkout``: the JSON of its last line."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", "20"],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def _spread(xs):
+    q1, _, q3 = statistics.quantiles(xs, n=4)
+    return {"median": round(statistics.median(xs), 5), "q1": round(q1, 5), "q3": round(q3, 5)}
+
+
+def summarize(runs, metrics, first):
+    """The summary of paired runs.  ``runs`` maps "parent" and "change" to
+    their run results in pair order, each the JSON ``perfbench/run.py``
+    prints last (a metric is a {"value", "unit"} object); ``metrics`` is
+    the ``end_to_end`` list of ``BENCHMARK.json`` and ``first`` names the
+    side that ran first in each pair."""
+    out = {
+        "pairs": len(first),
+        "first_side_per_pair": list(first),
+        "correct": all(r["correct"] for side in SIDES for r in runs[side]),
+        "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
+        "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
+        "metrics": {},
+    }
+    for m in metrics:
+        name, higher = m["name"], m["better"] == "higher"
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in SIDES}
+        wins = sum(c > p if higher else c < p for p, c in zip(vals["parent"], vals["change"]))
+        spread = {side: _spread(vals[side]) for side in SIDES}
+        out["metrics"][name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            **spread,
+            "ratio_of_medians": round(spread["change"]["median"] / spread["parent"]["median"], 4),
+            "change_better_pairs": wins,
+            "runs": vals,
+        }
+    return out
+
+
+def report(summary):
+    """The summary as lines of text."""
+    lines = []
+    for name, m in summary["metrics"].items():
+        p, c = m["parent"], m["change"]
+        lines.append(
+            f"{name} ({m['unit']}, {m['better']} is better): "
+            f"parent {p['median']} [{p['q1']}, {p['q3']}]  "
+            f"change {c['median']} [{c['q1']}, {c['q3']}]  "
+            f"ratio {m['ratio_of_medians']}  "
+            f"change won {m['change_better_pairs']} of {summary['pairs']}"
+        )
+    lines.append(
+        f"correct {summary['correct']}  failed parent {summary['failed']['parent']} of "
+        f"{summary['attempted']['parent']}, change {summary['failed']['change']} of "
+        f"{summary['attempted']['change']}"
+    )
+    return lines
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("parent", help="root of the parent commit's checkout")
+    p.add_argument("--workload", required=True, choices=("hull", "verify", "weyl"))
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--out", help="write the summary and every run to this JSON file")
+    args = p.parse_args(argv)
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2, for quartiles")
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        metrics = json.load(fh)["end_to_end"]
+    where = {"parent": args.parent, "change": ROOT}
+    runs = {side: [] for side in SIDES}
+    first = []
+    for i in range(args.pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            runs[side].append(run_once(where[side], args.workload, args.seed))
+        print(f"pair {i} items_per_s: " + "  ".join(
+            f"{side} {runs[side][-1]['metrics']['items_per_s']['value']:.1f}" for side in SIDES),
+            file=sys.stderr)
+    summary = {"workload": args.workload, "seed": args.seed, **summarize(runs, metrics, first)}
+    print("\n".join(report(summary)))
+    if args.out:
+        with open(args.out, "w") as fh:
+            json.dump(summary, fh, indent=1)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
