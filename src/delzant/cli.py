@@ -319,19 +319,10 @@ def cmd_hvector(args):
 
 def cmd_lengths(args):
     obj = _load_input(args.input, Polytope, GkmGraph)
-    if isinstance(obj, Polytope):
-        per = [
-            {"edge": list(e), "length": serialize.num_to_json(obj.relative_length(e))}
-            for e in obj.edges()
-        ]
-        total = reflexive.sum_lengths(obj)
-    else:
-        per = [
-            {"edge": list(e), "length": serialize.num_to_json(obj.length(e))}
-            for e in obj.edges()
-        ]
-        total = obj.sum_lengths()
-    _emit({"edges": per, "sum": serialize.num_to_json(total)}, args.text)
+    edges = obj.edges()
+    lengths = obj.relative_lengths() if isinstance(obj, Polytope) else list(map(obj.length, edges))
+    per = [{"edge": list(e), "length": num_to_json(l)} for e, l in zip(edges, lengths)]
+    _emit({"edges": per, "sum": num_to_json(sum(lengths))}, args.text)
     return 0
 
 

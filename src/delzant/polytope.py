@@ -276,8 +276,8 @@ class Polytope:
         self._lattice = None
         self._edges = None
         self._skeleton = None
-        # Filled in by reflexive: the Delzant verdict and the table of the
-        # edges leaving each facet at each vertex.
+        # Filled in by the Delzant check: the verdict, and the weight of
+        # the edge leaving each facet at each vertex.
         self._delzant = None
         self._leaving = None
 
@@ -490,6 +490,17 @@ class Polytope:
             raise NonLatticeEdge(f"edge {edge} has non-integral length {length}")
         return length
 
+    def relative_lengths(self):
+        """The lattice lengths of the edges in ``edges()`` order: the
+        skeleton's length column.  NonLatticeEdge names the first edge
+        whose endpoint difference is not integral."""
+        S = self.skeleton()
+        lengths = list(map(S._length.__getitem__, S.edge_list))
+        for edge, length in zip(S.edge_list, lengths):
+            if not isinstance(length, int):
+                raise NonLatticeEdge(f"edge {edge} has non-integral length {length}")
+        return lengths
+
     # -- global operations ----------------------------------------------------
 
     def dual(self):
@@ -562,9 +573,10 @@ class Polytope:
     def generic_direction(self, avoid=()):
         """Deterministic direction not orthogonal to any edge.
 
-        Tries (1, B, B^2, ...) for increasing primes B, skipping any
-        direction in ``avoid`` so that several distinct generic directions
-        can be produced for cross-checks.
+        Tries (1, B, B^2, ...) for increasing primes B, then for B = 2m + 1,
+        m the largest |coordinate| of an edge weight, which is generic;
+        skips any direction in ``avoid`` so that several distinct generic
+        directions can be produced for cross-checks.
         """
         return gkm.generic_direction(self.skeleton(), avoid)
 

@@ -17,7 +17,7 @@ from .errors import (
     UnsupportedDimension,
 )
 from .gkm import is_delzant, is_reflexive
-from .polytope import Polytope, _bits
+from .polytope import Polytope, _bits, _ids
 from .report import VerificationReport
 
 
@@ -55,65 +55,41 @@ def normal_contributions(P, edge):
     (vertex ids of F, a).
     """
     _require_delzant(P)
-    at_vertex, on_facet = P.incidence()
+    at_vertex, on_facet = P._incidence_bits()
     u, v = edge
     shared = at_vertex[u] & at_vertex[v]
-    every = frozenset(range(len(P.vertices)))
-    return [
-        (every.intersection(*(on_facet[j] for j in shared if j != i)), a)
-        for i, a in _contributions(P, _leaving_table(P), edge)
-    ]
+    out = []
+    for i, a in _contributions(P, edge):
+        face = (1 << len(P.vertices)) - 1
+        for j in _bits(shared & ~(1 << i)):
+            face &= on_facet[j]
+        out.append((_ids(face), a))
+    return out
 
 
-def _leaving_table(P):
-    """For each vertex, a dict from facet id to the weights there of the
-    skeleton edges that leave that facet: the edges to a neighbour off it.
-    Built once per polytope, from the incidence bitmasks, and kept on it."""
-    if P._leaving is None:
-        S = P.skeleton()
-        at_vertex = P._incidence_bits()[0]
-        table = []
-        for vid, here in enumerate(at_vertex):
-            leaving = {}
-            others, ws, _ = gkm.star(S, vid)
-            for o, w in zip(others, ws):
-                for i in _bits(here & ~at_vertex[o]):
-                    leaving.setdefault(i, []).append(w)
-            table.append(leaving)
-        P._leaving = table
-    return P._leaving
-
-
-def _contributions(P, leaving, edge):
+def _contributions(P, edge):
     """The contribution of the edge u v in each 2-face through it, as
-    (facet id, a), for a polytope already checked to be Delzant;
-    ``leaving`` is its ``_leaving_table``.
+    (facet id, a), for a polytope already checked to be Delzant, from the
+    table ``P._leaving`` its Delzant check kept.
 
-    In a simple polytope the edge lies on n-1 facets.  Leaving out one of
-    them, facet i, the others cut out a 2-face through the edge, and the
-    second edge of that 2-face at u (and at v) is the one that leaves
-    facet i.
+    In a simple polytope the edge lies on n-1 of the n facets at u, and its
+    weight w1 at u leaves the other one.  Leaving out facet i of the n-1,
+    the others cut out a 2-face through the edge, and the second edge of
+    that 2-face at u (and at v) is the one that leaves facet i.
     """
     at_vertex = P._incidence_bits()[0]
     u, v = edge
-    w1 = P.skeleton().weight(edge)
+    at_u, at_v = P._leaving[u], P._leaving[v]
+    w1 = at_u[(at_vertex[u] & ~at_vertex[v]).bit_length() - 1]
     k = next(i for i, c in enumerate(w1) if c)
     out = []
     for i in _bits(at_vertex[u] & at_vertex[v]):
-        diff = tuple(map(sub, _one_leaving(leaving, u, i), _one_leaving(leaving, v, i)))
+        diff = tuple(map(sub, at_u[i], at_v[i]))
         a = diff[k] // w1[k]
         if diff != tuple(a * c for c in w1):
             raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {edge}")
         out.append((i, a))
     return out
-
-
-def _one_leaving(leaving, vid, i):
-    """The weight at vid of the one skeleton edge there that leaves facet i."""
-    hits = leaving[vid].get(i, ())
-    if len(hits) != 1:
-        raise MatchingFailed(f"not exactly one edge at vertex {vid} leaves facet {i}")
-    return hits[0]
 
 
 def verify_thm_combinatorics2(P):
@@ -122,11 +98,10 @@ def verify_thm_combinatorics2(P):
     if P.dim < 2:
         raise UnsupportedDimension("the normal-contribution sum needs dimension >= 2")
     f, _ = _census(P)
-    leaving = _leaving_table(P)
     total = 0
     per_edge = []
     for e in P.edges():
-        s = sum(a for _, a in _contributions(P, leaving, e))
+        s = sum(a for _, a in _contributions(P, e))
         per_edge.append((e, s))
         total += s
     rhs = 12 * f[2] - 3 * (P.dim - 1) * f[1]
@@ -137,22 +112,21 @@ def verify_thm_combinatorics2(P):
 
 
 def sum_lengths(P):
-    return sum(P.relative_length(e) for e in P.edges())
+    return sum(P.relative_lengths())
 
 
 def verify_length_decomposition(P):
     """Per-edge check of l(e) = 2 + (sum of normal contributions)."""
     _require_delzant(P)
     _require_reflexive(P)
-    leaving = _leaving_table(P)
+    lengths = P.relative_lengths()
     rep = VerificationReport("length-decomposition", True)
     total = 0
-    for e in P.edges():
-        length = P.relative_length(e)
-        s = 2 + sum(a for _, a in _contributions(P, leaving, e))
+    for e, length in zip(P.edges(), lengths):
+        s = 2 + sum(a for _, a in _contributions(P, e))
         rep.add_item(f"edge {e}", length == s, {"length": length, "2+sum_a": s})
         total += s
-    rep.lhs = sum_lengths(P)
+    rep.lhs = sum(lengths)
     rep.rhs = (total,)
     return rep
 
@@ -185,29 +159,30 @@ def verify_12_24(P):
     _require_reflexive(P)
     dual = P.dual()
     if P.dim == 2:
-        lhs = sum_lengths(P) + sum_lengths(dual)
+        primal, dual_sum = sum_lengths(P), sum_lengths(dual)
+        lhs = primal + dual_sum
         rep = VerificationReport("twelve", lhs == 12, lhs, (12,))
-        rep.add_item("primal", True, {"sum": sum_lengths(P)})
-        rep.add_item("dual", True, {"sum": sum_lengths(dual)})
+        rep.add_item("primal", True, {"sum": primal})
+        rep.add_item("dual", True, {"sum": dual_sum})
         return rep
     if P.dim == 3:
         # Facet <x, a> <= b of P is paired with the dual vertex -a/b, and an
         # edge of P on facets i and j with the dual edge of their vertices.
         dual_id = {p: k for k, p in enumerate(dual.vertices)}
         dual_of = [dual_id[tuple(Fraction(-c) / h.offset for c in h.normal)] for h in P.facets]
-        dual_edges = set(dual.edges())
+        dual_length = dict(zip(dual.edges(), dual.relative_lengths()))
         at_vertex = P._incidence_bits()[0]
         total = 0
         rep = VerificationReport("twenty-four", True)
-        for e in P.edges():
+        for e, length in zip(P.edges(), P.relative_lengths()):
             u, v = e
             shared = list(_bits(at_vertex[u] & at_vertex[v]))
             if len(shared) != 2:
                 raise MatchingFailed(f"edge {e} not on exactly two facets")
             de = tuple(sorted(dual_of[i] for i in shared))
-            if de not in dual_edges:
+            if de not in dual_length:
                 raise MatchingFailed(f"dual vertices of edge {e} do not span a dual edge")
-            term = P.relative_length(e) * dual.relative_length(de)
+            term = length * dual_length[de]
             total += term
             rep.add_item(f"edge {e}", True, {"l*l_dual": term})
         rep.passed = total == 24
@@ -221,10 +196,7 @@ def index_k0(P):
     """gcd of all relative edge lengths of a reflexive Delzant polytope."""
     _require_delzant(P)
     _require_reflexive(P)
-    g = 0
-    for e in P.edges():
-        g = gcd(g, P.relative_length(e))
-    return g
+    return gcd(*P.relative_lengths())
 
 
 def verify_index_corollary(P):
@@ -237,7 +209,7 @@ def verify_index_corollary(P):
     f, h = _census(P)
     cf = bounds.c_indexed_from_f(k0, n, f)
     ch = bounds.c_indexed_from_h(k0, n, h)
-    lengths = [P.relative_length(e) for e in P.edges()]
+    lengths = P.relative_lengths()
     all_k0 = all(l == k0 for l in lengths)
     ok = cf == ch and cf >= 0 and cf % k0 == 0 and ((cf == 0) == all_k0)
     rep = VerificationReport("index-corollary", ok, cf, (ch,))

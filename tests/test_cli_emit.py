@@ -209,17 +209,24 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
 
 def test_ab_bench_summary_of_fixed_runs():
     # tools/ab_bench.py: medians and quartiles per side, the ratio of the
-    # medians, and the pairs won by the change, ties counting for neither
-    def run(rate, p50, failed):
+    # medians, the pairs won by the change, ties counting for neither, and
+    # a verdict per metric against its bound
+    def run(rate, p50, setup, rss, failed):
         return {"correct": True, "attempted": 28, "failed": failed,
                 "metrics": {"items_per_s": {"value": rate, "unit": "1/s"},
-                            "item_p50_ms": {"value": p50, "unit": "ms"}}}
+                            "item_p50_ms": {"value": p50, "unit": "ms"},
+                            "setup_s": {"value": setup, "unit": "s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
 
-    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher"},
-               {"name": "item_p50_ms", "unit": "ms", "better": "lower"}]
-    runs = {"parent": [run(r, 1.0, 1) for r in (100, 110, 120, 130, 140)],
-            "change": [run(r, p, 0) for r, p in
-                       [(120, 1.0), (120, 0.9), (120, 0.9), (90, 1.1), (160, 0.8)]]}
+    metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.1},
+               {"name": "item_p50_ms", "unit": "ms", "better": "lower", "bound": 0.12},
+               {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.15},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    runs = {"parent": [run(r, 1.0, 1.0, m, 1) for r, m in
+                       [(100, 50), (110, 52), (120, 54), (130, 56), (140, 58)]],
+            "change": [run(r, p, s, m, 0) for r, p, s, m in
+                       [(120, 1.0, 1.2, 40), (120, 0.9, 1.3, 41), (120, 0.9, 1.2, 42),
+                        (90, 1.1, 1.2, 43), (160, 0.8, 1.2, 44)]]}
     tool = _tool("ab_bench")
     got = tool.summarize(runs, metrics, ["parent", "change"] * 2 + ["parent"])
     assert got["correct"] and got["pairs"] == 5
@@ -232,7 +239,17 @@ def test_ab_bench_summary_of_fixed_runs():
     assert (p50["ratio_of_medians"], p50["change_better_pairs"]) == (0.9, 3)
     assert rate["runs"]["change"] == [120, 120, 120, 90, 160]
     assert tool.report(got)[0] == ("items_per_s (1/s, higher is better): parent 120 [105.0, 135.0]  "
-                                   "change 120 [105.0, 140.0]  ratio 1.0  change won 3 of 5")
+                                   "change 120 [105.0, 140.0]  ratio 1.0  change won 3 of 5  "
+                                   "unresolved")
+    # the parent's interquartile range of items_per_s, 30, is wider than
+    # 0.1 of its median; p50 reads 0.9 against 1.0, a change within 0.12;
+    # setup_s is 0.2 worse, past 0.15; and peak_rss_mb is unresolved by
+    # its spread (6 against 0.1 of 54) but better in every run
+    assert [m["verdict"] for m in got["metrics"].values()] == \
+        ["unresolved", "within bound", "worse", "better"]
+    # a win in 9 of 10 pairs by more than the parent's spread
+    assert tool.verdict([10] * 10, [10.5] * 9 + [9.9], True, 0.1, 9) == "better"
+    assert tool.verdict([10] * 10, [10.5] * 8 + [9.9] * 2, True, 0.1, 8) == "within bound"
 
 
 # `gkm build` with every simple root in I: the orbit is the origin alone,
@@ -626,3 +643,80 @@ def test_verify_output_is_pinned(args):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["verify", ident, f"catalog:{name}", *flags])
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == VERIFY_SHA256[args]
+
+
+# Exit code and SHA-256 of the standard output and the standard error of
+# `delzant lengths INPUT [--text]` for every catalog entry and for the
+# rational Delzant triangle conv{0, e1/2, e2/2} ("half-triangle", read from
+# a file), recorded before a polytope's lengths became one column read off
+# its skeleton.  The triangle exits 2 with NON_LATTICE, the hash of
+# "error: NonLatticeEdge: edge (0, 1) has non-integral length 1/2\n".
+EMPTY = hashlib.sha256(b"").hexdigest()
+NON_LATTICE = "18a5841e9f85fce7ee01e2c9c72c49c211e8ec6f99cacf64d16e915c4668df7e"
+HALF_TRIANGLE = {"dim": 2, "vertices": [[0, 0], ["1/2", 0], [0, "1/2"]]}
+LENGTHS_SHA256 = {
+    ("cp2-triangle",): (0, "af65d8b3e8c119c4a16dfb138d5e4034e249a7ca55dde1eb292e3918545a47c4", EMPTY),
+    ("cp2-triangle", "--text"): (0, "01be4c473f84b42001a71072a08d2abe9154558bb76d13de19a62362f9d83861", EMPTY),
+    ("square",): (0, "5d45642310f0f935474bd6b45e7dd45f64157eae5fec3c5b4dc029891835e5ea", EMPTY),
+    ("square", "--text"): (0, "d8bd55daae4f5d1aa775a661912cb6a99bd1d19b2fc0f21016503b57ab695218", EMPTY),
+    ("blowup1",): (0, "0f44ff8d9ed5d4844618a533be98004671b0b3c60a3d2e22ba14a1413583765e", EMPTY),
+    ("blowup1", "--text"): (0, "883b7096a5bbc98701d1fcfcf2714e398e9fcc85cec07eb6bb80e5a73ccef042", EMPTY),
+    ("blowup2",): (0, "1467fa06b841f91f2e56580021edbe5d878ac22744931e9efc6053f16c4c0ed9", EMPTY),
+    ("blowup2", "--text"): (0, "29ce378b67c8461b7d22ee77c8397490d71975229796f030bdcbfefcdbefab89", EMPTY),
+    ("hexagon",): (0, "ab7f3ac62058f38f4681b38e89cec16120e43c6aa827fcd67e7e07594ff73e55", EMPTY),
+    ("hexagon", "--text"): (0, "1a01eb78445e4a60e9d16518bf124938ba2e439d262fe5989502abf9d9adc3ec", EMPTY),
+    ("cube",): (0, "f211eabf094943c5db09da639c5ccd838221114d8925da3eb14bb9baa27c37f5", EMPTY),
+    ("cube", "--text"): (0, "a1ce69fc4cff31a34ec14a76372c36cf16f0e396d6de724b16b447b5ba67b30a", EMPTY),
+    ("cp3-simplex",): (0, "71515fe898eb5a7438c3229d9283a7a397879df01fa19e050a8068f9968a440e", EMPTY),
+    ("cp3-simplex", "--text"): (0, "bd98909c70e9119bfc41ba259ff2100e5dfdea4da5f160239464402942d8c73a", EMPTY),
+    ("hypercube4",): (0, "6c764dcc20e46f7eeea290b9043202a79d277d49af0cc237854a628fff6f11ba", EMPTY),
+    ("hypercube4", "--text"): (0, "2e32afe177376e2d9a16afa7d5963d04790b8e3bd83de332d312951f06c7de6c", EMPTY),
+    ("octahedron",): (0, "c816d17ceb6fc19795de46f9b3f1f2ac537b172d58e42e5f049a029b68a3fe6f", EMPTY),
+    ("octahedron", "--text"): (0, "903639cf16a0202208f74d3b3dd3fcb2cd9c693f0dd9b565d16c595dfcabf1f6", EMPTY),
+    ("diamond",): (0, "a76d435fb223398a72a1c8226ccaec3902ac5155fc98c1313cb8347dd2978d1e", EMPTY),
+    ("diamond", "--text"): (0, "99c8e3ce59c610a4cc22aacd0295685ab83ed29cbf2e8f5d3e720f6b48ebd84a", EMPTY),
+    ("rect",): (0, "2879c1bf128edc402255289ff006df0f8384b5be790821a023f355d327f6eb97", EMPTY),
+    ("rect", "--text"): (0, "aa8ae3648c03993f46e1e620d9127e184c9e4c215185de799700ac5d1e838f89", EMPTY),
+    ("unit-square",): (0, "a76d435fb223398a72a1c8226ccaec3902ac5155fc98c1313cb8347dd2978d1e", EMPTY),
+    ("unit-square", "--text"): (0, "99c8e3ce59c610a4cc22aacd0295685ab83ed29cbf2e8f5d3e720f6b48ebd84a", EMPTY),
+    ("std-simplex",): (0, "ff74ddaf74e84d08dc8e1312e56d1330022b4a1fe3dc614f1f98d243cef5d7ea", EMPTY),
+    ("std-simplex", "--text"): (0, "5f796bb9c7fe33ce376a71af8bbde35a0525098e8a7ab62fdd982edaa9765341", EMPTY),
+    ("a2-flag",): (0, "aa562757dab3811862de00f7d8fbd8b0a14badf0bed811e31ca1efcae5594edc", EMPTY),
+    ("a2-flag", "--text"): (0, "41ac2c3ed1a30f41e780e91aa89696ccc4510840d3474870aaf3d0b059cc5ba6", EMPTY),
+    ("a2-cp2",): (0, "af65d8b3e8c119c4a16dfb138d5e4034e249a7ca55dde1eb292e3918545a47c4", EMPTY),
+    ("a2-cp2", "--text"): (0, "01be4c473f84b42001a71072a08d2abe9154558bb76d13de19a62362f9d83861", EMPTY),
+    ("a2-cp2b",): (0, "af65d8b3e8c119c4a16dfb138d5e4034e249a7ca55dde1eb292e3918545a47c4", EMPTY),
+    ("a2-cp2b", "--text"): (0, "01be4c473f84b42001a71072a08d2abe9154558bb76d13de19a62362f9d83861", EMPTY),
+    ("b2-flag",): (0, "267e6763157bc99a7b01469c643d2f929a64350fa9f7e331be2f279ddc4a004e", EMPTY),
+    ("b2-flag", "--text"): (0, "1330d5a4e2d85b77bb3c70030a0b7bc57fdf91b6934cb65dc0e6336691e7127e", EMPTY),
+    ("b2-i1",): (0, "71515fe898eb5a7438c3229d9283a7a397879df01fa19e050a8068f9968a440e", EMPTY),
+    ("b2-i1", "--text"): (0, "bd98909c70e9119bfc41ba259ff2100e5dfdea4da5f160239464402942d8c73a", EMPTY),
+    ("b2-i2",): (0, "8f03812ca64a9ea5602c9e0f812f4aeb701e6bf658579b9e2f82b8ec8c933a8e", EMPTY),
+    ("b2-i2", "--text"): (0, "a02178999191ea92ea58e58136e4bb50b9a6c9c6217d206f3ecdeced2e5a6de9", EMPTY),
+    ("gr24-graph",): (0, "c4eb38d2a96a568f006f4e40ed4d6f6d4a2dba47f0d3c176984eea1c33a1d1fb", EMPTY),
+    ("gr24-graph", "--text"): (0, "e951b046044108aa7c1265570d0ee5eb572387e2e546e7ba91f694f2945ba52a", EMPTY),
+    ("octahedron-skeleton",): (0, "4cb566eb8106fe1d95bac8e2368830f7669fd6f9b0fc5210a7d1a36ceffad8c1", EMPTY),
+    ("octahedron-skeleton", "--text"): (0, "81f2ca18f7696e07dad23e57b7c5e028e9a09d329ffbcffb24babfef86fbd14b", EMPTY),
+    ("half-triangle",): (2, EMPTY, NON_LATTICE),
+    ("half-triangle", "--text"): (2, EMPTY, NON_LATTICE),
+}
+
+
+def test_every_catalog_entry_has_pinned_lengths_outputs():
+    for flags in ((), ("--text",)):
+        pinned = {name for name, *f in LENGTHS_SHA256 if tuple(f) == flags}
+        assert pinned == {*catalog.names(), "half-triangle"}, flags
+
+
+@pytest.mark.parametrize("args", list(LENGTHS_SHA256), ids=" ".join)
+def test_lengths_output_is_pinned(args, tmp_path):
+    name, *flags = args
+    source = f"catalog:{name}"
+    if name == "half-triangle":
+        source = str(tmp_path / "half-triangle.json")
+        Path(source).write_text(json.dumps(HALF_TRIANGLE))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["lengths", source, *flags])
+    digests = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
+    assert (code, *digests) == LENGTHS_SHA256[args]

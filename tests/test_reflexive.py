@@ -5,7 +5,7 @@ import pytest
 from delzant import catalog, exact, gkm, oracle, reflexive
 from delzant.errors import (
     InconsistentCones,
-    MatchingFailed,
+    NonLatticeEdge,
     NonPositiveIndex,
     NotDelzant,
     NotGorensteinOfIndex,
@@ -99,29 +99,28 @@ def test_normal_contributions_match_2face_scan():
 
 
 def test_normal_contributions_check_and_tabulate_once(monkeypatch):
-    # the Delzant verdict and the leaving-facet table are kept on the
-    # polytope, so one per polytope serves every edge and every verifier
+    # the Delzant check runs once per polytope and keeps on it the table of
+    # the edge leaving each facet at each vertex, which every edge and
+    # every verifier then reads
     calls = []
     monkeypatch.setattr(reflexive, "is_delzant", lambda P: calls.append(P) or gkm.is_delzant(P))
     P = cube(5)
-    table = reflexive._leaving_table(P)
+    reflexive.normal_contributions(P, P.edges()[0])
+    table = P._leaving
+    at_vertex = P.incidence()[0]
+    for vid, leaving in enumerate(table):
+        assert set(leaving) == at_vertex[vid], vid
+        assert sorted(leaving.values()) == sorted(P.vertex_weights(vid)), vid
     for e in P.edges():
         reflexive.normal_contributions(P, e)
     assert reflexive.verify_thm_combinatorics2(P).passed
-    assert calls == [P] and reflexive._leaving_table(P) is table
+    assert reflexive.verify_length_decomposition(P).passed
+    assert calls == [P] and P._leaving is table
     Q = catalog.load("octahedron")
     for _ in range(2):
         with pytest.raises(NotDelzant):
             reflexive.normal_contributions(Q, Q.edges()[0])
     assert calls == [P, Q]
-
-
-def test_contributions_need_one_leaving_edge():
-    # at a vertex of the octahedron two edges leave each facet through it;
-    # the verifiers never get here, since they check the Delzant property
-    P = catalog.load("octahedron")
-    with pytest.raises(MatchingFailed, match="not exactly one edge"):
-        reflexive._contributions(P, reflexive._leaving_table(P), P.edges()[0])
 
 
 def test_dim2_contribution_sum():
@@ -153,6 +152,22 @@ def test_main_theorem_values():
     assert reflexive.sum_lengths(cube(3)) == 24
     assert reflexive.sum_lengths(simplex_cpn(3)) == 24
     assert reflexive.sum_lengths(cube(4)) == 64
+
+
+@pytest.mark.parametrize("vertices, first", [
+    ([(0, 0), (Fraction(1, 2), 0), (0, Fraction(1, 2))], (0, 1)),
+    # the first edge has length 1, the second 1/2
+    ([(0, 0), (0, 1), (Fraction(1, 2), 0), (Fraction(1, 2), 1)], (0, 2)),
+], ids=["half-triangle", "half-rectangle"])
+def test_sum_lengths_names_the_first_non_lattice_edge(vertices, first):
+    P = Polytope.from_vertices(vertices)
+    assert reflexive.is_delzant(P).passed
+    assert [e for e in P.edges() if not isinstance(P.skeleton().length(e), int)][0] == first
+    with pytest.raises(NonLatticeEdge) as by_edge:
+        P.relative_length(first)
+    with pytest.raises(NonLatticeEdge) as by_sum:
+        reflexive.sum_lengths(P)
+    assert str(by_sum.value) == str(by_edge.value) == f"edge {first} has non-integral length 1/2"
 
 
 def test_twelve_on_polygons():

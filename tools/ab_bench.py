@@ -9,9 +9,17 @@ and the change first in the others.  Both sides run with
 PYTHONDONTWRITEBYTECODE=1, so neither reads or leaves a ``__pycache__``.
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (``statistics.quantiles``, n = 4), the ratio of the
-medians (change over parent), and the pairs the change won, ties counting
-for neither; then whether every output was correct and the failed and
-attempted item counts.  ``--out`` writes the same summary with every run
+medians (change over parent), the pairs the change won, ties counting
+for neither, and a verdict against the metric's ``bound``; then whether
+every output was correct and the failed and attempted item counts.
+
+The verdict is ``better`` when every run of the change reads better than
+every run of the parent.  Otherwise it is ``unresolved`` when the parent's
+interquartile range is wider than the bound relative to its median,
+``worse`` when the change's median is worse than the parent's by more than
+the bound, ``better`` when the change won at least nine tenths of the
+pairs and the medians differ by more than the parent's interquartile
+range, and ``within bound`` else.  ``--out`` writes the same summary with every run
 listed, as JSON.
 """
 
@@ -42,6 +50,27 @@ def _spread(xs):
     return {"median": round(statistics.median(xs), 5), "q1": round(q1, 5), "q3": round(q3, 5)}
 
 
+def verdict(parent, change, higher, bound, wins):
+    """The verdict on one metric from its runs on each side: ``higher``
+    says whether higher is better, ``bound`` is the largest change of the
+    median, relative to the parent's, that counts as none, and ``wins`` is
+    the number of pairs the change won."""
+    sign = 1 if higher else -1
+    parent, change = [sign * x for x in parent], [sign * x for x in change]
+    if min(change) > max(parent):
+        return "better"
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    mid = statistics.median(parent)
+    if q3 - q1 > bound * abs(mid):
+        return "unresolved"
+    gain = statistics.median(change) - mid
+    if gain < -bound * abs(mid):
+        return "worse"
+    if wins >= 0.9 * len(parent) and gain > q3 - q1:
+        return "better"
+    return "within bound"
+
+
 def summarize(runs, metrics, first):
     """The summary of paired runs.  ``runs`` maps "parent" and "change" to
     their run results in pair order, each the JSON ``perfbench/run.py``
@@ -67,6 +96,7 @@ def summarize(runs, metrics, first):
             **spread,
             "ratio_of_medians": round(spread["change"]["median"] / spread["parent"]["median"], 4),
             "change_better_pairs": wins,
+            "verdict": verdict(vals["parent"], vals["change"], higher, m["bound"], wins),
             "runs": vals,
         }
     return out
@@ -82,7 +112,8 @@ def report(summary):
             f"parent {p['median']} [{p['q1']}, {p['q3']}]  "
             f"change {c['median']} [{c['q1']}, {c['q3']}]  "
             f"ratio {m['ratio_of_medians']}  "
-            f"change won {m['change_better_pairs']} of {summary['pairs']}"
+            f"change won {m['change_better_pairs']} of {summary['pairs']}  "
+            f"{m['verdict']}"
         )
     lines.append(
         f"correct {summary['correct']}  failed parent {summary['failed']['parent']} of "
