@@ -177,7 +177,7 @@ def _emit_graph(G, extra):
 
     ids = {vid: int.__repr__(vid) if type(vid) is int else _dumps(vid, "") for vid in G.ids}
     coords = G.coords
-    weights, lengths = G._columns()
+    weights, lengths = G._weight_col, G._length_col
     vertex = '{\n      "coords": ' + numbers(G.ambient_dim) + ',\n      "id": %s\n    }'
     weight = numbers(G.ambient_dim)
     wtext = {w: weight % w for w in set(weights)}
@@ -320,7 +320,7 @@ def cmd_hvector(args):
 def cmd_lengths(args):
     obj = _load_input(args.input, Polytope, GkmGraph)
     edges = obj.edges()
-    lengths = obj.relative_lengths() if isinstance(obj, Polytope) else list(map(obj.length, edges))
+    lengths = obj.relative_lengths() if isinstance(obj, Polytope) else obj._length_col
     per = [{"edge": list(e), "length": num_to_json(l)} for e, l in zip(edges, lengths)]
     _emit({"edges": per, "sum": num_to_json(sum(lengths))}, args.text)
     return 0

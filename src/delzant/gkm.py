@@ -5,7 +5,7 @@ h-vectors, and the edge-length-sum identity for graphs."""
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from math import gcd
 from operator import itemgetter, mul, neg, sub
 
@@ -42,16 +42,16 @@ class GkmGraph:
     gcd(d) / q, never given independently.  ``_on_points`` takes the
     integer points as already made (``Polytope.skeleton`` has them from
     the incidence pass); the one exception to the derivation is
-    ``_ColumnGraph._from_edge_table``, which ``roots.coadjoint_graph``
-    calls with every edge's weight and length already known.  ``_folded``
-    keeps the graph's ``_fold`` once made.
+    ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
+    edge's weight and length already known.  ``_folded`` keeps the graph's
+    ``_fold`` once made.
 
-    ``star``, ``weight``, ``length`` and ``incident`` read the edges as
-    tables by edge, which ``_fill`` sets: ``_weight`` in both
-    orientations, ``_length``, and ``_incident``, the edges at each
-    vertex.  The JSON writer reads them as columns in ``edge_list`` order
-    (``_columns``).  A ``_ColumnGraph`` holds the columns and makes the
-    tables only when they are read.
+    The edges are held as three columns: ``edge_list`` and, edge by edge,
+    ``_weight_col`` (the weights u -> v) and ``_length_col``.  Readers of
+    per-edge values and degrees read the columns.  ``star``, ``weight``,
+    ``length`` and ``incident`` read tables by edge: ``_weight`` in both
+    orientations, ``_length``, and ``_incident``, the edges at each vertex.
+    These are views of the columns, made the first time they are read.
     """
 
     _folded = None
@@ -80,77 +80,6 @@ class GkmGraph:
         G._fill(ambient_dim, degree, dict(enumerate(coords)), q, points, edges)
         return G
 
-    def _fill(self, ambient_dim, degree, coords, q, points, edges):
-        """Set the tables from the coordinates by id, their common
-        denominator q and their integer points (in the order of
-        ``coords``), deriving each edge's weights and length."""
-        self.ambient_dim = ambient_dim
-        self.degree = degree
-        self.coords = coords
-        self.ids = list(coords)
-        self.q = q
-        self.lattice = lattice = dict(zip(coords, points))
-        self.edge_list = []
-        self._incident = incident = {vid: [] for vid in self.ids}
-        self._weight = weight = {}
-        self._length = length = {}
-        for u, v in edges:
-            if u not in lattice or v not in lattice:
-                raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
-            if u == v:
-                raise InvalidGraph(f"loop at {u!r}")
-            e = (u, v)
-            if e in weight:
-                raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
-            self.edge_list.append(e)
-            incident[u].append(e)
-            incident[v].append(e)
-            d = tuple(map(sub, lattice[v], lattice[u]))
-            g = gcd(*d)
-            if g == 0:
-                raise ZeroVector("zero displacement")
-            if g != 1:
-                d = tuple(c // g for c in d)
-            weight[e] = d
-            weight[v, u] = tuple(map(neg, d))
-            length[e] = _ratio(g, q)
-
-    def _columns(self):
-        """The weights u -> v and the lengths of the edges, as two lists in
-        ``edge_list`` order."""
-        return [self._weight[e] for e in self.edge_list], [self._length[e] for e in self.edge_list]
-
-    def edges(self):
-        return list(self.edge_list)
-
-    def incident(self, vid):
-        """The edges at vid, in ``edge_list`` order."""
-        return list(self._incident[vid])
-
-    def weight(self, edge, tail=None):
-        """Primitive direction of the edge, oriented away from ``tail``."""
-        u, v = edge
-        if tail is not None and tail == v:
-            u, v = v, u
-        return self._weight[u, v]
-
-    def length(self, edge):
-        """Lattice length of the edge, given in either orientation."""
-        u, v = edge
-        return self._length[(u, v) if (u, v) in self._length else (v, u)]
-
-    def sum_lengths(self):
-        return sum(self._length.values())
-
-
-class _ColumnGraph(GkmGraph):
-    """A GkmGraph held as three columns: ``edge_list`` and, edge by edge,
-    ``_weight_col`` (the weights u -> v) and ``_length_col``.  Its tables
-    by edge are views of the columns, made the first time a reader asks
-    for them.  The views live on this class alone, as CPython does not
-    specialize an attribute read that a class-level ``cached_property``
-    could answer, and other graphs read their tables at every star."""
-
     @classmethod
     def _from_edge_table(cls, ambient_dim, degree, points, edge_list, weights, lengths):
         """The graph on the ids 0, 1, ... of distinct integer points, from
@@ -169,11 +98,39 @@ class _ColumnGraph(GkmGraph):
         G._length_col = lengths
         return G
 
-    def _columns(self):
-        return self._weight_col, self._length_col
-
-    def sum_lengths(self):
-        return sum(self._length_col)
+    def _fill(self, ambient_dim, degree, coords, q, points, edges):
+        """Set the columns from the coordinates by id, their common
+        denominator q and their integer points (in the order of
+        ``coords``), deriving each edge's weight and length."""
+        self.ambient_dim = ambient_dim
+        self.degree = degree
+        self.coords = coords
+        self.ids = list(coords)
+        self.q = q
+        self.lattice = lattice = dict(zip(coords, points))
+        self.edge_list = edge_list = []
+        self._weight_col = weights = []
+        self._length_col = lengths = []
+        seen = set()  # the edges so far, in both orientations
+        for u, v in edges:
+            if u not in lattice or v not in lattice:
+                raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+            if u == v:
+                raise InvalidGraph(f"loop at {u!r}")
+            e = (u, v)
+            if e in seen:
+                raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
+            seen.add(e)
+            seen.add((v, u))
+            d = tuple(map(sub, lattice[v], lattice[u]))
+            g = gcd(*d)
+            if g == 0:
+                raise ZeroVector("zero displacement")
+            if g != 1:
+                d = tuple(c // g for c in d)
+            edge_list.append(e)
+            weights.append(d)
+            lengths.append(_ratio(g, q))
 
     @cached_property
     def _weight(self):
@@ -195,16 +152,43 @@ class _ColumnGraph(GkmGraph):
             incident[e[1]].append(e)
         return incident
 
+    def edges(self):
+        return list(self.edge_list)
+
+    def incident(self, vid):
+        """The edges at vid, in ``edge_list`` order."""
+        return list(self._incident[vid])
+
+    def weight(self, edge, tail=None):
+        """Primitive direction of the edge, oriented away from ``tail``."""
+        u, v = edge
+        if tail is not None and tail == v:
+            u, v = v, u
+        return self._weight[u, v]
+
+    def length(self, edge):
+        """Lattice length of the edge, given in either orientation."""
+        u, v = edge
+        return self._length[(u, v) if (u, v) in self._length else (v, u)]
+
+    def sum_lengths(self):
+        return sum(self._length_col)
+
+
+def _degrees(G):
+    """The number of edges at each vertex, counted from their ends, as a
+    Counter without the vertices of degree 0."""
+    return Counter(chain.from_iterable(G.edge_list))
+
 
 def star(G, vid):
-    """The star of vid, in edge order: its neighbours, the weights leaving
-    vid toward them, and the weights leaving them toward vid (minus the
-    first).  The one reader of a vertex's star: outside GkmGraph's methods,
-    only this reads the adjacency table or orients a weight away from a
-    given vertex."""
+    """The star of vid, in edge order: its neighbours and the weights
+    leaving vid toward them.  The one reader of a vertex's star: outside
+    GkmGraph's methods, only this reads the adjacency table or orients a
+    weight away from a given vertex."""
     weight = G._weight
     others = [v if u == vid else u for u, v in G._incident[vid]]
-    return others, [weight[vid, o] for o in others], [weight[o, vid] for o in others]
+    return others, [weight[vid, o] for o in others]
 
 
 def stars(G):
@@ -286,10 +270,10 @@ def validate(G):
     with one degree item and one GKM item per vertex."""
     rep = VerificationReport("gkm-valid", True)
     for vid in G.ids:
-        _, ws, back = star(G, vid)
+        ws = star(G, vid)[1]
         # Two primitive weights are dependent iff one is +-the other, so k
         # weights are independent iff the 2k weights +-w are distinct.
-        indep = len({*ws, *back}) == 2 * len(ws)
+        indep = len({*ws, *(tuple(map(neg, w)) for w in ws)}) == 2 * len(ws)
         rep.add_item(
             f"degree {vid}", len(ws) == G.degree,
             {"degree": len(ws), "expected": G.degree},
@@ -364,7 +348,7 @@ def _candidates(G):
         if xi not in seen:
             seen.add(xi)
             yield xi
-    m = max((abs(c) for e in G.edge_list for c in G._weight[e]), default=0)
+    m = max((abs(c) for w in G._weight_col for c in w), default=0)
     xi = tuple((2 * m + 1) ** i for i in range(G.ambient_dim))
     if xi not in seen:
         yield xi
@@ -376,8 +360,8 @@ def _in_degrees(G, xi):
     the end that xi puts higher is the head.  None when xi vanishes on an
     edge weight."""
     heads = []
-    for e in G.edge_list:
-        pair = sum(map(mul, G._weight[e], xi))
+    for e, w in zip(G.edge_list, G._weight_col):
+        pair = sum(map(mul, w, xi))
         if not pair:
             return None
         heads.append(e[1] if pair > 0 else e[0])
@@ -432,8 +416,9 @@ def h_vector_graph(G, xi=None):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
     fold = G._folded
     if fold is None or fold.sums is None and fold.censuses is None:
+        degrees = _degrees(G)
         for vid in G.ids:
-            k = len(G.incident(vid))
+            k = degrees[vid]
             if k != G.degree:
                 raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
     if xi is not None:
@@ -477,7 +462,7 @@ def verify_graph_corollary(G):
 
 def is_delzant(P):
     """Simplicity, rationality and smoothness at each vertex, from one pass
-    over the skeleton's stars: the report ``check delzant`` prints.
+    over the skeleton's edges: the report ``check delzant`` prints.
 
     The edges of a polytope with rational vertices are always rational.  A
     vertex is smooth when its n weights form a lattice basis.  A vertex
@@ -490,26 +475,29 @@ def is_delzant(P):
     A = D W^-1 with W^-1 integral, so each entry of D divides the
     primitive row a_i and is -1.  So the vertex is smooth iff each weight
     pairs to -1 with the normal of the facet its edge leaves.  Those
-    pairs, a dict from facet id to weight at each vertex (the highest
-    facet an edge leaves, where it is not simple), are kept as P._leaving.
+    pairs, a dict from facet id to weight at each vertex in edge order
+    (the highest facet an edge leaves, where it is not simple), are kept
+    as P._leaving, and the verdict as P._delzant.
     """
     S = P.skeleton()
     n = P.dim
     at_vertex = P._incidence_bits()[0]
     normals = [h.normal for h in P.facets]
-    degrees, leaving = [], []
-    for vid, here in enumerate(at_vertex):
-        others, ws, _ = star(S, vid)
-        degrees.append(len(ws))
-        leaving.append({(here & ~at_vertex[o]).bit_length() - 1: w for o, w in zip(others, ws)})
-    P._leaving = leaving
+    leaving = [{} for _ in at_vertex]
+    for (u, v), w in zip(S.edge_list, S._weight_col):
+        at_u, at_v = at_vertex[u], at_vertex[v]
+        leaving[u][(at_u & ~at_v).bit_length() - 1] = w
+        leaving[v][(at_v & ~at_u).bit_length() - 1] = tuple(map(neg, w))
+    degrees = _degrees(S)
     rep = VerificationReport("delzant", True)
-    rep.add_item("simple", all(k == n for k in degrees))
+    rep.add_item("simple", all(degrees[vid] == n for vid in S.ids))
     rep.add_item("rational", True)
-    for vid, (k, out) in enumerate(zip(degrees, leaving)):
-        rep.add_item(f"smooth vertex {vid}", k == n and all(
+    for vid, out in enumerate(leaving):
+        rep.add_item(f"smooth vertex {vid}", degrees[vid] == n and all(
             sum(map(mul, normals[i], w)) == -1 for i, w in out.items()
         ))
+    P._leaving = leaving
+    P._delzant = rep.passed
     return rep
 
 

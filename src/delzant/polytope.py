@@ -481,7 +481,8 @@ class Polytope:
 
     def is_simple(self):
         S = self.skeleton()
-        return all(len(gkm.star(S, v)[0]) == self.dim for v in S.ids)
+        degrees = gkm._degrees(S)
+        return all(degrees[v] == self.dim for v in S.ids)
 
     def relative_length(self, edge):
         """Lattice length of an edge with integral endpoint difference."""
@@ -495,7 +496,7 @@ class Polytope:
         skeleton's length column.  NonLatticeEdge names the first edge
         whose endpoint difference is not integral."""
         S = self.skeleton()
-        lengths = list(map(S._length.__getitem__, S.edge_list))
+        lengths = list(S._length_col)
         for edge, length in zip(S.edge_list, lengths):
             if not isinstance(length, int):
                 raise NonLatticeEdge(f"edge {edge} has non-integral length {length}")

@@ -23,9 +23,9 @@ from .report import VerificationReport
 
 def _require_delzant(P):
     """Raise NotDelzant unless P is Delzant.  The verdict is found once per
-    polytope and kept on it."""
+    polytope, by the first Delzant check on it, which keeps it."""
     if P._delzant is None:
-        P._delzant = is_delzant(P).passed
+        is_delzant(P)
     if not P._delzant:
         raise NotDelzant("polytope is not Delzant")
 

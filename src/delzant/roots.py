@@ -298,6 +298,6 @@ def coadjoint_graph(rs, I):
 
     degree = sum(1 for t in pairings[0] if t)
     fold = gkm._fold(degree, rs.rank, stars())
-    G = gkm._ColumnGraph._from_edge_table(rs.rank, degree, points, edges, forward, lengths)
+    G = gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, forward, lengths)
     G._folded = fold
     return G

@@ -97,13 +97,13 @@ def graph_to_json(G):
         ],
         "edges": [],
     }
-    for u, v in G.edges():
+    for (u, v), w, length in zip(G.edge_list, G._weight_col, G._length_col):
         out["edges"].append(
             {
                 "u": u,
                 "v": v,
-                "weight": list(G.weight((u, v))),
-                "length": num_to_json(G.length((u, v))),
+                "weight": list(w),
+                "length": num_to_json(length),
             }
         )
     return out

@@ -210,13 +210,20 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
 def test_ab_bench_summary_of_fixed_runs():
     # tools/ab_bench.py: medians and quartiles per side, the ratio of the
     # medians, the pairs won by the change, ties counting for neither, and
-    # a verdict per metric against its bound
-    def run(rate, p50, setup, rss, failed):
+    # a verdict per metric against its bound; and the items whose median
+    # time moved most each way
+    base = [2.0, 1.0, 4.0, 1.0, 3.0, 2.0, 1.0, 2.0, 5.0]
+    moved = [0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0, 1.1, 1.5]
+    scales = iter([1, 3, 2, 1, 1, 2, 1, 1, 1, 4])  # each side's median is 1
+
+    def run(rate, p50, setup, rss, failed, by=(1,) * len(base)):
+        k = next(scales)
         return {"correct": True, "attempted": 28, "failed": failed,
                 "metrics": {"items_per_s": {"value": rate, "unit": "1/s"},
                             "item_p50_ms": {"value": p50, "unit": "ms"},
                             "setup_s": {"value": setup, "unit": "s"},
-                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}},
+                "items": {f"item {i}": k * t * r for i, (t, r) in enumerate(zip(base, by))}}
 
     metrics = [{"name": "items_per_s", "unit": "1/s", "better": "higher", "bound": 0.1},
                {"name": "item_p50_ms", "unit": "ms", "better": "lower", "bound": 0.12},
@@ -224,7 +231,7 @@ def test_ab_bench_summary_of_fixed_runs():
                {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
     runs = {"parent": [run(r, 1.0, 1.0, m, 1) for r, m in
                        [(100, 50), (110, 52), (120, 54), (130, 56), (140, 58)]],
-            "change": [run(r, p, s, m, 0) for r, p, s, m in
+            "change": [run(r, p, s, m, 0, moved) for r, p, s, m in
                        [(120, 1.0, 1.2, 40), (120, 0.9, 1.3, 41), (120, 0.9, 1.2, 42),
                         (90, 1.1, 1.2, 43), (160, 0.8, 1.2, 44)]]}
     tool = _tool("ab_bench")
@@ -247,6 +254,18 @@ def test_ab_bench_summary_of_fixed_runs():
     # its spread (6 against 0.1 of 54) but better in every run
     assert [m["verdict"] for m in got["metrics"].values()] == \
         ["unresolved", "within bound", "worse", "better"]
+    # five of the six faster items, most moved first; "item 6" is a tie
+    assert [(m["item"], m["ratio"]) for m in got["items"]["faster"]] == \
+        [("item 0", 0.5), ("item 1", 0.6), ("item 2", 0.7), ("item 3", 0.8), ("item 4", 0.9)]
+    assert [(m["item"], m["ratio"]) for m in got["items"]["slower"]] == \
+        [("item 8", 1.5), ("item 7", 1.1)]
+    assert got["items"]["faster"][0] == {"item": "item 0", "parent_ms": 2.0, "change_ms": 1.0,
+                                         "ratio": 0.5}
+    assert tool.report(got)[4:6] == ["faster: item 0  parent 2.0 ms  change 1.0 ms  ratio 0.5",
+                                     "faster: item 1  parent 1.0 ms  change 0.6 ms  ratio 0.6"]
+    assert tool.report(got)[9:12] == ["slower: item 8  parent 5.0 ms  change 7.5 ms  ratio 1.5",
+                                      "slower: item 7  parent 2.0 ms  change 2.2 ms  ratio 1.1",
+                                      "correct True  failed parent 5 of 140, change 0 of 140"]
     # a win in 9 of 10 pairs by more than the parent's spread
     assert tool.verdict([10] * 10, [10.5] * 9 + [9.9], True, 0.1, 9) == "better"
     assert tool.verdict([10] * 10, [10.5] * 8 + [9.9] * 2, True, 0.1, 8) == "within bound"

@@ -14,6 +14,7 @@ from delzant.errors import (
     InvalidGraph,
     NonGenericDirection,
     NonPositiveIndex,
+    ZeroVector,
 )
 from delzant.gkm import GkmGraph
 from delzant.polytope import Polytope, cube, simplex_cpn
@@ -59,6 +60,42 @@ def test_degree_regularity_edge_count():
 def test_duplicate_edge_rejected():
     with pytest.raises(InvalidGraph):
         GkmGraph(1, 1, [(0, (0,)), (1, (1,))], [(0, 1), (1, 0)])
+
+
+SQUARE = [(0, (0, 0)), (1, (1, 0)), (2, (1, 1)), (3, (0, 1))]
+
+# Each refused edge list with its error and message, recorded while the
+# graph still kept its weights in tables by edge.
+REFUSED_EDGES = [
+    (SQUARE, [(0, 1), (1, 9)], InvalidGraph, "edge (1, 9) has an unknown endpoint"),
+    (SQUARE, [("a", 1)], InvalidGraph, "edge ('a', 1) has an unknown endpoint"),
+    (SQUARE, [(7, 7)], InvalidGraph, "edge (7, 7) has an unknown endpoint"),
+    (SQUARE, [(0, 1), (2, 2)], InvalidGraph, "loop at 2"),
+    (SQUARE, [(0, 1), (1, 2), (0, 1)], InvalidGraph, "repeated edge (0, 1)"),
+    (SQUARE, [(0, 1), (1, 2), (2, 1)], InvalidGraph, "repeated edge (2, 1)"),
+    ([(0, (0, 0)), (1, (1, 0)), (2, (1, 0))], [(0, 1), (1, 2)], ZeroVector, "zero displacement"),
+]
+
+
+@pytest.mark.parametrize("vertices, edges, error, message", REFUSED_EDGES)
+def test_refused_edges_keep_their_errors(vertices, edges, error, message):
+    with pytest.raises(error) as info:
+        GkmGraph(2, 2, vertices, edges)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_fill_derives_the_columns():
+    # q = 2, integer points (0, 0), (1, 0), (0, 4)
+    G = GkmGraph(2, 2, [(0, (0, 0)), (1, (Fraction(1, 2), 0)), (2, (0, 2))],
+                 [(0, 1), (1, 2), (2, 0)])
+    assert G.edge_list == [(0, 1), (1, 2), (2, 0)]
+    assert G._weight_col == [(1, 0), (-1, 4), (0, -1)]
+    assert G._length_col == [Fraction(1, 2), Fraction(1, 2), 2]
+    assert type(G._length_col[2]) is int
+    assert G.weight((1, 2), tail=2) == (1, -4) and G.length((0, 2)) == 2
+    assert gkm.star(G, 0) == ([1, 2], [(1, 0), (0, 1)])
+    assert G.incident(0) == [(0, 1), (2, 0)]
+    assert G.sum_lengths() == 3
 
 
 def test_is_reflexive_graph():

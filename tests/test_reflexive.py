@@ -123,6 +123,53 @@ def test_normal_contributions_check_and_tabulate_once(monkeypatch):
     assert calls == [P, Q]
 
 
+def test_delzant_verdict_is_kept_where_it_is_found(monkeypatch):
+    # a Delzant check made outside the verifiers keeps its verdict too, so
+    # a verifier run afterwards on the same polytope does not check again
+    calls = []
+    real = gkm.is_delzant
+    count = lambda P: calls.append(P) or real(P)
+    monkeypatch.setattr(gkm, "is_delzant", count)
+    monkeypatch.setattr(reflexive, "is_delzant", count)
+    H = catalog.load("hexagon")
+    P = reflexive.reconstruct_from_cones({i: H.vertex_weights(i) for i in range(len(H.vertices))})
+    assert reflexive.verify_main_theorem(P).passed
+    assert calls == [P]
+    Q = cube(3)
+    gkm.from_polytope(Q)
+    assert reflexive.verify_length_decomposition(Q).passed
+    assert calls == [P, Q]
+    R = catalog.load("octahedron")
+    assert not real(R).passed and R._delzant is False
+    with pytest.raises(NotDelzant):
+        reflexive.verify_main_theorem(R)
+    assert calls == [P, Q]
+
+
+def _leaving_by_stars(P):
+    """The facet each edge leaves at each vertex, with the edge's weight,
+    from each vertex's star, in the way the Delzant check made the table
+    before it read the skeleton's edges."""
+    S = P.skeleton()
+    at_vertex = P._incidence_bits()[0]
+    table = []
+    for vid, here in enumerate(at_vertex):
+        others, ws = gkm.star(S, vid)
+        table.append({(here & ~at_vertex[o]).bit_length() - 1: w for o, w in zip(others, ws)})
+    return table
+
+
+@pytest.mark.parametrize("name", catalog.names("polytope"))
+def test_leaving_table_is_the_star_table(name):
+    # the octahedron is not simple: at each vertex two of its four edges
+    # leave the same highest facet, and the second one's weight is kept in
+    # the first one's place
+    P = catalog.load(name)
+    rep = gkm.is_delzant(P)
+    assert P._delzant is rep.passed
+    assert [list(t.items()) for t in P._leaving] == [list(t.items()) for t in _leaving_by_stars(P)]
+
+
 def test_dim2_contribution_sum():
     # sum of contributions = 12 - 3*f0 in dimension 2
     for name in SMOOTH_POLYGONS:

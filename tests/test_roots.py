@@ -7,8 +7,9 @@ from itertools import chain, combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from delzant import cli, gkm, roots
+from delzant import catalog, cli, gkm, reflexive, roots, serialize
 from delzant.errors import DegenerateBasePoint, NotARoot, UnsupportedType
+from delzant.polytope import cube
 
 import weyl_corpus
 
@@ -293,21 +294,41 @@ def test_coroot_table_matches_fraction_form(kind, rank):
 ORBITS = weyl_corpus.WEYL + [("A", 4, ()), ("B", 4, ()), ("C", 4, ()), ("D", 4, ()), ("A", 5, ())]
 
 
+def _assert_same_graph(G, H):
+    """G and H hold the same columns and the same tables by edge."""
+    assert G.ids == H.ids and G.coords == H.coords
+    assert G.edge_list == H.edge_list
+    assert G._weight_col == H._weight_col and G._length_col == H._length_col
+    assert list(map(type, G._length_col)) == list(map(type, H._length_col))
+    assert G._incident == H._incident
+    assert G._weight == H._weight
+    assert G._length == H._length
+    assert G.lattice == H.lattice and G.q == H.q
+
+
 @pytest.mark.parametrize("kind, rank, I", ORBITS)
 def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     # coadjoint_graph hands its weights and lengths to the graph; the
     # general constructor derives them again from the points
     G = roots.coadjoint_graph(roots.build(kind, rank), I)
     H = gkm.GkmGraph(rank, G.degree, list(G.coords.items()), G.edge_list)
-    assert G.ids == H.ids and G.coords == H.coords
-    assert G.edge_list == H.edge_list
-    assert G._incident == H._incident
-    assert G._weight == H._weight
-    assert G._length == H._length
-    assert all(type(G._length[e]) is type(H._length[e]) for e in G.edge_list)
-    assert G.lattice == H.lattice and G.q == H.q
+    _assert_same_graph(G, H)
     # the fold the walk keeps is the one the readers would make
     assert G._folded == gkm._fold(H.degree, H.ambient_dim, gkm.stars(H))
+
+
+SKELETONS = {**{name: lambda name=name: catalog.load(name) for name in catalog.names("polytope")},
+             "cube-3": lambda: cube(3),
+             "hexagon-third": lambda: catalog.load("hexagon").dilate(Fraction(1, 3))}
+
+
+@pytest.mark.parametrize("name", SKELETONS)
+def test_skeleton_tables_match_the_general_constructor(name):
+    # the skeleton takes the integer points of the incidence pass; the
+    # general constructor makes them again from the vertices
+    P = SKELETONS[name]()
+    H = gkm.GkmGraph(P.dim, P.dim, enumerate(P.vertices), P.edges())
+    _assert_same_graph(P.skeleton(), H)
 
 
 def test_orbit_tables_by_edge_are_made_only_when_read():
@@ -321,6 +342,17 @@ def test_orbit_tables_by_edge_are_made_only_when_read():
     assert "_weight" in vars(G) and "_incident" in vars(G)
     G.length(G.edge_list[0])
     assert all(name in vars(G) for name in lazy)
+    # a polytope's verifiers, lengths and JSON read the skeleton's columns
+    for P in [cube(3), catalog.load("hexagon")]:
+        assert reflexive.verify_main_theorem(P).passed
+        assert reflexive.verify_thm_combinatorics2(P).passed
+        assert reflexive.verify_length_decomposition(P).passed
+        assert reflexive.verify_index_corollary(P).passed
+        assert reflexive.verify_gorenstein(P, 1).passed
+        assert reflexive.verify_12_24(P).passed
+        P.relative_lengths()
+        serialize.graph_to_json(P.skeleton())
+        assert not any(name in vars(P.skeleton()) for name in lazy)
 
 
 @pytest.mark.parametrize("kind, rank, I", ORBITS)

@@ -19,8 +19,14 @@ interquartile range is wider than the bound relative to its median,
 ``worse`` when the change's median is worse than the parent's by more than
 the bound, ``better`` when the change won at least nine tenths of the
 pairs and the medians differ by more than the parent's interquartile
-range, and ``within bound`` else.  ``--out`` writes the same summary with every run
-listed, as JSON.
+range, and ``within bound`` else.
+
+Each run also leaves the median time of each of its items in
+``.bench_out/result-W-seedS-trace0.json`` in its checkout.  Per item, the
+median of those over each side's runs gives a ratio (change over parent),
+and the five items with the lowest ratio below 1 and the five with the
+highest above 1 are printed as the items that moved most.  ``--out`` writes
+the same summary with every run's metrics listed, as JSON.
 """
 
 import argparse
@@ -35,14 +41,21 @@ SIDES = ("parent", "change")
 
 
 def run_once(checkout, workload, seed):
-    """One benchmark run in ``checkout``: the JSON of its last line."""
+    """One benchmark run in ``checkout``: the JSON of its last line, with
+    each item's median time in ms under "items", read from the result file
+    the run writes."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", "20"],
         cwd=checkout, env=env, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    path = os.path.join(checkout, ".bench_out", f"result-{workload}-seed{seed}-trace0.json")
+    with open(path) as fh:
+        items = json.load(fh)["detail"]["items"]
+    result["items"] = {name: item["median_ms"] for name, item in items.items()}
+    return result
 
 
 def _spread(xs):
@@ -71,10 +84,26 @@ def verdict(parent, change, higher, bound, wins):
     return "within bound"
 
 
+def moved_items(runs):
+    """The five items whose median time moved most each way.  Per item, the
+    median over each side's runs of its time and the ratio of the two
+    (change over parent); "faster" lists the lowest ratios below 1, and
+    "slower" the highest above 1, most moved first."""
+    moved = []
+    for name in runs["parent"][0]["items"]:
+        p, c = (statistics.median(r["items"][name] for r in runs[side]) for side in SIDES)
+        moved.append((c / p, {"item": name, "parent_ms": round(p, 5), "change_ms": round(c, 5),
+                              "ratio": round(c / p, 4)}))
+    moved.sort(key=lambda m: m[0])
+    return {"faster": [m for ratio, m in moved[:5] if ratio < 1],
+            "slower": [m for ratio, m in moved[::-1][:5] if ratio > 1]}
+
+
 def summarize(runs, metrics, first):
     """The summary of paired runs.  ``runs`` maps "parent" and "change" to
     their run results in pair order, each the JSON ``perfbench/run.py``
-    prints last (a metric is a {"value", "unit"} object); ``metrics`` is
+    prints last (a metric is a {"value", "unit"} object) with its item
+    times under "items", as ``run_once`` returns it; ``metrics`` is
     the ``end_to_end`` list of ``BENCHMARK.json`` and ``first`` names the
     side that ran first in each pair."""
     out = {
@@ -84,6 +113,7 @@ def summarize(runs, metrics, first):
         "failed": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
         "attempted": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
         "metrics": {},
+        "items": moved_items(runs),
     }
     for m in metrics:
         name, higher = m["name"], m["better"] == "higher"
@@ -115,6 +145,10 @@ def report(summary):
             f"change won {m['change_better_pairs']} of {summary['pairs']}  "
             f"{m['verdict']}"
         )
+    for way in ("faster", "slower"):
+        for m in summary["items"][way]:
+            lines.append(f"{way}: {m['item']}  parent {m['parent_ms']} ms  "
+                         f"change {m['change_ms']} ms  ratio {m['ratio']}")
     lines.append(
         f"correct {summary['correct']}  failed parent {summary['failed']['parent']} of "
         f"{summary['attempted']['parent']}, change {summary['failed']['change']} of "
