@@ -49,7 +49,7 @@ def _load_input(source, *kinds):
         try:
             obj = catalog.load(name)
         except KeyError as e:
-            raise MalformedInput(str(e))
+            raise MalformedInput(e.args[0])
     else:
         data = _read_json(source)
         if isinstance(data, dict) and "ambient_dim" in data:
@@ -395,7 +395,7 @@ def cmd_catalog_show(args):
     try:
         obj = catalog.load(args.name)
     except KeyError as e:
-        raise MalformedInput(str(e))
+        raise MalformedInput(e.args[0])
     if isinstance(obj, Polytope):
         _emit(serialize.polytope_to_json(obj), args.text)
     else:
@@ -403,92 +403,120 @@ def cmd_catalog_show(args):
     return 0
 
 
+# Each command by its path: its help (None for none) and its arguments, as
+# (name, add_argument keywords).  Its handler is "cmd_" and the path joined
+# by "_", looked up in this module at call time.
+_INPUT = ("input", {})
+_FLAG = {"action": "store_true"}
+_COMMANDS = {
+    ("check",): ("validate an input object", [
+        ("which", {"choices": ["delzant", "reflexive", "gkm", "gorenstein"]}), _INPUT]),
+    ("verify",): ("verify an identity on an input object", [
+        ("identity", {}), _INPUT, ("--with-oracle", _FLAG)]),
+    ("dual",): ("polar dual of a reflexive polytope", [_INPUT]),
+    ("fvector",): ("f-vector of a polytope", [_INPUT, ("--with-oracle", _FLAG)]),
+    ("hvector",): ("h-vector of a polytope or graph", [
+        _INPUT, ("--xi", {"help": "generic direction as comma-separated integers"}),
+        ("--directed", _FLAG)]),
+    ("lengths",): ("edge lengths and their sum", [_INPUT]),
+    ("gkm", "build"): ("build a coadjoint Weyl-orbit graph", [
+        ("type", {"help": "root system type: A, B, C, D or G2"}), ("rank", {"type": int}),
+        ("--I", {"default": "", "help": "comma-separated 0-based simple-root indices"})]),
+    ("gkm", "check"): ("validate a GKM graph", [_INPUT]),
+    ("bounds", "table"): ("coefficient table over ranges of n and k0", [
+        ("--n-min", {"type": int, "default": 2}), ("--n-max", {"type": int, "default": 5}),
+        ("--k0-min", {"type": int, "default": 1}), ("--k0-max", {"type": int, "default": 6})]),
+    ("bounds", "enumerate"): ("admissible symmetric vectors for (n, k0)", [
+        ("--n", {"type": int, "required": True}), ("--k0", {"type": int, "required": True}),
+        ("--unimodal", _FLAG), ("--cap", {"type": int})]),
+    ("catalog", "list"): (None, [("--kind", {"choices": ["polytope", "gkm-graph"]})]),
+    ("catalog", "show"): (None, [("name", {})]),
+}
+# The groups of two-word commands and their help; a group's parser keeps
+# the second word in "<group>_command".
+_GROUPS = {
+    "gkm": "GKM graph operations",
+    "bounds": "coefficient tables and admissible vectors",
+    "catalog": "built-in example catalog",
+}
+
+
+def _fill(p, path):
+    """Give p the arguments of the command ``path``, ``--text`` first, and
+    the name of its handler as the ``func`` default."""
+    p.add_argument("--text", action="store_true", help="aligned text output instead of JSON")
+    for name, kw in _COMMANDS[path][1]:
+        p.add_argument(name, **kw)
+    p.set_defaults(func="cmd_" + "_".join(path))
+    return p
+
+
 @functools.cache
 def build_parser():
-    """The argument parser, built once per process on first use.  Each
-    subcommand's ``func`` default is the name of its handler, looked up in
-    this module at call time."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--text", action="store_true", help="aligned text output instead of JSON"
-    )
+    """The whole argument tree, built from ``_COMMANDS`` in its order once
+    per process, on first use."""
     p = argparse.ArgumentParser(
         prog="delzant",
         description="Exact verification of edge-length identities for "
         "reflexive Delzant polytopes and GKM graphs.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("check", parents=[common], help="validate an input object")
-    c.add_argument("which", choices=["delzant", "reflexive", "gkm", "gorenstein"])
-    c.add_argument("input")
-    c.set_defaults(func="cmd_check")
-
-    v = sub.add_parser("verify", parents=[common], help="verify an identity on an input object")
-    v.add_argument("identity")
-    v.add_argument("input")
-    v.add_argument("--with-oracle", action="store_true")
-    v.set_defaults(func="cmd_verify")
-
-    d = sub.add_parser("dual", parents=[common], help="polar dual of a reflexive polytope")
-    d.add_argument("input")
-    d.set_defaults(func="cmd_dual")
-
-    f = sub.add_parser("fvector", parents=[common], help="f-vector of a polytope")
-    f.add_argument("input")
-    f.add_argument("--with-oracle", action="store_true")
-    f.set_defaults(func="cmd_fvector")
-
-    h = sub.add_parser("hvector", parents=[common], help="h-vector of a polytope or graph")
-    h.add_argument("input")
-    h.add_argument("--xi", help="generic direction as comma-separated integers")
-    h.add_argument("--directed", action="store_true")
-    h.set_defaults(func="cmd_hvector")
-
-    l = sub.add_parser("lengths", parents=[common], help="edge lengths and their sum")
-    l.add_argument("input")
-    l.set_defaults(func="cmd_lengths")
-
-    g = sub.add_parser("gkm", help="GKM graph operations")
-    gsub = g.add_subparsers(dest="gkm_command", required=True)
-    gb = gsub.add_parser("build", parents=[common], help="build a coadjoint Weyl-orbit graph")
-    gb.add_argument("type", help="root system type: A, B, C, D or G2")
-    gb.add_argument("rank", type=int)
-    gb.add_argument("--I", default="", help="comma-separated 0-based simple-root indices")
-    gb.set_defaults(func="cmd_gkm_build")
-    gk = gsub.add_parser("check", parents=[common], help="validate a GKM graph")
-    gk.add_argument("input")
-    gk.set_defaults(func="cmd_gkm_check")
-
-    b = sub.add_parser("bounds", help="coefficient tables and admissible vectors")
-    bsub = b.add_subparsers(dest="bounds_command", required=True)
-    bt = bsub.add_parser("table", parents=[common], help="coefficient table over ranges of n and k0")
-    bt.add_argument("--n-min", type=int, default=2)
-    bt.add_argument("--n-max", type=int, default=5)
-    bt.add_argument("--k0-min", type=int, default=1)
-    bt.add_argument("--k0-max", type=int, default=6)
-    bt.set_defaults(func="cmd_bounds_table")
-    be = bsub.add_parser("enumerate", parents=[common], help="admissible symmetric vectors for (n, k0)")
-    be.add_argument("--n", type=int, required=True)
-    be.add_argument("--k0", type=int, required=True)
-    be.add_argument("--unimodal", action="store_true")
-    be.add_argument("--cap", type=int)
-    be.set_defaults(func="cmd_bounds_enumerate")
-
-    cat = sub.add_parser("catalog", help="built-in example catalog")
-    csub = cat.add_subparsers(dest="catalog_command", required=True)
-    cl = csub.add_parser("list", parents=[common])
-    cl.add_argument("--kind", choices=["polytope", "gkm-graph"])
-    cl.set_defaults(func="cmd_catalog_list")
-    cs = csub.add_parser("show", parents=[common])
-    cs.add_argument("name")
-    cs.set_defaults(func="cmd_catalog_show")
-
+    subs = {(): p.add_subparsers(dest="command", required=True)}
+    for path, (summary, _) in _COMMANDS.items():
+        group = path[:-1]
+        if group not in subs:
+            g = subs[()].add_parser(group[0], help=_GROUPS[group[0]])
+            subs[group] = g.add_subparsers(dest=group[0] + "_command", required=True)
+        # a help of None would still list the command in its group's help
+        _fill(subs[group].add_parser(path[-1], **({"help": summary} if summary else {})), path)
     return p
 
 
+class _Unparsed(Exception):
+    """A command's own parser would print help or a usage error."""
+
+
+class _LeafParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _Unparsed
+
+    def print_help(self, file=None):
+        raise _Unparsed
+
+
+@functools.cache
+def _leaf(path):
+    """The parser of the command ``path`` alone.  Its defaults name the
+    command as the tree would (``command`` and ``<group>_command``), so it
+    gives the tree's Namespace."""
+    p = _fill(_LeafParser(), path)
+    p.set_defaults(command=path[0])
+    if len(path) == 2:
+        p.set_defaults(**{path[0] + "_command": path[1]})
+    return p
+
+
+def _parse(argv):
+    """``build_parser().parse_args(argv)``, read by the named command's own
+    parser where it can be.  The whole tree parses instead when argv names
+    no command or when that parser would print, so that every help text,
+    usage line and error message is the tree's.  It also parses any argv
+    holding "--": which level consumes that has changed between Python
+    releases."""
+    if argv is None:
+        argv = sys.argv[1:]
+    if "--" not in argv:
+        for k in (1, 2):
+            path = tuple(argv[:k])
+            if path in _COMMANDS:
+                try:
+                    return _leaf(path).parse_args(argv[k:])
+                except _Unparsed:
+                    break
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse(argv)
     # A command makes no reference cycles, so the cyclic collector would
     # only rescan its growing heap; it is off until the command returns.
     collecting = gc.isenabled()

@@ -191,12 +191,6 @@ def star(G, vid):
     return others, [weight[vid, o] for o in others]
 
 
-def stars(G):
-    """The weights leaving each vertex, in ``G.ids`` and edge order."""
-    for vid in G.ids:
-        yield star(G, vid)[1]
-
-
 _Fold = namedtuple("_Fold", "sums censuses")
 
 
@@ -259,9 +253,17 @@ def _fold(degree, dim, leaving):
 
 
 def _fold_of(G):
-    """G's fold over ``stars(G)``, made on first use and kept."""
+    """G's fold, made on first use and kept.  One pass over the edge
+    columns gives the weights leaving each vertex in ``G.ids`` and edge
+    order, the order of its star: w at u and -w at v."""
     if G._folded is None:
-        G._folded = _fold(G.degree, G.ambient_dim, stars(G))
+        cols = G._weight_col
+        minus = {w: tuple(map(neg, w)) for w in set(cols)}
+        leaving = {vid: [] for vid in G.ids}
+        for (u, v), w in zip(G.edge_list, cols):
+            leaving[u].append(w)
+            leaving[v].append(minus[w])
+        G._folded = _fold(G.degree, G.ambient_dim, leaving.values())
     return G._folded
 
 

@@ -310,6 +310,7 @@ def _call(argv):
 
 def _fresh_call(argv):
     cli.build_parser.cache_clear()
+    cli._leaf.cache_clear()
     return _call(argv)
 
 
@@ -321,12 +322,15 @@ def _fresh_call(argv):
     (["verify", "main", "catalog:cube"], "--help", 0),
 ])
 def test_cached_parser_keeps_no_state_between_calls(argv, flag, code):
-    # the parser is built once per process; a flag given to one call must
-    # not change the next call's output
+    # the command's parser and the tree are built once per process; a flag
+    # given to one call must not change the next call's output
     fresh = [_fresh_call(argv + [flag]), _fresh_call(argv)]
     assert fresh[0][0] == code
     cli.build_parser.cache_clear()
+    cli._leaf.cache_clear()
     assert [_call(argv + [flag]), _call(argv)] == fresh
+    info = cli._leaf.cache_info()  # one leaf, built by the first call and reused
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
     assert cli.build_parser() is cli.build_parser()
 
 

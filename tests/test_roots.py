@@ -313,8 +313,10 @@ def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     G = roots.coadjoint_graph(roots.build(kind, rank), I)
     H = gkm.GkmGraph(rank, G.degree, list(G.coords.items()), G.edge_list)
     _assert_same_graph(G, H)
-    # the fold the walk keeps is the one the readers would make
-    assert G._folded == gkm._fold(H.degree, H.ambient_dim, gkm.stars(H))
+    # the fold the walk keeps and the fold of the edge columns are the one
+    # the stars give
+    stars = (gkm.star(H, vid)[1] for vid in H.ids)
+    assert G._folded == gkm._fold_of(H) == gkm._fold(H.degree, H.ambient_dim, stars)
 
 
 SKELETONS = {**{name: lambda name=name: catalog.load(name) for name in catalog.names("polytope")},
@@ -353,6 +355,13 @@ def test_orbit_tables_by_edge_are_made_only_when_read():
         P.relative_lengths()
         serialize.graph_to_json(P.skeleton())
         assert not any(name in vars(P.skeleton()) for name in lazy)
+    # other graphs, from the catalog or from JSON, fold from the columns
+    graphs = [catalog.load(name) for name in catalog.names("gkm-graph")]
+    graphs.append(serialize.graph_from_json(serialize.graph_to_json(G)))
+    for H in graphs:
+        assert gkm.verify_graph_corollary(H).passed
+        assert H._folded is not None
+        assert not any(name in vars(H) for name in lazy)
 
 
 @pytest.mark.parametrize("kind, rank, I", ORBITS)
