@@ -6,9 +6,14 @@ is used anywhere in the package.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import attrgetter
 
 from .errors import DimensionMismatch, NonSquare, ZeroVector
+
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def content(v):
@@ -220,10 +225,9 @@ def null_direction(rows):
 
 def common_denominator(points):
     """q = the lcm of the denominators of every coordinate (ints or
-    Fractions, read off ``.denominator``), and the integer points q * p."""
-    q = lcm(*(c.denominator for p in points for c in p))
-    return q, [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
-
-
-def is_integral(point):
-    return all(c.denominator == 1 for c in point)
+    Fractions, read off ``.denominator``), and the integer points q * p.
+    When q is 1 the integer points are the numerators."""
+    q = lcm(*set(map(_denominator, chain.from_iterable(points))))
+    if q == 1:
+        return q, [tuple(map(_numerator, p)) for p in points]
+    return q, [tuple([c.numerator * (q // c.denominator) for c in p]) for p in points]

@@ -127,7 +127,7 @@ class GkmGraph:
             if g == 0:
                 raise ZeroVector("zero displacement")
             if g != 1:
-                d = tuple(c // g for c in d)
+                d = tuple([c // g for c in d])
             edge_list.append(e)
             weights.append(d)
             lengths.append(_ratio(g, q))
@@ -476,38 +476,48 @@ def is_delzant(P):
     det A det W = +-1 in integers, so |det W| = 1.  If |det W| = 1, then
     A = D W^-1 with W^-1 integral, so each entry of D divides the
     primitive row a_i and is -1.  So the vertex is smooth iff each weight
-    pairs to -1 with the normal of the facet its edge leaves.  Those
-    pairs, a dict from facet id to weight at each vertex in edge order
-    (the highest facet an edge leaves, where it is not simple), are kept
-    as P._leaving, and the verdict as P._delzant.
+    pairs to -1 with the normal of the facet its edge leaves.
+
+    The check runs edge by edge: the edge u v with weight w leaves the
+    highest facet i at u not through v, and the highest facet j at v not
+    through u, and it tests <a_i, w> = -1 at u and <a_j, w> = 1 at v.  A
+    vertex is smooth iff it has n edges and every test at it passed; the
+    edges at a vertex with n edges leave distinct facets, so each of its
+    pairs is tested.  The weights by facet left at each vertex, a dict in
+    edge order, are kept as P._leaving, and the verdict as P._delzant.
     """
     S = P.skeleton()
     n = P.dim
     at_vertex = P._incidence_bits()[0]
     normals = [h.normal for h in P.facets]
     leaving = [{} for _ in at_vertex]
+    smooth = [True] * len(at_vertex)
     for (u, v), w in zip(S.edge_list, S._weight_col):
         at_u, at_v = at_vertex[u], at_vertex[v]
-        leaving[u][(at_u & ~at_v).bit_length() - 1] = w
-        leaving[v][(at_v & ~at_u).bit_length() - 1] = tuple(map(neg, w))
+        i = (at_u & ~at_v).bit_length() - 1
+        j = (at_v & ~at_u).bit_length() - 1
+        leaving[u][i] = w
+        leaving[v][j] = tuple(map(neg, w))
+        if sum(map(mul, normals[i], w)) != -1:
+            smooth[u] = False
+        if sum(map(mul, normals[j], w)) != 1:
+            smooth[v] = False
     degrees = _degrees(S)
     rep = VerificationReport("delzant", True)
     rep.add_item("simple", all(degrees[vid] == n for vid in S.ids))
     rep.add_item("rational", True)
-    for vid, out in enumerate(leaving):
-        rep.add_item(f"smooth vertex {vid}", degrees[vid] == n and all(
-            sum(map(mul, normals[i], w)) == -1 for i, w in out.items()
-        ))
+    for vid, ok in enumerate(smooth):
+        rep.add_item(f"smooth vertex {vid}", ok and degrees[vid] == n)
     P._leaving = leaving
     P._delzant = rep.passed
     return rep
 
 
 def is_reflexive(P):
-    """Integral vertices, origin interior, every facet of the form <x,l> <= 1."""
-    if not all(exact.is_integral(v) for v in P.vertices):
-        return False
-    return all(h.offset == 1 for h in P.facets)
+    """Integral vertices, origin interior, every facet of the form <x,l> <= 1.
+    The vertices are integral iff their common denominator q, made by the
+    incidence pass, is 1."""
+    return P._integer_vertices()[0] == 1 and all(h.offset == 1 for h in P.facets)
 
 
 def from_polytope(P):

@@ -436,21 +436,47 @@ class Polytope:
 
     def edges(self):
         """Sorted vertex-id pairs spanning the 1-dimensional faces, read off
-        the incidence bitmasks without the face lattice.  The smallest face
+        the incidence bitmasks without the face lattice.
+
+        A simple vertex u lies on exactly n facets, and any n - 1 of them
+        meet in an edge at u: its vertex figure is a simplex, whose facets
+        are those n, and any n - 1 facets of a simplex meet in a vertex of
+        it.  The key ``at_u ^ bit_i`` names the n - 1 facets of the edge
+        that leaves facet i.  They meet in that edge alone, so the only
+        vertices on all of them are its two ends, and a simple end has the
+        same key: two simple vertices with a shared key are adjacent, and
+        one dict from each key to the first vertex that has it pairs them.
+        In dimension 1 the key is empty and P itself is the edge.
+
+        The edges at a vertex on more than n facets are found by a scan
+        from it over every vertex, skipping those on more than n facets
+        with a lower id, which scanned the pair already: the later vertices
+        and the earlier simple ones (``simple``).  The smallest face
         through u and v is cut out by the facets through both, so u v is an
         edge iff those facets meet in {u, v} alone.  An edge lies on at
         least n - 1 facets, so a pair on fewer is passed over before the
-        meet.  The meet starts from every vertex: in dimension 1 the two
-        vertices share no facet and P itself is the edge."""
+        meet."""
         if self._edges is None:
             at_vertex, on_facet = self._incidence_bits()
-            least = self.dim - 1
+            n, least = self.dim, self.dim - 1
             top = (1 << len(at_vertex)) - 1
-            out = []
+            first, out, simple = {}, [], []
             for u, here in enumerate(at_vertex):
+                if here.bit_count() == n:
+                    simple.append((u, here))
+                    rest = here
+                    while rest:
+                        low = rest & -rest
+                        v = first.setdefault(here ^ low, u)
+                        if v != u:
+                            out.append((v, u))
+                        rest ^= low
+                    continue
                 near = [(v, common) for v, common in enumerate(
                     [here & there for there in at_vertex[u + 1:]], u + 1)
                     if common.bit_count() >= least]
+                if simple:
+                    near += [(v, here & there) for v, there in simple]
                 for v, common in near:
                     pair, meet = 1 << u | 1 << v, top
                     while common and meet != pair:
@@ -458,7 +484,8 @@ class Polytope:
                         meet &= on_facet[low.bit_length() - 1]
                         common ^= low
                     if meet == pair:
-                        out.append((u, v))
+                        out.append((u, v) if u < v else (v, u))
+            out.sort()
             self._edges = tuple(out)
         return list(self._edges)
 

@@ -81,12 +81,12 @@ def _contributions(P, edge):
     u, v = edge
     at_u, at_v = P._leaving[u], P._leaving[v]
     w1 = at_u[(at_vertex[u] & ~at_vertex[v]).bit_length() - 1]
-    k = next(i for i, c in enumerate(w1) if c)
+    k = w1.index(next(filter(None, w1)))  # the first nonzero coordinate
     out = []
     for i in _bits(at_vertex[u] & at_vertex[v]):
         diff = tuple(map(sub, at_u[i], at_v[i]))
         a = diff[k] // w1[k]
-        if diff != tuple(a * c for c in w1):
+        if diff != tuple([a * c for c in w1]):
             raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {edge}")
         out.append((i, a))
     return out

@@ -333,6 +333,41 @@ def test_check_delzant_output_is_pinned(args):
     assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == DELZANT_SHA256[args]
 
 
+# The same for `delzant check delzant FILE [--text]` on the cubes [-1, 1]^n,
+# n = 1..6, and the cross-polytope in dimension 4, written to a file by
+# serialize.polytope_to_json; recorded before the check ran edge by edge
+# and the edges came from facet keys.
+DELZANT_FILE_SHA256 = {
+    ("cube1",): (0, "169f2adbb40b21b170dc6fa2f03a85d7e732b4bced54a504eae87d705e65167b"),
+    ("cube1", "--text"): (0, "000f6d8412277aa4f914e81649a99b752b99c5390a8bea46c159fc22b13c1bba"),
+    ("cube2",): (0, "f06060a12ace58f6384d1676be1b5e4e31736f9ea8c97cbd49b555e9da56dd59"),
+    ("cube2", "--text"): (0, "dff00494a5045375b739ef18f0cb964866593d9d92cb1a12d4d8e0686cf91ab8"),
+    ("cube3",): (0, "2eb21836256bed4f7a3c86543620bcba15e348c54188045af8ce022f9f3b3efc"),
+    ("cube3", "--text"): (0, "e93e0777b24d62557a00e7ea1b183127f68e64f06620695b66d45930c043e92f"),
+    ("cube4",): (0, "4a04d487ecc352308811641d147f5533f6f74493108425b598d7f88b826f3367"),
+    ("cube4", "--text"): (0, "fb86a6a5088313654277237279ab728e98898fa3a2ebebf2425fdf2b4c91117a"),
+    ("cube5",): (0, "256021dd0120d2852d66c1eeeca554fec024187fcd01109bc7df767b3d8045f5"),
+    ("cube5", "--text"): (0, "c372eeec7942d2d19cf88ed0ce6d048760f4b107ecb13011523945e1843c8f47"),
+    ("cube6",): (0, "e30cab785e19fd90317ab27a035336b434fe135ba557d036c12b53bb78ef8fb7"),
+    ("cube6", "--text"): (0, "998734a3a5f7085365ea89e5641321e1f93a456c422a8f1048b0cd80009b5ade"),
+    ("cross4",): (1, "610d76ff3cad438d7ae17a4ecd8dadca6fc7e25dd679e669ecd47967547a03e2"),
+    ("cross4", "--text"): (1, "03137206352dbcaddc48c3a7a1670273aec73e47c9afb464374add7f766bcef2"),
+}
+DELZANT_FILES = {**{f"cube{n}": lambda n=n: polytope.cube(n) for n in range(1, 7)},
+                 "cross4": lambda: polytope.cross_polytope(4)}
+
+
+@pytest.mark.parametrize("args", list(DELZANT_FILE_SHA256), ids=" ".join)
+def test_check_delzant_output_from_a_file_is_pinned(args, tmp_path):
+    name, *flags = args
+    source = tmp_path / f"{name}.json"
+    source.write_text(json.dumps(serialize.polytope_to_json(DELZANT_FILES[name]())))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["check", "delzant", str(source), *flags])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == DELZANT_FILE_SHA256[args]
+
+
 # Exit code and SHA-256 of the standard output of `delzant dual|fvector
 # catalog:NAME [--text]`, recorded before the hull and the maps kept their
 # work in integers between reading the input and building the output.  A

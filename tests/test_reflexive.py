@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, exact, gkm, oracle, reflexive
 from delzant.errors import (
+    DelzantError,
     InconsistentCones,
     NonLatticeEdge,
     NonPositiveIndex,
@@ -13,6 +15,8 @@ from delzant.errors import (
     UnsupportedDimension,
 )
 from delzant.polytope import Polytope, cube, simplex_cpn
+
+from test_oracle import halfspace_sets
 
 SMOOTH_POLYGONS = ["cp2-triangle", "square", "blowup1", "blowup2", "hexagon"]
 DELZANT_REFLEXIVE = SMOOTH_POLYGONS + ["cube", "cp3-simplex", "hypercube4"]
@@ -36,6 +40,50 @@ def test_is_reflexive():
         assert reflexive.is_reflexive(catalog.load(name)), name
     assert not reflexive.is_reflexive(catalog.load("rect"))
     assert not reflexive.is_reflexive(catalog.load("unit-square"))
+
+
+def _reflexive_by_coordinates(P):
+    return (all(c.denominator == 1 for v in P.vertices for c in v)
+            and all(h.offset == 1 for h in P.facets))
+
+
+@st.composite
+def unit_offset_halfspaces(draw):
+    """Inequalities <x, a> <= 1 with integer normals, around the simplex
+    -x_i <= 1, x_1 + ... + x_n <= 1: a non-primitive normal gives an
+    offset below 1, and the vertices need not be integral."""
+    n = draw(st.integers(1, 3))
+    normals = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n).filter(any), max_size=n + 3))
+    normals += [tuple(-int(j == i) for j in range(n)) for i in range(n)] + [(1,) * n]
+    return [(a, 1) for a in normals]
+
+
+# Every offset is 1, but the vertex (2/3, -1) is not integral.
+OFFSETS_ONE_NOT_REFLEXIVE = [((3, 1), 1), ((-1, 0), 1), ((0, -1), 1)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(unit_offset_halfspaces(), halfspace_sets()))
+@example(OFFSETS_ONE_NOT_REFLEXIVE)
+def test_is_reflexive_matches_the_coordinates(halfspaces):
+    try:
+        P = Polytope.from_halfspaces(halfspaces)
+    except DelzantError:
+        return
+    assert reflexive.is_reflexive(P) == _reflexive_by_coordinates(P)
+
+
+def test_offsets_one_with_a_rational_vertex_is_not_reflexive():
+    P = Polytope.from_halfspaces(OFFSETS_ONE_NOT_REFLEXIVE)
+    assert all(h.offset == 1 for h in P.facets)
+    assert (Fraction(2, 3), -1) in P.vertices
+    assert not reflexive.is_reflexive(P)
+
+
+def test_is_reflexive_matches_the_coordinates_on_the_catalog():
+    for name in catalog.names("polytope"):
+        P = catalog.load(name)
+        assert reflexive.is_reflexive(P) == _reflexive_by_coordinates(P), name
 
 
 def test_vertex_fano():

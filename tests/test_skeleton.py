@@ -4,6 +4,7 @@ determinants: ``edges()``, read off the incidence, against the walk's
 ``h_vector_comb()``; the smoothness pairing against |det W| = 1; and no
 verifier or Delzant check walks the face lattice."""
 
+import collections
 import contextlib
 import io
 import itertools
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from delzant import catalog, cli, exact, gkm, reflexive
 from delzant.errors import DelzantError
 from delzant.polytope import Polytope, cube, cross_polytope
+from delzant.report import VerificationReport
 
 from test_oracle import OCTAHEDRON, PYRAMID, RATIONAL, halfspace_sets, point_sets, unimodular
 
@@ -67,14 +69,49 @@ def _octahedron_times_square():
                                    for s in [(1, 1), (-1, 1), (-1, -1), (1, -1)]])
 
 
+# Polytopes with both simple vertices, whose edges come from facet keys,
+# and vertices on more than n facets, whose edges come from the pair scan.
+BIPYRAMID = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+MIXED = {
+    # the apex lies on 4 facets, the base vertices on 3
+    "pyramid": lambda: Polytope.from_vertices(PYRAMID),
+    # the apices lie on 3 facets, the equator vertices on 4
+    "bipyramid": lambda: Polytope.from_vertices(BIPYRAMID),
+    # the apex edge lies on 5 facets, the base edges on 4
+    "pyramidxsegment": lambda: Polytope.from_vertices([p + (t,) for p in PYRAMID for t in (-1, 1)]),
+    "segment": lambda: Polytope.from_vertices([(-1,), (2,)]),
+}
+
+
+def _on_more_than_n(P):
+    return sum(len(active) > P.dim for active in P.incidence()[0])
+
+
 @pytest.mark.parametrize("make", [*(lambda n=n: catalog.load(n) for n in POLYTOPES),
                                   *(lambda n=n: cube(n) for n in CUBES),
-                                  lambda: cross_polytope(4), _octahedron_times_square],
+                                  lambda: cross_polytope(4), _octahedron_times_square,
+                                  *MIXED.values()],
                          ids=[*POLYTOPES, *(f"cube{n}" for n in CUBES), "cross4",
-                              "octahedronxsquare"])
+                              "octahedronxsquare", *MIXED])
 def test_edges_match_the_walk(make):
     P = make()
     assert P.edges() == _walk_edges(P)
+
+
+def test_the_mixed_polytopes_have_both_kinds_of_vertex():
+    counts = {name: (len(make().vertices), _on_more_than_n(make())) for name, make in MIXED.items()}
+    assert counts == {"pyramid": (5, 1), "bipyramid": (5, 3), "pyramidxsegment": (10, 2),
+                      "segment": (2, 0)}
+
+
+@pytest.mark.parametrize("make", [*(lambda n=n: catalog.load(n) for n in POLYTOPES),
+                                  *(lambda n=n: cube(n) for n in range(1, 9))],
+                         ids=[*POLYTOPES, *(f"cube{n}" for n in range(1, 9))])
+def test_a_simple_polytope_has_n_edges_at_each_vertex(make):
+    # each vertex on exactly n facets: 2|E| = n V
+    P = make()
+    if not _on_more_than_n(P):
+        assert 2 * len(P.edges()) == P.dim * len(P.vertices)
 
 
 # The reflexive Delzant factors of the verify benchmark's products.
@@ -161,6 +198,59 @@ def test_smoothness_pairing_matches_det_on_known_polytopes():
                                                       for a, b in zip(u[i], u[j])]
         _pairing_matches_det(Polytope.from_vertices(
             [tuple(sum(a * c for a, c in zip(row, v)) for row in u) for v in P.vertices]))
+
+
+def _delzant_by_vertex(P):
+    """A per-vertex form of the Delzant check: the weight leaving each
+    facet at each vertex is gathered first, the highest facet an edge
+    leaves where it is not simple, and then each vertex is smooth iff it
+    has n edges and each of its gathered weights pairs to -1 with the
+    normal of its facet.  Returns the report and the gathered table."""
+    S = P.skeleton()
+    at_vertex = P._incidence_bits()[0]
+    normals = [h.normal for h in P.facets]
+    leaving = [{} for _ in at_vertex]
+    for (u, v), w in zip(S.edge_list, S._weight_col):
+        at_u, at_v = at_vertex[u], at_vertex[v]
+        leaving[u][(at_u & ~at_v).bit_length() - 1] = w
+        leaving[v][(at_v & ~at_u).bit_length() - 1] = tuple(-c for c in w)
+    degrees = collections.Counter(itertools.chain.from_iterable(S.edge_list))
+    rep = VerificationReport("delzant", True)
+    rep.add_item("simple", all(degrees[vid] == P.dim for vid in S.ids))
+    rep.add_item("rational", True)
+    for vid, out in enumerate(leaving):
+        rep.add_item(f"smooth vertex {vid}", degrees[vid] == P.dim and all(
+            exact.dot(normals[i], w) == -1 for i, w in out.items()))
+    return rep, leaving
+
+
+def _assert_delzant_by_vertex(P):
+    rep, leaving = _delzant_by_vertex(P)
+    assert gkm.is_delzant(P).to_dict() == rep.to_dict()
+    assert P._leaving == leaving and P._delzant == rep.passed
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.tuples(st.just(Polytope.from_vertices), point_sets()),
+                 st.tuples(st.just(Polytope.from_halfspaces), halfspace_sets())))
+@example((Polytope.from_vertices, OCTAHEDRON))
+@example((Polytope.from_vertices, PYRAMID))
+@example((Polytope.from_vertices, BIPYRAMID))
+@example((Polytope.from_vertices, RATIONAL))
+@example((Polytope.from_vertices, [(0, 0), (2, 0), (0, 1)]))
+@example((Polytope.from_vertices, [(-1,), (2,)]))
+def test_delzant_check_matches_the_per_vertex_check(made):
+    P = _hulled(*made)
+    if P is not None:
+        _assert_delzant_by_vertex(P)
+
+
+@pytest.mark.parametrize("make", [*(lambda n=n: catalog.load(n) for n in POLYTOPES),
+                                  *(lambda n=n: cube(n) for n in CUBES),
+                                  lambda: cross_polytope(4), *MIXED.values()],
+                         ids=[*POLYTOPES, *(f"cube{n}" for n in CUBES), "cross4", *MIXED])
+def test_delzant_check_matches_the_per_vertex_check_on_known_polytopes(make):
+    _assert_delzant_by_vertex(make())
 
 
 VERIFIERS = [

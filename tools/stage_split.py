@@ -1,0 +1,91 @@
+"""Warm per-stage times of the verify workload's polytope items, and of
+``Polytope.edges()`` on two polytopes.
+
+    python3 tools/stage_split.py [CHECKOUT] [--seed S] [--rounds N]
+
+Imports the package and ``perfbench/corpus.py`` from CHECKOUT (by default
+the checkout this file belongs to), builds the verify corpus for seed S
+(1 by default) and runs its polytope items N times (40 by default).  Each
+item gets a fresh polytope from its stored descriptions, as in the
+benchmark, and the stages run one after the other, each timed on its own:
+the integer points, the incidence bitmasks, ``edges()``, the skeleton's
+columns (``GkmGraph._fill``), the Delzant check, and last the item's
+verifier, which finds all of the above made.  The enumeration items run no
+polytope code and are left out.  Prints, as JSON, each stage's median
+over the rounds of its total over the items, in ms, with its share of the
+round, and the median time of ``edges()`` over 9 fresh copies of
+cube(10), whose vertices are all simple, and 200 of cross_polytope(6),
+whose vertices are on more than n facets.
+"""
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+STAGES = ("integer points", "incidence", "edges", "_fill", "is_delzant", "verifiers")
+
+
+def split(mods, corpus, seed, rounds):
+    items = [it for it in corpus.build_verify(mods, seed) if not it.name.startswith("enumerate")]
+    rounds_ms = []
+    for _ in range(rounds):
+        total = dict.fromkeys(STAGES, 0.0)
+        for item in items:
+            (P,) = item.fresh()
+            t = [time.perf_counter()]
+            for stage in (P._integer_vertices, P._incidence_bits, P.edges, P.skeleton,
+                          lambda: mods.reflexive.is_delzant(P)):
+                stage()
+                t.append(time.perf_counter())
+            out = item.op(P)
+            t.append(time.perf_counter())
+            if item.check(out) != "ok":
+                raise SystemExit(f"{item.name}: wrong output")
+            for stage, a, b in zip(STAGES, t, t[1:]):
+                total[stage] += 1000 * (b - a)
+        rounds_ms.append(total)
+    round_ms = statistics.median(sum(r.values()) for r in rounds_ms)
+    stages = {}
+    for stage in STAGES:
+        ms = statistics.median(r[stage] for r in rounds_ms)
+        stages[stage] = {"ms": round(ms, 3), "share": round(ms / round_ms, 3)}
+    return {"items": len(items), "round_ms": round(round_ms, 3), "stages": stages}
+
+
+def edges_ms(polytope, make, repeats):
+    P = make()
+    times = []
+    for _ in range(repeats):
+        Q = polytope.Polytope(P.dim, P.vertices, P.facets)
+        Q._incidence_bits()
+        t0 = time.perf_counter()
+        Q.edges()
+        times.append(1000 * (time.perf_counter() - t0))
+    return round(statistics.median(times), 4)
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("checkout", nargs="?", default=ROOT)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--rounds", type=int, default=40)
+    args = p.parse_args(argv)
+    checkout = os.path.abspath(args.checkout)
+    sys.path[:0] = [os.path.join(checkout, "src"), os.path.join(checkout, "perfbench")]
+    import corpus
+    import run
+    mods = run.Modules()
+    out = split(mods, corpus, args.seed, args.rounds)
+    out["edges_ms"] = {
+        "cube(10)": edges_ms(mods.polytope, lambda: mods.polytope.cube(10), 9),
+        "cross_polytope(6)": edges_ms(mods.polytope, lambda: mods.polytope.cross_polytope(6), 200),
+    }
+    print(json.dumps(out, indent=2))
+
+
+if __name__ == "__main__":
+    main()
