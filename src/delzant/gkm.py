@@ -2,10 +2,10 @@
 validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
-from collections import Counter, namedtuple
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import itemgetter, mul, neg, sub
 
@@ -43,8 +43,9 @@ class GkmGraph:
     integer points as already made (``Polytope.skeleton`` has them from
     the incidence pass); the one exception to the derivation is
     ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
-    edge's weight and length already known.  ``_folded`` keeps the graph's
-    ``_fold`` once made.
+    edge's weight and length already known.  ``_pairing`` keeps the
+    graph's ``_Pairing`` under its first three generic candidate
+    directions once made.
 
     The edges are held as three columns: ``edge_list`` and, edge by edge,
     ``_weight_col`` (the weights u -> v) and ``_length_col``.  Readers of
@@ -54,7 +55,7 @@ class GkmGraph:
     These are views of the columns, made the first time they are read.
     """
 
-    _folded = None
+    _pairing = None
 
     def __init__(self, ambient_dim, degree, vertices, edges):
         coords = {}
@@ -191,80 +192,104 @@ def star(G, vid):
     return others, [weight[vid, o] for o in others]
 
 
-_Fold = namedtuple("_Fold", "sums censuses")
+class _Pairing:
+    """The one pass that pairs G's edge weights with directions.  It keeps
+    ``xis``, the first k of ``candidates`` that vanish on no weight, and
+    gives per vertex, in ``G.ids`` order: ``degrees``; ``indegrees(c)``,
+    the number of weights leaving it that pair negatively with xis[c],
+    which are its edges that xis[c] orients into it; and, with ``sums``,
+    its weight sum.  ``gkm`` tells whether no two weights at a vertex are
+    parallel.  Each is read off the pass when first asked for.
 
+    Each distinct weight w is paired once with each candidate and gets two
+    integers, for the tail its edges leave by w and the head they leave by
+    -w.  From the lowest, their bit fields hold a 1 for the degree, a 1
+    for each kept direction that the weight leaving that end pairs
+    negatively with and, with ``sums``, that weight in balanced base 2^b.
+    A count field holds |V|, and a weight sum's coordinates are below |V|
+    max|w_i| < 2^(b-1), so the fields of the sum of a vertex's integers
+    are its degree, its in-degrees and its weight sum.  Each edge is looked
+    up once, and adds one integer at each end.
+    """
 
-def _fold(degree, dim, leaving):
-    """One pass over the weights leaving each vertex (``leaving``, in id
-    order) of a graph of the given degree in Q^dim.  ``sums``: the weight
-    sum at each vertex, or None when a vertex has not ``degree`` weights
-    or two of them are parallel (the GKM condition).  ``censuses``: the
-    in-degree censuses under the first three distinct candidates, or None
-    when a vertex has not ``degree`` weights or a candidate vanishes on a
-    weight.  A vertex's in-degree is the number of weights leaving it that
-    pair negatively with the direction.  Each distinct weight is paired
-    once, which pays on orbit graphs: 84% of the weights leaving the
-    vertices of the ``weyl`` bench corpus repeat an earlier one."""
-    xis = list(dict.fromkeys(tuple(b**i for i in range(dim)) for b in _GENERIC_BASES[:3]))
-    # Per weight, made once with its negative: its line +-w, and a code
-    # with the bit of field c set when w pairs negatively with xis[c], and
-    # the top bit when it pairs to 0.  A field holds a degree, so a
-    # vertex's codes sum to its in-degrees under every candidate at once.
-    shift = degree.bit_length()
-    bits = [1 << shift * c for c in range(len(xis))]
-    vanished = 1 << shift * len(xis)
-    seen = {}
-
-    def new(w):
-        m = tuple(map(neg, w))
-        below = above = 0
-        for xi, bit in zip(xis, bits):
-            pair = sum(map(mul, w, xi))
-            if pair < 0:
-                below += bit
-            elif pair > 0:
-                above += bit
-            else:
-                below |= vanished
-                above |= vanished
-        line = max(w, m)
-        seen[m] = (line, above)
-        seen[w] = got = (line, below)
-        return got
-
-    zero = (0,) * dim
-    sums, codes = [], []
-    regular = independent = True
-    for ws in leaving:
-        got = [seen.get(w) or new(w) for w in ws]
-        regular = regular and len(ws) == degree
-        independent = independent and len({line for line, _ in got}) == len(ws)
-        sums.append(tuple(map(sum, zip(*ws))) or zero)
-        codes.append(sum([code for _, code in got]))
-    censuses = None
-    if regular and all(code < vanished for code in codes):
-        mask = (1 << shift) - 1
-        censuses = [[0] * (degree + 1) for _ in xis]
-        for code, count in Counter(codes).items():
-            for c, h in enumerate(censuses):
-                h[code >> shift * c & mask] += count
-        censuses = list(map(tuple, censuses))
-    return _Fold(sums if regular and independent else None, censuses)
-
-
-def _fold_of(G):
-    """G's fold, made on first use and kept.  One pass over the edge
-    columns gives the weights leaving each vertex in ``G.ids`` and edge
-    order, the order of its star: w at u and -w at v."""
-    if G._folded is None:
+    def __init__(self, G, candidates, k, sums=False):
         cols = G._weight_col
-        minus = {w: tuple(map(neg, w)) for w in set(cols)}
-        leaving = {vid: [] for vid in G.ids}
+        self._weights = weights = list(dict.fromkeys(cols))
+        n = len(G.ids)
+        self._width = width = n.bit_length()
+        self.xis = xis = []
+        codes = [(1, 1)] * len(weights)
+        for xi in candidates:
+            pairs = [sum(map(mul, w, xi)) for w in weights]
+            if all(pairs):
+                xis.append(xi)
+                bit = 1 << len(xis) * width
+                codes = [(t + bit, h) if pair < 0 else (t, h + bit)
+                         for (t, h), pair in zip(codes, pairs)]
+                if len(xis) == k:
+                    break
+        start = 0
+        if sums:
+            low = (len(xis) + 1) * width
+            m = max(map(abs, chain.from_iterable(weights)), default=0)
+            self._b = b = (n * m).bit_length() + 1
+            self._shifts = range(low, low + b * G.ambient_dim, b)
+            # A weight's field is its pairing with these places.  Each digit
+            # starts at 2^(b-1), so that every field stays nonnegative.
+            places = [1 << i for i in self._shifts]
+            fields = [sum(map(mul, w, places)) for w in weights]
+            codes = [(t + f, h - f) for (t, h), f in zip(codes, fields)]
+            start = sum(places) << b - 1
+        codes = dict(zip(weights, codes))
+        packed = dict.fromkeys(G.ids, start)
         for (u, v), w in zip(G.edge_list, cols):
-            leaving[u].append(w)
-            leaving[v].append(minus[w])
-        G._folded = _fold(G.degree, G.ambient_dim, leaving.values())
-    return G._folded
+            tail, head = codes[w]
+            packed[u] += tail
+            packed[v] += head
+        self._packed = packed.values()
+        self._columns = G.edge_list, cols
+
+    def indegrees(self, c):
+        """Each vertex's in-degree under xis[c]."""
+        shift, field = (c + 1) * self._width, (1 << self._width) - 1
+        return [a >> shift & field for a in self._packed]
+
+    def census(self, c, degree):
+        """The number of vertices of each in-degree 0..degree under xis[c],
+        for a regular graph of that degree."""
+        shift, field = (c + 1) * self._width, (1 << self._width) - 1
+        h = [0] * (degree + 1)
+        for a in self._packed:
+            h[a >> shift & field] += 1
+        return tuple(h)
+
+    @cached_property
+    def degrees(self):
+        field = (1 << self._width) - 1
+        return [a & field for a in self._packed]
+
+    @cached_property
+    def sums(self):
+        shifts, half, digit = self._shifts, 1 << self._b - 1, (1 << self._b) - 1
+        return [tuple([(a >> i & digit) - half for i in shifts]) for a in self._packed]
+
+    @cached_property
+    def gkm(self):
+        """No two edges on one line +-w share an end: one more pass over
+        the columns puts each edge in the list of its line."""
+        lines = {}
+        on_line = {w: lines.setdefault(max(w, tuple(map(neg, w))), []) for w in self._weights}
+        for e, w in zip(*self._columns):
+            on_line[w].append(e)
+        return all(len(set(chain.from_iterable(es))) == 2 * len(es) for es in lines.values())
+
+
+def _kept_pairing(G):
+    """G's pairing under its first three generic candidate directions
+    (``_candidates``), made on first use and kept."""
+    if G._pairing is None:
+        G._pairing = _Pairing(G, _candidates(G), 3, sums=True)
+    return G._pairing
 
 
 def validate(G):
@@ -284,11 +309,18 @@ def validate(G):
     return rep
 
 
+def _valid_sums(G):
+    """The weight sum at each vertex of a graph that passes GKM validation,
+    from its kept pairing; InvalidGraph for any other graph."""
+    p = _kept_pairing(G)
+    if not p.gkm or p.degrees.count(G.degree) != len(p.degrees):
+        raise InvalidGraph("graph fails GKM validation")
+    return p.sums
+
+
 def is_reflexive_graph(G):
     """Weight sum -v at every vertex, lattice vertices, vertex sum zero."""
-    sums = _fold_of(G).sums
-    if sums is None:
-        raise InvalidGraph("graph fails GKM validation")
+    sums = _valid_sums(G)
     rep = VerificationReport("gkm-reflexive", True)
     for vid, s in zip(G.ids, sums):
         v, L = G.coords[vid], G.lattice[vid]
@@ -323,9 +355,7 @@ def gorenstein_index(G):
     list comparison; the first vertex that fails it is diagnosed as the
     first one was.
     """
-    sums = _fold_of(G).sums
-    if sums is None:
-        raise InvalidGraph("graph fails GKM validation")
+    sums = _valid_sums(G)
     r = _index_at(G, G.ids[0], sums[0])
     qb, a = repeat(G.q * r.denominator), repeat(-r.numerator)
     for vid, s, L in zip(G.ids, sums, map(G.lattice.__getitem__, G.ids)):
@@ -356,89 +386,54 @@ def _candidates(G):
         yield xi
 
 
-def _in_degrees(G, xi):
-    """The number of edges at each vertex that xi orients into it, as a
-    Counter without the vertices of in-degree 0, from one pairing per edge:
-    the end that xi puts higher is the head.  None when xi vanishes on an
-    edge weight."""
-    heads = []
-    for e, w in zip(G.edge_list, G._weight_col):
-        pair = sum(map(mul, w, xi))
-        if not pair:
-            return None
-        heads.append(e[1] if pair > 0 else e[0])
-    return Counter(heads)
-
-
 def generic_direction(G, avoid=()):
-    """The first generic direction that is not in ``avoid``."""
-    for xi in _candidates(G):
-        if xi not in avoid and _in_degrees(G, xi) is not None:
-            return xi
-    raise NonGenericDirection("no generic direction among the built-in candidates")
-
-
-def _h_for_xi(G, xi):
-    """The in-degree census of a regular graph under xi, or None when xi is
-    not generic."""
-    indeg = _in_degrees(G, xi)
-    if indeg is None:
-        return None
-    h = [0] * (G.degree + 1)
-    h[0] = len(G.ids) - len(indeg)
-    for k in indeg.values():
-        h[k] += 1
-    return tuple(h)
+    """The first generic candidate direction that is not in ``avoid``, a
+    collection of directions as tuples or lists."""
+    avoid = set(map(tuple, avoid))
+    xis = _Pairing(G, (xi for xi in _candidates(G) if xi not in avoid), 1).xis
+    if not xis:
+        raise NonGenericDirection("no generic direction among the built-in candidates")
+    return xis[0]
 
 
 def first_census(G):
     """The in-degree census of a regular graph under its first generic
-    candidate direction, from one pass per candidate tried.  A polytope
-    needs this census alone, and one pairing per edge costs less than
-    ``_fold``'s sums and three censuses from both ends of each edge."""
-    return next(h for h in (_h_for_xi(G, xi) for xi in _candidates(G)) if h is not None)
+    candidate direction, from a pass with that one direction, not kept.  A
+    polytope needs this census alone."""
+    return _Pairing(G, _candidates(G), 1).census(0, G.degree)
 
 
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
-    The graph must be regular: a fold already kept on the graph proves it
-    when it has its sums or censuses, and otherwise each vertex's edges
-    are counted, which names the first vertex that fails.  When no
-    direction is supplied, the censuses under the first three candidate
-    directions (ambient dimension 1 has only one) come from the graph's
-    fold; if one of them vanishes on a weight, the census is taken under
-    each candidate in turn and the vanishing ones are dropped.  The three
-    censuses must agree; a disagreement means the graph is not of the
-    manifold type where the census is direction-independent.
+    The graph must be regular: the degrees of the pairing name the first
+    vertex that fails.  When no direction is supplied, the censuses come
+    from the graph's kept pairing, under its first three generic candidate
+    directions (ambient dimension 1 has only one); they must agree, or
+    the graph is not of the manifold type where the census is
+    direction-independent.  A supplied direction gets a pairing of its
+    own, and must have the ambient dimension and vanish on no weight.
     """
     # A vertex has at most |V| - 1 edges, so a larger degree cannot be met
     # by any vertex; say so before naming one.
     if G.degree >= len(G.ids):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
-    fold = G._folded
-    if fold is None or fold.sums is None and fold.censuses is None:
-        degrees = _degrees(G)
-        for vid in G.ids:
-            k = degrees[vid]
-            if k != G.degree:
-                raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
-    if xi is not None:
+    if xi is None:
+        p = _kept_pairing(G)
+    else:
         xi = tuple(xi)
+        p = _Pairing(G, [xi] if len(xi) == G.ambient_dim else [], 1)
+    if p.degrees.count(G.degree) != len(p.degrees):
+        vid, k = next((v, k) for v, k in zip(G.ids, p.degrees) if k != G.degree)
+        raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
+    if xi is not None:
         if len(xi) != G.ambient_dim:
             raise DimensionMismatch(
                 f"direction of length {len(xi)} in ambient dimension {G.ambient_dim}"
             )
-        h = _h_for_xi(G, xi)
-        if h is None:
+        if not p.xis:
             raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
-        return h
-    results = _fold_of(G).censuses
-    if results is None:
-        # A candidate vanishes on a weight: drop it and take the next.  The
-        # last candidate is generic, so there is at least one census.
-        censuses = (_h_for_xi(G, d) for d in _candidates(G))
-        results = list(islice((h for h in censuses if h is not None), 3))
+    results = [p.census(c, G.degree) for c in range(len(p.xis))]
     if len(set(results)) != 1:
         raise DirectionDependent(f"h-vector depends on the direction: {results}")
     return results[0]

@@ -273,31 +273,22 @@ def coadjoint_graph(rs, I):
     joined when a positive-root reflection swaps them.  s_beta maps p to
     p - t beta, t = <p, beta^v>, so that edge has weight -sign(t) beta
     away from p and length |t|; it is written at its lower end, where
-    t < 0 (beta >= 0), and its other end is found by key.  The weights
-    leaving each point go to ``gkm._fold``, whose result the graph keeps.
+    t < 0 (beta >= 0), and its other end is found by key.
     """
     p0 = base_point(rs, I)
     place, keys, points, pairings = _walk(rs, p0)
     betas = rs.positive_roots
-    minus = [tuple(map(neg, beta)) for beta in betas]
     encoded = [sum(map(mul, beta, place)) for beta in betas]
     index = {k: u for u, k in enumerate(keys)}
     edges, forward, lengths = [], [], []
-
-    def stars():
-        for u, (k, tv) in enumerate(zip(keys, pairings)):
-            # The edges to the higher neighbours, by the neighbour's place.
-            row = sorted([(index[k - t * e], -t, beta)
-                          for t, e, beta in zip(tv, encoded, betas) if t < 0])
-            if row:
-                vs, ts, bs = zip(*row)
-                edges.extend(zip(repeat(u), vs))
-                lengths.extend(ts)
-                forward.extend(bs)
-            yield [beta if t < 0 else m for t, beta, m in zip(tv, betas, minus) if t]
-
+    for u, (k, tv) in enumerate(zip(keys, pairings)):
+        # The edges to the higher neighbours, by the neighbour's place.
+        row = sorted([(index[k - t * e], -t, beta)
+                      for t, e, beta in zip(tv, encoded, betas) if t < 0])
+        if row:
+            vs, ts, bs = zip(*row)
+            edges.extend(zip(repeat(u), vs))
+            lengths.extend(ts)
+            forward.extend(bs)
     degree = sum(1 for t in pairings[0] if t)
-    fold = gkm._fold(degree, rs.rank, stars())
-    G = gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, forward, lengths)
-    G._folded = fold
-    return G
+    return gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, forward, lengths)

@@ -156,6 +156,15 @@ def test_polytope_skeleton_is_the_graph():
             assert P.vertex_weights(v) == [S.weight(e, tail=v) for e in S.incident(v)], name
 
 
+def test_generic_direction_skips_avoided_directions_given_as_lists():
+    # an avoided direction is skipped whether it comes as a tuple or a list
+    P = catalog.load("hexagon")
+    assert P.generic_direction() == (1, 2)
+    assert P.generic_direction(avoid=[(1, 2)]) == P.generic_direction(avoid=[[1, 2]]) == (1, 3)
+    assert P.generic_direction(avoid=[[1, 2], (1, 3)]) == (1, 5)
+    assert gkm.generic_direction(P.skeleton(), avoid=[[1, 2]]) == (1, 3)
+
+
 def test_h_vector_rejects_non_generic_direction():
     with pytest.raises(NonGenericDirection):
         gkm.h_vector_graph(square_skeleton(), xi=(1, 0))
@@ -199,56 +208,74 @@ def test_gkm_ok_is_validate_verdict():
     bad_degree = GkmGraph(1, 2, [(0, (0,)), (1, (1,))], [(0, 1)])
     parallel = GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
                         [(0, 1), (1, 2), (2, 3), (3, 0)])
-    # the fold gives no weight sums exactly when `validate` fails
+    # the kept pairing passes its degrees and GKM verdict exactly when
+    # `validate` does
     for G in [square_skeleton(), catalog.load("b2-flag"), bad_degree, parallel]:
-        assert (gkm._fold_of(G).sums is not None) is gkm.validate(G).passed
-    assert gkm._fold_of(bad_degree).sums is None and gkm._fold_of(parallel).sums is None
+        p = gkm._kept_pairing(G)
+        assert (p.gkm and p.degrees == [G.degree] * len(G.ids)) is gkm.validate(G).passed
+    assert gkm._kept_pairing(bad_degree).degrees == [1, 1]
+    assert not gkm._kept_pairing(parallel).gkm
+    for G in [bad_degree, parallel]:
+        with pytest.raises(InvalidGraph):
+            gkm.gorenstein_index(G)
 
 
 # Graphs that each reader refuses or passes, with the outcome each reader
-# gave before the readers shared one fold: the exception's type and
-# message, a report's verdict, or the value.
+# gave before the readers shared one pairing pass: the exception's type
+# and message, a report's verdict, or the value.  The readers, column by
+# column: verify_graph_corollary, gorenstein_index, is_reflexive_graph,
+# h_vector_graph, then h_vector_graph under the zero direction, which
+# vanishes on every weight, and under a direction one too long,
+# first_census (None where the graph is not regular: the census is not
+# defined there), and generic_direction.
 SQUARE = [(0, (-1, -1)), (1, (1, -1)), (2, (1, 1)), (3, (-1, 1))]
+TOO_LONG = (DimensionMismatch, "direction of length 3 in ambient dimension 2")
+VANISHES = (NonGenericDirection, "direction (0, 0) vanishes on an edge weight")
 FAILURE_PATHS = {
     "missing-edge": (
         lambda: GkmGraph(2, 2, SQUARE, [(0, 1), (1, 2), (2, 3)]),
         [(InvalidGraph, "graph fails GKM validation")] * 3
-        + [(InvalidGraph, "vertex 0 has 1 edges, not 2")]),
+        + [(InvalidGraph, "vertex 0 has 1 edges, not 2")] * 3 + [None, (1, 2)]),
     "parallel-weights": (
         lambda: GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
                          [(0, 1), (1, 2), (2, 3), (3, 0)]),
-        [(InvalidGraph, "graph fails GKM validation")] * 3 + [(1, 2, 1)]),
+        [(InvalidGraph, "graph fails GKM validation")] * 3
+        + [(1, 2, 1), VANISHES, TOO_LONG, (1, 2, 1), (1, 3)]),
     "non-parallel-sum": (
         lambda: GkmGraph(2, 2, [(0, (-1, Fraction(-1, 2))), (1, (1, Fraction(-1, 2))),
                                 (2, (1, Fraction(3, 2))), (3, (-1, Fraction(3, 2)))],
                          [(0, 1), (1, 2), (2, 3), (3, 0)]),
         [(InconsistentIndex, "weight sum at 0 is not parallel to the vertex")] * 2
-        + [False, (1, 2, 1)]),
+        + [False, (1, 2, 1), VANISHES, TOO_LONG, (1, 2, 1), (1, 2)]),
     "disagreeing-indices": (
         lambda: GkmGraph(1, 1, [(0, (-1,)), (1, (2,))], [(0, 1)]),
-        [(InconsistentIndex, "index 1/2 at 1 disagrees with 1")] * 2 + [False, (1, 1)]),
+        [(InconsistentIndex, "index 1/2 at 1 disagrees with 1")] * 2
+        + [False, (1, 1), (NonGenericDirection, "direction (0,) vanishes on an edge weight"),
+           (DimensionMismatch, "direction of length 2 in ambient dimension 1"), (1, 1), (1,)]),
     # (1, 2) vanishes on the repeated side (2, -1): the census drops it
     "vanishing-repeat": (
         lambda: GkmGraph(2, 2, [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))],
                          [(0, 1), (0, 2), (1, 3), (2, 3)]),
         [(InvalidGraph, "vertex at the origin has no well-defined index")] * 2
-        + [False, (1, 2, 1)]),
+        + [False, (1, 2, 1), VANISHES, TOO_LONG, (1, 2, 1), (1, 3)]),
     "vanishing-repeat-centred": (
         lambda: GkmGraph(2, 2, [(0, (-1, 0)), (1, (1, -1)), (2, (-1, 1)), (3, (1, 0))],
                          [(0, 1), (0, 2), (1, 3), (2, 3)]),
-        [True, 2, False, (1, 2, 1)]),
+        [True, 2, False, (1, 2, 1), VANISHES, TOO_LONG, (1, 2, 1), (1, 3)]),
     "edgeless": (
         lambda: GkmGraph(2, 0, [(0, (1, 0)), (1, (-1, 0))], []),
-        [(NonPositiveIndex, "computed index 0")] * 2 + [False, (2,)]),
+        [(NonPositiveIndex, "computed index 0")] * 2
+        + [False, (2,), (2,), TOO_LONG, (2,), (1, 2)]),
     # vertex 0 gives r = 0; the origin after it has the zero weight sum,
     # which is -r times it for any r, so it is refused apart
     "origin-after-first": (
         lambda: GkmGraph(2, 0, [(0, (1, 0)), (1, (0, 0))], []),
-        [(InvalidGraph, "vertex at the origin has no well-defined index")] * 2 + [False, (2,)]),
+        [(InvalidGraph, "vertex at the origin has no well-defined index")] * 2
+        + [False, (2,), (2,), TOO_LONG, (2,), (1, 2)]),
     "degree-too-large": (
         lambda: GkmGraph(1, 2, [(0, (-1,)), (1, (1,))], [(0, 1)]),
         [(InvalidGraph, "graph fails GKM validation")] * 3
-        + [(InvalidGraph, "degree 2 is more than 2 vertices allow")]),
+        + [(InvalidGraph, "degree 2 is more than 2 vertices allow")] * 3 + [None, (1,)]),
 }
 
 
@@ -263,11 +290,17 @@ def _result(reader, G):
 @pytest.mark.parametrize("name", list(FAILURE_PATHS))
 def test_readers_keep_their_failure_paths(name):
     make, want = FAILURE_PATHS[name]
+    d = make().ambient_dim
     readers = [gkm.verify_graph_corollary, gkm.gorenstein_index, gkm.is_reflexive_graph,
-               gkm.h_vector_graph]
+               gkm.h_vector_graph, lambda G: gkm.h_vector_graph(G, (0,) * d),
+               lambda G: gkm.h_vector_graph(G, (1,) * (d + 1)), gkm.first_census,
+               gkm.generic_direction]
+    assert len(want) == len(readers)
     shared = make()
     for reader, expected in zip(readers, want):
-        # the fold made by this reader, and kept from the readers before it
+        if expected is None:
+            continue
+        # the pairing made by this reader, and kept from the readers before it
         assert _result(reader, make()) == _result(reader, shared) == expected, reader
 
 
@@ -476,8 +509,8 @@ def test_census_matches_per_vertex_oracle(G, data):
         assert _outcome(gkm.h_vector_graph, H, xi) == _outcome(_h_vector_oracle, H, xi)
         # a regular census is often palindromic, so compare the in-degrees
         # themselves too: they tell the head of an edge from its tail
-        indeg = gkm._in_degrees(H, xi)
-        got = NonGenericDirection if indeg is None else {v: indeg[v] for v in H.ids}
+        p = gkm._Pairing(H, [xi], 1)
+        got = dict(zip(H.ids, p.indegrees(0))) if p.xis else NonGenericDirection
         assert got == _outcome(_in_degrees_by_vertex, H, xi)
 
 
@@ -557,7 +590,7 @@ PARALLELOGRAM = [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))]
 ])
 def test_a_vanishing_weight_that_repeats_drops_the_candidate(edges):
     G = GkmGraph(2, 2, PARALLELOGRAM, edges)
-    assert gkm._in_degrees(G, (1, 2)) is None
+    assert gkm._Pairing(G, [(1, 2)], 1).xis == []
     with pytest.raises(NonGenericDirection):
         gkm.h_vector_graph(G, (1, 2))
     assert gkm.generic_direction(G) == (1, 3)
@@ -577,7 +610,7 @@ def test_a_cycle_on_which_every_prime_candidate_vanishes():
     *primes, last = gkm._candidates(G)
     assert primes == [(1, b) for b in PRIMES] and last == list(_directions(G))[-1]
     for xi in primes:
-        assert gkm._in_degrees(G, xi) is None
+        assert gkm._Pairing(G, [xi], 1).xis == []
     assert gkm.generic_direction(G) == last
     h = gkm.h_vector_graph(G)
     assert h == _h_vector_oracle(G) == _h_vector_by_stars(G) == _census_by_vertex(G, last)

@@ -306,6 +306,13 @@ def _assert_same_graph(G, H):
     assert G.lattice == H.lattice and G.q == H.q
 
 
+def _pairing_output(p):
+    """Everything a pairing gives: its directions, and per vertex the
+    degree, the weight sum and the in-degree under each direction, with
+    the GKM verdict."""
+    return p.xis, p.degrees, p.sums, p.gkm, [p.indegrees(c) for c in range(len(p.xis))]
+
+
 @pytest.mark.parametrize("kind, rank, I", ORBITS)
 def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     # coadjoint_graph hands its weights and lengths to the graph; the
@@ -313,10 +320,21 @@ def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     G = roots.coadjoint_graph(roots.build(kind, rank), I)
     H = gkm.GkmGraph(rank, G.degree, list(G.coords.items()), G.edge_list)
     _assert_same_graph(G, H)
-    # the fold the walk keeps and the fold of the edge columns are the one
-    # the stars give
-    stars = (gkm.star(H, vid)[1] for vid in H.ids)
-    assert G._folded == gkm._fold_of(H) == gkm._fold(H.degree, H.ambient_dim, stars)
+    # both give the same pairing, and it is the one the stars give: per
+    # vertex the degree, the weight sum and the in-degree under each
+    # direction, the number of weights leaving it that pair negatively
+    p = gkm._kept_pairing(G)
+    assert _pairing_output(p) == _pairing_output(gkm._kept_pairing(H))
+    stars = [gkm.star(H, vid)[1] for vid in H.ids]
+    assert p.degrees == list(map(len, stars))
+    assert p.sums == [tuple(map(sum, zip(*ws))) for ws in stars]
+    assert p.gkm and all(len({max(w, tuple(-c for c in w)) for w in ws}) == len(ws)
+                         for ws in stars)
+    assert p.xis == list(dict.fromkeys(tuple(b**i for i in range(rank)) for b in (2, 3, 5)))
+    for c, xi in enumerate(p.xis):
+        assert p.indegrees(c) == [sum(sum(a * x for a, x in zip(w, xi)) < 0 for w in ws)
+                                  for ws in stars]
+    assert gkm.h_vector_graph(G) == gkm.h_vector_graph(H)
 
 
 SKELETONS = {**{name: lambda name=name: catalog.load(name) for name in catalog.names("polytope")},
@@ -355,12 +373,12 @@ def test_orbit_tables_by_edge_are_made_only_when_read():
         P.relative_lengths()
         serialize.graph_to_json(P.skeleton())
         assert not any(name in vars(P.skeleton()) for name in lazy)
-    # other graphs, from the catalog or from JSON, fold from the columns
+    # other graphs, from the catalog or from JSON, are paired from the columns
     graphs = [catalog.load(name) for name in catalog.names("gkm-graph")]
     graphs.append(serialize.graph_from_json(serialize.graph_to_json(G)))
     for H in graphs:
         assert gkm.verify_graph_corollary(H).passed
-        assert H._folded is not None
+        assert H._pairing is not None
         assert not any(name in vars(H) for name in lazy)
 
 

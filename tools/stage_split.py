@@ -13,9 +13,11 @@ columns (``GkmGraph._fill``), the Delzant check, and last the item's
 verifier, which finds all of the above made.  The enumeration items run no
 polytope code and are left out.  Prints, as JSON, each stage's median
 over the rounds of its total over the items, in ms, with its share of the
-round, and the median time of ``edges()`` over 9 fresh copies of
-cube(10), whose vertices are all simple, and 200 of cross_polytope(6),
-whose vertices are on more than n facets.
+round; ``census_ms``, the median over the rounds of the total time of
+``gkm.first_census`` on each item's skeleton, built untimed beforehand;
+and the median time of ``edges()`` over 9 fresh copies of cube(10), whose
+vertices are all simple, and 200 of cross_polytope(6), whose vertices are
+on more than n facets.
 """
 
 import argparse
@@ -53,7 +55,24 @@ def split(mods, corpus, seed, rounds):
     for stage in STAGES:
         ms = statistics.median(r[stage] for r in rounds_ms)
         stages[stage] = {"ms": round(ms, 3), "share": round(ms / round_ms, 3)}
-    return {"items": len(items), "round_ms": round(round_ms, 3), "stages": stages}
+    return {"items": len(items), "round_ms": round(round_ms, 3), "stages": stages,
+            "census_ms": census_ms(mods, items, rounds)}
+
+
+def census_ms(mods, items, rounds):
+    """The median over the rounds of the time ``gkm.first_census`` takes
+    on the skeletons of all the items, each skeleton made untimed."""
+    totals = []
+    for _ in range(rounds):
+        total = 0.0
+        for item in items:
+            (P,) = item.fresh()
+            S = P.skeleton()
+            t0 = time.perf_counter()
+            mods.gkm.first_census(S)
+            total += time.perf_counter() - t0
+        totals.append(1000 * total)
+    return round(statistics.median(totals), 3)
 
 
 def edges_ms(polytope, make, repeats):
