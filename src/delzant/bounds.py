@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
+from operator import mul
 
 from .errors import MalformedVector, NonNegativeS, UnboundedSearch
 
@@ -57,21 +58,13 @@ def c_indexed_from_f(k0, n, f):
 
 
 def c_indexed_from_h(k0, n, h):
-    """C(k0, n, h), assuming the symmetry h_j = h_{n-j}."""
+    """C(k0, n, h), assuming the symmetry h_j = h_{n-j}: the coefficients
+    of ``coefficients(n, k0)`` against h_0, ..., h_{n//2}."""
     if len(h) != n + 1:
         raise MalformedVector(f"h-vector of length {len(h)} for dimension {n}")
-    m = n // 2
     if any(h[j] != h[n - j] for j in range(n + 1)):
         raise MalformedVector("indexed C formula assumes a symmetric vector")
-    if n % 2 == 0:
-        return (
-            sum((12 * k * k - 2 * m * (k0 + 1)) * h[m - k] for k in range(1, m + 1))
-            - m * (k0 + 1) * h[m]
-        )
-    return (
-        sum((12 * k * (k + 1) + 3 - n * (k0 + 1)) * h[m - k] for k in range(1, m + 1))
-        - (n * (k0 + 1) - 3) * h[m]
-    )
+    return sum(map(mul, coefficients(n, k0), h))
 
 
 def coefficients(n, k0):

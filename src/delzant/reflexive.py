@@ -155,34 +155,32 @@ def verify_main_theorem(P):
 
 def verify_12_24(P):
     """The dimension-2 "12" and dimension-3 "24" identities for reflexive
-    polytopes (smoothness not required)."""
+    polytopes (smoothness not required).
+
+    The facets of a reflexive P are <x, a_i> <= 1, and its polar dual has
+    the vertex -a_i for facet i.  A vertex of a polygon, or an edge of a
+    3-polytope, lies on exactly two facets i and j, and is paired with the
+    dual edge from -a_i to -a_j, of lattice length content(a_i - a_j)."""
     _require_reflexive(P)
-    dual = P.dual()
+    at_vertex = P._incidence_bits()[0]
+
+    def dual_length(mask):
+        i, j = _bits(mask)
+        return gcd(*map(sub, P.facets[i].normal, P.facets[j].normal))
+
     if P.dim == 2:
-        primal, dual_sum = sum_lengths(P), sum_lengths(dual)
+        primal, dual_sum = sum_lengths(P), sum(map(dual_length, at_vertex))
         lhs = primal + dual_sum
         rep = VerificationReport("twelve", lhs == 12, lhs, (12,))
         rep.add_item("primal", True, {"sum": primal})
         rep.add_item("dual", True, {"sum": dual_sum})
         return rep
     if P.dim == 3:
-        # Facet <x, a> <= b of P is paired with the dual vertex -a/b, and an
-        # edge of P on facets i and j with the dual edge of their vertices.
-        dual_id = {p: k for k, p in enumerate(dual.vertices)}
-        dual_of = [dual_id[tuple(Fraction(-c) / h.offset for c in h.normal)] for h in P.facets]
-        dual_length = dict(zip(dual.edges(), dual.relative_lengths()))
-        at_vertex = P._incidence_bits()[0]
         total = 0
         rep = VerificationReport("twenty-four", True)
         for e, length in zip(P.edges(), P.relative_lengths()):
             u, v = e
-            shared = list(_bits(at_vertex[u] & at_vertex[v]))
-            if len(shared) != 2:
-                raise MatchingFailed(f"edge {e} not on exactly two facets")
-            de = tuple(sorted(dual_of[i] for i in shared))
-            if de not in dual_length:
-                raise MatchingFailed(f"dual vertices of edge {e} do not span a dual edge")
-            term = length * dual_length[de]
+            term = length * dual_length(at_vertex[u] & at_vertex[v])
             total += term
             rep.add_item(f"edge {e}", True, {"l*l_dual": term})
         rep.passed = total == 24
@@ -224,36 +222,34 @@ def verify_gorenstein(P, r):
     """Check the rescaled length-sum formula for a polytope whose r-th dilate
     has a reflexive lattice translate.
 
-    A reflexive rP - t has every facet at offset 1, so <u_i, t> = b_i - 1
-    for the facets <x, u_i> <= b_i of rP through its vertex 0.  P is
-    Delzant, so those n normals form a lattice basis and the system has one
-    solution, a lattice point when every b_i is an integer: the only
-    candidate for t.  The index r must be positive.
+    rP - t has P's facets <x, a_i> at the offsets r b_i - <a_i, t>, and is
+    reflexive iff each is 1: then each vertex, cut out by n facets whose
+    normals form a lattice basis (P is Delzant), is a lattice point.  On the
+    n facets through vertex 0 that is a square system with one solution, a
+    lattice point when every r b_i there is an integer: the only candidate
+    for t.  The index r must be positive.
     """
     if r <= 0:
         raise NonPositiveIndex(f"the index {r} is not positive")
     _require_delzant(P)
     if P.dim < 2:
         raise UnsupportedDimension("the rescaled length-sum formula needs dimension >= 2")
-    rP = P.dilate(r)
-    q, (x,) = exact.common_denominator(rP.vertices[:1])
-    tight = [h for h in rP.facets
-             if sum(map(mul, h.normal, x)) * h.offset.denominator == q * h.offset.numerator]
-    if any(h.offset.denominator != 1 for h in tight):
+    tight = [P.facets[i] for i in _bits(P._incidence_bits()[0][0])]
+    rb = [r * h.offset for h in tight]
+    if any(c.denominator != 1 for c in rb):
         raise NotGorensteinOfIndex(f"the {r}-fold dilate has a non-integral facet offset")
     U = [h.normal for h in tight]
-    b = [h.offset.numerator - 1 for h in tight]
+    b = [c.numerator - 1 for c in rb]
     d = exact.det(U)  # +-1, so dividing by d is multiplying by d
     t = [d * exact.det([row[:j] + (bi,) + row[j + 1:] for row, bi in zip(U, b)])
          for j in range(P.dim)]
-    translate = exact.vec_neg(t)
-    if not is_reflexive(rP.translate(translate)):
+    if any(r * h.offset - sum(map(mul, h.normal, t)) != 1 for h in P.facets):
         raise NotGorensteinOfIndex(f"no reflexive translate of the {r}-fold dilate")
     total = sum_lengths(P)
     f, _ = _census(P)
     rhs = Fraction(bounds.c_from_f(P.dim, f), r)
     rep = VerificationReport("gorenstein-length-sum", total == rhs, total, (rhs,))
-    rep.add_item("translate", True, {"shift": list(translate)})
+    rep.add_item("translate", True, {"shift": list(exact.vec_neg(t))})
     return rep
 
 

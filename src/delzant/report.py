@@ -10,7 +10,7 @@ def num_to_json(x):
 
 
 def _plain(x):
-    if isinstance(x, Fraction):
+    if type(x) is Fraction:
         return num_to_json(x)
     if isinstance(x, (list, tuple)):
         return [_plain(c) for c in x]

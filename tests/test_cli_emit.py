@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -205,6 +206,25 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
     monkeypatch.setattr(polytope, "HULL_SCAN_LIMIT", 10)
     assert probe.main(["4", "9"]) == 2
     assert "UnboundedSearch" in capsys.readouterr().out
+
+
+def test_stage_split_times_each_verifier(capsys, monkeypatch):
+    # tools/stage_split.py, one round: the verifier stage split by verifier
+    # name, each part with its number of items
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    try:
+        _tool("stage_split").main(["--rounds", "1"])
+    finally:
+        for name in ("run", "corpus", "answers"):  # the benchmark modules it imports
+            sys.modules.pop(name, None)
+    out = json.loads(capsys.readouterr().out)
+    parts = out["verifiers"]
+    assert {name: part["items"] for name, part in parts.items()} == {
+        "verify_main_theorem": 12, "verify_index_corollary": 12, "verify_thm_combinatorics2": 12,
+        "verify_length_decomposition": 11, "verify_12_24": 7}
+    assert sum(part["items"] for part in parts.values()) == out["items"]
+    assert sum(part["ms"] for part in parts.values()) == pytest.approx(
+        out["stages"]["verifiers"]["ms"], abs=0.01)
 
 
 def test_ab_bench_summary_of_fixed_runs():

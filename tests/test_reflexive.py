@@ -265,11 +265,28 @@ def test_sum_lengths_names_the_first_non_lattice_edge(vertices, first):
     assert str(by_sum.value) == str(by_edge.value) == f"edge {first} has non-integral length 1/2"
 
 
+# Two GL(2, Z) matrices, of determinant 1 and -1.
+MOVES_2 = ([[2, 1], [1, 1]], [[1, 3], [0, -1]])
+
+
+def _moved(P, u):
+    """P under the linear map u."""
+    return Polytope.from_vertices([tuple(sum(a * c for a, c in zip(row, v)) for row in u)
+                                   for v in P.vertices])
+
+
 def test_twelve_on_polygons():
-    for name in SMOOTH_POLYGONS:
+    # the "dual" item, read off pairs of facet normals, against the lengths
+    # of the polar dual built as a polytope
+    for name in SMOOTH_POLYGONS + ["diamond"]:
         P = catalog.load(name)
-        assert reflexive.sum_lengths(P) + len(P.vertices) == 12, name
-        assert reflexive.verify_12_24(P).passed, name
+        for Q in [P] + [_moved(P, u) for u in MOVES_2]:
+            if name != "diamond":
+                assert reflexive.sum_lengths(Q) + len(Q.vertices) == 12, name
+            rep = reflexive.verify_12_24(Q)
+            assert rep.passed, name
+            dual = next(item for item in rep.per_item if item["id"] == "dual")
+            assert dual["detail"]["sum"] == reflexive.sum_lengths(Q.dual()), name
 
 
 def test_twelve_on_diamond():
@@ -299,9 +316,7 @@ def test_twenty_four_terms_match_segment_scan():
     # joining the dual vertices -a_i/b_i and -a_j/b_j of its two facets
     for name in ["cube", "cp3-simplex", "octahedron"]:
         P = catalog.load(name)
-        moved = [Polytope.from_vertices([tuple(sum(a * c for a, c in zip(row, v)) for row in u)
-                                         for v in P.vertices]) for u in MOVES_3]
-        for Q in [P] + moved:
+        for Q in [P] + [_moved(P, u) for u in MOVES_3]:
             terms = {item["id"]: item["detail"]["l*l_dual"]
                      for item in reflexive.verify_12_24(Q).per_item}
             assert len(terms) == len(Q.edges())
@@ -365,7 +380,9 @@ def _shift_by_scan(P, r):
 def test_gorenstein_shift_matches_scan():
     delzant = [catalog.load(n) for n in catalog.names("polytope")
                if reflexive.is_delzant(catalog.load(n)).passed]
-    moved = [catalog.load("unit-square").translate((2, -1)), cube(3).translate((1, 0, 0))]
+    moved = [catalog.load("unit-square").translate((2, -1)), cube(3).translate((1, 0, 0)),
+             *(_moved(catalog.load(name), u) for name in ["unit-square", "std-simplex"]
+               for u in MOVES_2)]
     for P in delzant + moved:
         for r in [1, -1, 2, -2, 3, 4, Fraction(1, 2), Fraction(3, 2)]:
             if r < 0:

@@ -264,14 +264,24 @@ VERIFIERS = [
 
 @pytest.mark.parametrize("make", [*(lambda n=n: catalog.load(n) for n in POLYTOPES),
                                   lambda: cube(5)], ids=[*POLYTOPES, "cube5"])
-def test_no_verifier_walks_the_face_lattice(make):
+def test_no_verifier_walks_the_face_lattice(make, monkeypatch):
+    # nor builds a polytope: each reads the one it is given
+    built = []
+    init = Polytope.__init__
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(Polytope, "__init__", counted_init)
     for verify in VERIFIERS:
         P = make()
+        before = len(built)
         try:
             verify(P)
         except DelzantError:
             pass
-        assert P._faces is None, verify
+        assert P._faces is None and len(built) == before, verify
 
 
 def _run(argv):

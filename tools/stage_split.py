@@ -13,14 +13,17 @@ columns (``GkmGraph._fill``), the Delzant check, and last the item's
 verifier, which finds all of the above made.  The enumeration items run no
 polytope code and are left out.  Prints, as JSON, each stage's median
 over the rounds of its total over the items, in ms, with its share of the
-round; ``census_ms``, the median over the rounds of the total time of
-``gkm.first_census`` on each item's skeleton, built untimed beforehand;
+round; the same for each verifier's part of the last stage, with its
+number of items and its median ms per item; ``census_ms``, the median
+over the rounds of the total time of ``gkm.first_census`` on each item's
+skeleton, built untimed beforehand;
 and the median time of ``edges()`` over 9 fresh copies of cube(10), whose
 vertices are all simple, and 200 of cross_polytope(6), whose vertices are
 on more than n facets.
 """
 
 import argparse
+import collections
 import json
 import os
 import statistics
@@ -31,11 +34,18 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = ("integer points", "incidence", "edges", "_fill", "is_delzant", "verifiers")
 
 
+def _median_ms(rounds_ms, key, round_ms):
+    ms = statistics.median(r[key] for r in rounds_ms)
+    return {"ms": round(ms, 3), "share": round(ms / round_ms, 3)}
+
+
 def split(mods, corpus, seed, rounds):
     items = [it for it in corpus.build_verify(mods, seed) if not it.name.startswith("enumerate")]
-    rounds_ms = []
+    verifiers = collections.Counter(item.name.split(":")[0] for item in items)
+    rounds_ms, by_verifier_ms = [], []
     for _ in range(rounds):
         total = dict.fromkeys(STAGES, 0.0)
+        by_verifier = dict.fromkeys(verifiers, 0.0)
         for item in items:
             (P,) = item.fresh()
             t = [time.perf_counter()]
@@ -49,14 +59,17 @@ def split(mods, corpus, seed, rounds):
                 raise SystemExit(f"{item.name}: wrong output")
             for stage, a, b in zip(STAGES, t, t[1:]):
                 total[stage] += 1000 * (b - a)
+            by_verifier[item.name.split(":")[0]] += 1000 * (t[-1] - t[-2])
         rounds_ms.append(total)
+        by_verifier_ms.append(by_verifier)
     round_ms = statistics.median(sum(r.values()) for r in rounds_ms)
-    stages = {}
-    for stage in STAGES:
-        ms = statistics.median(r[stage] for r in rounds_ms)
-        stages[stage] = {"ms": round(ms, 3), "share": round(ms / round_ms, 3)}
+    stages = {stage: _median_ms(rounds_ms, stage, round_ms) for stage in STAGES}
+    per_verifier = {}
+    for name, count in verifiers.items():
+        row = _median_ms(by_verifier_ms, name, round_ms)
+        per_verifier[name] = {**row, "items": count, "per_item_ms": round(row["ms"] / count, 4)}
     return {"items": len(items), "round_ms": round(round_ms, 3), "stages": stages,
-            "census_ms": census_ms(mods, items, rounds)}
+            "verifiers": per_verifier, "census_ms": census_ms(mods, items, rounds)}
 
 
 def census_ms(mods, items, rounds):
