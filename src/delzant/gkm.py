@@ -2,7 +2,6 @@
 validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -176,17 +175,11 @@ class GkmGraph:
         return sum(self._length_col)
 
 
-def _degrees(G):
-    """The number of edges at each vertex, counted from their ends, as a
-    Counter without the vertices of degree 0."""
-    return Counter(chain.from_iterable(G.edge_list))
-
-
 def star(G, vid):
     """The star of vid, in edge order: its neighbours and the weights
-    leaving vid toward them.  The one reader of a vertex's star: outside
-    GkmGraph's methods, only this reads the adjacency table or orients a
-    weight away from a given vertex."""
+    leaving vid toward them, read from the tables by edge.  Outside
+    GkmGraph's methods, only this reads the adjacency table;
+    ``Polytope.vertex_weights`` reads it, and no verifier does."""
     weight = G._weight
     others = [v if u == vid else u for u, v in G._incident[vid]]
     return others, [weight[vid, o] for o in others]
@@ -198,8 +191,9 @@ class _Pairing:
     gives per vertex, in ``G.ids`` order: ``degrees``; ``indegrees(c)``,
     the number of weights leaving it that pair negatively with xis[c],
     which are its edges that xis[c] orients into it; and, with ``sums``,
-    its weight sum.  ``gkm`` tells whether no two weights at a vertex are
-    parallel.  Each is read off the pass when first asked for.
+    its weight sum.  ``independent`` tells, per vertex, whether no two
+    weights there are parallel.  Each is read off the pass when first
+    asked for.
 
     Each distinct weight w is paired once with each candidate and gets two
     integers, for the tail its edges leave by w and the head they leave by
@@ -247,7 +241,7 @@ class _Pairing:
             packed[u] += tail
             packed[v] += head
         self._packed = packed.values()
-        self._columns = G.edge_list, cols
+        self._columns = G.ids, G.edge_list, cols
 
     def indegrees(self, c):
         """Each vertex's in-degree under xis[c]."""
@@ -274,14 +268,19 @@ class _Pairing:
         return [tuple([(a >> i & digit) - half for i in shifts]) for a in self._packed]
 
     @cached_property
-    def gkm(self):
-        """No two edges on one line +-w share an end: one more pass over
-        the columns puts each edge in the list of its line."""
-        lines = {}
-        on_line = {w: lines.setdefault(max(w, tuple(map(neg, w))), []) for w in self._weights}
-        for e, w in zip(*self._columns):
-            on_line[w].append(e)
-        return all(len(set(chain.from_iterable(es))) == 2 * len(es) for es in lines.values())
+    def independent(self):
+        """The GKM verdict per vertex: its weights are pairwise independent,
+        that is lie on distinct lines +-w.  One more pass over the columns
+        lists the lines at each vertex, each line coded by a small int."""
+        ids, edge_list, cols = self._columns
+        line = {}
+        code = {w: line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in self._weights}
+        lines = {vid: [] for vid in ids}
+        for (u, v), w in zip(edge_list, cols):
+            c = code[w]
+            lines[u].append(c)
+            lines[v].append(c)
+        return [len(set(cs)) == len(cs) for cs in lines.values()]
 
 
 def _kept_pairing(G):
@@ -293,19 +292,19 @@ def _kept_pairing(G):
 
 
 def validate(G):
-    """Regularity, the GKM pairwise-independence condition, simple edges,
-    with one degree item and one GKM item per vertex."""
+    """Regularity and the GKM pairwise-independence condition, with one
+    degree item and one GKM item per vertex: the degrees and the verdict of
+    the kept pairing, and the weights leaving each vertex in edge order (w
+    at u and -w at v for the edge u v of weight w)."""
+    p = _kept_pairing(G)
+    weights = {vid: [] for vid in G.ids}
+    for (u, v), w in zip(G.edge_list, G._weight_col):
+        weights[u].append(list(w))
+        weights[v].append([-c for c in w])
     rep = VerificationReport("gkm-valid", True)
-    for vid in G.ids:
-        ws = star(G, vid)[1]
-        # Two primitive weights are dependent iff one is +-the other, so k
-        # weights are independent iff the 2k weights +-w are distinct.
-        indep = len({*ws, *(tuple(map(neg, w)) for w in ws)}) == 2 * len(ws)
-        rep.add_item(
-            f"degree {vid}", len(ws) == G.degree,
-            {"degree": len(ws), "expected": G.degree},
-        )
-        rep.add_item(f"gkm-condition {vid}", indep, {"weights": [list(w) for w in ws]})
+    for (vid, ws), k, ok in zip(weights.items(), p.degrees, p.independent):
+        rep.add_item(f"degree {vid}", k == G.degree, {"degree": k, "expected": G.degree})
+        rep.add_item(f"gkm-condition {vid}", ok, {"weights": ws})
     return rep
 
 
@@ -313,7 +312,7 @@ def _valid_sums(G):
     """The weight sum at each vertex of a graph that passes GKM validation,
     from its kept pairing; InvalidGraph for any other graph."""
     p = _kept_pairing(G)
-    if not p.gkm or p.degrees.count(G.degree) != len(p.degrees):
+    if p.degrees.count(G.degree) != len(p.degrees) or not all(p.independent):
         raise InvalidGraph("graph fails GKM validation")
     return p.sums
 
@@ -463,23 +462,25 @@ def is_delzant(P):
 
     The edges of a polytope with rational vertices are always rational.  A
     vertex is smooth when its n weights form a lattice basis.  A vertex
-    with n edges lies on exactly n facets (its vertex figure is a simplex),
-    and each edge there leaves exactly one of them, a different one for
-    each edge.  With the primitive normals a_i of those facets as the rows
-    of A and the weights w_i of the edges leaving them as the columns of W,
-    A W is diagonal with the negative entries <a_i, w_i>.  If each is -1,
-    det A det W = +-1 in integers, so |det W| = 1.  If |det W| = 1, then
-    A = D W^-1 with W^-1 integral, so each entry of D divides the
-    primitive row a_i and is -1.  So the vertex is smooth iff each weight
-    pairs to -1 with the normal of the facet its edge leaves.
+    has n edges exactly when it lies on n facets (its vertex figure is a
+    simplex exactly when that figure has n facets), so simplicity is read
+    off the facet masks.  Each edge at a simple vertex leaves exactly one
+    of its facets, a different one for each edge.  With the primitive
+    normals a_i of those facets as the rows of A and the weights w_i of the
+    edges leaving them as the columns of W, A W is diagonal with the
+    negative entries <a_i, w_i>.  If each is -1, det A det W = +-1 in
+    integers, so |det W| = 1.  If |det W| = 1, then A = D W^-1 with W^-1
+    integral, so each entry of D divides the primitive row a_i and is -1.
+    So the vertex is smooth iff each weight pairs to -1 with the normal of
+    the facet its edge leaves.
 
     The check runs edge by edge: the edge u v with weight w leaves the
     highest facet i at u not through v, and the highest facet j at v not
     through u, and it tests <a_i, w> = -1 at u and <a_j, w> = 1 at v.  A
-    vertex is smooth iff it has n edges and every test at it passed; the
-    edges at a vertex with n edges leave distinct facets, so each of its
-    pairs is tested.  The weights by facet left at each vertex, a dict in
-    edge order, are kept as P._leaving, and the verdict as P._delzant.
+    vertex is smooth iff it is simple and every test at it passed; the
+    edges at a simple vertex leave distinct facets, so each of its pairs is
+    tested.  The weights by facet left at each vertex, a dict in edge
+    order, are kept as P._leaving, and the verdict as P._delzant.
     """
     S = P.skeleton()
     n = P.dim
@@ -497,12 +498,12 @@ def is_delzant(P):
             smooth[u] = False
         if sum(map(mul, normals[j], w)) != 1:
             smooth[v] = False
-    degrees = _degrees(S)
+    simple = [here.bit_count() == n for here in at_vertex]
     rep = VerificationReport("delzant", True)
-    rep.add_item("simple", all(degrees[vid] == n for vid in S.ids))
+    rep.add_item("simple", all(simple))
     rep.add_item("rational", True)
     for vid, ok in enumerate(smooth):
-        rep.add_item(f"smooth vertex {vid}", ok and degrees[vid] == n)
+        rep.add_item(f"smooth vertex {vid}", ok and simple[vid])
     P._leaving = leaving
     P._delzant = rep.passed
     return rep

@@ -507,9 +507,8 @@ class Polytope:
         return gkm.star(self.skeleton(), vid)[1]
 
     def is_simple(self):
-        S = self.skeleton()
-        degrees = gkm._degrees(S)
-        return all(degrees[v] == self.dim for v in S.ids)
+        """Every vertex lies on exactly n facets, that is has n edges."""
+        return all(here.bit_count() == self.dim for here in self._incidence_bits()[0])
 
     def relative_length(self, edge):
         """Lattice length of an edge with integral endpoint difference."""
@@ -541,7 +540,7 @@ class Polytope:
         # their common denominator q, the facet of v = x/q is <y, -x> <= q.
         verts = _points([(h.offset.numerator,) + tuple(-h.offset.denominator * c for c in h.normal)
                          for h in self.facets])
-        q, points = exact.common_denominator(self.vertices)
+        q, points = self._integer_vertices()
         facets = []
         for x in points:
             w, m = exact.primitive(tuple(-c for c in x))
@@ -554,7 +553,7 @@ class Polytope:
             raise NotFullDimensional("the 0-fold dilate is a point")
         s = 1 if r > 0 else -1
         a, b = r.numerator, r.denominator
-        q, points = exact.common_denominator(self.vertices)
+        q, points = self._integer_vertices()
         return _canonical(
             self.dim,
             _points([(b * q,) + tuple(a * c for c in x) for x in points]),
@@ -656,8 +655,8 @@ class Polytope:
 
     def _integer_vertices(self):
         """q, the common denominator of the vertices, and the integer points
-        q v, shared by the incidence pass and the skeleton.  Computed
-        once."""
+        q v, shared by the incidence pass, the skeleton, ``dual`` and
+        ``dilate``.  Computed once."""
         if self._ints is None:
             self._ints = exact.common_denominator(self.vertices)
         return self._ints

@@ -192,6 +192,23 @@ def test_orbit_probe_hashes_the_build_output(capsys):
     assert " 1992 bytes " in line
 
 
+def test_json_probe_hashes_a_command_on_a_json_file(capsys, tmp_path):
+    # tools/json_probe.py runs `check gkm` on the A2 flag's JSON in a
+    # child process: its hash and byte count are those of the same command
+    # run in this process
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(serialize.graph_to_json(roots.coadjoint_graph(roots.build("A", 2), ()))))
+    argv = ["check", "gkm", str(path)]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    probe = _tool("json_probe")
+    assert probe.main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["argv"] == argv and got["exit"] == 0
+    assert got["stdout_bytes"] == len(out) and got["stdout_sha256"] == hashlib.sha256(out).hexdigest()
+    assert got["seconds"] > 0 and got["peak_rss_mb"] > 0
+
+
 def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
     # tools/hull_probe.py on the cyclic 4-polytope with 9 vertices; the
     # SHA-256 was recorded before the hull's start and its output Fractions

@@ -212,12 +212,63 @@ def test_gkm_ok_is_validate_verdict():
     # `validate` does
     for G in [square_skeleton(), catalog.load("b2-flag"), bad_degree, parallel]:
         p = gkm._kept_pairing(G)
-        assert (p.gkm and p.degrees == [G.degree] * len(G.ids)) is gkm.validate(G).passed
+        assert (all(p.independent) and p.degrees == [G.degree] * len(G.ids)) is gkm.validate(G).passed
     assert gkm._kept_pairing(bad_degree).degrees == [1, 1]
-    assert not gkm._kept_pairing(parallel).gkm
+    assert not all(gkm._kept_pairing(parallel).independent)
     for G in [bad_degree, parallel]:
         with pytest.raises(InvalidGraph):
             gkm.gorenstein_index(G)
+
+
+@st.composite
+def small_graphs(draw):
+    """Embedded graphs on 2-8 vertices in dimension 1-3, on points of a
+    small box, so that parallel, opposite and repeated weights at a vertex
+    are common.  The edges are a cycle, a matching or any set of pairs,
+    each in either orientation; the ids are shuffled, some vertices may be
+    isolated, and the degree is that of the first vertex or any other."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    points = draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=n, max_size=n, unique=True))
+    ids = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(["cycle", "matching", "any"]))
+    if shape == "cycle":
+        pairs = [(i, (i + 1) % n) for i in range(n if n > 2 else 1)]
+    elif shape == "matching":
+        pairs = [(i, i + 1) for i in range(0, n - 1, 2)]
+    else:
+        pairs = draw(st.lists(st.sampled_from([(u, v) for u in range(n) for v in range(u + 1, n)]),
+                              unique=True))
+    flips = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [(ids[v], ids[u]) if f else (ids[u], ids[v]) for (u, v), f in zip(pairs, flips)]
+    first = sum(ids[0] in e for e in edges)
+    degree = draw(st.one_of(st.just(first), st.integers(0, n)))
+    return GkmGraph(d, degree, zip(ids, points), edges)
+
+
+def _validate_by_stars(G):
+    """The GKM report by the rule of distinct +-w: k primitive weights at a
+    vertex are pairwise independent iff the 2k weights +-w are distinct."""
+    rep = VerificationReport("gkm-valid", True)
+    for vid in G.ids:
+        ws = gkm.star(G, vid)[1]
+        indep = len({*ws, *(tuple(-c for c in w) for w in ws)}) == 2 * len(ws)
+        rep.add_item(f"degree {vid}", len(ws) == G.degree, {"degree": len(ws), "expected": G.degree})
+        rep.add_item(f"gkm-condition {vid}", indep, {"weights": [list(w) for w in ws]})
+    return rep
+
+
+@given(small_graphs())
+def test_validate_matches_the_distinct_plus_minus_w_rule(G):
+    rep = gkm.validate(G)
+    assert rep == _validate_by_stars(G)
+    if rep.passed:
+        sums = gkm._valid_sums(G)
+        assert sums == [tuple(map(sum, zip(*gkm.star(G, vid)[1]))) or (0,) * G.ambient_dim
+                        for vid in G.ids]
+    else:
+        with pytest.raises(InvalidGraph, match="graph fails GKM validation"):
+            gkm._valid_sums(G)
 
 
 # Graphs that each reader refuses or passes, with the outcome each reader

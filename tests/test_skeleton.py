@@ -228,6 +228,8 @@ def _assert_delzant_by_vertex(P):
     rep, leaving = _delzant_by_vertex(P)
     assert gkm.is_delzant(P).to_dict() == rep.to_dict()
     assert P._leaving == leaving and P._delzant == rep.passed
+    # is_simple reads the facet masks; the edge-end count is the oracle
+    assert P.is_simple() is rep.per_item[0]["pass"]
 
 
 @settings(max_examples=150, deadline=None)
