@@ -23,6 +23,7 @@ from .errors import (
 from .report import VerificationReport
 
 _GENERIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_LINE_BITS = 256  # the width of a pairing's line field
 
 
 def _ratio(a, b):
@@ -191,24 +192,28 @@ class _Pairing:
     gives per vertex, in ``G.ids`` order: ``degrees``; ``indegrees(c)``,
     the number of weights leaving it that pair negatively with xis[c],
     which are its edges that xis[c] orients into it; and, with ``sums``,
-    its weight sum.  ``independent`` tells, per vertex, whether no two
-    weights there are parallel.  Each is read off the pass when first
-    asked for.
+    its weight sum and ``independent``, the GKM verdict: whether its
+    weights lie on distinct lines +-w.  Each is read off the pass when
+    first asked for.
 
     Each distinct weight w is paired once with each candidate and gets two
     integers, for the tail its edges leave by w and the head they leave by
     -w.  From the lowest, their bit fields hold a 1 for the degree, a 1
     for each kept direction that the weight leaving that end pairs
-    negatively with and, with ``sums``, that weight in balanced base 2^b.
-    A count field holds |V|, and a weight sum's coordinates are below |V|
-    max|w_i| < 2^(b-1), so the fields of the sum of a vertex's integers
-    are its degree, its in-degrees and its weight sum.  Each edge is looked
-    up once, and adds one integer at each end.
+    negatively with and, with ``sums``, that weight in balanced base 2^b
+    and the bit of its line +-w (line c, numbered in order, has the bit c
+    mod _LINE_BITS).  A count field holds |V|, and a weight sum's
+    coordinates are below |V| max|w_i| < 2^(b-1), so the fields of the sum
+    of a vertex's integers are its degree, its in-degrees and its weight
+    sum; and its lines are distinct if their bits, added, set as many bits
+    as its degree, since two equal bits carry.  ``independent`` lists the
+    lines where two bits met.  Each edge is looked up once, and adds one
+    integer at each end.
     """
 
     def __init__(self, G, candidates, k, sums=False):
         cols = G._weight_col
-        self._weights = weights = list(dict.fromkeys(cols))
+        weights = list(dict.fromkeys(cols))
         n = len(G.ids)
         self._width = width = n.bit_length()
         self.xis = xis = []
@@ -232,7 +237,11 @@ class _Pairing:
             # starts at 2^(b-1), so that every field stays nonnegative.
             places = [1 << i for i in self._shifts]
             fields = [sum(map(mul, w, places)) for w in weights]
-            codes = [(t + f, h - f) for (t, h), f in zip(codes, fields)]
+            self._top = top = low + b * G.ambient_dim
+            line = {}
+            self._line = {w: line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in weights}
+            bits = [1 << top + c % _LINE_BITS for c in self._line.values()]
+            codes = [(t + f + l, h - f + l) for (t, h), f, l in zip(codes, fields, bits)]
             start = sum(places) << b - 1
         codes = dict(zip(weights, codes))
         packed = dict.fromkeys(G.ids, start)
@@ -269,18 +278,21 @@ class _Pairing:
 
     @cached_property
     def independent(self):
-        """The GKM verdict per vertex: its weights are pairwise independent,
-        that is lie on distinct lines +-w.  One more pass over the columns
-        lists the lines at each vertex, each line coded by a small int."""
+        """The GKM verdict per vertex, read off its line field, or from its
+        lines, listed in one pass over the columns, where two bits met."""
+        field = (1 << self._width) - 1
+        verdict = [(a >> self._top).bit_count() == a & field for a in self._packed]
+        if all(verdict):
+            return verdict
         ids, edge_list, cols = self._columns
-        line = {}
-        code = {w: line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in self._weights}
-        lines = {vid: [] for vid in ids}
+        line = self._line
+        doubt = {vid: [] for vid, ok in zip(ids, verdict) if not ok}
         for (u, v), w in zip(edge_list, cols):
-            c = code[w]
-            lines[u].append(c)
-            lines[v].append(c)
-        return [len(set(cs)) == len(cs) for cs in lines.values()]
+            if u in doubt:
+                doubt[u].append(line[w])
+            if v in doubt:
+                doubt[v].append(line[w])
+        return [ok or len(set(doubt[vid])) == len(doubt[vid]) for vid, ok in zip(ids, verdict)]
 
 
 def _kept_pairing(G):
@@ -385,21 +397,43 @@ def _candidates(G):
         yield xi
 
 
-def generic_direction(G, avoid=()):
-    """The first generic candidate direction that is not in ``avoid``, a
-    collection of directions as tuples or lists."""
+def _height_scan(G, avoid=()):
+    """The first generic candidate direction xi not in ``avoid``, a
+    collection of directions as tuples or lists, and the in-degree of each
+    vertex under it, by id.  A vertex's height is <xi, L>, L its integer
+    point.  Each weight is its edge's integer difference over a positive
+    gcd, so xi vanishes on it iff its edge joins two vertices of equal
+    height, and a vertex's in-degree is the number of its neighbours below
+    it."""
     avoid = set(map(tuple, avoid))
-    xis = _Pairing(G, (xi for xi in _candidates(G) if xi not in avoid), 1).xis
-    if not xis:
-        raise NonGenericDirection("no generic direction among the built-in candidates")
-    return xis[0]
+    for xi in _candidates(G):
+        if xi in avoid:
+            continue
+        height = {vid: sum(map(mul, xi, L)) for vid, L in G.lattice.items()}
+        below = dict.fromkeys(G.ids, 0)
+        for u, v in G.edge_list:
+            a, b = height[u], height[v]
+            if a == b:
+                break
+            below[v if a < b else u] += 1
+        else:
+            return xi, below
+    raise NonGenericDirection("no generic direction among the built-in candidates")
+
+
+def generic_direction(G, avoid=()):
+    """The first generic candidate direction that is not in ``avoid``."""
+    return _height_scan(G, avoid)[0]
 
 
 def first_census(G):
     """The in-degree census of a regular graph under its first generic
-    candidate direction, from a pass with that one direction, not kept.  A
-    polytope needs this census alone."""
-    return _Pairing(G, _candidates(G), 1).census(0, G.degree)
+    candidate direction, from the height scan.  A polytope needs this
+    census alone."""
+    h = [0] * (G.degree + 1)
+    for k in _height_scan(G)[1].values():
+        h[k] += 1
+    return tuple(h)
 
 
 def h_vector_graph(G, xi=None):
@@ -456,9 +490,10 @@ def verify_graph_corollary(G):
 # Polytope.skeleton(); reflexive imports both.
 
 
-def is_delzant(P):
-    """Simplicity, rationality and smoothness at each vertex, from one pass
-    over the skeleton's edges: the report ``check delzant`` prints.
+def _delzant_pass(P):
+    """The Delzant pass: simplicity, rationality and smoothness at each
+    vertex, from one pass over the skeleton's edges.  Returns, per vertex,
+    whether it is simple and smooth; builds no report.
 
     The edges of a polytope with rational vertices are always rational.  A
     vertex is smooth when its n weights form a lattice basis.  A vertex
@@ -487,7 +522,7 @@ def is_delzant(P):
     at_vertex = P._incidence_bits()[0]
     normals = [h.normal for h in P.facets]
     leaving = [{} for _ in at_vertex]
-    smooth = [True] * len(at_vertex)
+    smooth = [here.bit_count() == n for here in at_vertex]
     for (u, v), w in zip(S.edge_list, S._weight_col):
         at_u, at_v = at_vertex[u], at_vertex[v]
         i = (at_u & ~at_v).bit_length() - 1
@@ -498,14 +533,29 @@ def is_delzant(P):
             smooth[u] = False
         if sum(map(mul, normals[j], w)) != 1:
             smooth[v] = False
-    simple = [here.bit_count() == n for here in at_vertex]
+    P._leaving = leaving
+    P._delzant = all(smooth)
+    return smooth
+
+
+def _require_delzant(P):
+    """Raise NotDelzant unless P is Delzant.  The verdict is found once per
+    polytope, by the first Delzant pass on it, which keeps it."""
+    if P._delzant is None:
+        _delzant_pass(P)
+    if not P._delzant:
+        raise NotDelzant("polytope is not Delzant")
+
+
+def is_delzant(P):
+    """The report ``check delzant`` prints, built from the Delzant pass:
+    simplicity, rationality, and smoothness vertex by vertex."""
+    smooth = _delzant_pass(P)
     rep = VerificationReport("delzant", True)
-    rep.add_item("simple", all(simple))
+    rep.add_item("simple", P.is_simple())
     rep.add_item("rational", True)
     for vid, ok in enumerate(smooth):
-        rep.add_item(f"smooth vertex {vid}", ok and simple[vid])
-    P._leaving = leaving
-    P._delzant = rep.passed
+        rep.add_item(f"smooth vertex {vid}", ok)
     return rep
 
 
@@ -518,8 +568,7 @@ def is_reflexive(P):
 
 def from_polytope(P):
     """The 1-skeleton of a Delzant reflexive polytope as a GKM graph."""
-    if not is_delzant(P).passed:
-        raise NotDelzant("polytope is not Delzant")
+    _require_delzant(P)
     if not is_reflexive(P):
         raise NotReflexive("polytope is not reflexive")
     return P.skeleton()

@@ -3,31 +3,22 @@ of the edge-length-sum identities.  The Delzant and reflexivity checks are
 gkm.is_delzant and gkm.is_reflexive, re-exported here."""
 
 from fractions import Fraction
+from itertools import repeat
 from math import comb, gcd
-from operator import mul, sub
+from operator import eq, mul, sub
 
 from . import bounds, exact, gkm
 from .errors import (
     InconsistentCones,
     MatchingFailed,
     NonPositiveIndex,
-    NotDelzant,
     NotGorensteinOfIndex,
     NotReflexive,
     UnsupportedDimension,
 )
-from .gkm import is_delzant, is_reflexive
+from .gkm import _require_delzant, is_delzant, is_reflexive
 from .polytope import Polytope, _bits, _ids
 from .report import VerificationReport
-
-
-def _require_delzant(P):
-    """Raise NotDelzant unless P is Delzant.  The verdict is found once per
-    polytope, by the first Delzant check on it, which keeps it."""
-    if P._delzant is None:
-        is_delzant(P)
-    if not P._delzant:
-        raise NotDelzant("polytope is not Delzant")
 
 
 def _census(P):
@@ -57,9 +48,10 @@ def normal_contributions(P, edge):
     _require_delzant(P)
     at_vertex, on_facet = P._incidence_bits()
     u, v = edge
+    w1 = P._leaving[u][(at_vertex[u] & ~at_vertex[v]).bit_length() - 1]
     shared = at_vertex[u] & at_vertex[v]
     out = []
-    for i, a in _contributions(P, edge):
+    for i, a in sorted(_contributions(P, [edge], [w1])[0].items()):
         face = (1 << len(P.vertices)) - 1
         for j in _bits(shared & ~(1 << i)):
             face &= on_facet[j]
@@ -67,29 +59,41 @@ def normal_contributions(P, edge):
     return out
 
 
-def _contributions(P, edge):
-    """The contribution of the edge u v in each 2-face through it, as
-    (facet id, a), for a polytope already checked to be Delzant, from the
-    table ``P._leaving`` its Delzant check kept.
+def _contributions(P, edges, weights):
+    """Per edge u v of ``edges``, with the weight w1 from u to v in
+    ``weights``, its contribution in each 2-face through it, as a dict
+    {facet id: a}, for a polytope already checked to be Delzant, from the
+    table ``P._leaving`` its Delzant pass kept.
 
     In a simple polytope the edge lies on n-1 of the n facets at u, and its
-    weight w1 at u leaves the other one.  Leaving out facet i of the n-1,
-    the others cut out a 2-face through the edge, and the second edge of
-    that 2-face at u (and at v) is the one that leaves facet i.
+    weight w1 at u leaves the other one, which v is not on: the shared
+    facets are those the table has at both ends.  Leaving out facet i of
+    the n-1, the others cut out a 2-face through the edge, and the second
+    edge of that 2-face at u (and at v) is the one that leaves facet i.
     """
-    at_vertex = P._incidence_bits()[0]
-    u, v = edge
-    at_u, at_v = P._leaving[u], P._leaving[v]
-    w1 = at_u[(at_vertex[u] & ~at_vertex[v]).bit_length() - 1]
-    k = w1.index(next(filter(None, w1)))  # the first nonzero coordinate
+    leaving = P._leaving
     out = []
-    for i in _bits(at_vertex[u] & at_vertex[v]):
-        diff = tuple(map(sub, at_u[i], at_v[i]))
-        a = diff[k] // w1[k]
-        if diff != tuple([a * c for c in w1]):
-            raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {edge}")
-        out.append((i, a))
+    for (u, v), w1 in zip(edges, weights):
+        at_v = leaving[v]
+        k = w1.index(next(filter(None, w1)))  # the first nonzero coordinate
+        row = {}
+        for i, x in leaving[u].items():
+            y = at_v.get(i)
+            if y is None:
+                continue
+            a = row[i] = (x[k] - y[k]) // w1[k]
+            if not all(map(eq, map(sub, x, y), map(mul, w1, repeat(a)))):
+                diff = tuple(map(sub, x, y))
+                raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {(u, v)}")
+        out.append(row)
     return out
+
+
+def _contribution_sums(P):
+    """The sum of the contributions of each edge, in ``edges()`` order,
+    from one pass over the skeleton's columns."""
+    S = P.skeleton()
+    return [sum(row.values()) for row in _contributions(P, S.edge_list, S._weight_col)]
 
 
 def verify_thm_combinatorics2(P):
@@ -98,15 +102,11 @@ def verify_thm_combinatorics2(P):
     if P.dim < 2:
         raise UnsupportedDimension("the normal-contribution sum needs dimension >= 2")
     f, _ = _census(P)
-    total = 0
-    per_edge = []
-    for e in P.edges():
-        s = sum(a for _, a in _contributions(P, e))
-        per_edge.append((e, s))
-        total += s
+    sums = _contribution_sums(P)
+    total = sum(sums)
     rhs = 12 * f[2] - 3 * (P.dim - 1) * f[1]
     rep = VerificationReport("normal-contribution-sum", total == rhs, total, (rhs,))
-    for e, s in per_edge:
+    for e, s in zip(P.edges(), sums):
         rep.add_item(f"edge {e}", True, {"contribution_sum": s})
     return rep
 
@@ -122,8 +122,8 @@ def verify_length_decomposition(P):
     lengths = P.relative_lengths()
     rep = VerificationReport("length-decomposition", True)
     total = 0
-    for e, length in zip(P.edges(), lengths):
-        s = 2 + sum(a for _, a in _contributions(P, e))
+    for e, length, a in zip(P.edges(), lengths, _contribution_sums(P)):
+        s = 2 + a
         rep.add_item(f"edge {e}", length == s, {"length": length, "2+sum_a": s})
         total += s
     rep.lhs = sum(lengths)
@@ -276,6 +276,6 @@ def reconstruct_from_cones(cones):
         got = sorted(P.vertex_weights(vid))
         if got != sorted(tuple(w) for w in weights):
             raise InconsistentCones(f"cone at {label} not reproduced")
-    if not is_delzant(P).passed or not is_reflexive(P):
+    if not all(gkm._delzant_pass(P)) or not is_reflexive(P):
         raise InconsistentCones("reconstruction is not Delzant reflexive")
     return P

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -101,3 +102,37 @@ def test_det_multiplicative(a, b):
     ]
     assert exact.det(prod) == exact.det(a) * exact.det(b)
 
+
+
+class _Tagged(Fraction):
+    """A Fraction subclass: read through its properties, not its slots."""
+
+
+def _common_denominator_by_properties(points):
+    """q and the integer points q * p, every term read off ``.numerator``
+    and ``.denominator``."""
+    q = 1
+    for p in points:
+        for c in p:
+            q = q * c.denominator // gcd(q, c.denominator)
+    return q, [tuple(c.numerator * (q // c.denominator) for c in p) for p in points]
+
+
+_fractions = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+_coordinates = {
+    "fraction": _fractions,
+    "mixed": st.one_of(st.integers(-40, 40), _fractions),
+    "subclass": st.one_of(_fractions, st.builds(_Tagged, st.integers(-40, 40), st.integers(1, 12))),
+    "bool": st.one_of(st.booleans(), _fractions, st.integers(-3, 3)),
+}
+
+
+@given(st.sampled_from(sorted(_coordinates)).flatmap(
+    lambda kind: st.integers(0, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[_coordinates[kind]] * d), min_size=1, max_size=6))))
+def test_common_denominator_matches_the_properties(points):
+    # exactly-Fraction points are read off the slots; ints, bools and
+    # Fraction subclasses off the properties; both give the same terms
+    q, ints = exact.common_denominator(points)
+    assert (q, ints) == _common_denominator_by_properties(points)
+    assert type(q) is int and all(type(c) is int for p in ints for c in p)

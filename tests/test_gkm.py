@@ -1,11 +1,12 @@
 import gc
+import json
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
-from delzant import catalog, gkm, oracle, reflexive, roots
+from delzant import catalog, gkm, oracle, reflexive, roots, serialize
 from delzant.errors import (
     DelzantError,
     DimensionMismatch,
@@ -269,6 +270,38 @@ def test_validate_matches_the_distinct_plus_minus_w_rule(G):
     else:
         with pytest.raises(InvalidGraph, match="graph fails GKM validation"):
             gkm._valid_sums(G)
+
+
+
+@given(small_graphs(), st.integers(1, 3))
+def test_narrow_line_fields_keep_the_verdict(G, bits):
+    # with a line field this narrow, lines share bits, and the vertices
+    # where two bits meet are decided by listing their lines
+    wide, gkm._LINE_BITS = gkm._LINE_BITS, bits
+    try:
+        rep = gkm.validate(G)
+    finally:
+        gkm._LINE_BITS = wide
+    assert rep == _validate_by_stars(G)
+
+
+@pytest.mark.parametrize("repeat", [False, True])
+def test_more_lines_than_line_bits(repeat):
+    # a cycle whose sides (k, 1), k = 1, 2, ..., are lines 0, 1, ..., and
+    # whose closing side is line _LINE_BITS, which shares the bit of line 0
+    # at vertex 0; with `repeat`, the last side before it is (k - 1, 1)
+    # again, so that one vertex has two edges on one line
+    n = gkm._LINE_BITS + 1 + repeat
+    steps = [(k, 1) for k in range(1, n - 1)] + [(n - 2 if repeat else n - 1, 1)]
+    pts = [(0, 0)]
+    for dx, dy in steps:
+        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
+    G = GkmGraph(2, 2, list(enumerate(pts)), [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+    assert len({max(w, tuple(-c for c in w)) for w in G._weight_col}) == n - repeat
+    rep = gkm.validate(G)
+    assert rep == _validate_by_stars(G) and rep.passed is not repeat
+    p = gkm._kept_pairing(G)
+    assert [(a >> p._top).bit_count() for a in p._packed][:1] == [1]
 
 
 # Graphs that each reader refuses or passes, with the outcome each reader
@@ -665,3 +698,88 @@ def test_a_cycle_on_which_every_prime_candidate_vanishes():
     assert gkm.generic_direction(G) == last
     h = gkm.h_vector_graph(G)
     assert h == _h_vector_oracle(G) == _h_vector_by_stars(G) == _census_by_vertex(G, last)
+
+
+# The height scan against the pairing it replaced in first_census and
+# generic_direction: the first candidate not avoided that a pairing with it
+# alone keeps, and each vertex's in-degree under it.
+
+def _pairing_scan(G, avoid=()):
+    avoid = set(map(tuple, avoid))
+    for xi in gkm._candidates(G):
+        if xi not in avoid:
+            p = gkm._Pairing(G, [xi], 1)
+            if p.xis:
+                return xi, dict(zip(G.ids, p.indegrees(0)))
+    return NonGenericDirection
+
+
+def _assert_height_scan_is_the_pairing(G, avoid=()):
+    want = _pairing_scan(G, avoid)
+    if want is NonGenericDirection:
+        with pytest.raises(NonGenericDirection):
+            gkm.generic_direction(G, avoid)
+        return
+    xi, below = want
+    assert gkm._height_scan(G, avoid) == want
+    assert list(gkm._height_scan(G, avoid)[1]) == G.ids
+    assert gkm.generic_direction(G, avoid) == xi
+    if not avoid and max(below.values()) <= G.degree:
+        assert gkm.first_census(G) == gkm._Pairing(G, [xi], 1).census(0, G.degree)
+
+
+_LABELS = {
+    "str": lambda vid: f"v{vid}",
+    "tuple": lambda vid: (vid, "v"),
+    "fraction": lambda vid: Fraction(2 * vid + 1, 7),
+}
+
+
+def _relabelled(G, label):
+    return GkmGraph(G.ambient_dim, G.degree, [(label(v), G.coords[v]) for v in G.ids],
+                    [(label(u), label(v)) for u, v in G.edge_list])
+
+
+def _read_back(G):
+    return serialize.graph_from_json(json.loads(json.dumps(serialize.graph_to_json(G))))
+
+
+def _avoided(G, data):
+    """Some of G's first candidates, each as a tuple or a list."""
+    some = data.draw(st.lists(st.sampled_from(list(gkm._candidates(G))), max_size=4))
+    return [list(xi) if data.draw(st.booleans()) else xi for xi in some]
+
+
+@given(st.one_of(small_graphs(), rational_graphs()), st.sampled_from(sorted(_LABELS)), st.data())
+def test_height_scan_matches_the_pairing(G, label, data):
+    # on ids that are not ints, and on the graph as read back from its JSON
+    H = _relabelled(G, _LABELS[label])
+    for K in [G, H, _read_back(_relabelled(G, _LABELS["str"]))]:
+        _assert_height_scan_is_the_pairing(K)
+        _assert_height_scan_is_the_pairing(K, _avoided(K, data))
+
+
+@pytest.mark.parametrize("kind, rank, I", weyl_corpus.WEYL)
+def test_height_scan_matches_the_pairing_on_orbits(kind, rank, I):
+    # the orbit graphs are made from edge tables that vouch for the weights
+    G = roots.coadjoint_graph(roots.build(kind, rank), I)
+    first = next(gkm._candidates(G))
+    for avoid in [(), [first], [list(first)]]:
+        _assert_height_scan_is_the_pairing(G, avoid)
+
+
+def test_height_scan_matches_the_pairing_on_the_39_gon():
+    # the lattice 39-gon with the sides (k, -1) for k = 2..37: every prime
+    # candidate vanishes on a side, so the only generic one is the last
+    steps = [((k, -1), 1) for k in range(2, 38)] + [((1, 0), 1), ((0, 1), 36)]
+    pts = [(0, 0)]
+    for (dx, dy), n in steps:
+        pts.append((pts[-1][0] + dx * n, pts[-1][1] + dy * n))
+    P = Polytope.from_vertices(pts)
+    G = P.skeleton()
+    *primes, last = gkm._candidates(G)
+    assert len(P.vertices) == 39 and all(not gkm._Pairing(G, [xi], 1).xis for xi in primes)
+    assert gkm._height_scan(G)[0] == last
+    for avoid in [(), primes, [last]]:
+        _assert_height_scan_is_the_pairing(G, avoid)
+    assert P.h_vector_directed() == (1, 37, 1)

@@ -7,6 +7,7 @@ from delzant import catalog, exact, gkm, oracle, reflexive
 from delzant.errors import (
     DelzantError,
     InconsistentCones,
+    MatchingFailed,
     NonLatticeEdge,
     NonPositiveIndex,
     NotDelzant,
@@ -147,11 +148,12 @@ def test_normal_contributions_match_2face_scan():
 
 
 def test_normal_contributions_check_and_tabulate_once(monkeypatch):
-    # the Delzant check runs once per polytope and keeps on it the table of
+    # the Delzant pass runs once per polytope and keeps on it the table of
     # the edge leaving each facet at each vertex, which every edge and
     # every verifier then reads
     calls = []
-    monkeypatch.setattr(reflexive, "is_delzant", lambda P: calls.append(P) or gkm.is_delzant(P))
+    real = gkm._delzant_pass
+    monkeypatch.setattr(gkm, "_delzant_pass", lambda P: calls.append(P) or real(P))
     P = cube(5)
     reflexive.normal_contributions(P, P.edges()[0])
     table = P._leaving
@@ -175,10 +177,8 @@ def test_delzant_verdict_is_kept_where_it_is_found(monkeypatch):
     # a Delzant check made outside the verifiers keeps its verdict too, so
     # a verifier run afterwards on the same polytope does not check again
     calls = []
-    real = gkm.is_delzant
-    count = lambda P: calls.append(P) or real(P)
-    monkeypatch.setattr(gkm, "is_delzant", count)
-    monkeypatch.setattr(reflexive, "is_delzant", count)
+    real = gkm._delzant_pass
+    monkeypatch.setattr(gkm, "_delzant_pass", lambda P: calls.append(P) or real(P))
     H = catalog.load("hexagon")
     P = reflexive.reconstruct_from_cones({i: H.vertex_weights(i) for i in range(len(H.vertices))})
     assert reflexive.verify_main_theorem(P).passed
@@ -188,10 +188,30 @@ def test_delzant_verdict_is_kept_where_it_is_found(monkeypatch):
     assert reflexive.verify_length_decomposition(Q).passed
     assert calls == [P, Q]
     R = catalog.load("octahedron")
-    assert not real(R).passed and R._delzant is False
+    assert not all(real(R)) and R._delzant is False
     with pytest.raises(NotDelzant):
         reflexive.verify_main_theorem(R)
     assert calls == [P, Q]
+
+
+
+@pytest.mark.parametrize("verify", [reflexive.verify_thm_combinatorics2,
+                                    reflexive.verify_length_decomposition])
+def test_contributions_test_every_shared_facet(verify):
+    # doubling the weight kept at u for any facet shared by the edge u v
+    # leaves no integer multiple of the edge's weight
+    P = cube(3)
+    u, v = P.edges()[0]
+    at_vertex = P._incidence_bits()[0]
+    shared = at_vertex[u] & at_vertex[v]
+    facets = [i for i in range(len(P.facets)) if shared >> i & 1]
+    assert len(facets) == 2
+    for i in facets:
+        Q = cube(3)
+        gkm._delzant_pass(Q)
+        Q._leaving[u][i] = tuple(2 * c for c in Q._leaving[u][i])
+        with pytest.raises(MatchingFailed, match=rf"on edge \({u}, {v}\)"):
+            verify(Q)
 
 
 def _leaving_by_stars(P):

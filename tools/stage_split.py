@@ -9,9 +9,14 @@ the checkout this file belongs to), builds the verify corpus for seed S
 item gets a fresh polytope from its stored descriptions, as in the
 benchmark, and the stages run one after the other, each timed on its own:
 the integer points, the incidence bitmasks, ``edges()``, the skeleton's
-columns (``GkmGraph._fill``), the Delzant check, and last the item's
-verifier, which finds all of the above made.  The enumeration items run no
-polytope code and are left out.  Prints, as JSON, each stage's median
+columns (``GkmGraph._fill``), the Delzant pass (``gkm._delzant_pass``, the
+verdict the verifiers require, without the report of ``check delzant``),
+the census (``gkm.first_census``), the contribution sums of the edges
+(``reflexive._contribution_sums``, on Delzant polytopes), and last the
+item's verifier, which finds the stages up to the Delzant pass made.
+Neither the census nor the contribution sums are kept, so the verifiers
+that read them make them again.  The enumeration items run no polytope
+code and are left out.  Prints, as JSON, each stage's median
 over the rounds of its total over the items, in ms, with its share of the
 round; the same for each verifier's part of the last stage, with its
 number of items and its median ms per item; ``census_ms``, the median
@@ -31,7 +36,8 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("integer points", "incidence", "edges", "_fill", "is_delzant", "verifiers")
+STAGES = ("integer points", "incidence", "edges", "_fill", "delzant pass", "census",
+          "contributions", "verifiers")
 
 
 def _median_ms(rounds_ms, key, round_ms):
@@ -50,7 +56,9 @@ def split(mods, corpus, seed, rounds):
             (P,) = item.fresh()
             t = [time.perf_counter()]
             for stage in (P._integer_vertices, P._incidence_bits, P.edges, P.skeleton,
-                          lambda: mods.reflexive.is_delzant(P)):
+                          lambda: mods.gkm._delzant_pass(P),
+                          lambda: mods.gkm.first_census(P.skeleton()),
+                          lambda: P._delzant and mods.reflexive._contribution_sums(P)):
                 stage()
                 t.append(time.perf_counter())
             out = item.op(P)
