@@ -14,8 +14,6 @@ from .errors import DimensionMismatch, NonSquare, ZeroVector
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
-# A Fraction keeps its terms in these slots, behind the properties above.
-_fraction_terms = attrgetter("_numerator"), attrgetter("_denominator")
 
 
 def content(v):
@@ -227,15 +225,9 @@ def null_direction(rows):
 
 def common_denominator(points):
     """q = the lcm of the denominators of every coordinate (ints or
-    Fractions), and the integer points q * p.  When q is 1 the integer
-    points are the numerators.  The terms are read off the slots of
-    Fraction when every coordinate is exactly a Fraction, and off
-    ``.numerator`` and ``.denominator`` otherwise."""
-    if set(map(type, chain.from_iterable(points))) == {Fraction}:
-        numerator, denominator = _fraction_terms
-    else:
-        numerator, denominator = _numerator, _denominator
-    q = lcm(*set(map(denominator, chain.from_iterable(points))))
+    Fractions, read off ``.denominator``), and the integer points q * p.
+    When q is 1 the integer points are the numerators."""
+    q = lcm(*set(map(_denominator, chain.from_iterable(points))))
     if q == 1:
-        return q, [tuple(map(numerator, p)) for p in points]
-    return q, [tuple([numerator(c) * (q // denominator(c)) for c in p]) for p in points]
+        return q, [tuple(map(_numerator, p)) for p in points]
+    return q, [tuple([c.numerator * (q // c.denominator) for c in p]) for p in points]

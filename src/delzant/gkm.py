@@ -2,6 +2,7 @@
 validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
@@ -23,7 +24,6 @@ from .errors import (
 from .report import VerificationReport
 
 _GENERIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_LINE_BITS = 256  # the width of a pairing's line field
 
 
 def _ratio(a, b):
@@ -187,33 +187,29 @@ def star(G, vid):
 
 
 class _Pairing:
-    """The one pass that pairs G's edge weights with directions.  It keeps
-    ``xis``, the first k of ``candidates`` that vanish on no weight, and
-    gives per vertex, in ``G.ids`` order: ``degrees``; ``indegrees(c)``,
-    the number of weights leaving it that pair negatively with xis[c],
-    which are its edges that xis[c] orients into it; and, with ``sums``,
-    its weight sum and ``independent``, the GKM verdict: whether its
-    weights lie on distinct lines +-w.  Each is read off the pass when
-    first asked for.
+    """The one pass that pairs G's edge weights with directions, which
+    ``_kept_pairing`` makes once per graph.  It keeps ``xis``, the first k
+    of ``candidates`` that vanish on no weight, and gives per vertex, in
+    ``G.ids`` order: ``degrees``; ``indegrees(c)``, the number of weights
+    leaving it that pair negatively with xis[c], which are its edges that
+    xis[c] orients into it; and its weight sum.  ``independent`` tells, per
+    vertex, whether no two weights there are parallel.  Each is read off
+    the pass when first asked for.
 
     Each distinct weight w is paired once with each candidate and gets two
     integers, for the tail its edges leave by w and the head they leave by
     -w.  From the lowest, their bit fields hold a 1 for the degree, a 1
     for each kept direction that the weight leaving that end pairs
-    negatively with and, with ``sums``, that weight in balanced base 2^b
-    and the bit of its line +-w (line c, numbered in order, has the bit c
-    mod _LINE_BITS).  A count field holds |V|, and a weight sum's
-    coordinates are below |V| max|w_i| < 2^(b-1), so the fields of the sum
-    of a vertex's integers are its degree, its in-degrees and its weight
-    sum; and its lines are distinct if their bits, added, set as many bits
-    as its degree, since two equal bits carry.  ``independent`` lists the
-    lines where two bits met.  Each edge is looked up once, and adds one
-    integer at each end.
+    negatively with, and that weight in balanced base 2^b.  A count field
+    holds |V|, and a weight sum's coordinates are below |V| max|w_i| <
+    2^(b-1), so the fields of the sum of a vertex's integers are its
+    degree, its in-degrees and its weight sum.  Each edge is looked up
+    once, and adds one integer at each end.
     """
 
-    def __init__(self, G, candidates, k, sums=False):
+    def __init__(self, G, candidates, k):
         cols = G._weight_col
-        weights = list(dict.fromkeys(cols))
+        self._weights = weights = list(dict.fromkeys(cols))
         n = len(G.ids)
         self._width = width = n.bit_length()
         self.xis = xis = []
@@ -227,24 +223,16 @@ class _Pairing:
                          for (t, h), pair in zip(codes, pairs)]
                 if len(xis) == k:
                     break
-        start = 0
-        if sums:
-            low = (len(xis) + 1) * width
-            m = max(map(abs, chain.from_iterable(weights)), default=0)
-            self._b = b = (n * m).bit_length() + 1
-            self._shifts = range(low, low + b * G.ambient_dim, b)
-            # A weight's field is its pairing with these places.  Each digit
-            # starts at 2^(b-1), so that every field stays nonnegative.
-            places = [1 << i for i in self._shifts]
-            fields = [sum(map(mul, w, places)) for w in weights]
-            self._top = top = low + b * G.ambient_dim
-            line = {}
-            self._line = {w: line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in weights}
-            bits = [1 << top + c % _LINE_BITS for c in self._line.values()]
-            codes = [(t + f + l, h - f + l) for (t, h), f, l in zip(codes, fields, bits)]
-            start = sum(places) << b - 1
-        codes = dict(zip(weights, codes))
-        packed = dict.fromkeys(G.ids, start)
+        low = (len(xis) + 1) * width
+        m = max(map(abs, chain.from_iterable(weights)), default=0)
+        self._b = b = (n * m).bit_length() + 1
+        self._shifts = range(low, low + b * G.ambient_dim, b)
+        # A weight's field is its pairing with these places.  Each digit
+        # starts at 2^(b-1), so that every field stays nonnegative.
+        places = [1 << i for i in self._shifts]
+        fields = [sum(map(mul, w, places)) for w in weights]
+        codes = dict(zip(weights, [(t + f, h - f) for (t, h), f in zip(codes, fields)]))
+        packed = dict.fromkeys(G.ids, sum(places) << b - 1)
         for (u, v), w in zip(G.edge_list, cols):
             tail, head = codes[w]
             packed[u] += tail
@@ -260,11 +248,7 @@ class _Pairing:
     def census(self, c, degree):
         """The number of vertices of each in-degree 0..degree under xis[c],
         for a regular graph of that degree."""
-        shift, field = (c + 1) * self._width, (1 << self._width) - 1
-        h = [0] * (degree + 1)
-        for a in self._packed:
-            h[a >> shift & field] += 1
-        return tuple(h)
+        return _census(self.indegrees(c), degree)
 
     @cached_property
     def degrees(self):
@@ -278,28 +262,34 @@ class _Pairing:
 
     @cached_property
     def independent(self):
-        """The GKM verdict per vertex, read off its line field, or from its
-        lines, listed in one pass over the columns, where two bits met."""
-        field = (1 << self._width) - 1
-        verdict = [(a >> self._top).bit_count() == a & field for a in self._packed]
-        if all(verdict):
-            return verdict
+        """The GKM verdict per vertex: its weights are pairwise independent,
+        that is lie on distinct lines +-w.  One more pass over the columns
+        lists the lines at each vertex, each line coded by a small int."""
         ids, edge_list, cols = self._columns
-        line = self._line
-        doubt = {vid: [] for vid, ok in zip(ids, verdict) if not ok}
+        line = {}
+        code = {w: line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in self._weights}
+        lines = {vid: [] for vid in ids}
         for (u, v), w in zip(edge_list, cols):
-            if u in doubt:
-                doubt[u].append(line[w])
-            if v in doubt:
-                doubt[v].append(line[w])
-        return [ok or len(set(doubt[vid])) == len(doubt[vid]) for vid, ok in zip(ids, verdict)]
+            c = code[w]
+            lines[u].append(c)
+            lines[v].append(c)
+        return [len(set(cs)) == len(cs) for cs in lines.values()]
+
+
+def _census(indegrees, degree):
+    """The number of vertices of each in-degree 0..degree, for a regular
+    graph of that degree."""
+    h = [0] * (degree + 1)
+    for k in indegrees:
+        h[k] += 1
+    return tuple(h)
 
 
 def _kept_pairing(G):
     """G's pairing under its first three generic candidate directions
     (``_candidates``), made on first use and kept."""
     if G._pairing is None:
-        G._pairing = _Pairing(G, _candidates(G), 3, sums=True)
+        G._pairing = _Pairing(G, _candidates(G), 3)
     return G._pairing
 
 
@@ -397,55 +387,60 @@ def _candidates(G):
         yield xi
 
 
-def _height_scan(G, avoid=()):
-    """The first generic candidate direction xi not in ``avoid``, a
-    collection of directions as tuples or lists, and the in-degree of each
-    vertex under it, by id.  A vertex's height is <xi, L>, L its integer
-    point.  Each weight is its edge's integer difference over a positive
-    gcd, so xi vanishes on it iff its edge joins two vertices of equal
-    height, and a vertex's in-degree is the number of its neighbours below
-    it."""
+def _height_scan(G, xi):
+    """The in-degree of each vertex under the direction xi, a dict by id
+    in ``G.ids`` order, or None when xi vanishes on a weight.
+
+    A vertex's height is <xi, L>, L its integer point.  Each weight is its
+    edge's integer difference over a positive gcd (``_from_edge_table``
+    callers vouch for the same), so xi vanishes on a weight iff its edge
+    joins two vertices of equal height, and a vertex's in-degree is the
+    number of its neighbours below it.
+    """
+    height = {vid: sum(map(mul, xi, L)) for vid, L in G.lattice.items()}
+    below = dict.fromkeys(G.ids, 0)
+    for u, v in G.edge_list:
+        a, b = height[u], height[v]
+        if a == b:
+            return None
+        below[v if a < b else u] += 1
+    return below
+
+
+def _first_generic(G, avoid=()):
+    """The first generic candidate direction not in ``avoid``, a collection
+    of directions as tuples or lists, and the in-degrees under it."""
     avoid = set(map(tuple, avoid))
     for xi in _candidates(G):
-        if xi in avoid:
-            continue
-        height = {vid: sum(map(mul, xi, L)) for vid, L in G.lattice.items()}
-        below = dict.fromkeys(G.ids, 0)
-        for u, v in G.edge_list:
-            a, b = height[u], height[v]
-            if a == b:
-                break
-            below[v if a < b else u] += 1
-        else:
-            return xi, below
+        if xi not in avoid:
+            below = _height_scan(G, xi)
+            if below is not None:
+                return xi, below
     raise NonGenericDirection("no generic direction among the built-in candidates")
 
 
 def generic_direction(G, avoid=()):
     """The first generic candidate direction that is not in ``avoid``."""
-    return _height_scan(G, avoid)[0]
+    return _first_generic(G, avoid)[0]
 
 
 def first_census(G):
     """The in-degree census of a regular graph under its first generic
     candidate direction, from the height scan.  A polytope needs this
     census alone."""
-    h = [0] * (G.degree + 1)
-    for k in _height_scan(G)[1].values():
-        h[k] += 1
-    return tuple(h)
+    return _census(_first_generic(G)[1].values(), G.degree)
 
 
 def h_vector_graph(G, xi=None):
     """In-degree census under a generic direction.
 
-    The graph must be regular: the degrees of the pairing name the first
-    vertex that fails.  When no direction is supplied, the censuses come
-    from the graph's kept pairing, under its first three generic candidate
-    directions (ambient dimension 1 has only one); they must agree, or
-    the graph is not of the manifold type where the census is
-    direction-independent.  A supplied direction gets a pairing of its
-    own, and must have the ambient dimension and vanish on no weight.
+    The graph must be regular: the degrees name the first vertex that
+    fails.  When no direction is supplied, the degrees and the censuses
+    come from the graph's kept pairing, under its first three generic
+    candidate directions (ambient dimension 1 has only one); they must
+    agree, or the graph is not of the manifold type where the census is
+    direction-independent.  A supplied direction must have the ambient
+    dimension and vanish on no weight, and its census is a height scan.
     """
     # A vertex has at most |V| - 1 edges, so a larger degree cannot be met
     # by any vertex; say so before naming one.
@@ -453,19 +448,22 @@ def h_vector_graph(G, xi=None):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
     if xi is None:
         p = _kept_pairing(G)
+        degrees = p.degrees
     else:
         xi = tuple(xi)
-        p = _Pairing(G, [xi] if len(xi) == G.ambient_dim else [], 1)
-    if p.degrees.count(G.degree) != len(p.degrees):
-        vid, k = next((v, k) for v, k in zip(G.ids, p.degrees) if k != G.degree)
+        degrees = list(map(Counter(chain.from_iterable(G.edge_list)).__getitem__, G.ids))
+    if degrees.count(G.degree) != len(degrees):
+        vid, k = next((v, k) for v, k in zip(G.ids, degrees) if k != G.degree)
         raise InvalidGraph(f"vertex {vid!r} has {k} edges, not {G.degree}")
     if xi is not None:
         if len(xi) != G.ambient_dim:
             raise DimensionMismatch(
                 f"direction of length {len(xi)} in ambient dimension {G.ambient_dim}"
             )
-        if not p.xis:
+        below = _height_scan(G, xi)
+        if below is None:
             raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
+        return _census(below.values(), G.degree)
     results = [p.census(c, G.degree) for c in range(len(p.xis))]
     if len(set(results)) != 1:
         raise DirectionDependent(f"h-vector depends on the direction: {results}")
@@ -493,7 +491,8 @@ def verify_graph_corollary(G):
 def _delzant_pass(P):
     """The Delzant pass: simplicity, rationality and smoothness at each
     vertex, from one pass over the skeleton's edges.  Returns, per vertex,
-    whether it is simple and smooth; builds no report.
+    whether it is simple, and whether it is simple and smooth; builds no
+    report.
 
     The edges of a polytope with rational vertices are always rational.  A
     vertex is smooth when its n weights form a lattice basis.  A vertex
@@ -522,7 +521,8 @@ def _delzant_pass(P):
     at_vertex = P._incidence_bits()[0]
     normals = [h.normal for h in P.facets]
     leaving = [{} for _ in at_vertex]
-    smooth = [here.bit_count() == n for here in at_vertex]
+    simple = [here.bit_count() == n for here in at_vertex]
+    smooth = simple.copy()
     for (u, v), w in zip(S.edge_list, S._weight_col):
         at_u, at_v = at_vertex[u], at_vertex[v]
         i = (at_u & ~at_v).bit_length() - 1
@@ -535,7 +535,7 @@ def _delzant_pass(P):
             smooth[v] = False
     P._leaving = leaving
     P._delzant = all(smooth)
-    return smooth
+    return simple, smooth
 
 
 def _require_delzant(P):
@@ -550,9 +550,9 @@ def _require_delzant(P):
 def is_delzant(P):
     """The report ``check delzant`` prints, built from the Delzant pass:
     simplicity, rationality, and smoothness vertex by vertex."""
-    smooth = _delzant_pass(P)
+    simple, smooth = _delzant_pass(P)
     rep = VerificationReport("delzant", True)
-    rep.add_item("simple", P.is_simple())
+    rep.add_item("simple", all(simple))
     rep.add_item("rational", True)
     for vid, ok in enumerate(smooth):
         rep.add_item(f"smooth vertex {vid}", ok)

@@ -276,6 +276,7 @@ def reconstruct_from_cones(cones):
         got = sorted(P.vertex_weights(vid))
         if got != sorted(tuple(w) for w in weights):
             raise InconsistentCones(f"cone at {label} not reproduced")
-    if not all(gkm._delzant_pass(P)) or not is_reflexive(P):
+    gkm._delzant_pass(P)
+    if not P._delzant or not is_reflexive(P):
         raise InconsistentCones("reconstruction is not Delzant reflexive")
     return P

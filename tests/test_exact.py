@@ -103,9 +103,8 @@ def test_det_multiplicative(a, b):
     assert exact.det(prod) == exact.det(a) * exact.det(b)
 
 
-
 class _Tagged(Fraction):
-    """A Fraction subclass: read through its properties, not its slots."""
+    """A Fraction subclass."""
 
 
 def _common_denominator_by_properties(points):
@@ -131,8 +130,8 @@ _coordinates = {
     lambda kind: st.integers(0, 4).flatmap(
         lambda d: st.lists(st.tuples(*[_coordinates[kind]] * d), min_size=1, max_size=6))))
 def test_common_denominator_matches_the_properties(points):
-    # exactly-Fraction points are read off the slots; ints, bools and
-    # Fraction subclasses off the properties; both give the same terms
+    # on Fractions, ints, bools and Fraction subclasses alike, q is the lcm
+    # of the denominators and the integer points are plain ints
     q, ints = exact.common_denominator(points)
     assert (q, ints) == _common_denominator_by_properties(points)
     assert type(q) is int and all(type(c) is int for p in ints for c in p)

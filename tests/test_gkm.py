@@ -272,38 +272,6 @@ def test_validate_matches_the_distinct_plus_minus_w_rule(G):
             gkm._valid_sums(G)
 
 
-
-@given(small_graphs(), st.integers(1, 3))
-def test_narrow_line_fields_keep_the_verdict(G, bits):
-    # with a line field this narrow, lines share bits, and the vertices
-    # where two bits meet are decided by listing their lines
-    wide, gkm._LINE_BITS = gkm._LINE_BITS, bits
-    try:
-        rep = gkm.validate(G)
-    finally:
-        gkm._LINE_BITS = wide
-    assert rep == _validate_by_stars(G)
-
-
-@pytest.mark.parametrize("repeat", [False, True])
-def test_more_lines_than_line_bits(repeat):
-    # a cycle whose sides (k, 1), k = 1, 2, ..., are lines 0, 1, ..., and
-    # whose closing side is line _LINE_BITS, which shares the bit of line 0
-    # at vertex 0; with `repeat`, the last side before it is (k - 1, 1)
-    # again, so that one vertex has two edges on one line
-    n = gkm._LINE_BITS + 1 + repeat
-    steps = [(k, 1) for k in range(1, n - 1)] + [(n - 2 if repeat else n - 1, 1)]
-    pts = [(0, 0)]
-    for dx, dy in steps:
-        pts.append((pts[-1][0] + dx, pts[-1][1] + dy))
-    G = GkmGraph(2, 2, list(enumerate(pts)), [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
-    assert len({max(w, tuple(-c for c in w)) for w in G._weight_col}) == n - repeat
-    rep = gkm.validate(G)
-    assert rep == _validate_by_stars(G) and rep.passed is not repeat
-    p = gkm._kept_pairing(G)
-    assert [(a >> p._top).bit_count() for a in p._packed][:1] == [1]
-
-
 # Graphs that each reader refuses or passes, with the outcome each reader
 # gave before the readers shared one pairing pass: the exception's type
 # and message, a report's verdict, or the value.  The readers, column by
@@ -700,32 +668,42 @@ def test_a_cycle_on_which_every_prime_candidate_vanishes():
     assert h == _h_vector_oracle(G) == _h_vector_by_stars(G) == _census_by_vertex(G, last)
 
 
-# The height scan against the pairing it replaced in first_census and
-# generic_direction: the first candidate not avoided that a pairing with it
-# alone keeps, and each vertex's in-degree under it.
+# The height scan against a pairing with the same one direction: under
+# any direction, whether it is generic and, where it is, each vertex's
+# in-degree (h_vector_graph with a direction); and the first candidate not
+# avoided that such a pairing keeps (generic_direction, first_census).
 
-def _pairing_scan(G, avoid=()):
+def _pairing_scan(G, xi):
+    p = gkm._Pairing(G, [xi], 1)
+    return p.indegrees(0) if p.xis else None
+
+
+def _height_scan(G, xi):
+    below = gkm._height_scan(G, xi)
+    return None if below is None else [below[vid] for vid in G.ids]
+
+
+def _first_by_pairing(G, avoid=()):
     avoid = set(map(tuple, avoid))
     for xi in gkm._candidates(G):
-        if xi not in avoid:
-            p = gkm._Pairing(G, [xi], 1)
-            if p.xis:
-                return xi, dict(zip(G.ids, p.indegrees(0)))
+        if xi not in avoid and gkm._Pairing(G, [xi], 1).xis:
+            return xi
     return NonGenericDirection
 
 
-def _assert_height_scan_is_the_pairing(G, avoid=()):
-    want = _pairing_scan(G, avoid)
+def _assert_height_scan_is_the_pairing(G, avoid=(), xi=None):
+    if xi is not None:
+        assert _height_scan(G, xi) == _pairing_scan(G, xi)
+    want = _first_by_pairing(G, avoid)
     if want is NonGenericDirection:
         with pytest.raises(NonGenericDirection):
             gkm.generic_direction(G, avoid)
         return
-    xi, below = want
-    assert gkm._height_scan(G, avoid) == want
-    assert list(gkm._height_scan(G, avoid)[1]) == G.ids
-    assert gkm.generic_direction(G, avoid) == xi
-    if not avoid and max(below.values()) <= G.degree:
-        assert gkm.first_census(G) == gkm._Pairing(G, [xi], 1).census(0, G.degree)
+    assert gkm.generic_direction(G, avoid) == want
+    assert _height_scan(G, want) == _pairing_scan(G, want)
+    p = gkm._Pairing(G, [want], 1)
+    if not avoid and max(p.indegrees(0), default=0) <= G.degree:
+        assert gkm.first_census(G) == p.census(0, G.degree)
 
 
 _LABELS = {
@@ -754,8 +732,9 @@ def _avoided(G, data):
 def test_height_scan_matches_the_pairing(G, label, data):
     # on ids that are not ints, and on the graph as read back from its JSON
     H = _relabelled(G, _LABELS[label])
+    xi = data.draw(st.tuples(*[st.integers(-3, 3)] * G.ambient_dim))
     for K in [G, H, _read_back(_relabelled(G, _LABELS["str"]))]:
-        _assert_height_scan_is_the_pairing(K)
+        _assert_height_scan_is_the_pairing(K, xi=xi)
         _assert_height_scan_is_the_pairing(K, _avoided(K, data))
 
 
@@ -766,6 +745,8 @@ def test_height_scan_matches_the_pairing_on_orbits(kind, rank, I):
     first = next(gkm._candidates(G))
     for avoid in [(), [first], [list(first)]]:
         _assert_height_scan_is_the_pairing(G, avoid)
+    for xi in [(0,) * G.ambient_dim, (1,) + (0,) * (G.ambient_dim - 1), first]:
+        _assert_height_scan_is_the_pairing(G, xi=xi)
 
 
 def test_height_scan_matches_the_pairing_on_the_39_gon():
@@ -779,7 +760,9 @@ def test_height_scan_matches_the_pairing_on_the_39_gon():
     G = P.skeleton()
     *primes, last = gkm._candidates(G)
     assert len(P.vertices) == 39 and all(not gkm._Pairing(G, [xi], 1).xis for xi in primes)
-    assert gkm._height_scan(G)[0] == last
+    assert gkm.generic_direction(G) == last
     for avoid in [(), primes, [last]]:
         _assert_height_scan_is_the_pairing(G, avoid)
+    for xi in primes:
+        _assert_height_scan_is_the_pairing(G, xi=xi)
     assert P.h_vector_directed() == (1, 37, 1)

@@ -36,6 +36,21 @@ def test_is_delzant():
     assert _simple(rep) and not rep.passed  # vertex cones are not unimodular
 
 
+def test_a_vertex_on_too_many_facets_is_not_smooth():
+    # the apex of this square pyramid lies on four facets, and each edge
+    # there pairs to -1 with the facet it is tested against: only
+    # simplicity refuses it, in the report and in the kept verdict
+    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)]
+    P = Polytope.from_vertices(pts)
+    apex = P.vertex_id((0, 0, 1))
+    rep = reflexive.is_delzant(P)
+    smooth = {i["id"]: i["pass"] for i in rep.per_item if i["id"].startswith("smooth")}
+    assert not _simple(rep) and [k for k, ok in smooth.items() if not ok] == [f"smooth vertex {apex}"]
+    assert P._delzant is False
+    with pytest.raises(NotDelzant):
+        reflexive.verify_length_decomposition(Polytope.from_vertices(pts))
+
+
 def test_is_reflexive():
     for name in DELZANT_REFLEXIVE + ["octahedron", "diamond"]:
         assert reflexive.is_reflexive(catalog.load(name)), name
@@ -188,11 +203,10 @@ def test_delzant_verdict_is_kept_where_it_is_found(monkeypatch):
     assert reflexive.verify_length_decomposition(Q).passed
     assert calls == [P, Q]
     R = catalog.load("octahedron")
-    assert not all(real(R)) and R._delzant is False
+    assert not all(real(R)[1]) and R._delzant is False
     with pytest.raises(NotDelzant):
         reflexive.verify_main_theorem(R)
     assert calls == [P, Q]
-
 
 
 @pytest.mark.parametrize("verify", [reflexive.verify_thm_combinatorics2,
