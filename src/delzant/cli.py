@@ -515,6 +515,22 @@ def _parse(argv):
     return build_parser().parse_args(argv)
 
 
+def _to_devnull(stream):
+    """Point a stream whose reader left at devnull, so that the flush at
+    interpreter exit cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _refuse(message):
+    """Print the message to standard error and return 2, also when the
+    reader closed standard error."""
+    try:
+        print(message, file=sys.stderr)
+    except BrokenPipeError:
+        _to_devnull(sys.stderr)
+    return 2
+
+
 def main(argv=None):
     args = _parse(argv)
     # A command makes no reference cycles, so the cyclic collector would
@@ -526,17 +542,12 @@ def main(argv=None):
         sys.stdout.flush()
         return code
     except (MalformedInput, UnboundedSearch) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: {e}")
     except DelzantError as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 2
+        return _refuse(f"error: {type(e).__name__}: {e}")
     except BrokenPipeError:
-        # The reader closed standard output.  Point it at devnull so that
-        # the flush at interpreter exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("error: standard output was closed", file=sys.stderr)
-        return 2
+        _to_devnull(sys.stdout)
+        return _refuse("error: standard output was closed")
     finally:
         if collecting:
             gc.enable()

@@ -17,8 +17,6 @@ from .errors import (
     NonGenericDirection,
     NonPositiveIndex,
     InconsistentIndex,
-    NotDelzant,
-    NotReflexive,
     ZeroVector,
 )
 from .report import VerificationReport
@@ -188,8 +186,9 @@ def star(G, vid):
 
 class _Pairing:
     """The one pass that pairs G's edge weights with directions, which
-    ``_kept_pairing`` makes once per graph.  It keeps ``xis``, the first k
-    of ``candidates`` that vanish on no weight, and gives per vertex, in
+    ``_kept_pairing`` makes once per graph.  It keeps ``xis``, the first
+    three candidate directions (``_candidates``) that vanish on no weight
+    (ambient dimension 1 has only one), and gives per vertex, in
     ``G.ids`` order: ``degrees``; ``indegrees(c)``, the number of weights
     leaving it that pair negatively with xis[c], which are its edges that
     xis[c] orients into it; and its weight sum.  ``independent`` tells, per
@@ -207,21 +206,21 @@ class _Pairing:
     once, and adds one integer at each end.
     """
 
-    def __init__(self, G, candidates, k):
+    def __init__(self, G):
         cols = G._weight_col
         self._weights = weights = list(dict.fromkeys(cols))
         n = len(G.ids)
         self._width = width = n.bit_length()
         self.xis = xis = []
         codes = [(1, 1)] * len(weights)
-        for xi in candidates:
+        for xi in _candidates(G):
             pairs = [sum(map(mul, w, xi)) for w in weights]
             if all(pairs):
                 xis.append(xi)
                 bit = 1 << len(xis) * width
                 codes = [(t + bit, h) if pair < 0 else (t, h + bit)
                          for (t, h), pair in zip(codes, pairs)]
-                if len(xis) == k:
+                if len(xis) == 3:
                     break
         low = (len(xis) + 1) * width
         m = max(map(abs, chain.from_iterable(weights)), default=0)
@@ -286,10 +285,9 @@ def _census(indegrees, degree):
 
 
 def _kept_pairing(G):
-    """G's pairing under its first three generic candidate directions
-    (``_candidates``), made on first use and kept."""
+    """G's pairing, made on first use and kept."""
     if G._pairing is None:
-        G._pairing = _Pairing(G, _candidates(G), 3)
+        G._pairing = _Pairing(G)
     return G._pairing
 
 
@@ -480,95 +478,3 @@ def verify_graph_corollary(G):
     rep.add_item("index", True, {"r": r})
     rep.add_item("h-vector", True, {"h": list(h)})
     return rep
-
-
-# -- polytopes ------------------------------------------------------------------
-# The Delzant and reflexive checks live here, not in reflexive, because
-# from_polytope needs them and the polytope module imports this one for
-# Polytope.skeleton(); reflexive imports both.
-
-
-def _delzant_pass(P):
-    """The Delzant pass: simplicity, rationality and smoothness at each
-    vertex, from one pass over the skeleton's edges.  Returns, per vertex,
-    whether it is simple, and whether it is simple and smooth; builds no
-    report.
-
-    The edges of a polytope with rational vertices are always rational.  A
-    vertex is smooth when its n weights form a lattice basis.  A vertex
-    has n edges exactly when it lies on n facets (its vertex figure is a
-    simplex exactly when that figure has n facets), so simplicity is read
-    off the facet masks.  Each edge at a simple vertex leaves exactly one
-    of its facets, a different one for each edge.  With the primitive
-    normals a_i of those facets as the rows of A and the weights w_i of the
-    edges leaving them as the columns of W, A W is diagonal with the
-    negative entries <a_i, w_i>.  If each is -1, det A det W = +-1 in
-    integers, so |det W| = 1.  If |det W| = 1, then A = D W^-1 with W^-1
-    integral, so each entry of D divides the primitive row a_i and is -1.
-    So the vertex is smooth iff each weight pairs to -1 with the normal of
-    the facet its edge leaves.
-
-    The check runs edge by edge: the edge u v with weight w leaves the
-    highest facet i at u not through v, and the highest facet j at v not
-    through u, and it tests <a_i, w> = -1 at u and <a_j, w> = 1 at v.  A
-    vertex is smooth iff it is simple and every test at it passed; the
-    edges at a simple vertex leave distinct facets, so each of its pairs is
-    tested.  The weights by facet left at each vertex, a dict in edge
-    order, are kept as P._leaving, and the verdict as P._delzant.
-    """
-    S = P.skeleton()
-    n = P.dim
-    at_vertex = P._incidence_bits()[0]
-    normals = [h.normal for h in P.facets]
-    leaving = [{} for _ in at_vertex]
-    simple = [here.bit_count() == n for here in at_vertex]
-    smooth = simple.copy()
-    for (u, v), w in zip(S.edge_list, S._weight_col):
-        at_u, at_v = at_vertex[u], at_vertex[v]
-        i = (at_u & ~at_v).bit_length() - 1
-        j = (at_v & ~at_u).bit_length() - 1
-        leaving[u][i] = w
-        leaving[v][j] = tuple(map(neg, w))
-        if sum(map(mul, normals[i], w)) != -1:
-            smooth[u] = False
-        if sum(map(mul, normals[j], w)) != 1:
-            smooth[v] = False
-    P._leaving = leaving
-    P._delzant = all(smooth)
-    return simple, smooth
-
-
-def _require_delzant(P):
-    """Raise NotDelzant unless P is Delzant.  The verdict is found once per
-    polytope, by the first Delzant pass on it, which keeps it."""
-    if P._delzant is None:
-        _delzant_pass(P)
-    if not P._delzant:
-        raise NotDelzant("polytope is not Delzant")
-
-
-def is_delzant(P):
-    """The report ``check delzant`` prints, built from the Delzant pass:
-    simplicity, rationality, and smoothness vertex by vertex."""
-    simple, smooth = _delzant_pass(P)
-    rep = VerificationReport("delzant", True)
-    rep.add_item("simple", all(simple))
-    rep.add_item("rational", True)
-    for vid, ok in enumerate(smooth):
-        rep.add_item(f"smooth vertex {vid}", ok)
-    return rep
-
-
-def is_reflexive(P):
-    """Integral vertices, origin interior, every facet of the form <x,l> <= 1.
-    The vertices are integral iff their common denominator q, made by the
-    incidence pass, is 1."""
-    return P._integer_vertices()[0] == 1 and all(h.offset == 1 for h in P.facets)
-
-
-def from_polytope(P):
-    """The 1-skeleton of a Delzant reflexive polytope as a GKM graph."""
-    _require_delzant(P)
-    if not is_reflexive(P):
-        raise NotReflexive("polytope is not reflexive")
-    return P.skeleton()

@@ -224,7 +224,7 @@ def _hull_from_halfspaces(halfspaces):
         (a, b) for a, b in hs
         if _affine_dim([v for v in verts if _dot(a, v) == b]) == n - 1
     ]
-    return verts, sorted(facets)
+    return verts, sorted(facets, reverse=n == 1)
 
 
 def brute_hull(points=None, halfspaces=None):
@@ -234,8 +234,9 @@ def brute_hull(points=None, halfspaces=None):
     solutions of n-subsets of the halfspaces.
 
     Returns (sorted vertices, facets as (primitive normal, offset) pairs) in
-    the order Polytope.from_vertices and Polytope.from_halfspaces give, and
-    raises the same exception classes.  Cost is C(V, n) or C(m, n).
+    the order every Polytope constructor gives, sorted except for
+    [(1,), (-1,)] in dimension 1, and raises the same exception classes.
+    Cost is C(V, n) or C(m, n).
     """
     if (points is None) == (halfspaces is None):
         raise ValueError("give exactly one of points and halfspaces")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
 from numbers import Rational
-from operator import add, mul
+from operator import add, mul, neg
 
 from . import exact, gkm
 from .errors import (
@@ -136,9 +136,9 @@ def _facet_key(h):
 
 
 def _canonical(dim, vertices, facets):
-    """A polytope in from_vertices' order, from vertices already sorted:
-    facets sorted by (normal, offset), except that in dimension 1 the order
-    is [(1,), (-1,)]."""
+    """A polytope in the order every constructor gives, from vertices
+    already sorted: facets sorted by (normal, offset), except that in
+    dimension 1 the order is [(1,), (-1,)]."""
     return Polytope(dim, vertices, sorted(facets, key=_facet_key, reverse=dim == 1))
 
 
@@ -276,8 +276,8 @@ class Polytope:
         self._lattice = None
         self._edges = None
         self._skeleton = None
-        # Filled in by the Delzant check: the verdict, and the weight of
-        # the edge leaving each facet at each vertex.
+        # Filled in by the Delzant pass: the verdict at each vertex, and
+        # the weight of the edge leaving each facet at each vertex.
         self._delzant = None
         self._leaving = None
 
@@ -352,7 +352,7 @@ class Polytope:
               for i in range(len(hs))]
         facets = [Halfspace(w, Fraction(p, q)) for (w, p, q), s in zip(hs, on)
                   if s and not any(s & t == s and s != t for t in on)]
-        return cls(n, _points([ray for ray, _ in rays]), sorted(facets, key=_facet_key))
+        return _canonical(n, _points([ray for ray, _ in rays]), facets)
 
     # -- faces ----------------------------------------------------------------
 
@@ -509,6 +509,49 @@ class Polytope:
     def is_simple(self):
         """Every vertex lies on exactly n facets, that is has n edges."""
         return all(here.bit_count() == self.dim for here in self._incidence_bits()[0])
+
+    def _delzant_pass(self):
+        """Whether P is Delzant at each vertex (simple, rational and smooth
+        there), from one pass over the skeleton's edges made on the first
+        call and kept as ``_delzant``, with the weights by facet left at
+        each vertex, a dict in edge order, as ``_leaving``.
+
+        The edges of a polytope with rational vertices are rational.  A
+        vertex has n edges iff it lies on n facets, so simplicity is read off
+        the facet masks, and each edge at a simple vertex leaves a different
+        one of its facets.  With the primitive normals a_i of those facets as
+        the rows of A and the weights w_i of the edges leaving them as the
+        columns of W, A W is diagonal with the negative entries <a_i, w_i>.
+        The vertex is smooth (|det W| = 1: its weights form a lattice basis)
+        iff each entry is -1: if each is, det A det W = +-1 in integers; if
+        |det W| = 1, then A = D W^-1 with W^-1 integral, so each entry of D
+        divides the primitive row a_i.
+
+        The edge u v with weight w leaves the highest facet i at u not
+        through v and the highest facet j at v not through u, and the pass
+        tests <a_i, w> = -1 at u and <a_j, w> = 1 at v.  A vertex is smooth
+        iff it is simple and every test at it passed.
+        """
+        if self._delzant is None:
+            S = self.skeleton()
+            n = self.dim
+            at_vertex = self._incidence_bits()[0]
+            normals = [h.normal for h in self.facets]
+            leaving = [{} for _ in at_vertex]
+            smooth = [here.bit_count() == n for here in at_vertex]
+            for (u, v), w in zip(S.edge_list, S._weight_col):
+                at_u, at_v = at_vertex[u], at_vertex[v]
+                i = (at_u & ~at_v).bit_length() - 1
+                j = (at_v & ~at_u).bit_length() - 1
+                leaving[u][i] = w
+                leaving[v][j] = tuple(map(neg, w))
+                if sum(map(mul, normals[i], w)) != -1:
+                    smooth[u] = False
+                if sum(map(mul, normals[j], w)) != 1:
+                    smooth[v] = False
+            self._leaving = leaving
+            self._delzant = tuple(smooth)
+        return self._delzant
 
     def relative_length(self, edge):
         """Lattice length of an edge with integral endpoint difference."""

@@ -1,6 +1,5 @@
-"""Edge lengths, normal contributions, the index, and machine verification
-of the edge-length-sum identities.  The Delzant and reflexivity checks are
-gkm.is_delzant and gkm.is_reflexive, re-exported here."""
+"""The Delzant and reflexivity checks, edge lengths, normal contributions,
+the index, and machine verification of the edge-length-sum identities."""
 
 from fractions import Fraction
 from itertools import repeat
@@ -12,13 +11,49 @@ from .errors import (
     InconsistentCones,
     MatchingFailed,
     NonPositiveIndex,
+    NotDelzant,
     NotGorensteinOfIndex,
     NotReflexive,
     UnsupportedDimension,
 )
-from .gkm import _require_delzant, is_delzant, is_reflexive
 from .polytope import Polytope, _bits, _ids
 from .report import VerificationReport
+
+
+def is_delzant(P):
+    """The report ``check delzant`` prints, from the polytope's Delzant
+    pass: simplicity, rationality, and smoothness vertex by vertex."""
+    smooth = P._delzant_pass()
+    rep = VerificationReport("delzant", True)
+    rep.add_item("simple", P.is_simple())
+    rep.add_item("rational", True)
+    for vid, ok in enumerate(smooth):
+        rep.add_item(f"smooth vertex {vid}", ok)
+    return rep
+
+
+def _require_delzant(P):
+    if not all(P._delzant_pass()):
+        raise NotDelzant("polytope is not Delzant")
+
+
+def is_reflexive(P):
+    """Integral vertices, origin interior, every facet of the form <x,l> <= 1.
+    The vertices are integral iff their common denominator q, made by the
+    incidence pass, is 1."""
+    return P._integer_vertices()[0] == 1 and all(h.offset == 1 for h in P.facets)
+
+
+def _require_reflexive(P):
+    if not is_reflexive(P):
+        raise NotReflexive("polytope is not reflexive")
+
+
+def from_polytope(P):
+    """The 1-skeleton of a Delzant reflexive polytope as a GKM graph."""
+    _require_delzant(P)
+    _require_reflexive(P)
+    return P.skeleton()
 
 
 def _census(P):
@@ -30,11 +65,6 @@ def _census(P):
     in-edges, and each k of them span a k-face."""
     h = gkm.first_census(P.skeleton())
     return tuple(sum(comb(i, k) * c for i, c in enumerate(h)) for k in range(len(h))), h
-
-
-def _require_reflexive(P):
-    if not is_reflexive(P):
-        raise NotReflexive("polytope is not reflexive")
 
 
 def normal_contributions(P, edge):
@@ -276,7 +306,6 @@ def reconstruct_from_cones(cones):
         got = sorted(P.vertex_weights(vid))
         if got != sorted(tuple(w) for w in weights):
             raise InconsistentCones(f"cone at {label} not reproduced")
-    gkm._delzant_pass(P)
-    if not P._delzant or not is_reflexive(P):
+    if not all(P._delzant_pass()) or not is_reflexive(P):
         raise InconsistentCones("reconstruction is not Delzant reflexive")
     return P

@@ -368,6 +368,27 @@ def test_closed_pipe_exits_2_without_a_traceback():
     assert "Traceback" not in err and "standard output was closed" in err
 
 
+@pytest.mark.parametrize("argv, stdout_too", [
+    (["gkm", "build", "A", "2"], True),
+    (["verify", "main", "/nonexistent.json"], False),
+    (["verify", "main", "catalog:octahedron"], False),
+])
+def test_closed_stderr_exits_2(argv, stdout_too):
+    # standard error is a pipe whose reader has already left, and so is
+    # standard output for the build: the error line cannot be written, and
+    # the exit is still 2
+    src = os.path.dirname(os.path.dirname(delzant.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        p = subprocess.run([sys.executable, "-m", "delzant.cli", *argv], env=env, timeout=60,
+                           stdout=w if stdout_too else subprocess.DEVNULL, stderr=w)
+    finally:
+        os.close(w)
+    assert p.returncode == 2
+
+
 def test_oracle_refuses_a_long_diagonal_edge_at_once(tmp_path):
     # the parallelogram's diagonal edges of length 300 have bounding boxes
     # of 301^2 points; the scan took 4.1 s before it was refused

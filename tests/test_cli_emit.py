@@ -184,12 +184,13 @@ def _tool(name):
 
 
 def test_orbit_probe_hashes_the_build_output(capsys):
-    # tools/orbit_probe.py streams `gkm build` through SHA-256
-    probe = _tool("orbit_probe")
-    assert probe.main(["A", "2"]) == 0
-    line = capsys.readouterr().out
-    assert line.startswith("exit 0 ") and line.endswith(f"sha256 {BUILD_SHA256['A', '2']}\n")
-    assert " 1992 bytes " in line
+    # tools/json_probe.py runs `gkm build` in a child process and streams
+    # its output through SHA-256
+    probe = _tool("json_probe")
+    assert probe.main(["gkm", "build", "A", "2"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["exit"] == 0 and got["stdout_sha256"] == BUILD_SHA256["A", "2"]
+    assert got["stdout_bytes"] == 1992
 
 
 def test_json_probe_hashes_a_command_on_a_json_file(capsys, tmp_path):

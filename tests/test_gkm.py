@@ -25,7 +25,7 @@ import weyl_corpus
 
 
 def square_skeleton():
-    return gkm.from_polytope(cube(2))
+    return reflexive.from_polytope(cube(2))
 
 
 def test_validate_square():
@@ -137,13 +137,13 @@ def test_h_vector_graph_values():
 def test_h_vector_matches_polytope():
     for name in ["square", "cube", "hexagon", "cp3-simplex", "hypercube4"]:
         P = catalog.load(name)
-        G = gkm.from_polytope(P)
+        G = reflexive.from_polytope(P)
         assert gkm.h_vector_graph(G) == P.h_vector_comb(), name
 
 
 def test_h_vector_of_a_segment():
     # one generic direction exists in dimension 1, and it is enough
-    G = gkm.from_polytope(Polytope.from_vertices([(-1,), (1,)]))
+    G = reflexive.from_polytope(Polytope.from_vertices([(-1,), (1,)]))
     assert gkm.h_vector_graph(G) == (1, 1)
 
 
@@ -385,14 +385,14 @@ def test_dimension_three_graphs_sum_24():
     for name in ["a2-flag", "b2-i1", "b2-i2"]:
         G = catalog.load(name)
         assert G.degree == 3 and G.sum_lengths() == 24, name
-    assert gkm.from_polytope(cube(3)).sum_lengths() == 24
-    assert gkm.from_polytope(simplex_cpn(3)).sum_lengths() == 24
+    assert reflexive.from_polytope(cube(3)).sum_lengths() == 24
+    assert reflexive.from_polytope(simplex_cpn(3)).sum_lengths() == 24
 
 
 def test_from_polytope_matches_main_theorem():
     for name in ["square", "cube", "hexagon", "cp3-simplex", "hypercube4"]:
         P = catalog.load(name)
-        G = gkm.from_polytope(P)
+        G = reflexive.from_polytope(P)
         assert gkm.is_reflexive_graph(G).passed
         rep_g = gkm.verify_graph_corollary(G)
         rep_p = reflexive.verify_main_theorem(P)
@@ -560,10 +560,15 @@ def test_census_matches_per_vertex_oracle(G, data):
         xi = data.draw(st.tuples(*[st.integers(-3, 3)] * H.ambient_dim))
         assert _outcome(gkm.h_vector_graph, H, xi) == _outcome(_h_vector_oracle, H, xi)
         # a regular census is often palindromic, so compare the in-degrees
-        # themselves too: they tell the head of an edge from its tail
-        p = gkm._Pairing(H, [xi], 1)
-        got = dict(zip(H.ids, p.indegrees(0))) if p.xis else NonGenericDirection
+        # themselves too: they tell the head of an edge from its tail.  The
+        # height scan gives them under xi, the kept pairing under each of
+        # its directions
+        below = gkm._height_scan(H, xi)
+        got = NonGenericDirection if below is None else below
         assert got == _outcome(_in_degrees_by_vertex, H, xi)
+        p = gkm._kept_pairing(H)
+        for c, d in enumerate(p.xis):
+            assert dict(zip(H.ids, p.indegrees(c))) == _in_degrees_by_vertex(H, d), d
 
 
 def test_census_matches_per_vertex_oracle_on_catalog():
@@ -630,6 +635,14 @@ def test_census_matches_star_oracle(make):
         assert _outcome(gkm.h_vector_graph, G, xi) == _outcome(_h_vector_by_stars, G, xi), xi
 
 
+def _vanishes(G, xi):
+    """Whether xi pairs to 0 with the difference of the ends of an edge,
+    which is parallel to its weight."""
+    return any(sum((Fraction(b) - Fraction(a)) * x
+                   for a, b, x in zip(G.coords[u], G.coords[v], xi)) == 0
+               for u, v in G.edges())
+
+
 # A parallelogram whose sides (2, -1) pair to 0 with the first candidate
 # (1, 2), once before the repeat of (0, 1) and once after it.
 PARALLELOGRAM = [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))]
@@ -642,7 +655,7 @@ PARALLELOGRAM = [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))]
 ])
 def test_a_vanishing_weight_that_repeats_drops_the_candidate(edges):
     G = GkmGraph(2, 2, PARALLELOGRAM, edges)
-    assert gkm._Pairing(G, [(1, 2)], 1).xis == []
+    assert _vanishes(G, (1, 2)) and gkm._kept_pairing(G).xis[0] == (1, 3)
     with pytest.raises(NonGenericDirection):
         gkm.h_vector_graph(G, (1, 2))
     assert gkm.generic_direction(G) == (1, 3)
@@ -662,20 +675,25 @@ def test_a_cycle_on_which_every_prime_candidate_vanishes():
     *primes, last = gkm._candidates(G)
     assert primes == [(1, b) for b in PRIMES] and last == list(_directions(G))[-1]
     for xi in primes:
-        assert gkm._Pairing(G, [xi], 1).xis == []
+        assert _vanishes(G, xi)
+    assert gkm._kept_pairing(G).xis == [last]
     assert gkm.generic_direction(G) == last
     h = gkm.h_vector_graph(G)
     assert h == _h_vector_oracle(G) == _h_vector_by_stars(G) == _census_by_vertex(G, last)
 
 
-# The height scan against a pairing with the same one direction: under
-# any direction, whether it is generic and, where it is, each vertex's
-# in-degree (h_vector_graph with a direction); and the first candidate not
-# avoided that such a pairing keeps (generic_direction, first_census).
+# The height scan against the per-vertex oracle: under any direction,
+# whether it is generic and, where it is, each vertex's in-degree
+# (h_vector_graph with a direction); and the first candidate not avoided
+# that is generic by the oracle (generic_direction, first_census).  The
+# kept pairing's in-degrees under each of its directions are checked too.
 
-def _pairing_scan(G, xi):
-    p = gkm._Pairing(G, [xi], 1)
-    return p.indegrees(0) if p.xis else None
+def _oracle_scan(G, xi):
+    try:
+        below = _in_degrees_by_vertex(G, xi)
+    except NonGenericDirection:
+        return None
+    return [below[vid] for vid in G.ids]
 
 
 def _height_scan(G, xi):
@@ -683,27 +701,30 @@ def _height_scan(G, xi):
     return None if below is None else [below[vid] for vid in G.ids]
 
 
-def _first_by_pairing(G, avoid=()):
+def _first_by_oracle(G, avoid=()):
     avoid = set(map(tuple, avoid))
-    for xi in gkm._candidates(G):
-        if xi not in avoid and gkm._Pairing(G, [xi], 1).xis:
+    for xi in _directions(G):
+        if xi not in avoid and _oracle_scan(G, xi) is not None:
             return xi
     return NonGenericDirection
 
 
 def _assert_height_scan_is_the_pairing(G, avoid=(), xi=None):
     if xi is not None:
-        assert _height_scan(G, xi) == _pairing_scan(G, xi)
-    want = _first_by_pairing(G, avoid)
+        assert _height_scan(G, xi) == _oracle_scan(G, xi)
+    p = gkm._kept_pairing(G)
+    for c, d in enumerate(p.xis):
+        assert p.indegrees(c) == _height_scan(G, d) == _oracle_scan(G, d), d
+    want = _first_by_oracle(G, avoid)
     if want is NonGenericDirection:
         with pytest.raises(NonGenericDirection):
             gkm.generic_direction(G, avoid)
         return
     assert gkm.generic_direction(G, avoid) == want
-    assert _height_scan(G, want) == _pairing_scan(G, want)
-    p = gkm._Pairing(G, [want], 1)
-    if not avoid and max(p.indegrees(0), default=0) <= G.degree:
-        assert gkm.first_census(G) == p.census(0, G.degree)
+    below = _oracle_scan(G, want)
+    assert _height_scan(G, want) == below
+    if not avoid and max(below, default=0) <= G.degree:
+        assert gkm.first_census(G) == _census_by_vertex(G, want)
 
 
 _LABELS = {
@@ -759,7 +780,8 @@ def test_height_scan_matches_the_pairing_on_the_39_gon():
     P = Polytope.from_vertices(pts)
     G = P.skeleton()
     *primes, last = gkm._candidates(G)
-    assert len(P.vertices) == 39 and all(not gkm._Pairing(G, [xi], 1).xis for xi in primes)
+    assert len(P.vertices) == 39 and all(_vanishes(G, xi) for xi in primes)
+    assert gkm._kept_pairing(G).xis == [last]
     assert gkm.generic_direction(G) == last
     for avoid in [(), primes, [last]]:
         _assert_height_scan_is_the_pairing(G, avoid)

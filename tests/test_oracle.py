@@ -74,6 +74,12 @@ def halfspace_sets(draw):
 @example([(0, 0), (1, 0), (2, 0)])
 def test_from_vertices_matches_brute_hull(points):
     assert _outcome(Polytope.from_vertices, points) == _outcome(oracle.brute_hull, points=points)
+    # built again from its own facets, it keeps their order
+    try:
+        P = Polytope.from_vertices(points)
+    except DelzantError:
+        return
+    assert Polytope.from_halfspaces(P.facets).facets == P.facets
 
 
 @settings(max_examples=100, deadline=None)
@@ -240,8 +246,8 @@ def _moves(P, scale, shift):
 
 @pytest.mark.parametrize("name", POLYTOPES + ["segment"])
 def test_mapped_operations_match_rehull_on_catalog(name):
-    # the segment comes in from_halfspaces' facet order, [(-1,), (1,)], and
-    # its images must come out in from_vertices' order, [(1,), (-1,)]
+    # the segment is built from its facets, and it and its images come
+    # out in the one order of every constructor, [(1,), (-1,)]
     P = (Polytope.from_halfspaces([((1,), 2), ((-1,), 1)]) if name == "segment"
          else catalog.load(name))
     for scale in (2, -1, Fraction(-3, 2), 0):

@@ -46,7 +46,7 @@ def test_a_vertex_on_too_many_facets_is_not_smooth():
     rep = reflexive.is_delzant(P)
     smooth = {i["id"]: i["pass"] for i in rep.per_item if i["id"].startswith("smooth")}
     assert not _simple(rep) and [k for k, ok in smooth.items() if not ok] == [f"smooth vertex {apex}"]
-    assert P._delzant is False
+    assert all(P._delzant) is False
     with pytest.raises(NotDelzant):
         reflexive.verify_length_decomposition(Polytope.from_vertices(pts))
 
@@ -162,13 +162,26 @@ def test_normal_contributions_match_2face_scan():
             assert sums[f"edge {e}"] == sum(a for _, a in got), (P, e)
 
 
+def _delzant_passes(monkeypatch):
+    """The polytopes the Delzant pass runs on from now on, one entry a run:
+    only the pass writes a polytope's ``_leaving`` table."""
+    runs = []
+    setattr_ = Polytope.__setattr__
+
+    def counted(self, name, value):
+        if name == "_leaving" and value is not None:
+            runs.append(self)
+        setattr_(self, name, value)
+
+    monkeypatch.setattr(Polytope, "__setattr__", counted)
+    return runs
+
+
 def test_normal_contributions_check_and_tabulate_once(monkeypatch):
     # the Delzant pass runs once per polytope and keeps on it the table of
     # the edge leaving each facet at each vertex, which every edge and
     # every verifier then reads
-    calls = []
-    real = gkm._delzant_pass
-    monkeypatch.setattr(gkm, "_delzant_pass", lambda P: calls.append(P) or real(P))
+    calls = _delzant_passes(monkeypatch)
     P = cube(5)
     reflexive.normal_contributions(P, P.edges()[0])
     table = P._leaving
@@ -191,22 +204,70 @@ def test_normal_contributions_check_and_tabulate_once(monkeypatch):
 def test_delzant_verdict_is_kept_where_it_is_found(monkeypatch):
     # a Delzant check made outside the verifiers keeps its verdict too, so
     # a verifier run afterwards on the same polytope does not check again
-    calls = []
-    real = gkm._delzant_pass
-    monkeypatch.setattr(gkm, "_delzant_pass", lambda P: calls.append(P) or real(P))
+    calls = _delzant_passes(monkeypatch)
     H = catalog.load("hexagon")
     P = reflexive.reconstruct_from_cones({i: H.vertex_weights(i) for i in range(len(H.vertices))})
     assert reflexive.verify_main_theorem(P).passed
     assert calls == [P]
     Q = cube(3)
-    gkm.from_polytope(Q)
+    reflexive.from_polytope(Q)
     assert reflexive.verify_length_decomposition(Q).passed
     assert calls == [P, Q]
     R = catalog.load("octahedron")
-    assert not all(real(R)[1]) and R._delzant is False
+    assert not all(R._delzant_pass()) and all(R._delzant) is False
     with pytest.raises(NotDelzant):
         reflexive.verify_main_theorem(R)
-    assert calls == [P, Q]
+    assert calls == [P, Q, R]
+
+
+def _verified(P):
+    try:
+        reflexive.verify_main_theorem(P)
+    except (NotDelzant, NotReflexive):
+        pass
+    return P
+
+
+def _checked(P):
+    reflexive.is_delzant(P)
+    return P
+
+
+def _skeleton_made(P):
+    try:
+        reflexive.from_polytope(P)
+    except (NotDelzant, NotReflexive):
+        pass
+    return P
+
+
+def _reconstructed(P):
+    return reflexive.reconstruct_from_cones({i: P.vertex_weights(i) for i in range(len(P.vertices))})
+
+
+ORDERS = {
+    "is_delzant-after-a-verifier": (_verified, _checked),
+    "a-verifier-after-is_delzant": (_checked, _verified),
+    "from_polytope-then-a-verifier": (_skeleton_made, _verified),
+    "reconstruct_from_cones-then-a-verifier": (_reconstructed, _verified),
+}
+
+
+# Delzant and reflexive (cube, hexagon), Delzant only (rect), and neither
+# (octahedron); only the first two have cones to reconstruct from.
+@pytest.mark.parametrize("order, name", [
+    (order, name) for order in ORDERS for name in ["cube", "hexagon", "rect", "octahedron"]
+    if name in ("cube", "hexagon") or ORDERS[order][0] is not _reconstructed
+])
+def test_the_delzant_pass_runs_once_per_polytope(order, name, monkeypatch):
+    # whichever caller comes first runs the pass, and the second reads what
+    # it kept
+    first, then = ORDERS[order]
+    P = catalog.load(name)
+    runs = _delzant_passes(monkeypatch)
+    Q = first(P)
+    then(Q)
+    assert len(runs) == 1 and runs[0] is Q
 
 
 @pytest.mark.parametrize("verify", [reflexive.verify_thm_combinatorics2,
@@ -222,7 +283,7 @@ def test_contributions_test_every_shared_facet(verify):
     assert len(facets) == 2
     for i in facets:
         Q = cube(3)
-        gkm._delzant_pass(Q)
+        Q._delzant_pass()
         Q._leaving[u][i] = tuple(2 * c for c in Q._leaving[u][i])
         with pytest.raises(MatchingFailed, match=rf"on edge \({u}, {v}\)"):
             verify(Q)
@@ -247,8 +308,8 @@ def test_leaving_table_is_the_star_table(name):
     # leave the same highest facet, and the second one's weight is kept in
     # the first one's place
     P = catalog.load(name)
-    rep = gkm.is_delzant(P)
-    assert P._delzant is rep.passed
+    rep = reflexive.is_delzant(P)
+    assert all(P._delzant) is rep.passed
     assert [list(t.items()) for t in P._leaving] == [list(t.items()) for t in _leaving_by_stars(P)]
 
 

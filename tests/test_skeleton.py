@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delzant import catalog, cli, exact, gkm, reflexive
+from delzant import catalog, cli, exact, reflexive
 from delzant.errors import DelzantError
 from delzant.polytope import Polytope, cube, cross_polytope
 from delzant.report import VerificationReport
@@ -23,7 +23,7 @@ from delzant.report import VerificationReport
 from test_oracle import OCTAHEDRON, PYRAMID, RATIONAL, halfspace_sets, point_sets, unimodular
 
 POLYTOPES = catalog.names("polytope")
-DELZANT = [n for n in POLYTOPES if gkm.is_delzant(catalog.load(n)).passed]
+DELZANT = [n for n in POLYTOPES if reflexive.is_delzant(catalog.load(n)).passed]
 CUBES = range(1, 7)
 
 
@@ -157,7 +157,7 @@ def test_census_f_and_h_match_the_walk_after_moves(data):
 
 
 def _pairing_matches_det(P):
-    rep = gkm.is_delzant(P)
+    rep = reflexive.is_delzant(P)
     smooth = {it["id"]: it["pass"] for it in rep.per_item}
     checked = 0
     for vid in range(len(P.vertices)):
@@ -185,7 +185,7 @@ def test_smoothness_pairing_matches_det(points):
 def test_smoothness_pairing_matches_det_on_known_polytopes():
     P = Polytope.from_vertices([(0, 0), (2, 0), (0, 1)])
     # (0, 1) has the weights (0, -1) and (2, -1): det 2
-    assert [it["pass"] for it in gkm.is_delzant(P).per_item[2:]] == [True, False, True]
+    assert [it["pass"] for it in reflexive.is_delzant(P).per_item[2:]] == [True, False, True]
     assert _pairing_matches_det(P) == 3
     rng = random.Random(15)
     for P in [*map(catalog.load, POLYTOPES), *map(cube, CUBES), *map(_product, PRODUCTS),
@@ -226,8 +226,9 @@ def _delzant_by_vertex(P):
 
 def _assert_delzant_by_vertex(P):
     rep, leaving = _delzant_by_vertex(P)
-    assert gkm.is_delzant(P).to_dict() == rep.to_dict()
-    assert P._leaving == leaving and P._delzant == rep.passed
+    assert reflexive.is_delzant(P).to_dict() == rep.to_dict()
+    assert P._leaving == leaving and all(P._delzant) == rep.passed
+    assert list(P._delzant) == [it["pass"] for it in rep.per_item[2:]]
     # is_simple reads the facet masks; the edge-end count is the oracle
     assert P.is_simple() is rep.per_item[0]["pass"]
 
@@ -259,7 +260,7 @@ VERIFIERS = [
     reflexive.verify_main_theorem, reflexive.verify_index_corollary,
     reflexive.verify_thm_combinatorics2, reflexive.verify_length_decomposition,
     reflexive.verify_12_24, lambda P: reflexive.verify_gorenstein(P, 1),
-    lambda P: reflexive.verify_gorenstein(P, 2), gkm.is_delzant,
+    lambda P: reflexive.verify_gorenstein(P, 2), reflexive.is_delzant,
     lambda P: [reflexive.normal_contributions(P, e) for e in P.edges()],
 ]
 
@@ -303,7 +304,7 @@ def test_a_polygon_on_which_every_prime_candidate_vanishes(tmp_path):
     path = tmp_path / "polygon.json"
     path.write_text(json.dumps({"dim": 2, "vertices": pts}))
     P = Polytope.from_vertices(pts)
-    assert len(P.vertices) == 39 and gkm.is_delzant(P).passed
+    assert len(P.vertices) == 39 and reflexive.is_delzant(P).passed
     code, out, err = _run(["hvector", "--directed", str(path)])
     assert (code, json.loads(out), err) == (0, {"h": [1, 37, 1], "h_directed": [1, 37, 1]}, "")
     code, out, err = _run(["verify", "combinatorics2", str(path)])

@@ -1,9 +1,10 @@
-"""Run one ``delzant`` command on a JSON file in a fresh process, and time
-it and hash its standard output.
+"""Run one ``delzant`` command in a fresh process, and time it and hash its
+standard output.
 
-    python3 tools/json_probe.py CMD... FILE
+    python3 tools/json_probe.py CMD...
 
-for example ``python3 tools/json_probe.py check gkm d6.json``.  Run from
+for example ``python3 tools/json_probe.py check gkm d6.json`` or
+``python3 tools/json_probe.py gkm build D 6``.  Run from
 any directory; the child imports the package from the ``src/`` of the
 checkout this file belongs to.  The child's standard output is streamed
 through SHA-256 as it arrives, never held; its standard error passes

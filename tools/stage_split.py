@@ -9,7 +9,7 @@ the checkout this file belongs to), builds the verify corpus for seed S
 item gets a fresh polytope from its stored descriptions, as in the
 benchmark, and the stages run one after the other, each timed on its own:
 the integer points, the incidence bitmasks, ``edges()``, the skeleton's
-columns (``GkmGraph._fill``), the Delzant pass (``gkm._delzant_pass``, the
+columns (``GkmGraph._fill``), the Delzant pass (``P._delzant_pass``, the
 verdict the verifiers require, without the report of ``check delzant``),
 the census (``gkm.first_census``), the contribution sums of the edges
 (``reflexive._contribution_sums``, on Delzant polytopes), and last the
@@ -56,9 +56,9 @@ def split(mods, corpus, seed, rounds):
             (P,) = item.fresh()
             t = [time.perf_counter()]
             for stage in (P._integer_vertices, P._incidence_bits, P.edges, P.skeleton,
-                          lambda: mods.gkm._delzant_pass(P),
+                          P._delzant_pass,
                           lambda: mods.gkm.first_census(P.skeleton()),
-                          lambda: P._delzant and mods.reflexive._contribution_sums(P)):
+                          lambda: all(P._delzant) and mods.reflexive._contribution_sums(P)):
                 stage()
                 t.append(time.perf_counter())
             out = item.op(P)
