@@ -30,10 +30,10 @@ def primitive(v):
     Returns ``(w, m)`` with ``m = content(v)``.  Raises ZeroVector on the
     zero vector.
     """
-    m = content(v)
+    m = gcd(*v)
     if m == 0:
         raise ZeroVector("the zero vector has no primitive direction")
-    return tuple(c // m for c in v), m
+    return tuple([c // m for c in v]) if m > 1 else tuple(v), m
 
 
 def rational_direction(delta):

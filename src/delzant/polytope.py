@@ -21,6 +21,7 @@ from numbers import Rational
 from operator import add, mul, neg
 
 from . import exact, gkm
+from .exact import _denominator, _numerator, primitive
 from .errors import (
     DimensionMismatch,
     EmptyPolytope,
@@ -54,11 +55,18 @@ def _cleared(normal, offset):
     rational offset, as integers (w, p, q): w the primitive normal and p/q
     the offset in lowest terms, q > 0.  Both sides are multiplied by the lcm
     of the normal's denominators and divided by the content of the integer
-    normal."""
-    d = lcm(*(c.denominator for c in normal))
-    w, m = exact.primitive(tuple(c.numerator * (d // c.denominator) for c in normal))
-    if not isinstance(offset, Rational):
-        raise TypeError(f"offset {offset!r} is not a rational number")
+    normal.  TypeError names the first non-rational coordinate or offset."""
+    if not {type(offset), *map(type, normal)} <= _EXACT:
+        for c in normal:
+            if not isinstance(c, Rational):
+                raise TypeError(f"normal coordinate {c!r} is not a rational number")
+        if not isinstance(offset, Rational):
+            raise TypeError(f"offset {offset!r} is not a rational number")
+    d = lcm(*map(_denominator, normal))
+    if d == 1:
+        w, m = primitive(list(map(_numerator, normal)))
+    else:
+        w, m = primitive([c.numerator * (d // c.denominator) for c in normal])
     p, q = offset.numerator * d, offset.denominator * m
     g = gcd(p, q)
     return w, p // g, q // g
@@ -77,7 +85,7 @@ class Halfspace:
         integer normal: both sides times the lcm q of the normal's
         denominators, then divided by the content of the integer normal."""
         w, p, q = _cleared(normal, offset)
-        return Halfspace(w, Fraction(p, q))
+        return Halfspace(w, _fraction(p, q))
 
     def holds(self, point, strict=False):
         v = exact.dot(self.normal, point)
@@ -91,9 +99,19 @@ class Face:
     dim: int
 
 
+_EXACT = {int, Fraction}  # the rational types read without an ABC check
+
+
 def _rational(c):
     """c itself if it is an int or a Fraction, else Fraction(c)."""
-    return c if type(c) is int or type(c) is Fraction else Fraction(c)
+    return c if type(c) in _EXACT else Fraction(c)
+
+
+def _fraction(p, q):
+    """p/q for coprime integers p and q > 0, from ``_SMALL`` if it is there."""
+    if q == 1:
+        return _SMALL[p] if -65 < p < 65 else Fraction(p)
+    return Fraction(p, q)
 
 
 # Fraction(c) for -64 <= c <= 64, at index c (negative c from the end):
@@ -106,16 +124,18 @@ def _point(x, t):
     tuple of Fractions."""
     if t == 1:
         return tuple([_SMALL[c] if -65 < c < 65 else Fraction(c) for c in x])
-    return tuple(Fraction(c, t) for c in x)
+    return tuple([Fraction(c, t) for c in x])
 
 
 def _points(rays):
     """The points x / t of homogeneous integer rays (t, x1, ..., xn) with
     t > 0, as tuples of Fractions in sorted order.  The sort is on the
     integer vectors x * (l / t), l the lcm of the t's: they are the points
-    times l > 0, so they come in the points' order."""
-    l = lcm(*(r[0] for r in rays))
-    return [_point(x, l) for x in sorted(tuple(c * (l // r[0]) for c in r[1:]) for r in rays)]
+    times l > 0, so they come in the points' order (the rays' own, if l = 1)."""
+    l = lcm(*[r[0] for r in rays])
+    if l == 1:
+        return [_point(r[1:], 1) for r in sorted(rays)]
+    return [_point(x, l) for x in sorted([tuple([c * (l // r[0]) for c in r[1:]]) for r in rays])]
 
 
 def _bits(mask):
@@ -142,11 +162,6 @@ def _canonical(dim, vertices, facets):
     return Polytope(dim, vertices, sorted(facets, key=_facet_key, reverse=dim == 1))
 
 
-def _primitive(v):
-    g = gcd(*v)
-    return tuple(c // g for c in v) if g > 1 else tuple(v)
-
-
 def _start(rows, d):
     """The indices of the first d linearly independent rows, and the rays of
     the simplicial cone they cut out, one per row: ray j is primitive, tight
@@ -154,38 +169,32 @@ def _start(rows, d):
     have rank < d.
 
     One elimination: ``free`` spans the vectors tight on the rows chosen so
-    far, starting from e_1, ..., e_d.  A row that pairs nonzero with a free
-    vector y is chosen, y (made positive on it) is its ray, and the other
-    free vectors and the earlier rays are made tight on it."""
+    far, starting from e_1, ..., e_d.  Each row is paired once with each free
+    vector.  The first free vector y that pairs nonzero chooses the row and,
+    made positive on it (<row, y> = s > 0), is its ray; each later free
+    vector and each earlier ray x that pairs t != 0 becomes the primitive
+    s x - t y, tight on the row."""
     chosen, rays = [], []
-    free = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    free = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
     for i, row in enumerate(rows):
-        for k, y in enumerate(free):
-            s = sum(map(mul, row, y))
-            if s:
-                break
-        else:
+        y, kept = None, []
+        for x in free:
+            t = sum(map(mul, row, x))
+            if t and y is None:
+                y, s = (x, t) if t > 0 else (tuple(map(neg, x)), -t)
+            else:
+                kept.append(primitive([s * a - t * b for a, b in zip(x, y)])[0] if t else x)
+        if y is None:
             continue
-        del free[k]
-        if s < 0:
-            y, s = tuple(-c for c in y), -s
-        free = _tight(free, row, y, s)
-        rays = _tight(rays, row, y, s)
+        made = []
+        for x in rays:
+            t = sum(map(mul, row, x))
+            made.append(primitive([s * a - t * b for a, b in zip(x, y)])[0] if t else x)
+        free, rays = kept, made + [y]
         chosen.append(i)
-        rays.append(y)
         if not free:
             return chosen, rays
     return None
-
-
-def _tight(vectors, row, y, s):
-    """Each vector x made tight on the row by s x - <row, x> y, primitive,
-    for a y with <row, y> = s > 0."""
-    out = []
-    for x in vectors:
-        t = sum(map(mul, row, x))
-        out.append(_primitive([s * a - t * b for a, b in zip(x, y)]) if t else x)
-    return out
 
 
 def _extreme_rays(rows, d):
@@ -249,7 +258,7 @@ def _extreme_rays(rows, d):
                         )
                     if any(t & common == common and t != tp and t != tn for t in masks):
                         continue
-                    ray = _primitive([sp * b - sn * a for a, b in zip(rp, rn)])
+                    ray = primitive([sp * b - sn * a for a, b in zip(rp, rn)])[0]
                     kept.append((ray, common | bit))
         rays = kept
     return rays
@@ -298,22 +307,21 @@ class Polytope:
         # The cone of (beta, a) with <a, p> <= beta at every point: its
         # extreme rays are the facets, and it is pointed iff the points
         # affinely span R^n.
-        rays = _extreme_rays([(q,) + tuple(-c for c in x) for x in ints], n + 1)
+        rays = _extreme_rays([(q, *map(neg, x)) for x in ints], n + 1)
         if rays is None:
             raise NotFullDimensional(f"hull is not full-dimensional in R^{n}")
-        facets = []
-        for ray, _ in rays:
-            w, m = exact.primitive(ray[1:])
-            facets.append(Halfspace(w, Fraction(ray[0], m)))
-        # A point is a vertex iff the facets through it meet in it alone.
-        verts = []
-        for i, x in enumerate(ints):
-            meet = -1
-            for _, tight in rays:
-                if tight >> i & 1:
-                    meet &= tight
-            if meet == 1 << i:
-                verts.append(_point(x, q))
+        # A ray is primitive, so ray[0] and m are coprime.  A point is a
+        # vertex iff the facets through it meet in it alone.
+        facets, meet = [], [-1] * len(ints)
+        for ray, tight in rays:
+            w, m = primitive(ray[1:])
+            facets.append(Halfspace(w, _fraction(ray[0], m)))
+            rest = tight
+            while rest:
+                low = rest & -rest
+                meet[low.bit_length() - 1] &= tight
+                rest ^= low
+        verts = [_point(x, q) for i, x in enumerate(ints) if meet[i] == 1 << i]
         return _canonical(n, verts, facets)
 
     @classmethod
@@ -333,7 +341,7 @@ class Polytope:
         # The homogenized cone of (t, x) with <a, x> <= b t and t >= 0.  A
         # ray with t = 0 is a recession direction; with no ray at all the
         # cone is {0} and the system is infeasible.
-        rows = [(p,) + tuple(-q * c for c in w) for w, p, q in hs]
+        rows = [(p, *[-q * c for c in w]) for w, p, q in hs]
         rays = _extreme_rays(rows + [(1,) + (0,) * n], n + 1)
         if rays is None:
             raise Unbounded("normals do not span the ambient space")
@@ -341,16 +349,19 @@ class Polytope:
             raise Unbounded("halfspace intersection has a recession direction")
         if not rays:
             raise EmptyPolytope("halfspace intersection is empty")
-        # A halfspace tight at every vertex is an implicit equality.
-        equalities = (1 << len(hs)) - 1
-        for _, tight in rays:
+        # A halfspace tight at every vertex is an implicit equality.  ``on``
+        # is each halfspace's vertex mask, made from the rays' set bits.
+        equalities, on = (1 << len(hs)) - 1, [0] * len(hs)
+        for j, (_, tight) in enumerate(rays):
             equalities &= tight
+            while tight:
+                low = tight & -tight
+                on[low.bit_length() - 1] |= 1 << j
+                tight ^= low
         if equalities:
             raise NotFullDimensional("halfspace intersection is not full-dimensional")
         # Facets are the halfspaces whose vertex sets are maximal.
-        on = [sum(1 << j for j, (_, tight) in enumerate(rays) if tight >> i & 1)
-              for i in range(len(hs))]
-        facets = [Halfspace(w, Fraction(p, q)) for (w, p, q), s in zip(hs, on)
+        facets = [Halfspace(w, _fraction(p, q)) for (w, p, q), s in zip(hs, on)
                   if s and not any(s & t == s and s != t for t in on)]
         return _canonical(n, _points([ray for ray, _ in rays]), facets)
 
@@ -581,12 +592,12 @@ class Polytope:
             raise OriginNotInterior("dual needs the origin strictly inside")
         # -a/b is the ray (num(b), -den(b) a), and with the vertices at
         # their common denominator q, the facet of v = x/q is <y, -x> <= q.
-        verts = _points([(h.offset.numerator,) + tuple(-h.offset.denominator * c for c in h.normal)
+        verts = _points([(h.offset.numerator, *[-h.offset.denominator * c for c in h.normal])
                          for h in self.facets])
         q, points = self._integer_vertices()
         facets = []
         for x in points:
-            w, m = exact.primitive(tuple(-c for c in x))
+            w, m = primitive(list(map(neg, x)))
             facets.append(Halfspace(w, Fraction(q, m)))
         return _canonical(self.dim, verts, facets)
 

@@ -8,6 +8,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -243,6 +244,55 @@ def test_stage_split_times_each_verifier(capsys, monkeypatch):
     assert sum(part["items"] for part in parts.values()) == out["items"]
     assert sum(part["ms"] for part in parts.values()) == pytest.approx(
         out["stages"]["verifiers"]["ms"], abs=0.01)
+    # the hull corpus by kind of item: its total, the start cone, the row
+    # loop and the rest; dual and verify_gorenstein make no hull
+    hull = out["hull"]["constructors"]
+    assert {kind: row["items"] for kind, row in hull.items()} == {
+        "from_vertices": 10, "from_halfspaces": 8, "dual": 4, "verify_gorenstein": 4}
+    assert sum(row["items"] for row in hull.values()) == out["hull"]["items"]
+    for kind, row in hull.items():
+        parts = [row[part]["ms"] for part in ("_start", "row loop", "rest")]
+        assert sum(parts) == pytest.approx(row["total"]["ms"], abs=0.01)
+        assert (parts[0] > 0 and parts[1] > 0) == kind.startswith("from_")
+
+
+class _Without:
+    """A module without some of its names, as an older checkout's is."""
+
+    def __init__(self, module, *hidden):
+        self._module, self._hidden = module, hidden
+
+    def __getattr__(self, name):
+        if name in self._hidden:
+            raise AttributeError(name)
+        return getattr(self._module, name)
+
+
+def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
+    # tools/stage_split.py on modules without polytope._start,
+    # gkm.first_census and reflexive._contribution_sums: those stages, and
+    # the row loop that is _extreme_rays less _start, read null
+    monkeypatch.setattr(sys, "path", [str(Path(__file__).resolve().parent.parent / "perfbench"),
+                                      *sys.path])
+    tool = _tool("stage_split")
+    try:
+        import corpus
+        import run
+        mods = run.Modules()
+        for name, hidden in [("polytope", "_start"), ("gkm", "first_census"),
+                             ("reflexive", "_contribution_sums")]:
+            monkeypatch.setattr(mods, name, _Without(getattr(mods, name), hidden))
+        hull = tool.hull_split(mods, corpus, 1, 1)["constructors"]
+        verify = tool.split(mods, corpus, 1, 1)
+    finally:
+        for name in ("run", "corpus", "answers"):
+            sys.modules.pop(name, None)
+    for row in hull.values():
+        assert row["_start"] is None and row["row loop"] is None
+        assert row["rest"]["ms"] == row["total"]["ms"] > 0
+    assert verify["census_ms"] is None
+    assert verify["stages"]["census"] is None and verify["stages"]["contributions"] is None
+    assert verify["stages"]["delzant pass"]["ms"] > 0
 
 
 def test_ab_bench_summary_of_fixed_runs():
@@ -812,3 +862,143 @@ def test_lengths_output_is_pinned(args, tmp_path):
         code = cli.main(["lengths", source, *flags])
     digests = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
     assert (code, *digests) == LENGTHS_SHA256[args]
+
+
+# GL(n, Z)-moved products of smooth reflexive factors in dimensions 2-5,
+# written to JSON files that give only the vertices or only the facets,
+# each at scale 1, 1/2 and 3/2: the 1/2 copy halves the vertices and the
+# offsets, and the 3/2 copy multiplies the vertices by 3/2 and writes each
+# facet as (3/2 a, 9/4 b), so the normals the hull reads are Fractions.
+# Each factor is (vertices, facets (a, b) of <x, a> <= b).
+FACTORS = {
+    "seg": ([(-1,), (1,)], [((1,), 1), ((-1,), 1)]),
+    "square": ([(-1, -1), (-1, 1), (1, -1), (1, 1)],
+               [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]),
+    "cp2": ([(-1, -1), (2, -1), (-1, 2)], [((-1, 0), 1), ((0, -1), 1), ((1, 1), 1)]),
+    "hexagon": ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)],
+                [((1, 0), 1), ((0, 1), 1), ((-1, 0), 1), ((0, -1), 1), ((1, -1), 1), ((-1, 1), 1)]),
+}
+MOVED_PRODUCTS = (("hexagon",), ("cp2", "seg"), ("hexagon", "square"), ("cp2", "cp2", "seg"))
+SCALES = {"1": (Fraction(1), Fraction(1)), "1/2": (Fraction(1, 2), Fraction(1)),
+          "3/2": (Fraction(3, 2), Fraction(3, 2))}
+
+
+def _moved_product_json(names, form, scale):
+    """The JSON of the product of the named factors moved by x -> U x, U
+    unit upper triangular, at the given scale; its vertices or its facets
+    (<x, a U^-1> <= b) in a fixed shuffled order."""
+    n = sum(len(FACTORS[name][0][0]) for name in names)
+    verts, facets = [()], []
+    for name in names:
+        fv, ff = FACTORS[name]
+        at = len(verts[0])
+        verts = [v + w for v in verts for w in fv]
+        facets += [((0,) * at + a + (0,) * (n - at - len(a)), b) for a, b in ff]
+    u = [[int(i == j) or (i < j) * ((i + 2 * j) % 3 - 1) for j in range(n)] for i in range(n)]
+    inv = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1, -1, -1):  # back substitution, row by row from the last
+        for j in range(i + 1, n):
+            inv[i] = [x - u[i][j] * y for x, y in zip(inv[i], inv[j])]
+    s, t = SCALES[scale]
+    rng = random.Random(n)
+    if form == "vertices":
+        rows = [[num_to_json(s * sum(r * c for r, c in zip(row, v))) for row in u] for v in verts]
+        rng.shuffle(rows)
+        return {"dim": n, "vertices": rows}
+    rows = [{"normal": [num_to_json(t * sum(a[i] * inv[i][j] for i in range(n))) for j in range(n)],
+             "offset": num_to_json(s * t * b)} for a, b in facets]
+    rng.shuffle(rows)
+    return {"dim": n, "facets": rows}
+
+
+# Exit code and SHA-256 of the standard output of `delzant dual|fvector|verify
+# main FILE` on the files of `_moved_product_json`, recorded before the
+# hull's start cone paired each row once and its boundary read integers
+# off attrgetter maps.  The same product gives the same output from its
+# vertices and from its facets.  A scaled copy is not reflexive, so `verify
+# main` exits 2 on it and prints nothing.
+JSON_INPUT_SHA256 = {
+    ('dual', 'hexagon', 'vertices', '1'): (0, "0add66ecb10034dddc743230d115d320aeb7710285bd412d14b20e4e20bb2d74"),
+    ('fvector', 'hexagon', 'vertices', '1'): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ('verify main', 'hexagon', 'vertices', '1'): (0, "3e24a9cb514e72e92fa400de9a9843c19692d2ee22d01efa4c41631498a760c2"),
+    ('dual', 'hexagon', 'vertices', '1/2'): (0, "d5061aa76cca3f119cae2a88d3a0c7cdb4271c1f4ea2931dd6d9722e2d137613"),
+    ('fvector', 'hexagon', 'vertices', '1/2'): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ('verify main', 'hexagon', 'vertices', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon', 'vertices', '3/2'): (0, "b4679385e0acdf459abafdbd70538eb1b58e074a5637f51c8fe5909cbfff0d99"),
+    ('fvector', 'hexagon', 'vertices', '3/2'): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ('verify main', 'hexagon', 'vertices', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon', 'facets', '1'): (0, "0add66ecb10034dddc743230d115d320aeb7710285bd412d14b20e4e20bb2d74"),
+    ('fvector', 'hexagon', 'facets', '1'): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ('verify main', 'hexagon', 'facets', '1'): (0, "3e24a9cb514e72e92fa400de9a9843c19692d2ee22d01efa4c41631498a760c2"),
+    ('dual', 'hexagon', 'facets', '1/2'): (0, "d5061aa76cca3f119cae2a88d3a0c7cdb4271c1f4ea2931dd6d9722e2d137613"),
+    ('fvector', 'hexagon', 'facets', '1/2'): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ('verify main', 'hexagon', 'facets', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon', 'facets', '3/2'): (0, "b4679385e0acdf459abafdbd70538eb1b58e074a5637f51c8fe5909cbfff0d99"),
+    ('fvector', 'hexagon', 'facets', '3/2'): (0, "df845f906bd0687d0202ee66f9c8aac52839b7568ef7806988c5319adc374db6"),
+    ('verify main', 'hexagon', 'facets', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-seg', 'vertices', '1'): (0, "4741b10ab7689641bda2c1f1b79b1c7914ca04b0bcd54252689c736604bb5af3"),
+    ('fvector', 'cp2-seg', 'vertices', '1'): (0, "d4621fc1932b701314cfcdc39c92c16af6f48f36992b798c2b354092345734c6"),
+    ('verify main', 'cp2-seg', 'vertices', '1'): (0, "8c3d0fa72d256edd0d406440d88a94ad3d3e98bbdc7a261515aea493c7e38d15"),
+    ('dual', 'cp2-seg', 'vertices', '1/2'): (0, "cbacb25c1d93c1dffe918e8e7a04efc71d45e2262cad7a84e59202829c34115f"),
+    ('fvector', 'cp2-seg', 'vertices', '1/2'): (0, "d4621fc1932b701314cfcdc39c92c16af6f48f36992b798c2b354092345734c6"),
+    ('verify main', 'cp2-seg', 'vertices', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-seg', 'vertices', '3/2'): (0, "ef2aa1d6b5f768772c494301a8f94a29d2967090e1b25150ef1d35dbcd19c32a"),
+    ('fvector', 'cp2-seg', 'vertices', '3/2'): (0, "d4621fc1932b701314cfcdc39c92c16af6f48f36992b798c2b354092345734c6"),
+    ('verify main', 'cp2-seg', 'vertices', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-seg', 'facets', '1'): (0, "4741b10ab7689641bda2c1f1b79b1c7914ca04b0bcd54252689c736604bb5af3"),
+    ('fvector', 'cp2-seg', 'facets', '1'): (0, "d4621fc1932b701314cfcdc39c92c16af6f48f36992b798c2b354092345734c6"),
+    ('verify main', 'cp2-seg', 'facets', '1'): (0, "8c3d0fa72d256edd0d406440d88a94ad3d3e98bbdc7a261515aea493c7e38d15"),
+    ('dual', 'cp2-seg', 'facets', '1/2'): (0, "cbacb25c1d93c1dffe918e8e7a04efc71d45e2262cad7a84e59202829c34115f"),
+    ('fvector', 'cp2-seg', 'facets', '1/2'): (0, "d4621fc1932b701314cfcdc39c92c16af6f48f36992b798c2b354092345734c6"),
+    ('verify main', 'cp2-seg', 'facets', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-seg', 'facets', '3/2'): (0, "ef2aa1d6b5f768772c494301a8f94a29d2967090e1b25150ef1d35dbcd19c32a"),
+    ('fvector', 'cp2-seg', 'facets', '3/2'): (0, "d4621fc1932b701314cfcdc39c92c16af6f48f36992b798c2b354092345734c6"),
+    ('verify main', 'cp2-seg', 'facets', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon-square', 'vertices', '1'): (0, "e90f1f4387cbde2e097bf54a3a0f047f303d7c7ca2e2964f697fc89586daab39"),
+    ('fvector', 'hexagon-square', 'vertices', '1'): (0, "73c2ec1f9fd6b64b71a6961c942ab6c6c787ff0887a1fb614f2d9d33b8be82e0"),
+    ('verify main', 'hexagon-square', 'vertices', '1'): (0, "8e693e23d1c15752061c57ee2999dd00262ecf618edcfd8fe6d8722d20a4f295"),
+    ('dual', 'hexagon-square', 'vertices', '1/2'): (0, "6d10229ec64d28f23629e29640c7bf8bf4208e4d6bf3eaf7ed8043818f000b0e"),
+    ('fvector', 'hexagon-square', 'vertices', '1/2'): (0, "73c2ec1f9fd6b64b71a6961c942ab6c6c787ff0887a1fb614f2d9d33b8be82e0"),
+    ('verify main', 'hexagon-square', 'vertices', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon-square', 'vertices', '3/2'): (0, "ba57a2a8396343120d5df710bb2cea0fb076e3f9b906f6548a483c3c9120b963"),
+    ('fvector', 'hexagon-square', 'vertices', '3/2'): (0, "73c2ec1f9fd6b64b71a6961c942ab6c6c787ff0887a1fb614f2d9d33b8be82e0"),
+    ('verify main', 'hexagon-square', 'vertices', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon-square', 'facets', '1'): (0, "e90f1f4387cbde2e097bf54a3a0f047f303d7c7ca2e2964f697fc89586daab39"),
+    ('fvector', 'hexagon-square', 'facets', '1'): (0, "73c2ec1f9fd6b64b71a6961c942ab6c6c787ff0887a1fb614f2d9d33b8be82e0"),
+    ('verify main', 'hexagon-square', 'facets', '1'): (0, "8e693e23d1c15752061c57ee2999dd00262ecf618edcfd8fe6d8722d20a4f295"),
+    ('dual', 'hexagon-square', 'facets', '1/2'): (0, "6d10229ec64d28f23629e29640c7bf8bf4208e4d6bf3eaf7ed8043818f000b0e"),
+    ('fvector', 'hexagon-square', 'facets', '1/2'): (0, "73c2ec1f9fd6b64b71a6961c942ab6c6c787ff0887a1fb614f2d9d33b8be82e0"),
+    ('verify main', 'hexagon-square', 'facets', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'hexagon-square', 'facets', '3/2'): (0, "ba57a2a8396343120d5df710bb2cea0fb076e3f9b906f6548a483c3c9120b963"),
+    ('fvector', 'hexagon-square', 'facets', '3/2'): (0, "73c2ec1f9fd6b64b71a6961c942ab6c6c787ff0887a1fb614f2d9d33b8be82e0"),
+    ('verify main', 'hexagon-square', 'facets', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-cp2-seg', 'vertices', '1'): (0, "75d9626d4d117b99f1aeaa8728c5e1c4fab1c6aedfd72bc146cf071996ebd8e3"),
+    ('fvector', 'cp2-cp2-seg', 'vertices', '1'): (0, "18a6c582c8d832df807de3475041e9c18c799041afa5c5f81a3e2fd3e4ac0865"),
+    ('verify main', 'cp2-cp2-seg', 'vertices', '1'): (0, "9608c978c7a2d9cc804a7682357d80ecc95d45172f5237cb793fa4831c4e901a"),
+    ('dual', 'cp2-cp2-seg', 'vertices', '1/2'): (0, "204c1262a2d42e5f807cb4171319b9f48d9d87b3d008f7deac16be44c75d7c8b"),
+    ('fvector', 'cp2-cp2-seg', 'vertices', '1/2'): (0, "18a6c582c8d832df807de3475041e9c18c799041afa5c5f81a3e2fd3e4ac0865"),
+    ('verify main', 'cp2-cp2-seg', 'vertices', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-cp2-seg', 'vertices', '3/2'): (0, "47180f0d7f39a3b5643d76014492c332c4d7e7103d202a6a88d765df8858126a"),
+    ('fvector', 'cp2-cp2-seg', 'vertices', '3/2'): (0, "18a6c582c8d832df807de3475041e9c18c799041afa5c5f81a3e2fd3e4ac0865"),
+    ('verify main', 'cp2-cp2-seg', 'vertices', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-cp2-seg', 'facets', '1'): (0, "75d9626d4d117b99f1aeaa8728c5e1c4fab1c6aedfd72bc146cf071996ebd8e3"),
+    ('fvector', 'cp2-cp2-seg', 'facets', '1'): (0, "18a6c582c8d832df807de3475041e9c18c799041afa5c5f81a3e2fd3e4ac0865"),
+    ('verify main', 'cp2-cp2-seg', 'facets', '1'): (0, "9608c978c7a2d9cc804a7682357d80ecc95d45172f5237cb793fa4831c4e901a"),
+    ('dual', 'cp2-cp2-seg', 'facets', '1/2'): (0, "204c1262a2d42e5f807cb4171319b9f48d9d87b3d008f7deac16be44c75d7c8b"),
+    ('fvector', 'cp2-cp2-seg', 'facets', '1/2'): (0, "18a6c582c8d832df807de3475041e9c18c799041afa5c5f81a3e2fd3e4ac0865"),
+    ('verify main', 'cp2-cp2-seg', 'facets', '1/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ('dual', 'cp2-cp2-seg', 'facets', '3/2'): (0, "47180f0d7f39a3b5643d76014492c332c4d7e7103d202a6a88d765df8858126a"),
+    ('fvector', 'cp2-cp2-seg', 'facets', '3/2'): (0, "18a6c582c8d832df807de3475041e9c18c799041afa5c5f81a3e2fd3e4ac0865"),
+    ('verify main', 'cp2-cp2-seg', 'facets', '3/2'): (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("args", list(JSON_INPUT_SHA256), ids=" ".join)
+def test_json_input_output_is_pinned(args, tmp_path):
+    cmd, name, form, scale = args
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(_moved_product_json(name.split("-"), form, scale)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([*cmd.split(), str(source)])
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == JSON_INPUT_SHA256[args]

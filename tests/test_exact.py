@@ -65,6 +65,20 @@ def test_primitive_recomposes(v):
     assert tuple(m * c for c in w) == v
 
 
+@given(st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), max_size=6))
+def test_primitive_is_the_content_split(v):
+    # negatives and zeros; the zero vector (all zeros, or no coordinate)
+    # has no primitive direction
+    m = exact.content(v)
+    if m == 0:
+        with pytest.raises(ZeroVector):
+            exact.primitive(v)
+        return
+    w, got = exact.primitive(v)
+    assert got == m and type(w) is tuple
+    assert w == tuple(c // m for c in v) and exact.content(w) == 1
+
+
 def _cofactor_det(m):
     if len(m) == 1:
         return m[0][0]

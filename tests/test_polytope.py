@@ -1,5 +1,7 @@
+import re
+from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 import sympy
@@ -13,6 +15,7 @@ from delzant.errors import (
     OriginNotInterior,
     Unbounded,
     UnboundedSearch,
+    ZeroVector,
 )
 from delzant.polytope import Halfspace, Polytope, cube, cross_polytope, simplex_cpn
 
@@ -108,6 +111,51 @@ def test_start_picks_the_first_independent_rows_and_their_rays(case):
         for k, i in enumerate(chosen):
             s = sum(a * b for a, b in zip(rows[i], ray))
             assert s > 0 if k == j else s == 0
+
+
+RATIONAL = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+NORMAL_COORDINATE = st.one_of(RATIONAL, st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(NORMAL_COORDINATE, min_size=1, max_size=6), RATIONAL)
+def test_cleared_is_its_definition(normal, offset):
+    # Both sides times the lcm d of the normal's denominators, then divided
+    # by the content of the integer normal; the offset p/q in lowest terms
+    # with q > 0.  A zero normal raises ZeroVector.
+    d = lcm(*(Fraction(c).denominator for c in normal))
+    ints = [int(Fraction(c) * d) for c in normal]
+    content = 0
+    for c in ints:
+        content = gcd(content, abs(c))
+    if content == 0:
+        with pytest.raises(ZeroVector):
+            polytope._cleared(normal, offset)
+        return
+    w, p, q = polytope._cleared(normal, offset)
+    b = Fraction(offset) * d / content
+    assert w == tuple(c // content for c in ints)
+    assert all(type(c) is int for c in w) and type(p) is int and type(q) is int
+    assert (p, q) == (b.numerator, b.denominator) and q > 0 and gcd(p, q) == 1
+    assert Halfspace.make(normal, offset) == Halfspace(w, b)
+
+
+@pytest.mark.parametrize("bad", [1.0, 0.0, "1", Decimal("1"), Decimal("0.5")], ids=repr)
+def test_a_non_rational_coordinate_or_offset_is_a_type_error(bad):
+    # Named before any other work: a bad coordinate of a zero normal is not
+    # a ZeroVector, and a bad coordinate is named before a bad offset.
+    square = [((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+    for make in (lambda n, b: Halfspace.make(n, b),
+                 lambda n, b: Polytope.from_halfspaces([(n, b)] + square)):
+        for normal, offset in [((bad, 0), 1), ((Fraction(1, 2), bad), bad), ((0, bad), 1)]:
+            with pytest.raises(TypeError, match=re.escape(
+                    f"normal coordinate {bad!r} is not a rational number")):
+                make(normal, offset)
+        with pytest.raises(TypeError, match=re.escape(f"offset {bad!r} is not a rational number")):
+            make((1, 0), bad)
 
 
 def test_output_coordinates_are_fractions_in_and_out_of_the_shared_table():

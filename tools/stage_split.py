@@ -1,5 +1,5 @@
-"""Warm per-stage times of the verify workload's polytope items, and of
-``Polytope.edges()`` on two polytopes.
+"""Warm per-stage times of the verify workload's polytope items, of
+``Polytope.edges()`` on two polytopes, and of the hull workload's items.
 
     python3 tools/stage_split.py [CHECKOUT] [--seed S] [--rounds N]
 
@@ -12,7 +12,8 @@ the integer points, the incidence bitmasks, ``edges()``, the skeleton's
 columns (``GkmGraph._fill``), the Delzant pass (``P._delzant_pass``, the
 verdict the verifiers require, without the report of ``check delzant``),
 the census (``gkm.first_census``), the contribution sums of the edges
-(``reflexive._contribution_sums``, on Delzant polytopes), and last the
+(``reflexive._contribution_sums``, on the polytopes the pass finds
+Delzant, so null without the pass), and last the
 item's verifier, which finds the stages up to the Delzant pass made.
 Neither the census nor the contribution sums are kept, so the verifiers
 that read them make them again.  The enumeration items run no polytope
@@ -22,9 +23,19 @@ round; the same for each verifier's part of the last stage, with its
 number of items and its median ms per item; ``census_ms``, the median
 over the rounds of the total time of ``gkm.first_census`` on each item's
 skeleton, built untimed beforehand;
-and the median time of ``edges()`` over 9 fresh copies of cube(10), whose
+the median time of ``edges()`` over 9 fresh copies of cube(10), whose
 vertices are all simple, and 200 of cross_polytope(6), whose vertices are
-on more than n facets.
+on more than n facets; and under "hull", for the hull corpus of seed S run
+N times, the median over the rounds of each kind of item's total (by the
+name before the colon: ``from_vertices``, ``from_halfspaces``, ``dual``,
+``verify_gorenstein``), with its parts: the start cone
+(``polytope._start``), the row loop (``polytope._extreme_rays`` less the
+start) and the rest, the conversions at the boundary.  The two private
+functions are timed by wrapping them for the run.
+
+A stage named by a private function its checkout lacks reads null, and
+its work, if the checkout does it elsewhere, falls in a later stage: one
+copy of this file times any checkout.
 """
 
 import argparse
@@ -49,17 +60,24 @@ def split(mods, corpus, seed, rounds):
     items = [it for it in corpus.build_verify(mods, seed) if not it.name.startswith("enumerate")]
     verifiers = collections.Counter(item.name.split(":")[0] for item in items)
     rounds_ms, by_verifier_ms = [], []
+    first_census = getattr(mods.gkm, "first_census", None)
+    contributions = getattr(mods.reflexive, "_contribution_sums", None)
+    no_pass = not hasattr(mods.polytope.Polytope, "_delzant_pass")
+    missing = {"delzant pass": no_pass, "census": first_census is None,
+               "contributions": no_pass or contributions is None}
     for _ in range(rounds):
         total = dict.fromkeys(STAGES, 0.0)
         by_verifier = dict.fromkeys(verifiers, 0.0)
         for item in items:
             (P,) = item.fresh()
+            verdict = getattr(P, "_delzant_pass", None)
             t = [time.perf_counter()]
-            for stage in (P._integer_vertices, P._incidence_bits, P.edges, P.skeleton,
-                          P._delzant_pass,
-                          lambda: mods.gkm.first_census(P.skeleton()),
-                          lambda: all(P._delzant) and mods.reflexive._contribution_sums(P)):
-                stage()
+            for stage in (P._integer_vertices, P._incidence_bits, P.edges, P.skeleton, verdict,
+                          first_census and (lambda: first_census(P.skeleton())),
+                          verdict and contributions
+                          and (lambda: all(verdict()) and contributions(P))):
+                if stage:
+                    stage()
                 t.append(time.perf_counter())
             out = item.op(P)
             t.append(time.perf_counter())
@@ -71,16 +89,18 @@ def split(mods, corpus, seed, rounds):
         rounds_ms.append(total)
         by_verifier_ms.append(by_verifier)
     round_ms = statistics.median(sum(r.values()) for r in rounds_ms)
-    stages = {stage: _median_ms(rounds_ms, stage, round_ms) for stage in STAGES}
+    stages = {stage: None if missing.get(stage) else _median_ms(rounds_ms, stage, round_ms)
+              for stage in STAGES}
     per_verifier = {}
     for name, count in verifiers.items():
         row = _median_ms(by_verifier_ms, name, round_ms)
         per_verifier[name] = {**row, "items": count, "per_item_ms": round(row["ms"] / count, 4)}
     return {"items": len(items), "round_ms": round(round_ms, 3), "stages": stages,
-            "verifiers": per_verifier, "census_ms": census_ms(mods, items, rounds)}
+            "verifiers": per_verifier,
+            "census_ms": first_census and census_ms(first_census, items, rounds)}
 
 
-def census_ms(mods, items, rounds):
+def census_ms(first_census, items, rounds):
     """The median over the rounds of the time ``gkm.first_census`` takes
     on the skeletons of all the items, each skeleton made untimed."""
     totals = []
@@ -90,10 +110,64 @@ def census_ms(mods, items, rounds):
             (P,) = item.fresh()
             S = P.skeleton()
             t0 = time.perf_counter()
-            mods.gkm.first_census(S)
+            first_census(S)
             total += time.perf_counter() - t0
         totals.append(1000 * total)
     return round(statistics.median(totals), 3)
+
+
+HULL_PARTS = ("total", "_start", "row loop", "rest")
+
+
+def hull_split(mods, corpus, seed, rounds):
+    items = corpus.build_hull(mods, seed)
+    kinds = collections.Counter(item.name.split(":")[0] for item in items)
+    module = mods.polytope
+    wrapped = {name: getattr(module, name) for name in ("_start", "_extreme_rays")
+               if hasattr(module, name)}
+    spent = dict.fromkeys(wrapped, 0.0)
+
+    def timed(name, f):
+        def call(*args):
+            t0 = time.perf_counter()
+            try:
+                return f(*args)
+            finally:
+                spent[name] += time.perf_counter() - t0
+        return call
+
+    for name, f in wrapped.items():
+        setattr(module, name, timed(name, f))
+    rounds_ms = []
+    try:
+        for _ in range(rounds):
+            total = {kind: dict.fromkeys(HULL_PARTS, 0.0) for kind in kinds}
+            for item in items:
+                args = item.fresh()
+                spent.update(dict.fromkeys(spent, 0.0))
+                t0 = time.perf_counter()
+                out = item.op(*args)
+                elapsed = time.perf_counter() - t0
+                if item.check(out) != "ok":
+                    raise SystemExit(f"{item.name}: wrong output")
+                start, rays = spent.get("_start", 0.0), spent.get("_extreme_rays", 0.0)
+                row = total[item.name.split(":")[0]]
+                for part, ms in zip(HULL_PARTS, (elapsed, start, rays - start, elapsed - rays)):
+                    row[part] += 1000 * ms
+            rounds_ms.append(total)
+    finally:
+        for name, f in wrapped.items():
+            setattr(module, name, f)
+    missing = {"_start": "_start" not in wrapped, "row loop": len(wrapped) < 2,
+               "rest": "_extreme_rays" not in wrapped}
+    round_ms = statistics.median(sum(r[kind]["total"] for kind in kinds) for r in rounds_ms)
+    out = {}
+    for kind, count in kinds.items():
+        by_round = [r[kind] for r in rounds_ms]
+        out[kind] = {"items": count, **{
+            part: None if missing.get(part) else _median_ms(by_round, part, round_ms)
+            for part in HULL_PARTS}}
+    return {"items": len(items), "round_ms": round(round_ms, 3), "constructors": out}
 
 
 def edges_ms(polytope, make, repeats):
@@ -124,6 +198,7 @@ def main(argv=None):
         "cube(10)": edges_ms(mods.polytope, lambda: mods.polytope.cube(10), 9),
         "cross_polytope(6)": edges_ms(mods.polytope, lambda: mods.polytope.cross_polytope(6), 200),
     }
+    out["hull"] = hull_split(mods, corpus, args.seed, args.rounds)
     print(json.dumps(out, indent=2))
 
 
