@@ -21,7 +21,6 @@ from numbers import Rational
 from operator import add, mul, neg
 
 from . import exact, gkm
-from .exact import _denominator, _numerator, primitive
 from .errors import (
     DimensionMismatch,
     EmptyPolytope,
@@ -62,11 +61,8 @@ def _cleared(normal, offset):
                 raise TypeError(f"normal coordinate {c!r} is not a rational number")
         if not isinstance(offset, Rational):
             raise TypeError(f"offset {offset!r} is not a rational number")
-    d = lcm(*map(_denominator, normal))
-    if d == 1:
-        w, m = primitive(list(map(_numerator, normal)))
-    else:
-        w, m = primitive([c.numerator * (d // c.denominator) for c in normal])
+    d = lcm(*[c.denominator for c in normal])
+    w, m = exact.primitive([c.numerator * (d // c.denominator) for c in normal])
     p, q = offset.numerator * d, offset.denominator * m
     g = gcd(p, q)
     return w, p // g, q // g
@@ -183,18 +179,24 @@ def _start(rows, d):
             if t and y is None:
                 y, s = (x, t) if t > 0 else (tuple(map(neg, x)), -t)
             else:
-                kept.append(primitive([s * a - t * b for a, b in zip(x, y)])[0] if t else x)
+                kept.append(_tightened(x, t, y, s) if t else x)
         if y is None:
             continue
         made = []
         for x in rays:
             t = sum(map(mul, row, x))
-            made.append(primitive([s * a - t * b for a, b in zip(x, y)])[0] if t else x)
+            made.append(_tightened(x, t, y, s) if t else x)
         free, rays = kept, made + [y]
         chosen.append(i)
         if not free:
             return chosen, rays
     return None
+
+
+def _tightened(x, t, y, s):
+    """x made tight on a row it pairs t != 0 with: the primitive s x - t y,
+    for a y that pairs s > 0 with the row."""
+    return exact.primitive([s * a - t * b for a, b in zip(x, y)])[0]
 
 
 def _extreme_rays(rows, d):
@@ -258,7 +260,7 @@ def _extreme_rays(rows, d):
                         )
                     if any(t & common == common and t != tp and t != tn for t in masks):
                         continue
-                    ray = primitive([sp * b - sn * a for a, b in zip(rp, rn)])[0]
+                    ray = exact.primitive([sp * b - sn * a for a, b in zip(rp, rn)])[0]
                     kept.append((ray, common | bit))
         rays = kept
     return rays
@@ -314,13 +316,10 @@ class Polytope:
         # vertex iff the facets through it meet in it alone.
         facets, meet = [], [-1] * len(ints)
         for ray, tight in rays:
-            w, m = primitive(ray[1:])
+            w, m = exact.primitive(ray[1:])
             facets.append(Halfspace(w, _fraction(ray[0], m)))
-            rest = tight
-            while rest:
-                low = rest & -rest
-                meet[low.bit_length() - 1] &= tight
-                rest ^= low
+            for i in _bits(tight):
+                meet[i] &= tight
         verts = [_point(x, q) for i, x in enumerate(ints) if meet[i] == 1 << i]
         return _canonical(n, verts, facets)
 
@@ -354,10 +353,8 @@ class Polytope:
         equalities, on = (1 << len(hs)) - 1, [0] * len(hs)
         for j, (_, tight) in enumerate(rays):
             equalities &= tight
-            while tight:
-                low = tight & -tight
-                on[low.bit_length() - 1] |= 1 << j
-                tight ^= low
+            for i in _bits(tight):
+                on[i] |= 1 << j
         if equalities:
             raise NotFullDimensional("halfspace intersection is not full-dimensional")
         # Facets are the halfspaces whose vertex sets are maximal.
@@ -597,7 +594,7 @@ class Polytope:
         q, points = self._integer_vertices()
         facets = []
         for x in points:
-            w, m = primitive(list(map(neg, x)))
+            w, m = exact.primitive(list(map(neg, x)))
             facets.append(Halfspace(w, Fraction(q, m)))
         return _canonical(self.dim, verts, facets)
 
