@@ -10,7 +10,7 @@ import gc
 import json
 import os
 import sys
-from itertools import islice
+from itertools import chain, islice
 
 from . import bounds, catalog, gkm, reflexive, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
@@ -156,13 +156,15 @@ def _emit_graph(G, extra):
     """Print ``json.dumps(serialize.graph_to_json(G) | extra, indent=2,
     sort_keys=True)`` and a newline.  The vertex and edge records are
     formatted straight from G's coordinates and edge columns and written in
-    batches, never built as dicts; each distinct weight and length is
-    formatted once.  Ids other than ints and "p/q" numbers go through
-    ``_dumps``."""
+    batches, never built as dicts; each distinct coordinate, weight and
+    length is formatted once, the weights by G's weight-index column.  Ids
+    other than ints and "p/q" numbers go through ``_dumps``."""
     out = sys.stdout
 
-    def num(x):
-        return x if type(x) is int else _dumps(num_to_json(x), "")
+    def texts(xs):
+        # the text of each distinct number
+        return {x: int.__repr__(x) if type(x) is int else _dumps(num_to_json(x), "")
+                for x in set(xs)}
 
     def numbers(k):
         # a list of k numbers inside a record, one %s each
@@ -176,16 +178,16 @@ def _emit_graph(G, extra):
         out.write("[]" if sep == "[\n    " else "\n  ]")
 
     ids = {vid: int.__repr__(vid) if type(vid) is int else _dumps(vid, "") for vid in G.ids}
-    coords = G.coords
-    weights, lengths = G._weight_col, G._length_col
+    coords, lengths = G.coords, G._length_col
+    table, windex = G._weight_index
     vertex = '{\n      "coords": ' + numbers(G.ambient_dim) + ',\n      "id": %s\n    }'
     weight = numbers(G.ambient_dim)
-    wtext = {w: weight % w for w in set(weights)}
-    ltext = {x: str(num(x)) for x in set(lengths)}
+    wtext = [weight % w for w in table]
+    ltext, ctext = texts(lengths), texts(chain.from_iterable(coords.values()))
     edge = '{\n      "length": %s,\n      "u": %s,\n      "v": %s,\n      "weight": %s\n    }'
-    vertices = (vertex % (*map(num, coords[v]), ids[v]) for v in G.ids)
+    vertices = (vertex % (*map(ctext.__getitem__, coords[v]), ids[v]) for v in G.ids)
     edges = (edge % (lt, ids[u], ids[v], wt) for (u, v), lt, wt in
-             zip(G.edge_list, map(ltext.__getitem__, lengths), map(wtext.__getitem__, weights)))
+             zip(G.edge_list, map(ltext.__getitem__, lengths), map(wtext.__getitem__, windex)))
 
     doc = {"ambient_dim": G.ambient_dim, "degree": G.degree,
            "vertices": vertices, "edges": edges} | extra

@@ -41,13 +41,16 @@ class GkmGraph:
     integer points as already made (``Polytope.skeleton`` has them from
     the incidence pass); the one exception to the derivation is
     ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
-    edge's weight and length already known.  ``_pairing`` keeps the
+    edge's root index and length already known.  ``_pairing`` keeps the
     graph's ``_Pairing`` under its first three generic candidate
     directions once made.
 
     The edges are held as three columns: ``edge_list`` and, edge by edge,
     ``_weight_col`` (the weights u -> v) and ``_length_col``.  Readers of
-    per-edge values and degrees read the columns.  ``star``, ``weight``,
+    per-edge values and degrees read the columns.  The pairing and the
+    writer read the weights by ``_weight_index``, the distinct weights and
+    each edge's place among them: an orbit graph is given it, and others
+    derive it from ``_weight_col``.  ``star``, ``weight``,
     ``length`` and ``incident`` read tables by edge: ``_weight`` in both
     orientations, ``_length``, and ``_incident``, the edges at each vertex.
     These are views of the columns, made the first time they are read.
@@ -80,12 +83,12 @@ class GkmGraph:
         return G
 
     @classmethod
-    def _from_edge_table(cls, ambient_dim, degree, points, edge_list, weights, lengths):
+    def _from_edge_table(cls, ambient_dim, degree, points, edge_list, table, ids, lengths):
         """The graph on the ids 0, 1, ... of distinct integer points, from
-        three columns: its edges (u, v) sorted by (u, v) and, edge by edge,
-        the weights u -> v and the lengths, which ``__init__`` would derive
-        from the same points and edges, taken as given.  The caller vouches
-        for every edge."""
+        its edges (u, v) sorted by (u, v) and, edge by edge, the place in
+        ``table`` of the weight u -> v and the length, as ``__init__`` would
+        derive them, taken as given.  The weights of ``table`` are distinct
+        and, if there are edges, each an edge's.  The caller vouches for it."""
         G = cls.__new__(cls)
         G.ambient_dim = ambient_dim
         G.degree = degree
@@ -93,7 +96,7 @@ class GkmGraph:
         G.coords = G.lattice = dict(enumerate(points))
         G.q = 1
         G.edge_list = edge_list
-        G._weight_col = weights
+        G._weight_index = table, ids
         G._length_col = lengths
         return G
 
@@ -130,6 +133,15 @@ class GkmGraph:
             edge_list.append(e)
             weights.append(d)
             lengths.append(_ratio(g, q))
+
+    @cached_property
+    def _weight_index(self):
+        places = {w: i for i, w in enumerate(dict.fromkeys(self._weight_col))}
+        return list(places), list(map(places.__getitem__, self._weight_col))
+
+    @cached_property
+    def _weight_col(self):
+        return list(map(self._weight_index[0].__getitem__, self._weight_index[1]))
 
     @cached_property
     def _weight(self):
@@ -195,20 +207,19 @@ class _Pairing:
     vertex, whether no two weights there are parallel.  Each is read off
     the pass when first asked for.
 
-    Each distinct weight w is paired once with each candidate and gets two
-    integers, for the tail its edges leave by w and the head they leave by
-    -w.  From the lowest, their bit fields hold a 1 for the degree, a 1
+    Each distinct weight w of ``G._weight_index`` is paired once with each
+    candidate and gets two integers, for the tail its edges leave by w and
+    the head they leave by -w.  From the lowest, their bit fields hold a 1 for the degree, a 1
     for each kept direction that the weight leaving that end pairs
     negatively with, and that weight in balanced base 2^b.  A count field
     holds |V|, and a weight sum's coordinates are below |V| max|w_i| <
     2^(b-1), so the fields of the sum of a vertex's integers are its
-    degree, its in-degrees and its weight sum.  Each edge is looked up
-    once, and adds one integer at each end.
+    degree, its in-degrees and its weight sum.  Each edge's weight is read
+    by its index, and the edge adds one integer at each end.
     """
 
     def __init__(self, G):
-        cols = G._weight_col
-        self._weights = weights = list(dict.fromkeys(cols))
+        weights, ids = G._weight_index
         n = len(G.ids)
         self._width = width = n.bit_length()
         self.xis = xis = []
@@ -230,24 +241,19 @@ class _Pairing:
         # starts at 2^(b-1), so that every field stays nonnegative.
         places = [1 << i for i in self._shifts]
         fields = [sum(map(mul, w, places)) for w in weights]
-        codes = dict(zip(weights, [(t + f, h - f) for (t, h), f in zip(codes, fields)]))
+        codes = [(t + f, h - f) for (t, h), f in zip(codes, fields)]
         packed = dict.fromkeys(G.ids, sum(places) << b - 1)
-        for (u, v), w in zip(G.edge_list, cols):
-            tail, head = codes[w]
+        for (u, v), i in zip(G.edge_list, ids):
+            tail, head = codes[i]
             packed[u] += tail
             packed[v] += head
         self._packed = packed.values()
-        self._columns = G.ids, G.edge_list, cols
+        self._columns = G.ids, G.edge_list, weights, ids
 
     def indegrees(self, c):
         """Each vertex's in-degree under xis[c]."""
         shift, field = (c + 1) * self._width, (1 << self._width) - 1
         return [a >> shift & field for a in self._packed]
-
-    def census(self, c, degree):
-        """The number of vertices of each in-degree 0..degree under xis[c],
-        for a regular graph of that degree."""
-        return _census(self.indegrees(c), degree)
 
     @cached_property
     def degrees(self):
@@ -264,12 +270,12 @@ class _Pairing:
         """The GKM verdict per vertex: its weights are pairwise independent,
         that is lie on distinct lines +-w.  One more pass over the columns
         lists the lines at each vertex, each line coded by a small int."""
-        ids, edge_list, cols = self._columns
+        vids, edge_list, weights, ids = self._columns
         line = {}
-        code = {w: line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in self._weights}
-        lines = {vid: [] for vid in ids}
-        for (u, v), w in zip(edge_list, cols):
-            c = code[w]
+        code = [line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in weights]
+        lines = {vid: [] for vid in vids}
+        for (u, v), i in zip(edge_list, ids):
+            c = code[i]
             lines[u].append(c)
             lines[v].append(c)
         return [len(set(cs)) == len(cs) for cs in lines.values()]
@@ -379,7 +385,7 @@ def _candidates(G):
         if xi not in seen:
             seen.add(xi)
             yield xi
-    m = max((abs(c) for w in G._weight_col for c in w), default=0)
+    m = max((abs(c) for w in G._weight_index[0] for c in w), default=0)
     xi = tuple((2 * m + 1) ** i for i in range(G.ambient_dim))
     if xi not in seen:
         yield xi
@@ -462,7 +468,7 @@ def h_vector_graph(G, xi=None):
         if below is None:
             raise NonGenericDirection(f"direction {xi} vanishes on an edge weight")
         return _census(below.values(), G.degree)
-    results = [p.census(c, G.degree) for c in range(len(p.xis))]
+    results = [_census(p.indegrees(c), G.degree) for c in range(len(p.xis))]
     if len(set(results)) != 1:
         raise DirectionDependent(f"h-vector depends on the direction: {results}")
     return results[0]

@@ -57,10 +57,8 @@ def _cleared(normal, offset):
     normal.  TypeError names the first non-rational coordinate or offset."""
     if not {type(offset), *map(type, normal)} <= _EXACT:
         for c in normal:
-            if not isinstance(c, Rational):
-                raise TypeError(f"normal coordinate {c!r} is not a rational number")
-        if not isinstance(offset, Rational):
-            raise TypeError(f"offset {offset!r} is not a rational number")
+            _rational(c, "normal coordinate")
+        _rational(offset, "offset")
     d = lcm(*[c.denominator for c in normal])
     w, m = exact.primitive([c.numerator * (d // c.denominator) for c in normal])
     p, q = offset.numerator * d, offset.denominator * m
@@ -98,9 +96,14 @@ class Face:
 _EXACT = {int, Fraction}  # the rational types read without an ABC check
 
 
-def _rational(c):
-    """c itself if it is an int or a Fraction, else Fraction(c)."""
-    return c if type(c) in _EXACT else Fraction(c)
+def _rational(c, what="coordinate"):
+    """c itself if it is an int or a Fraction, else Fraction(c) for another
+    rational number; TypeError names any other value as the ``what``."""
+    if type(c) in _EXACT:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"{what} {c!r} is not a rational number")
+    return Fraction(c)
 
 
 def _fraction(p, q):
@@ -348,18 +351,20 @@ class Polytope:
             raise Unbounded("halfspace intersection has a recession direction")
         if not rays:
             raise EmptyPolytope("halfspace intersection is empty")
-        # A halfspace tight at every vertex is an implicit equality.  ``on``
-        # is each halfspace's vertex mask, made from the rays' set bits.
-        equalities, on = (1 << len(hs)) - 1, [0] * len(hs)
-        for j, (_, tight) in enumerate(rays):
+        # A halfspace tight at every vertex is an implicit equality.
+        # Halfspace i is a facet iff it alone is tight at every vertex on
+        # it: ``common[i]``, the AND of those vertices' tight masks, made
+        # from the rays' set bits, is 1 << i.  Any smaller face lies in a
+        # facet, whose halfspace is tight on it too.
+        equalities, common = (1 << len(hs)) - 1, [-1] * len(hs)
+        for _, tight in rays:
             equalities &= tight
             for i in _bits(tight):
-                on[i] |= 1 << j
+                common[i] &= tight
         if equalities:
             raise NotFullDimensional("halfspace intersection is not full-dimensional")
-        # Facets are the halfspaces whose vertex sets are maximal.
-        facets = [Halfspace(w, _fraction(p, q)) for (w, p, q), s in zip(hs, on)
-                  if s and not any(s & t == s and s != t for t in on)]
+        facets = [Halfspace(w, _fraction(p, q)) for i, ((w, p, q), c) in enumerate(zip(hs, common))
+                  if c == 1 << i]
         return _canonical(n, _points([ray for ray, _ in rays]), facets)
 
     # -- faces ----------------------------------------------------------------

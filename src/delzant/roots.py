@@ -9,7 +9,7 @@ form is the symmetrized Cartan matrix with long roots of square length 2.
 from fractions import Fraction
 from functools import cache
 from itertools import repeat
-from math import factorial, lcm
+from math import factorial
 from operator import mul, neg
 
 from . import gkm
@@ -57,57 +57,45 @@ class RootSystem:
         self.rank = rank
         self.cartan = _cartan_matrix(kind, rank)
         # Column j holds <alpha_i, alpha_j^v> for every i.
-        self._cartan_cols = list(zip(*self.cartan))
-        half = _root_lengths(kind, rank)
-        # The form in integers: gram[i][j] = m (alpha_i, alpha_j) =
-        # cartan[i][j] m (alpha_j, alpha_j)/2, with m the lcm of the
-        # denominators of the half squared lengths, so column j scales by
-        # one integer.
-        self.scale = lcm(*(h.denominator for h in half))
-        col = [self.scale // h.denominator * h.numerator for h in half]
-        self.gram = [list(map(mul, row, col)) for row in self.cartan]
+        self._cartan_cols = cols = list(zip(*self.cartan))
         self.simple_roots = [
             tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
         ]
         # The positive roots, up from the simple roots: for beta != alpha_j,
-        # s_j beta = beta - <beta, alpha_j^v> alpha_j is a positive root, and
-        # each non-simple one is reached from a lower one.  images[beta][j]
-        # is s_j beta, recorded as it is found (alpha_j for -alpha_j).
-        found = list(self.simple_roots)
-        images = dict.fromkeys(found)
-        for beta in found:  # grows while it is read
-            row = images[beta] = []
-            for j, col in enumerate(self._cartan_cols):
+        # s_j beta = beta - t alpha_j, t = row_j, is a positive root, and
+        # each non-simple one is reached from a lower one.  A root carries
+        # its Cartan row <beta, alpha_k^v> and coroot c_k = <alpha_k, beta^v>
+        # (<x, beta^v> = sum_k x_k c_k): s_j beta has row - t cartan[j] and
+        # c - c_j (column j).  images[beta][j] is s_j beta (alpha_j for -alpha_j).
+        found = list(zip(self.simple_roots, self.cartan, cols))
+        images = dict.fromkeys(self.simple_roots)
+        self._coroot = coroot = {}
+        for beta, row, c in found:  # grows while it is read
+            coroot[beta] = c
+            coroot[tuple(map(neg, beta))] = tuple(map(neg, c))
+            images[beta] = imgs = []
+            for j, t in enumerate(row):
                 img = beta
-                if beta != self.simple_roots[j]:
-                    img = beta[:j] + (beta[j] - sum(map(mul, beta, col)),) + beta[j + 1:]
+                if t and beta != self.simple_roots[j]:
+                    img = beta[:j] + (beta[j] - t,) + beta[j + 1:]
                     if img not in images:
                         images[img] = None
-                        found.append(img)
-                row.append(img)
-        self.positive_roots = sorted(found)
+                        found.append((img, [a - t * b for a, b in zip(row, self.cartan[j])],
+                                      tuple([a - c[j] * b for a, b in zip(c, cols[j])])))
+                imgs.append(img)
+        self.positive_roots = sorted(images)
         # _reflected[j][b]: the place of s_j beta_b in positive_roots.
         at = {beta: b for b, beta in enumerate(self.positive_roots)}
         self._reflected = [
             tuple(at[images[beta][j]] for beta in self.positive_roots) for j in range(rank)
         ]
-        # The coroot covector of each root beta: c_i = <alpha_i, beta^v> =
-        # 2 (alpha_i, beta) / (beta, beta), a Cartan integer (m cancels, so
-        # the division is exact), so that <x, beta^v> = sum_i x_i c_i on
-        # the root lattice.  It is odd in beta: -beta gets -c.
-        self._coroot = {}
-        for beta in self.positive_roots:
-            gb = [sum(map(mul, row, beta)) for row in self.gram]
-            bb = sum(map(mul, beta, gb))
-            c = tuple(2 * a // bb for a in gb)
-            self._coroot[beta] = c
-            self._coroot[tuple(map(neg, beta))] = tuple(map(neg, c))
 
     def pairing(self, x, y):
         """The invariant bilinear form (x, y) in simple-root coordinates, as
-        an exact Fraction."""
-        gy = [sum(map(mul, row, y)) for row in self.gram]
-        return Fraction(sum(map(mul, x, gy)), self.scale)
+        an exact Fraction, from (alpha_i, alpha_j) = cartan[i][j] h_j, h_j
+        the half squared length of alpha_j."""
+        h = _root_lengths(self.kind, self.rank)
+        return sum(a * c * b * hj for a, row in zip(x, self.cartan) for c, b, hj in zip(row, y, h))
 
     def closure(self, seeds, gens):
         """The closure of the seed points under the simple reflections
@@ -194,7 +182,8 @@ def parabolic_span(rs, I):
     I = set(I)
     if not I <= set(range(rs.rank)):
         raise UnsupportedType(f"invalid simple-root indices {sorted(I)}")
-    return [r for r in rs.positive_roots if all(c == 0 for i, c in enumerate(r) if i not in I)]
+    rest = [i for i in range(rs.rank) if i not in I]
+    return [r for r in rs.positive_roots if not any(map(r.__getitem__, rest))]
 
 
 def parabolic_order(rs, I):
@@ -204,19 +193,28 @@ def parabolic_order(rs, I):
     return len(rs.closure([q], I))
 
 
+def _base(rs, I):
+    """The monotone base point p0 = -(sum of positive roots outside <I>)
+    and its pairing vector <p0, beta^v> over the positive roots, the first
+    vector of the walk.  Each s_i, i in I, must fix p0: <p0, alpha_i^v> = 0.
+    Each positive root r outside <I> must pair strictly negatively with it:
+    <p0, r^v> = 2 (p0, r) / (r, r) has the sign of (p0, r)."""
+    span = set(parabolic_span(rs, I))
+    betas = rs.positive_roots
+    p0 = tuple([-sum(c) for c in zip((0,) * rs.rank, *[r for r in betas if r not in span])])
+    tv = [sum(map(mul, p0, rs._coroot[beta])) for beta in betas]
+    for i in I:
+        if sum(map(mul, p0, rs._cartan_cols[i])):
+            raise DegenerateBasePoint(f"p0 moved by the simple reflection {i}")
+    for r, t in zip(betas, tv):
+        if t >= 0 and r not in span:
+            raise DegenerateBasePoint(f"p0 not strictly negative against {r}")
+    return p0, tv
+
+
 def base_point(rs, I):
     """The monotone base point p0 = -(sum of positive roots outside <I>)."""
-    span = set(parabolic_span(rs, I))
-    outside = [r for r in rs.positive_roots if r not in span]
-    p0 = tuple(-sum(r[i] for r in outside) for i in range(rs.rank))
-    for i in I:
-        if rs.reflect(rs.simple_roots[i], p0) != p0:
-            raise DegenerateBasePoint(f"p0 moved by the simple reflection {i}")
-    # <p0, r^v> = 2 (p0, r) / (r, r) has the sign of (p0, r).
-    for r in outside:
-        if sum(map(mul, p0, rs._coroot[r])) >= 0:
-            raise DegenerateBasePoint(f"p0 not strictly negative against {r}")
-    return p0
+    return _base(rs, I)[0]
 
 
 def weyl_orbit(rs, p0):
@@ -224,12 +222,12 @@ def weyl_orbit(rs, p0):
     return sorted(rs.closure([tuple(p0)], range(rs.rank)))
 
 
-def _walk(rs, p0):
+def _walk(rs, p0, tv):
     """The Weyl orbit of the antidominant point p0 in sorted order, walked
-    by simple reflections: the place values of the keys and, per point,
-    its key, the point and its pairing vector <p, beta^v> over the positive
-    roots.  Only p0's vector is made by dot products: as <s_j p, beta^v>
-    = <p, (s_j beta)^v>, s_j p takes the vector of p permuted by the s_j
+    by simple reflections from p0 and its pairing vector tv over the
+    positive roots: the place values of the keys and, per point, its key,
+    the point and its pairing vector <p, beta^v>.  As <s_j p, beta^v> =
+    <p, (s_j beta)^v>, s_j p takes the vector of p permuted by the s_j
     table, with the alpha_j entry negated (s_j alpha_j = -alpha_j).
 
     A point's key is sum_i p_i R^(d-1-i).  The orbit lies coordinatewise
@@ -244,7 +242,7 @@ def _walk(rs, p0):
     simple = [(j, rs._reflected[j], betas.index(rs.simple_roots[j]), place[j])
               for j in range(d)]
     points = [p0]
-    pairings = [[sum(map(mul, p0, rs._coroot[beta])) for beta in betas]]
+    pairings = [tv]
     keys = [sum(map(mul, p0, place))]
     seen = set(keys)
     # The lists grow while they are read: each new point is visited in turn.
@@ -275,20 +273,19 @@ def coadjoint_graph(rs, I):
     away from p and length |t|; it is written at its lower end, where
     t < 0 (beta >= 0), and its other end is found by key.
     """
-    p0 = base_point(rs, I)
-    place, keys, points, pairings = _walk(rs, p0)
+    place, keys, points, pairings = _walk(rs, *_base(rs, I))
     betas = rs.positive_roots
     encoded = [sum(map(mul, beta, place)) for beta in betas]
     index = {k: u for u, k in enumerate(keys)}
     edges, forward, lengths = [], [], []
     for u, (k, tv) in enumerate(zip(keys, pairings)):
         # The edges to the higher neighbours, by the neighbour's place.
-        row = sorted([(index[k - t * e], -t, beta)
-                      for t, e, beta in zip(tv, encoded, betas) if t < 0])
+        row = sorted([(index[k - t * e], -t, b)
+                      for t, e, b in zip(tv, encoded, range(len(betas))) if t < 0])
         if row:
             vs, ts, bs = zip(*row)
             edges.extend(zip(repeat(u), vs))
             lengths.extend(ts)
             forward.extend(bs)
     degree = sum(1 for t in pairings[0] if t)
-    return gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, forward, lengths)
+    return gkm.GkmGraph._from_edge_table(rs.rank, degree, points, edges, betas, forward, lengths)

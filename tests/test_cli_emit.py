@@ -231,8 +231,9 @@ def test_stage_split_times_each_verifier(capsys, monkeypatch):
     # tools/stage_split.py, one round: the verifier stage split by verifier
     # name, each part with its number of items
     monkeypatch.setattr(sys, "path", list(sys.path))
+    tool = _tool("stage_split")
     try:
-        _tool("stage_split").main(["--rounds", "1"])
+        tool.main(["--rounds", "1"])
     finally:
         for name in ("run", "corpus", "answers"):  # the benchmark modules it imports
             sys.modules.pop(name, None)
@@ -254,6 +255,15 @@ def test_stage_split_times_each_verifier(capsys, monkeypatch):
         parts = [row[part]["ms"] for part in ("_start", "row loop", "rest")]
         assert sum(parts) == pytest.approx(row["total"]["ms"], abs=0.01)
         assert (parts[0] > 0 and parts[1] > 0) == kind.startswith("from_")
+    # the weyl builds by stage, on a fresh import of the package each
+    # round; the package these tests imported is in place again after
+    weyl = out["weyl"]
+    assert weyl["items"] == len(weyl_corpus.WEYL)
+    assert list(weyl["stages"]) == list(tool.WEYL_STAGES)
+    assert all(stage["ms"] > 0 for stage in weyl["stages"].values())
+    assert sum(stage["ms"] for stage in weyl["stages"].values()) == pytest.approx(
+        weyl["round_ms"], abs=0.01)
+    assert sys.modules["delzant.cli"] is cli and sys.modules["delzant.roots"] is roots
 
 
 class _Without:
@@ -276,7 +286,8 @@ class _Without:
 
 def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
     # tools/stage_split.py on modules without polytope._start,
-    # gkm.first_census and reflexive._contribution_sums: those stages, and
+    # gkm.first_census, reflexive._contribution_sums, roots._base,
+    # roots._walk, cli._parse and cli._emit_graph: those stages, and
     # the row loop that is _extreme_rays less _start, read null, while
     # _extreme_rays is still timed: the rest is the total less its time
     monkeypatch.setattr(sys, "path", [str(Path(__file__).resolve().parent.parent / "perfbench"),
@@ -291,6 +302,13 @@ def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
             monkeypatch.setattr(mods, name, _Without(getattr(mods, name), hidden))
         hull = tool.hull_split(mods, corpus, 1, 1)["constructors"]
         verify = tool.split(mods, corpus, 1, 1)
+        # without roots._base the base point is timed by base_point, but
+        # with roots._walk also gone that stage reads null, and the whole
+        # orbit graph falls in the edge table
+        base_point = roots.base_point
+        monkeypatch.setattr(mods, "roots", _Without(roots, "_base", "_walk"))
+        monkeypatch.setattr(mods, "cli", _Without(cli, "_parse", "_emit_graph"))
+        weyl = tool.weyl_split(lambda: mods, corpus, 1, 1)["stages"]
     finally:
         for name in ("run", "corpus", "answers"):
             sys.modules.pop(name, None)
@@ -304,6 +322,10 @@ def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
     assert verify["census_ms"] is None
     assert verify["stages"]["census"] is None and verify["stages"]["contributions"] is None
     assert verify["stages"]["delzant pass"]["ms"] > 0
+    assert [stage for stage, row in weyl.items() if row is None] == [
+        "parse", "base point and walk", "writer"]
+    assert all(row["ms"] > 0 for row in weyl.values() if row)
+    assert roots.base_point is base_point  # unwrapped after
 
 
 def test_ab_bench_summary_of_fixed_runs():

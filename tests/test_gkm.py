@@ -759,6 +759,22 @@ def test_height_scan_matches_the_pairing(G, label, data):
         _assert_height_scan_is_the_pairing(K, _avoided(K, data))
 
 
+@given(st.one_of(small_graphs(), rational_graphs()))
+def test_derived_index_column_and_its_pairing(G):
+    # the distinct weights in order of first appearance, and each edge's
+    # place among them; weights repeat across the edges of these graphs
+    table, ids = G._weight_index
+    assert table == list(dict.fromkeys(G._weight_col))
+    assert [table[i] for i in ids] == G._weight_col
+    # the graph read back from its JSON derives the same column, and its
+    # kept pairing gives the same directions and per-vertex values
+    R = _read_back(G)
+    assert R._weight_index == (table, ids)
+    p, r = gkm._kept_pairing(G), gkm._kept_pairing(R)
+    assert (p.xis, p.degrees, p.sums, p.independent) == (r.xis, r.degrees, r.sums, r.independent)
+    assert all(p.indegrees(c) == r.indegrees(c) for c in range(len(p.xis)))
+
+
 @pytest.mark.parametrize("kind, rank, I", weyl_corpus.WEYL)
 def test_height_scan_matches_the_pairing_on_orbits(kind, rank, I):
     # the orbit graphs are made from edge tables that vouch for the weights

@@ -158,6 +158,71 @@ def test_a_non_rational_coordinate_or_offset_is_a_type_error(bad):
             make((1, 0), bad)
 
 
+@pytest.mark.parametrize("bad", [0.1, 1.0, "1", Decimal("1"), Decimal("0.5")], ids=repr)
+def test_a_non_rational_point_coordinate_is_a_type_error(bad):
+    # A vertex, a translation or a point looked up: the coordinate is
+    # named, and neither rounded nor parsed.
+    message = re.escape(f"coordinate {bad!r} is not a rational number")
+    P = cube(2)
+    for call in (lambda: Polytope.from_vertices([(bad, 0), (1, 0), (0, 1)]),
+                 lambda: Polytope.from_vertices([(0, 0), (1, 0), (0, bad)]),
+                 lambda: P.translate((bad, 0)),
+                 lambda: P.translate((Fraction(1, 2), bad)),
+                 lambda: P.vertex_id((bad, 1)),
+                 lambda: P.vertex_id((1, bad))):
+        with pytest.raises(TypeError, match=message):
+            call()
+    # other rationals are read as Fractions
+    assert P.vertex_id((True, Fraction(1))) == P.vertices.index((1, 1))
+
+
+def _tight_sets_facets(P, halfspaces):
+    """The facets of P among the halfspaces by vertex-set maximality: the
+    halfspaces whose sets of tight vertices are nonempty and in no other
+    such set."""
+    hs = {Halfspace.make(n, b) for n, b in halfspaces}
+    on = {h: frozenset(v for v in P.vertices if sum(a * c for a, c in zip(h.normal, v)) == h.offset)
+          for h in hs}
+    return {h for h, s in on.items() if s and not any(s < t for t in on.values())}
+
+
+@st.composite
+def _halfspace_systems(draw):
+    """Bounded, full-dimensional halfspace systems in dimension 1-4: the
+    box [-k, k]^d among other halfspaces that keep the origin strictly
+    inside, in any order, with repeats.  An extra halfspace at the box's
+    support value of its normal is tight only on a face of the box, often
+    a vertex or another face below a facet."""
+    d = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    box = [(tuple(s if j == i else 0 for j in range(d)), k) for i in range(d) for s in (1, -1)]
+    extra = []
+    for normal in draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d).filter(any), max_size=8)):
+        support = k * sum(map(abs, normal))
+        offset = draw(st.one_of(st.just(support), st.integers(1, support),
+                                RATIONALS.filter(lambda x: x > 0)))
+        extra.append((normal, offset))
+    system = box + extra
+    system += draw(st.lists(st.sampled_from(system), max_size=3))
+    return draw(st.permutations(system))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_halfspace_systems())
+def test_facets_of_a_halfspace_system_are_its_maximal_tight_sets(halfspaces):
+    P = Polytope.from_halfspaces(halfspaces)
+    assert set(P.facets) == _tight_sets_facets(P, halfspaces)
+
+
+def test_many_halfspaces_tight_at_one_vertex():
+    # [-1, 1]^2 after 2000 halfspaces tight only at (1, 1)
+    square = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+    halfspaces = [((k, 1), k + 1) for k in range(2, 2002)] + square
+    P = Polytope.from_halfspaces(halfspaces)
+    assert (P.vertices, P.facets) == (cube(2).vertices, cube(2).facets)
+    assert set(P.facets) == _tight_sets_facets(P, halfspaces)
+
+
 def test_output_coordinates_are_fractions_in_and_out_of_the_shared_table():
     # -64..64 come from one shared table, 1000 and -65 do not; both are
     # Fractions with the values and hashes of Fraction(c).

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import random
 from fractions import Fraction
 from itertools import chain, combinations
@@ -337,6 +338,25 @@ def test_orbit_tables_match_the_general_constructor(kind, rank, I):
     assert gkm.h_vector_graph(G) == gkm.h_vector_graph(H)
 
 
+@pytest.mark.parametrize("kind, rank, I", ORBITS)
+def test_orbit_index_column_matches_the_derived_one(kind, rank, I):
+    # coadjoint_graph hands the graph its weight-index column over the
+    # positive roots; the graph read back from its JSON derives its own
+    rs = roots.build(kind, rank)
+    G = roots.coadjoint_graph(rs, I)
+    table, ids = G._weight_index
+    assert "_weight_col" not in vars(G) and table == rs.positive_roots
+    R = serialize.graph_from_json(json.loads(json.dumps(serialize.graph_to_json(G))))
+    # every root is the weight of an edge, and each edge's is the one its
+    # ends give
+    assert sorted(set(ids)) == list(range(len(table)))
+    assert [table[i] for i in ids] == R._weight_col
+    assert sorted(R._weight_index[0]) == table
+    # the kept pairings agree: directions, degrees, weight sums, GKM
+    # verdicts and in-degrees under each direction
+    assert _pairing_output(gkm._kept_pairing(G)) == _pairing_output(gkm._kept_pairing(R))
+
+
 SKELETONS = {**{name: lambda name=name: catalog.load(name) for name in catalog.names("polytope")},
              "cube-3": lambda: cube(3),
              "hexagon-third": lambda: catalog.load("hexagon").dilate(Fraction(1, 3))}
@@ -391,8 +411,9 @@ def test_orbit_tables_by_edge_are_made_only_when_read():
 @pytest.mark.parametrize("kind, rank, I", ORBITS)
 def test_walk_pairing_vectors_are_the_coroot_pairings(kind, rank, I):
     rs = roots.build(kind, rank)
-    p0 = roots.base_point(rs, I)
-    _, keys, points, pairings = roots._walk(rs, p0)
+    p0, tv = roots._base(rs, I)
+    assert p0 == roots.base_point(rs, I)
+    _, keys, points, pairings = roots._walk(rs, p0, tv)
     assert list(points) == roots.weyl_orbit(rs, p0)
     assert list(keys) == sorted(set(keys))
     for p, tv in zip(points, pairings):

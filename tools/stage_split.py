@@ -1,5 +1,6 @@
 """Warm per-stage times of the verify workload's polytope items, of
-``Polytope.edges()`` on two polytopes, and of the hull workload's items.
+``Polytope.edges()`` on two polytopes, and of the hull workload's items;
+per-stage times of the weyl workload's builds, imported afresh each round.
 
     python3 tools/stage_split.py [CHECKOUT] [--seed S] [--rounds N]
 
@@ -31,7 +32,16 @@ name before the colon: ``from_vertices``, ``from_halfspaces``, ``dual``,
 ``verify_gorenstein``), with its parts: the start cone
 (``polytope._start``), the row loop (``polytope._extreme_rays`` less the
 start) and the rest, the conversions at the boundary.  The two private
-functions are timed by wrapping them for the run.
+functions are timed by wrapping them for the run.  Under "weyl", for the
+weyl corpus of seed S run N times, each round with the package imported
+afresh as the benchmark does, the median over the rounds of each stage's
+total over the builds: the parse (``cli._parse`` and the parabolic), the
+root tables (``roots.build``), the base point and the orbit walk
+(``roots._base``, or ``roots.base_point`` where a checkout has no
+``_base``, and ``roots._walk``), the edge table (the rest of
+``roots.coadjoint_graph``), ``gkm.verify_graph_corollary``, the report's
+``to_dict`` with the other members the build adds, and the writer
+(``cli._emit_graph``), whose output is checked as the benchmark checks it.
 
 A stage named by a private function its checkout lacks reads null, and
 its work, if the checkout does it elsewhere, falls in a later stage: one
@@ -40,6 +50,8 @@ copy of this file times any checkout.
 
 import argparse
 import collections
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -119,6 +131,17 @@ def census_ms(first_census, items, rounds):
 HULL_PARTS = ("total", "_start", "row loop", "rest")
 
 
+def _timed(spent, name, f):
+    """f, adding the seconds each call takes to spent[name]."""
+    def call(*args):
+        t0 = time.perf_counter()
+        try:
+            return f(*args)
+        finally:
+            spent[name] += time.perf_counter() - t0
+    return call
+
+
 def hull_split(mods, corpus, seed, rounds):
     items = corpus.build_hull(mods, seed)
     kinds = collections.Counter(item.name.split(":")[0] for item in items)
@@ -127,17 +150,8 @@ def hull_split(mods, corpus, seed, rounds):
                if hasattr(module, name)}
     spent = dict.fromkeys(wrapped, 0.0)
 
-    def timed(name, f):
-        def call(*args):
-            t0 = time.perf_counter()
-            try:
-                return f(*args)
-            finally:
-                spent[name] += time.perf_counter() - t0
-        return call
-
     for name, f in wrapped.items():
-        setattr(module, name, timed(name, f))
+        setattr(module, name, _timed(spent, name, f))
     rounds_ms = []
     try:
         for _ in range(rounds):
@@ -170,6 +184,74 @@ def hull_split(mods, corpus, seed, rounds):
     return {"items": len(items), "round_ms": round(round_ms, 3), "constructors": out}
 
 
+WEYL_STAGES = ("parse", "roots.build", "base point and walk", "edge table",
+               "verify_graph_corollary", "to_dict", "writer")
+
+
+def weyl_split(fresh, corpus, seed, rounds):
+    """The weyl stages, with ``fresh()`` giving the modules of each round."""
+    rounds_ms = []
+    for _ in range(rounds):
+        mods = fresh()
+        cli, roots = mods.cli, mods.roots
+        base = "_base" if hasattr(roots, "_base") else "base_point"
+        wrapped = {name: getattr(roots, name) for name in (base, "_walk") if hasattr(roots, name)}
+        spent = dict.fromkeys(wrapped, 0.0)
+        for name, f in wrapped.items():
+            setattr(roots, name, _timed(spent, name, f))
+        parse = getattr(cli, "_parse", None)
+        emit = getattr(cli, "_emit_graph", None)
+        missing = {"parse": parse is None, "base point and walk": len(wrapped) < 2,
+                   "writer": emit is None}
+        total = dict.fromkeys(WEYL_STAGES, 0.0)
+        try:
+            for item in corpus.build_weyl(mods, seed):
+                _, argv = item.fresh()
+                spent.update(dict.fromkeys(spent, 0.0))
+                t = [time.perf_counter()]
+                args = (parse or cli.build_parser().parse_args)(argv)
+                I = cli._parse_ints(args.I, "simple-root indices") if args.I else ()
+                t.append(time.perf_counter())
+                rs = roots.build(args.type, args.rank)
+                t.append(time.perf_counter())
+                G = roots.coadjoint_graph(rs, I)
+                t.append(time.perf_counter())
+                rep = mods.gkm.verify_graph_corollary(G)
+                t.append(time.perf_counter())
+                extra = {"h": next(i["detail"]["h"] for i in rep.per_item if i["id"] == "h-vector"),
+                         "sum_lengths": cli.num_to_json(rep.lhs), "verification": rep.to_dict()}
+                t.append(time.perf_counter())
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    if emit:
+                        emit(G, extra)
+                    else:
+                        cli._emit(mods.serialize.graph_to_json(G) | extra)
+                t.append(time.perf_counter())
+                if item.check((0, out.getvalue(), "")) != "ok":
+                    raise SystemExit(f"{item.name}: wrong output")
+                # the graph's time, split into the walk and the rest
+                walk = sum(spent.values())
+                ms = [b - a for a, b in zip(t, t[1:])]
+                ms[2:3] = [walk, ms[2] - walk]
+                for stage, x in zip(WEYL_STAGES, ms):
+                    total[stage] += 1000 * x
+        finally:
+            for name, f in wrapped.items():
+                setattr(roots, name, f)
+        rounds_ms.append({stage: x for stage, x in total.items() if not missing.get(stage)})
+    round_ms = statistics.median(sum(r.values()) for r in rounds_ms)
+    stages = {stage: None if missing.get(stage) else _median_ms(rounds_ms, stage, round_ms)
+              for stage in WEYL_STAGES}
+    return {"items": len(corpus.WEYL_GRAPHS), "round_ms": round(round_ms, 3), "stages": stages}
+
+
+def _fresh_modules(run):
+    """The package imported afresh, as each round of the benchmark does."""
+    run._purge_package()
+    return run.Modules()
+
+
 def edges_ms(polytope, make, repeats):
     P = make()
     times = []
@@ -199,6 +281,13 @@ def main(argv=None):
         "cross_polytope(6)": edges_ms(mods.polytope, lambda: mods.polytope.cross_polytope(6), 200),
     }
     out["hull"] = hull_split(mods, corpus, args.seed, args.rounds)
+    # the package as it was imported before, once the rounds are done
+    kept = {name: m for name, m in sys.modules.items() if name.split(".")[0] == "delzant"}
+    try:
+        out["weyl"] = weyl_split(lambda: _fresh_modules(run), corpus, args.seed, args.rounds)
+    finally:
+        run._purge_package()
+        sys.modules.update(kept)
     print(json.dumps(out, indent=2))
 
 
