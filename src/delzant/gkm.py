@@ -37,13 +37,15 @@ class GkmGraph:
     once: q is the lcm of the coordinate denominators and ``lattice`` holds
     the integer points q * p.  Each edge's weight and length are derived
     from the integer difference d of its ends, as d / gcd(d) and
-    gcd(d) / q, never given independently.  ``_on_points`` takes the
-    integer points as already made (``Polytope.skeleton`` has them from
-    the incidence pass); the one exception to the derivation is
-    ``_from_edge_table``, which ``roots.coadjoint_graph`` calls with every
-    edge's root index and length already known.  ``_pairing`` keeps the
-    graph's ``_Pairing`` under its first three generic candidate
-    directions once made.
+    gcd(d) / q, never given independently.  The input checks on the edges
+    (known ends, no loop, no repeat, no zero displacement) belong to
+    ``GkmGraph(...)``.  ``Polytope.skeleton`` derives the columns through
+    ``_on_points`` from its own incidence pass: its integer points, and
+    edges that cannot fail those checks.  The one exception to the
+    derivation is ``_from_edge_table``, which ``roots.coadjoint_graph``
+    calls with every edge's root index and length already known.
+    ``_pairing`` keeps the graph's ``_Pairing`` under its first three
+    generic candidate directions once made.
 
     The edges are held as three columns: ``edge_list`` and, edge by edge,
     ``_weight_col`` (the weights u -> v) and ``_length_col``.  Readers of
@@ -69,17 +71,32 @@ class GkmGraph:
         if not coords:
             raise InvalidGraph("a graph needs at least one vertex")
         q, points = exact.common_denominator(coords.values())
-        self._fill(ambient_dim, degree, coords, q, points, edges)
+        lattice = dict(zip(coords, points))
+        checked, seen = [], set()  # seen: the edges so far, in both orientations
+        for u, v in edges:
+            if u not in lattice or v not in lattice:
+                raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
+            if u == v:
+                raise InvalidGraph(f"loop at {u!r}")
+            e = (u, v)
+            if e in seen:
+                raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
+            if lattice[u] == lattice[v]:
+                raise ZeroVector("zero displacement")
+            seen.add(e)
+            seen.add((v, u))
+            checked.append(e)
+        self._fill(ambient_dim, degree, coords, q, lattice, checked)
 
     @classmethod
     def _on_points(cls, ambient_dim, degree, coords, q, points, edges):
         """The graph on the ids 0, 1, ... of the distinct points ``coords``
         (tuples of length ambient_dim), from their integer points already
-        made: ``q, points`` is ``exact.common_denominator(coords)``.  The
-        edges go through the same checks and derivations as in
-        ``__init__``."""
+        made, ``exact.common_denominator(coords)``, and a list of pairs u < v
+        of ids, each once, kept as ``edge_list``: a polytope's own edges,
+        which need none of the input checks of ``__init__``."""
         G = cls.__new__(cls)
-        G._fill(ambient_dim, degree, dict(enumerate(coords)), q, points, edges)
+        G._fill(ambient_dim, degree, dict(enumerate(coords)), q, dict(enumerate(points)), edges)
         return G
 
     @classmethod
@@ -100,37 +117,24 @@ class GkmGraph:
         G._length_col = lengths
         return G
 
-    def _fill(self, ambient_dim, degree, coords, q, points, edges):
+    def _fill(self, ambient_dim, degree, coords, q, lattice, edge_list):
         """Set the columns from the coordinates by id, their common
-        denominator q and their integer points (in the order of
-        ``coords``), deriving each edge's weight and length."""
+        denominator q, their integer points by id and ``edge_list``, edges
+        that pass the input checks, deriving each edge's weight and length."""
         self.ambient_dim = ambient_dim
         self.degree = degree
         self.coords = coords
         self.ids = list(coords)
         self.q = q
-        self.lattice = lattice = dict(zip(coords, points))
-        self.edge_list = edge_list = []
+        self.lattice = lattice
+        self.edge_list = edge_list
         self._weight_col = weights = []
         self._length_col = lengths = []
-        seen = set()  # the edges so far, in both orientations
-        for u, v in edges:
-            if u not in lattice or v not in lattice:
-                raise InvalidGraph(f"edge ({u!r}, {v!r}) has an unknown endpoint")
-            if u == v:
-                raise InvalidGraph(f"loop at {u!r}")
-            e = (u, v)
-            if e in seen:
-                raise InvalidGraph(f"repeated edge ({u!r}, {v!r})")
-            seen.add(e)
-            seen.add((v, u))
+        for u, v in edge_list:
             d = tuple(map(sub, lattice[v], lattice[u]))
             g = gcd(*d)
-            if g == 0:
-                raise ZeroVector("zero displacement")
             if g != 1:
                 d = tuple([c // g for c in d])
-            edge_list.append(e)
             weights.append(d)
             lengths.append(_ratio(g, q))
 

@@ -554,8 +554,9 @@ class Polytope:
             smooth = [here.bit_count() == n for here in at_vertex]
             for (u, v), w in zip(S.edge_list, S._weight_col):
                 at_u, at_v = at_vertex[u], at_vertex[v]
-                i = (at_u & ~at_v).bit_length() - 1
-                j = (at_v & ~at_u).bit_length() - 1
+                x = at_u ^ at_v
+                i = (x & at_u).bit_length() - 1
+                j = (x & at_v).bit_length() - 1
                 leaving[u][i] = w
                 leaving[v][j] = tuple(map(neg, w))
                 if sum(map(mul, normals[i], w)) != -1:

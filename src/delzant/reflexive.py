@@ -2,9 +2,8 @@
 the index, and machine verification of the edge-length-sum identities."""
 
 from fractions import Fraction
-from itertools import repeat
 from math import comb, gcd
-from operator import eq, mul, sub
+from operator import mul, sub
 
 from . import bounds, exact, gkm
 from .errors import (
@@ -112,7 +111,7 @@ def _contributions(P, edges, weights):
             if y is None:
                 continue
             a = row[i] = (x[k] - y[k]) // w1[k]
-            if not all(map(eq, map(sub, x, y), map(mul, w1, repeat(a)))):
+            if list(map(sub, x, y)) != [a * c for c in w1]:
                 diff = tuple(map(sub, x, y))
                 raise MatchingFailed(f"{diff} is not an integer multiple of {w1} on edge {(u, v)}")
         out.append(row)
@@ -137,7 +136,7 @@ def verify_thm_combinatorics2(P):
     rhs = 12 * f[2] - 3 * (P.dim - 1) * f[1]
     rep = VerificationReport("normal-contribution-sum", total == rhs, total, (rhs,))
     for e, s in zip(P.edges(), sums):
-        rep.add_item(f"edge {e}", True, {"contribution_sum": s})
+        rep.add_item("edge (%d, %d)" % e, True, {"contribution_sum": s})
     return rep
 
 
@@ -154,7 +153,7 @@ def verify_length_decomposition(P):
     total = 0
     for e, length, a in zip(P.edges(), lengths, _contribution_sums(P)):
         s = 2 + a
-        rep.add_item(f"edge {e}", length == s, {"length": length, "2+sum_a": s})
+        rep.add_item("edge (%d, %d)" % e, length == s, {"length": length, "2+sum_a": s})
         total += s
     rep.lhs = sum(lengths)
     rep.rhs = (total,)
@@ -212,7 +211,7 @@ def verify_12_24(P):
             u, v = e
             term = length * dual_length(at_vertex[u] & at_vertex[v])
             total += term
-            rep.add_item(f"edge {e}", True, {"l*l_dual": term})
+            rep.add_item("edge (%d, %d)" % e, True, {"l*l_dual": term})
         rep.passed = total == 24
         rep.lhs = total
         rep.rhs = (24,)

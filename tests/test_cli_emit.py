@@ -245,6 +245,15 @@ def test_stage_split_times_each_verifier(capsys, monkeypatch):
     assert sum(part["items"] for part in parts.values()) == out["items"]
     assert sum(part["ms"] for part in parts.values()) == pytest.approx(
         out["stages"]["verifiers"]["ms"], abs=0.01)
+    # the skeleton is a stage of its own, and the census and contribution
+    # stages are timed again over the items whose verifier makes them:
+    # main, index and comb2 for the census, comb2 and lendec for the sums
+    assert list(out["stages"]) == list(tool.STAGES) and out["stages"]["skeleton"]["ms"] > 0
+    paid = out["paid"]
+    assert {stage: row["items"] for stage, row in paid.items()} == {
+        "census": 36, "contributions": 23}
+    for stage, row in paid.items():
+        assert 0 < row["ms"] <= out["stages"][stage]["ms"]
     # the hull corpus by kind of item: its total, the start cone, the row
     # loop and the rest; dual and verify_gorenstein make no hull
     hull = out["hull"]["constructors"]
@@ -321,6 +330,7 @@ def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
     assert mods.polytope._extreme_rays is polytope._extreme_rays  # unwrapped after
     assert verify["census_ms"] is None
     assert verify["stages"]["census"] is None and verify["stages"]["contributions"] is None
+    assert verify["paid"] == {"census": None, "contributions": None}
     assert verify["stages"]["delzant pass"]["ms"] > 0
     assert [stage for stage, row in weyl.items() if row is None] == [
         "parse", "base point and walk", "writer"]

@@ -65,6 +65,9 @@ def test_duplicate_edge_rejected():
 
 SQUARE = [(0, (0, 0)), (1, (1, 0)), (2, (1, 1)), (3, (0, 1))]
 
+# vertices 1 and 2 at one point
+COINCIDENT = [(0, (0, 0)), (1, (1, 0)), (2, (1, 0))]
+
 # Each refused edge list with its error and message, recorded while the
 # graph still kept its weights in tables by edge.
 REFUSED_EDGES = [
@@ -75,6 +78,19 @@ REFUSED_EDGES = [
     (SQUARE, [(0, 1), (1, 2), (0, 1)], InvalidGraph, "repeated edge (0, 1)"),
     (SQUARE, [(0, 1), (1, 2), (2, 1)], InvalidGraph, "repeated edge (2, 1)"),
     ([(0, (0, 0)), (1, (1, 0)), (2, (1, 0))], [(0, 1), (1, 2)], ZeroVector, "zero displacement"),
+    # two faults, each in both orders: the first edge at fault names the
+    # error; recorded while one loop checked each edge and derived its
+    # weight
+    (COINCIDENT, [(0, 1), (1, 2), (0, 1)], ZeroVector, "zero displacement"),
+    (COINCIDENT, [(0, 1), (0, 1), (1, 2)], InvalidGraph, "repeated edge (0, 1)"),
+    (SQUARE, [(0, 1), (2, 2), (1, 9)], InvalidGraph, "loop at 2"),
+    (SQUARE, [(0, 1), (1, 9), (2, 2)], InvalidGraph, "edge (1, 9) has an unknown endpoint"),
+    (SQUARE, [(0, 1), (1, 0), (1, 9)], InvalidGraph, "repeated edge (1, 0)"),
+    (SQUARE, [(0, 1), (1, 9), (1, 0)], InvalidGraph, "edge (1, 9) has an unknown endpoint"),
+    (COINCIDENT, [(0, 0), (1, 2)], InvalidGraph, "loop at 0"),
+    (COINCIDENT, [(1, 2), (0, 0)], ZeroVector, "zero displacement"),
+    (COINCIDENT, [(0, 9), (1, 2)], InvalidGraph, "edge (0, 9) has an unknown endpoint"),
+    (COINCIDENT, [(1, 2), (0, 9)], ZeroVector, "zero displacement"),
 ]
 
 

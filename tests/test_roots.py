@@ -6,13 +6,14 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delzant import catalog, cli, gkm, reflexive, roots, serialize
-from delzant.errors import DegenerateBasePoint, NotARoot, UnsupportedType
-from delzant.polytope import cube
+from delzant.errors import DegenerateBasePoint, DelzantError, NotARoot, UnsupportedType
+from delzant.polytope import Polytope, cross_polytope, cube
 
 import weyl_corpus
+from test_oracle import COORD, point_sets, unimodular
 
 
 def test_positive_root_counts():
@@ -358,17 +359,40 @@ def test_orbit_index_column_matches_the_derived_one(kind, rank, I):
 
 
 SKELETONS = {**{name: lambda name=name: catalog.load(name) for name in catalog.names("polytope")},
-             "cube-3": lambda: cube(3),
-             "hexagon-third": lambda: catalog.load("hexagon").dilate(Fraction(1, 3))}
+             **{f"cube-{n}": lambda n=n: cube(n) for n in range(1, 6)},
+             **{f"cross-{n}": lambda n=n: cross_polytope(n) for n in range(1, 6)},
+             "hexagon-third": lambda: catalog.load("hexagon").dilate(Fraction(1, 3)),
+             "hexagon-two-thirds-moved": lambda: catalog.load("hexagon").dilate(
+                 Fraction(2, 3)).translate((Fraction(1, 2), Fraction(1, 3)))}
+
+
+def _assert_skeleton_is_the_checked_graph(P):
+    # the skeleton derives its columns from the integer points of the
+    # incidence pass and its own edges, without the input checks; the
+    # checked constructor makes them again from the vertices
+    H = gkm.GkmGraph(P.dim, P.dim, enumerate(P.vertices), P.edges())
+    _assert_same_graph(P.skeleton(), H)
 
 
 @pytest.mark.parametrize("name", SKELETONS)
 def test_skeleton_tables_match_the_general_constructor(name):
-    # the skeleton takes the integer points of the incidence pass; the
-    # general constructor makes them again from the vertices
-    P = SKELETONS[name]()
-    H = gkm.GkmGraph(P.dim, P.dim, enumerate(P.vertices), P.edges())
-    _assert_same_graph(P.skeleton(), H)
+    _assert_skeleton_is_the_checked_graph(SKELETONS[name]())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_skeleton_tables_match_the_general_constructor_after_moves(data):
+    # rational points, a GL(n, Z) move, a dilate and a rational translate:
+    # most draws keep a common denominator q > 1
+    try:
+        P = Polytope.from_vertices(data.draw(point_sets()))
+    except DelzantError:
+        return
+    u = data.draw(unimodular(P.dim))
+    P = Polytope.from_vertices([tuple(sum(a * c for a, c in zip(row, v)) for row in u)
+                                for v in P.vertices])
+    P = P.dilate(data.draw(st.sampled_from([1, Fraction(1, 2), Fraction(2, 3)])))
+    _assert_skeleton_is_the_checked_graph(P.translate(data.draw(st.tuples(*[COORD] * P.dim))))
 
 
 def test_orbit_tables_by_edge_are_made_only_when_read():

@@ -9,19 +9,23 @@ the checkout this file belongs to), builds the verify corpus for seed S
 (1 by default) and runs its polytope items N times (40 by default).  Each
 item gets a fresh polytope from its stored descriptions, as in the
 benchmark, and the stages run one after the other, each timed on its own:
-the integer points, the incidence bitmasks, ``edges()``, the skeleton's
-columns (``GkmGraph._fill``), the Delzant pass (``P._delzant_pass``, the
-verdict the verifiers require, without the report of ``check delzant``),
-the census (``gkm.first_census``), the contribution sums of the edges
-(``reflexive._contribution_sums``, on the polytopes the pass finds
-Delzant, so null without the pass), and last the
+the integer points, the incidence bitmasks, ``edges()``, the skeleton
+(``P.skeleton()``: the graph on the integer points and edges already
+made, whose edge list, weights and lengths it derives), the Delzant pass
+(``P._delzant_pass``, the verdict the verifiers require, without the
+report of ``check delzant``), the census (``gkm.first_census``), the
+contribution sums of the edges (``reflexive._contribution_sums``, on the
+polytopes the pass finds Delzant, so null without the pass), and last the
 item's verifier, which finds the stages up to the Delzant pass made.
 Neither the census nor the contribution sums are kept, so the verifiers
 that read them make them again.  The enumeration items run no polytope
 code and are left out.  Prints, as JSON, each stage's median
 over the rounds of its total over the items, in ms, with its share of the
 round; the same for each verifier's part of the last stage, with its
-number of items and its median ms per item; ``census_ms``, the median
+number of items and its median ms per item; under "paid", the same for
+the census and the contribution stages over only the items whose
+verifier makes them again (``PAID``), the part of them the benchmark
+pays, with their number of items; ``census_ms``, the median
 over the rounds of the total time of ``gkm.first_census`` on each item's
 skeleton, built untimed beforehand;
 the median time of ``edges()`` over 9 fresh copies of cube(10), whose
@@ -59,8 +63,11 @@ import sys
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-STAGES = ("integer points", "incidence", "edges", "_fill", "delzant pass", "census",
+STAGES = ("integer points", "incidence", "edges", "skeleton", "delzant pass", "census",
           "contributions", "verifiers")
+# The stages made again by verifiers, and the verifiers that make them.
+PAID = {"census": ("verify_main_theorem", "verify_index_corollary", "verify_thm_combinatorics2"),
+        "contributions": ("verify_thm_combinatorics2", "verify_length_decomposition")}
 
 
 def _median_ms(rounds_ms, key, round_ms):
@@ -71,7 +78,7 @@ def _median_ms(rounds_ms, key, round_ms):
 def split(mods, corpus, seed, rounds):
     items = [it for it in corpus.build_verify(mods, seed) if not it.name.startswith("enumerate")]
     verifiers = collections.Counter(item.name.split(":")[0] for item in items)
-    rounds_ms, by_verifier_ms = [], []
+    rounds_ms, by_verifier_ms, paid_ms = [], [], []
     first_census = getattr(mods.gkm, "first_census", None)
     contributions = getattr(mods.reflexive, "_contribution_sums", None)
     no_pass = not hasattr(mods.polytope.Polytope, "_delzant_pass")
@@ -80,6 +87,7 @@ def split(mods, corpus, seed, rounds):
     for _ in range(rounds):
         total = dict.fromkeys(STAGES, 0.0)
         by_verifier = dict.fromkeys(verifiers, 0.0)
+        paid = dict.fromkeys(PAID, 0.0)
         for item in items:
             (P,) = item.fresh()
             verdict = getattr(P, "_delzant_pass", None)
@@ -95,20 +103,27 @@ def split(mods, corpus, seed, rounds):
             t.append(time.perf_counter())
             if item.check(out) != "ok":
                 raise SystemExit(f"{item.name}: wrong output")
+            verifier = item.name.split(":")[0]
             for stage, a, b in zip(STAGES, t, t[1:]):
                 total[stage] += 1000 * (b - a)
-            by_verifier[item.name.split(":")[0]] += 1000 * (t[-1] - t[-2])
+                if verifier in PAID.get(stage, ()):
+                    paid[stage] += 1000 * (b - a)
+            by_verifier[verifier] += 1000 * (t[-1] - t[-2])
         rounds_ms.append(total)
         by_verifier_ms.append(by_verifier)
+        paid_ms.append(paid)
     round_ms = statistics.median(sum(r.values()) for r in rounds_ms)
     stages = {stage: None if missing.get(stage) else _median_ms(rounds_ms, stage, round_ms)
               for stage in STAGES}
+    paid = {stage: None if missing.get(stage) else {
+        **_median_ms(paid_ms, stage, round_ms), "items": sum(verifiers[v] for v in names)}
+        for stage, names in PAID.items()}
     per_verifier = {}
     for name, count in verifiers.items():
         row = _median_ms(by_verifier_ms, name, round_ms)
         per_verifier[name] = {**row, "items": count, "per_item_ms": round(row["ms"] / count, 4)}
     return {"items": len(items), "round_ms": round(round_ms, 3), "stages": stages,
-            "verifiers": per_verifier,
+            "paid": paid, "verifiers": per_verifier,
             "census_ms": first_census and census_ms(first_census, items, rounds)}
 
 
