@@ -394,10 +394,7 @@ def cmd_catalog_list(args):
 
 
 def cmd_catalog_show(args):
-    try:
-        obj = catalog.load(args.name)
-    except KeyError as e:
-        raise MalformedInput(e.args[0])
+    obj = _load_input("catalog:" + args.name, Polytope, GkmGraph)
     if isinstance(obj, Polytope):
         _emit(serialize.polytope_to_json(obj), args.text)
     else:

@@ -82,8 +82,6 @@ def polytope_from_json(data):
         P = Polytope.from_halfspaces(halves)
     else:
         raise MalformedInput("polytope JSON needs 'vertices' or 'facets'")
-    if P.dim != dim:
-        raise MalformedInput(f"data is {P.dim}-dimensional, declared {dim}")
     return P
 
 

@@ -170,6 +170,13 @@ CUBE12 = {"dim": 12, "facets": [
     (["lengths"], BOOL_END, "is a boolean"),
     (["gkm", "check"], BOOL_ID, "is a boolean"),
     (["fvector"], CUBE12, "2266776 face-facet pairs by dimension 5, more than its limit of 2000000"),
+    # "p/0" matches the rational pattern, and Fraction refuses it
+    (["fvector"], {"dim": 1, "vertices": [["1/0"], [-1]]}, "error: cannot parse rational '1/0'"),
+    (["lengths"], {"dim": 1, "facets": [{"normal": [1], "offset": "1/0"},
+                                        {"normal": [-1], "offset": 1}]},
+     "error: cannot parse rational '1/0'"),
+    (["gkm", "check"], segment_graph(vertices=[{"id": 0, "coords": [-1]}, {"id": 0, "coords": [1]}],
+                                     edges=[]), "error: InvalidGraph: duplicate vertex id 0"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

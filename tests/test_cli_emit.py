@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, cli, gkm, polytope, roots, serialize
 from delzant.gkm import GkmGraph
-from delzant.report import num_to_json
+from delzant.report import VerificationReport, num_to_json
 
 import weyl_corpus
 
@@ -228,8 +228,8 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
 
 
 def test_stage_split_times_each_verifier(capsys, monkeypatch):
-    # tools/stage_split.py, one round: the verifier stage split by verifier
-    # name, each part with its number of items
+    # tools/stage_split.py, one round of each workload: the stages and the
+    # kinds of item each sum to the round, as does each kind's own split
     monkeypatch.setattr(sys, "path", list(sys.path))
     tool = _tool("stage_split")
     try:
@@ -238,40 +238,43 @@ def test_stage_split_times_each_verifier(capsys, monkeypatch):
         for name in ("run", "corpus", "answers"):  # the benchmark modules it imports
             sys.modules.pop(name, None)
     out = json.loads(capsys.readouterr().out)
-    parts = out["verifiers"]
-    assert {name: part["items"] for name, part in parts.items()} == {
+    assert list(out) == [*tool.STAGES, "edges_ms"]
+    for workload, table in tool.STAGES.items():
+        split = out[workload]
+        assert list(split["stages"]) == [*dict.fromkeys(stage for stage, *_ in table), "rest"]
+        assert split["bare_round_ms"] > 0
+        assert sum(row["ms"] for row in split["stages"].values()) == pytest.approx(
+            split["round_ms"], abs=0.01)
+        assert sum(row["ms"] for row in split["kinds"].values()) == pytest.approx(
+            split["round_ms"], abs=0.01)
+        assert sum(row["items"] for row in split["kinds"].values()) == split["items"]
+        for row in split["kinds"].values():
+            assert sum(row["stages"].values()) == pytest.approx(row["ms"], abs=0.01)
+    # the verify items by verifier: each makes the polytope stages it
+    # reads, and only main, index and comb2 read the census, only comb2
+    # and lendec the contribution sums
+    verify = out["verify"]
+    assert {name: row["items"] for name, row in verify["kinds"].items()} == {
         "verify_main_theorem": 12, "verify_index_corollary": 12, "verify_thm_combinatorics2": 12,
         "verify_length_decomposition": 11, "verify_12_24": 7}
-    assert sum(part["items"] for part in parts.values()) == out["items"]
-    assert sum(part["ms"] for part in parts.values()) == pytest.approx(
-        out["stages"]["verifiers"]["ms"], abs=0.01)
-    # the skeleton is a stage of its own, and the census and contribution
-    # stages are timed again over the items whose verifier makes them:
-    # main, index and comb2 for the census, comb2 and lendec for the sums
-    assert list(out["stages"]) == list(tool.STAGES) and out["stages"]["skeleton"]["ms"] > 0
-    paid = out["paid"]
-    assert {stage: row["items"] for stage, row in paid.items()} == {
-        "census": 36, "contributions": 23}
-    for stage, row in paid.items():
-        assert 0 < row["ms"] <= out["stages"][stage]["ms"]
-    # the hull corpus by kind of item: its total, the start cone, the row
-    # loop and the rest; dual and verify_gorenstein make no hull
-    hull = out["hull"]["constructors"]
+    assert verify["stages"]["skeleton"]["ms"] > 0
+    for stage, readers in [("census", {"verify_main_theorem", "verify_index_corollary",
+                                       "verify_thm_combinatorics2"}),
+                           ("contributions", {"verify_thm_combinatorics2",
+                                              "verify_length_decomposition"})]:
+        assert {name for name, row in verify["kinds"].items() if row["stages"][stage]} == readers
+    # the hull items by constructor: dual and verify_gorenstein make no hull
+    hull = out["hull"]["kinds"]
     assert {kind: row["items"] for kind, row in hull.items()} == {
         "from_vertices": 10, "from_halfspaces": 8, "dual": 4, "verify_gorenstein": 4}
-    assert sum(row["items"] for row in hull.values()) == out["hull"]["items"]
     for kind, row in hull.items():
-        parts = [row[part]["ms"] for part in ("_start", "row loop", "rest")]
-        assert sum(parts) == pytest.approx(row["total"]["ms"], abs=0.01)
-        assert (parts[0] > 0 and parts[1] > 0) == kind.startswith("from_")
-    # the weyl builds by stage, on a fresh import of the package each
-    # round; the package these tests imported is in place again after
+        parts = row["stages"]
+        assert (parts["start"] > 0 and parts["row loop"] > 0) == kind.startswith("from_")
+    # the weyl builds, on a fresh import of the package each round; the
+    # package these tests imported is in place again after
     weyl = out["weyl"]
     assert weyl["items"] == len(weyl_corpus.WEYL)
-    assert list(weyl["stages"]) == list(tool.WEYL_STAGES)
     assert all(stage["ms"] > 0 for stage in weyl["stages"].values())
-    assert sum(stage["ms"] for stage in weyl["stages"].values()) == pytest.approx(
-        weyl["round_ms"], abs=0.01)
     assert sys.modules["delzant.cli"] is cli and sys.modules["delzant.roots"] is roots
 
 
@@ -296,46 +299,40 @@ class _Without:
 def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
     # tools/stage_split.py on modules without polytope._start,
     # gkm.first_census, reflexive._contribution_sums, roots._base,
-    # roots._walk, cli._parse and cli._emit_graph: those stages, and
-    # the row loop that is _extreme_rays less _start, read null, while
-    # _extreme_rays is still timed: the rest is the total less its time
+    # roots.base_point, roots._walk, cli._parse and cli._emit_graph: those
+    # stages read null, their work falls in the stages that call them or
+    # in the rest, and every function wrapped is itself again after
     monkeypatch.setattr(sys, "path", [str(Path(__file__).resolve().parent.parent / "perfbench"),
                                       *sys.path])
     tool = _tool("stage_split")
+    originals = [polytope._extreme_rays, vars(polytope.Polytope)["skeleton"],
+                 roots.coadjoint_graph, vars(VerificationReport)["to_dict"]]
     try:
         import corpus
         import run
         mods = run.Modules()
-        for name, hidden in [("polytope", "_start"), ("gkm", "first_census"),
-                             ("reflexive", "_contribution_sums")]:
-            monkeypatch.setattr(mods, name, _Without(getattr(mods, name), hidden))
-        hull = tool.hull_split(mods, corpus, 1, 1)["constructors"]
-        verify = tool.split(mods, corpus, 1, 1)
-        # without roots._base the base point is timed by base_point, but
-        # with roots._walk also gone that stage reads null, and the whole
-        # orbit graph falls in the edge table
-        base_point = roots.base_point
-        monkeypatch.setattr(mods, "roots", _Without(roots, "_base", "_walk"))
-        monkeypatch.setattr(mods, "cli", _Without(cli, "_parse", "_emit_graph"))
-        weyl = tool.weyl_split(lambda: mods, corpus, 1, 1)["stages"]
+        for name, hidden in [("polytope", ["_start"]), ("gkm", ["first_census"]),
+                             ("reflexive", ["_contribution_sums"]),
+                             ("roots", ["_base", "base_point", "_walk"]),
+                             ("cli", ["_parse", "_emit_graph"])]:
+            monkeypatch.setattr(mods, name, _Without(getattr(mods, name), *hidden))
+        got = {workload: tool.split(lambda: mods, corpus.WORKLOADS[workload], table, 1, 1)
+               for workload, table in tool.STAGES.items()}
     finally:
         for name in ("run", "corpus", "answers"):
             sys.modules.pop(name, None)
-    for kind, row in hull.items():
-        assert row["_start"] is None and row["row loop"] is None
-        if kind.startswith("from_"):
-            assert 0 < row["rest"]["ms"] < row["total"]["ms"]
-        else:
-            assert row["rest"]["ms"] == row["total"]["ms"] > 0
-    assert mods.polytope._extreme_rays is polytope._extreme_rays  # unwrapped after
-    assert verify["census_ms"] is None
-    assert verify["stages"]["census"] is None and verify["stages"]["contributions"] is None
-    assert verify["paid"] == {"census": None, "contributions": None}
-    assert verify["stages"]["delzant pass"]["ms"] > 0
+    for kind, row in got["hull"]["kinds"].items():
+        assert row["stages"]["start"] is None
+        assert (row["stages"]["row loop"] > 0) == kind.startswith("from_")
+    verify = got["verify"]["stages"]
+    assert verify["census"] is None and verify["contributions"] is None
+    assert verify["delzant pass"]["ms"] > 0
+    weyl = got["weyl"]["stages"]
     assert [stage for stage, row in weyl.items() if row is None] == [
-        "parse", "base point and walk", "writer"]
+        "parse", "base point", "walk", "writer"]
     assert all(row["ms"] > 0 for row in weyl.values() if row)
-    assert roots.base_point is base_point  # unwrapped after
+    assert [polytope._extreme_rays, vars(polytope.Polytope)["skeleton"], roots.coadjoint_graph,
+            vars(VerificationReport)["to_dict"]] == originals
 
 
 def test_ab_bench_summary_of_fixed_runs():

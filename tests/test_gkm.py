@@ -63,6 +63,12 @@ def test_duplicate_edge_rejected():
         GkmGraph(1, 1, [(0, (0,)), (1, (1,))], [(0, 1), (1, 0)])
 
 
+def test_vertex_of_the_wrong_length_rejected():
+    # the JSON reader refuses such coordinates before the graph sees them
+    with pytest.raises(InvalidGraph, match=r"^vertex 1 has wrong dimension$"):
+        GkmGraph(2, 2, [(0, (0, 0)), (1, (1, 0, 0))], [])
+
+
 SQUARE = [(0, (0, 0)), (1, (1, 0)), (2, (1, 1)), (3, (0, 1))]
 
 # vertices 1 and 2 at one point
