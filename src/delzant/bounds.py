@@ -86,14 +86,6 @@ def coefficients(n, k0):
     return tuple(coeffs)
 
 
-def evaluate_half(n, k0, half):
-    """C(k0, n, .) on a half-vector (positions 1..n//2); position 0 is 1."""
-    a = coefficients(n, k0)
-    if len(half) != n // 2:
-        raise MalformedVector(f"half-vector of length {len(half)} for dimension {n}")
-    return a[0] + sum(c * b for c, b in zip(a[1:], half))
-
-
 def _floor_sqrt_frac(p, q):
     # floor(sqrt(p/q)) = floor(sqrt(p*q))/q computed exactly
     return isqrt(p * q) // q

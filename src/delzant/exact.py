@@ -8,12 +8,26 @@ is used anywhere in the package.
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from numbers import Rational
 from operator import attrgetter
 
 from .errors import DimensionMismatch, NonSquare, ZeroVector
 
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
+
+EXACT = {int, Fraction}  # the rational types read without an ABC check
+
+
+def rational(c, what="coordinate"):
+    """The one rule for a number given to the library: c itself if it is
+    an int or a Fraction, else Fraction(c) for another rational number;
+    TypeError names any other value as the ``what``."""
+    if type(c) in EXACT:
+        return c
+    if not isinstance(c, Rational):
+        raise TypeError(f"{what} {c!r} is not a rational number")
+    return Fraction(c)
 
 
 def content(v):

@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd
-from operator import itemgetter, mul, neg, sub
+from operator import mul, neg, sub
 
 from . import bounds, exact
 from .errors import (
@@ -33,7 +33,8 @@ class GkmGraph:
     """An n-regular graph embedded in Q^d with derived primitive edge weights.
 
     Vertices are identified by hashable ids; ``coords`` keeps each vertex's
-    coordinates as given (ints or Fractions).  The graph is made integer
+    coordinates as ``exact.rational`` reads them (ints and Fractions as
+    given).  The graph is made integer
     once: q is the lcm of the coordinate denominators and ``lattice`` holds
     the integer points q * p.  Each edge's weight and length are derived
     from the integer difference d of its ends, as d / gcd(d) and
@@ -52,10 +53,11 @@ class GkmGraph:
     per-edge values and degrees read the columns.  The pairing and the
     writer read the weights by ``_weight_index``, the distinct weights and
     each edge's place among them: an orbit graph is given it, and others
-    derive it from ``_weight_col``.  ``star``, ``weight``,
-    ``length`` and ``incident`` read tables by edge: ``_weight`` in both
-    orientations, ``_length``, and ``_incident``, the edges at each vertex.
-    These are views of the columns, made the first time they are read.
+    derive it from ``_weight_col``.  ``star``, ``weight``, ``length`` and
+    ``incident`` read the columns through ``_incident``, made the first
+    time it is read: at each vertex, each neighbour and the position in
+    ``edge_list`` of their edge.  A weight read from an edge's head is
+    negated.
     """
 
     _pairing = None
@@ -67,7 +69,10 @@ class GkmGraph:
                 raise InvalidGraph(f"duplicate vertex id {vid!r}")
             if len(pt) != ambient_dim:
                 raise InvalidGraph(f"vertex {vid!r} has wrong dimension")
-            coords[vid] = tuple(pt)
+            pt = tuple(pt)  # kept, not copied, when all ints and Fractions
+            if not {*map(type, pt)} <= exact.EXACT:
+                pt = tuple(map(exact.rational, pt))
+            coords[vid] = pt
         if not coords:
             raise InvalidGraph("a graph needs at least one vertex")
         q, points = exact.common_denominator(coords.values())
@@ -148,23 +153,10 @@ class GkmGraph:
         return list(map(self._weight_index[0].__getitem__, self._weight_index[1]))
 
     @cached_property
-    def _weight(self):
-        cols = self._weight_col
-        minus = {w: tuple(map(neg, w)) for w in set(cols)}
-        weight = dict(zip(self.edge_list, cols))
-        weight.update(zip(map(itemgetter(1, 0), self.edge_list), map(minus.__getitem__, cols)))
-        return weight
-
-    @cached_property
-    def _length(self):
-        return dict(zip(self.edge_list, self._length_col))
-
-    @cached_property
     def _incident(self):
-        incident = {vid: [] for vid in self.ids}
-        for e in self.edge_list:
-            incident[e[0]].append(e)
-            incident[e[1]].append(e)
+        incident = {vid: {} for vid in self.ids}
+        for i, (u, v) in enumerate(self.edge_list):
+            incident[u][v] = incident[v][u] = i
         return incident
 
     def edges(self):
@@ -172,19 +164,23 @@ class GkmGraph:
 
     def incident(self, vid):
         """The edges at vid, in ``edge_list`` order."""
-        return list(self._incident[vid])
+        return list(map(self.edge_list.__getitem__, self._incident[vid].values()))
 
     def weight(self, edge, tail=None):
-        """Primitive direction of the edge, oriented away from ``tail``."""
+        """Primitive direction of the edge, oriented away from ``tail``;
+        KeyError if it is not an edge."""
         u, v = edge
         if tail is not None and tail == v:
             u, v = v, u
-        return self._weight[u, v]
+        i = self._incident[u][v]
+        w = self._weight_col[i]
+        return w if self.edge_list[i][0] == u else tuple(map(neg, w))
 
     def length(self, edge):
-        """Lattice length of the edge, given in either orientation."""
+        """Lattice length of the edge, given in either orientation; KeyError
+        if it is not an edge."""
         u, v = edge
-        return self._length[(u, v) if (u, v) in self._length else (v, u)]
+        return self._length_col[self._incident[u][v]]
 
     def sum_lengths(self):
         return sum(self._length_col)
@@ -192,12 +188,11 @@ class GkmGraph:
 
 def star(G, vid):
     """The star of vid, in edge order: its neighbours and the weights
-    leaving vid toward them, read from the tables by edge.  Outside
-    GkmGraph's methods, only this reads the adjacency table;
-    ``Polytope.vertex_weights`` reads it, and no verifier does."""
-    weight = G._weight
-    others = [v if u == vid else u for u, v in G._incident[vid]]
-    return others, [weight[vid, o] for o in others]
+    leaving vid toward them.  Outside GkmGraph's methods, only this reads
+    the adjacency; ``Polytope.vertex_weights`` reads it, and no verifier
+    does."""
+    others = list(G._incident[vid])
+    return others, [G.weight((vid, o)) for o in others]
 
 
 class _Pairing:
@@ -458,7 +453,7 @@ def h_vector_graph(G, xi=None):
         p = _kept_pairing(G)
         degrees = p.degrees
     else:
-        xi = tuple(xi)
+        xi = tuple([exact.rational(c, "direction coordinate") for c in xi])
         degrees = list(map(Counter(chain.from_iterable(G.edge_list)).__getitem__, G.ids))
     if degrees.count(G.degree) != len(degrees):
         vid, k = next((v, k) for v, k in zip(G.ids, degrees) if k != G.degree)

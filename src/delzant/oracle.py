@@ -297,25 +297,39 @@ def _content(v):
     return g
 
 
+def _edges_by_scan(P, on):
+    """The edges u < v of P, given the facets ``on`` each vertex lies on:
+    the pairs whose smallest face, the vertices on every facet through
+    both, spans a line."""
+    return [(u, v) for u, v in combinations(range(len(P.vertices)), 2)
+            if _affine_dim([p for p, at in zip(P.vertices, on) if on[u] & on[v] <= at]) == 1]
+
+
 def dual_edge_lengths_check(P):
     """Dual-edge lengths of a Delzant reflexive polytope in dimension 2 or 3.
 
     n=2: every vertex of P gives a dual edge of length |det(weights)| = 1,
     and the dual edge lengths sum to f0(P).  n=3: every edge gives a dual
-    edge of length 1.
+    edge of length 1.  The facets through each vertex, the edges and their
+    primitive directions come from scans of the vertices and facets.
     """
     n = P.dim
+    if n not in (2, 3):
+        raise UnsupportedDimension("dual-edge length check covers dimensions 2 and 3")
+    on = [frozenset(j for j, h in enumerate(P.facets) if _on(h, v)) for v in P.vertices]
+    edges = _edges_by_scan(P, on)
+
+    def dual_length(i, j):
+        return _content(tuple(a - b for a, b in zip(P.facets[i].normal, P.facets[j].normal)))
+
     rep = VerificationReport("dual-edge-lengths", True)
     if n == 2:
         total = 0
-        for vid in range(len(P.vertices)):
-            i, j = sorted(P.active_facets(vid))
-            diff = tuple(a - b for a, b in zip(P.facets[i].normal, P.facets[j].normal))
-            length = _content(diff)
-            dets = abs(
-                P.vertex_weights(vid)[0][0] * P.vertex_weights(vid)[1][1]
-                - P.vertex_weights(vid)[0][1] * P.vertex_weights(vid)[1][0]
-            )
+        for vid, v in enumerate(P.vertices):
+            length = dual_length(*sorted(on[vid]))
+            ends = [u if w == vid else w for u, w in edges if vid in (u, w)]
+            (a, b), (c, d) = [_primitive([x - y for x, y in zip(P.vertices[o], v)])[0] for o in ends]
+            dets = abs(a * d - b * c)
             rep.add_item(
                 f"vertex {vid}", length == 1 and dets == length,
                 {"dual_length": length, "det": dets},
@@ -323,13 +337,8 @@ def dual_edge_lengths_check(P):
             total += length
         rep.add_item("sum", total == len(P.vertices), {"sum": total, "f0": len(P.vertices)})
         return rep
-    if n == 3:
-        for e in P.edges():
-            u, v = e
-            shared = sorted(P.active_facets(u) & P.active_facets(v))
-            i, j = shared
-            diff = tuple(a - b for a, b in zip(P.facets[i].normal, P.facets[j].normal))
-            length = _content(diff)
-            rep.add_item(f"edge {e}", length == 1, {"dual_length": length})
-        return rep
-    raise UnsupportedDimension("dual-edge length check covers dimensions 2 and 3")
+    for e in edges:
+        u, v = e
+        length = dual_length(*sorted(on[u] & on[v]))
+        rep.add_item(f"edge {e}", length == 1, {"dual_length": length})
+    return rep

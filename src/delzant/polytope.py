@@ -17,7 +17,6 @@ once, when the result is built.
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
-from numbers import Rational
 from operator import add, mul, neg
 
 from . import exact, gkm
@@ -55,10 +54,10 @@ def _cleared(normal, offset):
     the offset in lowest terms, q > 0.  Both sides are multiplied by the lcm
     of the normal's denominators and divided by the content of the integer
     normal.  TypeError names the first non-rational coordinate or offset."""
-    if not {type(offset), *map(type, normal)} <= _EXACT:
+    if not {type(offset), *map(type, normal)} <= exact.EXACT:
         for c in normal:
-            _rational(c, "normal coordinate")
-        _rational(offset, "offset")
+            exact.rational(c, "normal coordinate")
+        exact.rational(offset, "offset")
     d = lcm(*[c.denominator for c in normal])
     w, m = exact.primitive([c.numerator * (d // c.denominator) for c in normal])
     p, q = offset.numerator * d, offset.denominator * m
@@ -91,19 +90,6 @@ class Face:
     active_facets: frozenset
     vertex_ids: frozenset
     dim: int
-
-
-_EXACT = {int, Fraction}  # the rational types read without an ABC check
-
-
-def _rational(c, what="coordinate"):
-    """c itself if it is an int or a Fraction, else Fraction(c) for another
-    rational number; TypeError names any other value as the ``what``."""
-    if type(c) in _EXACT:
-        return c
-    if not isinstance(c, Rational):
-        raise TypeError(f"{what} {c!r} is not a rational number")
-    return Fraction(c)
 
 
 def _fraction(p, q):
@@ -299,7 +285,7 @@ class Polytope:
 
     @classmethod
     def from_vertices(cls, points):
-        pts = [tuple(map(_rational, p)) for p in points]
+        pts = [tuple(map(exact.rational, p)) for p in points]
         if not pts:
             raise EmptyPolytope("no points given")
         n = len(pts[0])
@@ -448,8 +434,13 @@ class Polytope:
         )
 
     def edges(self):
-        """Sorted vertex-id pairs spanning the 1-dimensional faces, read off
-        the incidence bitmasks without the face lattice.
+        """Sorted vertex-id pairs spanning the 1-dimensional faces."""
+        return list(self._edge_list())
+
+    def _edge_list(self):
+        """The list ``edges()`` copies, read off the incidence bitmasks
+        without the face lattice, made once and kept: the skeleton's
+        ``edge_list`` is this list.
 
         A simple vertex u lies on exactly n facets, and any n - 1 of them
         meet in an edge at u: its vertex figure is a simplex, whose facets
@@ -499,8 +490,8 @@ class Polytope:
                     if meet == pair:
                         out.append((u, v) if u < v else (v, u))
             out.sort()
-            self._edges = tuple(out)
-        return list(self._edges)
+            self._edges = out
+        return self._edges
 
     def skeleton(self):
         """The weighted 1-skeleton as a GkmGraph on the vertex ids, the same
@@ -509,7 +500,7 @@ class Polytope:
         if self._skeleton is None:
             q, points = self._integer_vertices()
             self._skeleton = gkm.GkmGraph._on_points(
-                self.dim, self.dim, self.vertices, q, points, self.edges()
+                self.dim, self.dim, self.vertices, q, points, self._edge_list()
             )
         return self._skeleton
 
@@ -605,7 +596,7 @@ class Polytope:
         return _canonical(self.dim, verts, facets)
 
     def dilate(self, r):
-        r = Fraction(r)
+        r = exact.rational(r, "factor")
         if r == 0:
             raise NotFullDimensional("the 0-fold dilate is a point")
         s = 1 if r > 0 else -1
@@ -620,7 +611,7 @@ class Polytope:
         )
 
     def translate(self, t):
-        t = tuple(map(_rational, t))
+        t = tuple(map(exact.rational, t))
         if len(t) != self.dim:
             raise DimensionMismatch(f"dot of lengths {self.dim} and {len(t)}")
         # With the vertices and t at one common denominator q, the facet
@@ -675,7 +666,7 @@ class Polytope:
     # -- misc -----------------------------------------------------------------
 
     def vertex_id(self, point):
-        p = tuple(map(_rational, point))
+        p = tuple(map(exact.rational, point))
         try:
             return self.vertices.index(p)
         except ValueError:
@@ -742,8 +733,8 @@ def cube(n, r=1):
     for i in range(n):
         e = [0] * n
         e[i] = 1
-        hs.append((tuple(e), Fraction(r)))
-        hs.append((tuple(-c for c in e), Fraction(r)))
+        hs.append((tuple(e), r))
+        hs.append((tuple(-c for c in e), r))
     return Polytope.from_halfspaces(hs)
 
 

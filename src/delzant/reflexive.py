@@ -72,12 +72,12 @@ def normal_contributions(P, edge):
     For the edge u -> v with primitive direction w1, each 2-face F pairs
     the second weight w at u with the second weight w~ at v, and the
     contribution is the integer a with w - w~ = a * w1.  Returns a list of
-    (vertex ids of F, a).
+    (vertex ids of F, a).  KeyError if u v is not an edge.
     """
     _require_delzant(P)
     at_vertex, on_facet = P._incidence_bits()
     u, v = edge
-    w1 = P._leaving[u][(at_vertex[u] & ~at_vertex[v]).bit_length() - 1]
+    w1 = P.skeleton().weight(edge)
     shared = at_vertex[u] & at_vertex[v]
     out = []
     for i, a in sorted(_contributions(P, [edge], [w1])[0].items()):
@@ -135,7 +135,7 @@ def verify_thm_combinatorics2(P):
     total = sum(sums)
     rhs = 12 * f[2] - 3 * (P.dim - 1) * f[1]
     rep = VerificationReport("normal-contribution-sum", total == rhs, total, (rhs,))
-    for e, s in zip(P.edges(), sums):
+    for e, s in zip(P.skeleton().edge_list, sums):
         rep.add_item("edge (%d, %d)" % e, True, {"contribution_sum": s})
     return rep
 
@@ -151,7 +151,7 @@ def verify_length_decomposition(P):
     lengths = P.relative_lengths()
     rep = VerificationReport("length-decomposition", True)
     total = 0
-    for e, length, a in zip(P.edges(), lengths, _contribution_sums(P)):
+    for e, length, a in zip(P.skeleton().edge_list, lengths, _contribution_sums(P)):
         s = 2 + a
         rep.add_item("edge (%d, %d)" % e, length == s, {"length": length, "2+sum_a": s})
         total += s
@@ -207,7 +207,7 @@ def verify_12_24(P):
     if P.dim == 3:
         total = 0
         rep = VerificationReport("twenty-four", True)
-        for e, length in zip(P.edges(), P.relative_lengths()):
+        for e, length in zip(P.skeleton().edge_list, P.relative_lengths()):
             u, v = e
             term = length * dual_length(at_vertex[u] & at_vertex[v])
             total += term
@@ -256,8 +256,9 @@ def verify_gorenstein(P, r):
     normals form a lattice basis (P is Delzant), is a lattice point.  On the
     n facets through vertex 0 that is a square system with one solution, a
     lattice point when every r b_i there is an integer: the only candidate
-    for t.  The index r must be positive.
+    for t.  The index r must be a positive rational.
     """
+    r = exact.rational(r, "index")
     if r <= 0:
         raise NonPositiveIndex(f"the index {r} is not positive")
     _require_delzant(P)

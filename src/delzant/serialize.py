@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from .errors import MalformedInput
 from .gkm import GkmGraph
-from .polytope import Halfspace, Polytope
+from .polytope import Polytope
 from .report import num_to_json
 
 
@@ -64,6 +64,13 @@ def _count(data, key, least=0):
     return x
 
 
+def _halfspace_from_json(h, dim):
+    """A facet's (normal, offset), which ``from_halfspaces`` clears."""
+    if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
+        raise MalformedInput(f"bad facet {h!r}")
+    return _point_from_json(h["normal"], dim), num_from_json(h["offset"])
+
+
 def polytope_from_json(data):
     if not isinstance(data, dict) or "dim" not in data:
         raise MalformedInput("polytope JSON must be an object with a 'dim' key")
@@ -72,14 +79,7 @@ def polytope_from_json(data):
     if vertices:
         P = Polytope.from_vertices([_point_from_json(v, dim) for v in vertices])
     elif facets:
-        halves = []
-        for h in facets:
-            if not isinstance(h, dict) or "normal" not in h or "offset" not in h:
-                raise MalformedInput(f"bad facet {h!r}")
-            halves.append(
-                Halfspace.make(_point_from_json(h["normal"], dim), num_from_json(h["offset"]))
-            )
-        P = Polytope.from_halfspaces(halves)
+        P = Polytope.from_halfspaces(_halfspace_from_json(h, dim) for h in facets)
     else:
         raise MalformedInput("polytope JSON needs 'vertices' or 'facets'")
     return P

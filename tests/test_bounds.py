@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -181,15 +182,25 @@ def test_catalog_h_vectors_are_admissible():
         assert val >= 0 and val % k0 == 0
 
 
-@given(st.integers(2, 8), st.integers(1, 9))
-def test_evaluate_half_matches_indexed_formula(n, k0):
-    if k0 > n + 1:
-        return
-    m = n // 2
-    half = tuple(range(2, 2 + m))
-    h = (1,) + half + (tuple(reversed(half))[1:] if n % 2 == 0 else tuple(reversed(half))) + (1,)
-    assert len(h) == n + 1
-    assert bounds.evaluate_half(n, k0, half) == bounds.c_indexed_from_h(k0, n, h)
+@pytest.mark.parametrize("n, k0, unimodal", [(n, k0, u) for n in range(2, 7)
+                                              for k0 in range(1, n + 2) for u in (False, True)])
+def test_half_vectors_are_the_admissible_vectors_of_their_box(n, k0, unimodal):
+    # Brute force over the box of the result's own caps: the half vectors
+    # are exactly those whose symmetric completion h has C(k0, n, h) >= 0
+    # and divisible by k0, and is unimodal where that filter applies.
+    try:
+        res = bounds.enumerate_admissible(n, k0, require_unimodal=unimodal)
+    except UnboundedSearch:
+        res = bounds.enumerate_admissible(n, k0, require_unimodal=unimodal, cap=4)
+    want = []
+    for half in product(*(range(1, c + 1) for c in res.caps)):
+        h = (1,) + half + tuple(reversed(half))[n % 2 == 0:] + (1,)
+        c = bounds.c_indexed_from_h(k0, n, h)
+        if "unimodal" in res.constraints and list((1,) + half) != sorted((1,) + half):
+            continue
+        if c >= 0 and c % k0 == 0:
+            want.append(half)
+    assert res.half_vectors == want
 
 
 @pytest.mark.parametrize("n, k0", [(4, 0), (4, 9), (4, -1), (1, 1), (-3, 1)])

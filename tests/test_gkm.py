@@ -179,6 +179,78 @@ def test_polytope_skeleton_is_the_graph():
             assert P.vertex_weights(v) == [S.weight(e, tail=v) for e in S.incident(v)], name
 
 
+def _assert_reads_are_the_columns(G):
+    """Every reader by edge against one scan of the three columns: the
+    weight in each orientation, with and without ``tail``, the length,
+    the edges and the star at each vertex; KeyError for a loop, a non-edge
+    and an unknown vertex."""
+    at = {vid: [] for vid in G.ids}
+    for (u, v), w, length in zip(G.edge_list, G._weight_col, G._length_col):
+        minus = tuple(-c for c in w)
+        at[u].append(((u, v), v, w))
+        at[v].append(((u, v), u, minus))
+        assert G.weight((u, v)) == G.weight((u, v), u) == G.weight((v, u), u) == w
+        assert G.weight((v, u)) == G.weight((v, u), v) == G.weight((u, v), v) == minus
+        assert G.length((u, v)) == G.length((v, u)) == length
+    for vid, rows in at.items():
+        assert G.incident(vid) == [e for e, _, _ in rows]
+        assert gkm.star(G, vid) == ([o for _, o, _ in rows], [w for _, _, w in rows])
+        near = {o for _, o, _ in rows}
+        far = next((o for o in G.ids if o != vid and o not in near), None)
+        for pair in [(vid, vid)] if far is None else [(vid, vid), (vid, far), (far, vid)]:
+            for read in [G.weight, G.length, lambda e: G.weight(e, vid)]:
+                with pytest.raises(KeyError):
+                    read(pair)
+    with pytest.raises(KeyError):
+        G.weight(("no such vertex", G.ids[0]))
+
+
+def _string_id_graph():
+    data = serialize.graph_to_json(catalog.load("b2-flag"))
+    name = {v["id"]: f"v{v['id']}" for v in data["vertices"]}
+    for v in data["vertices"]:
+        v["id"] = name[v["id"]]
+    for e in data["edges"]:
+        e["u"], e["v"] = name[e["u"]], name[e["v"]]
+    return serialize.graph_from_json(json.loads(json.dumps(data)))
+
+
+READ_GRAPHS = {
+    **{f"{kind}{rank}-{I}": lambda kind=kind, rank=rank, I=I: roots.coadjoint_graph(
+        roots.build(kind, rank), I) for kind, rank, I in weyl_corpus.WEYL + [("D", 5, ())]},
+    **{name: lambda name=name: catalog.load(name) for name in catalog.names("gkm-graph")},
+    "string-ids": _string_id_graph,
+}
+
+
+# A graph's columns and the weight-index pair: the readers by edge may add
+# only the position adjacency ``_incident`` to these.
+COLUMNS = {"ambient_dim", "degree", "ids", "coords", "q", "lattice", "edge_list",
+           "_weight_col", "_length_col", "_weight_index"}
+
+
+@pytest.mark.parametrize("name", READ_GRAPHS)
+def test_readers_by_edge_read_the_columns(name):
+    G = READ_GRAPHS[name]()
+    _assert_reads_are_the_columns(G)
+    assert set(vars(G)) - COLUMNS == {"_incident"}
+
+
+def test_polytope_readers_by_edge_read_the_skeleton_columns():
+    for name in catalog.names("polytope"):
+        P = catalog.load(name)
+        S = P.skeleton()
+        _assert_reads_are_the_columns(S)
+        for vid in S.ids:
+            assert P.vertex_weights(vid) == gkm.star(S, vid)[1], name
+        for (u, v), length in zip(S.edge_list, S._length_col):
+            if isinstance(length, int):
+                assert P.relative_length((u, v)) == P.relative_length((v, u)) == length, name
+        with pytest.raises(KeyError):
+            P.relative_length((0, 0))
+        assert set(vars(S)) - COLUMNS == {"_incident"}, name
+
+
 def test_generic_direction_skips_avoided_directions_given_as_lists():
     # an avoided direction is skipped whether it comes as a tuple or a list
     P = catalog.load("hexagon")

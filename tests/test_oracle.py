@@ -323,6 +323,24 @@ def test_dual_edge_lengths():
         assert oracle.dual_edge_lengths_check(catalog.load(name)).passed, name
 
 
+@pytest.mark.parametrize("name", ["hexagon", "cube"])
+def test_dual_edge_lengths_read_no_main_path_table(name):
+    # The main path's incidence and skeleton are corrupted on a copy: the
+    # facets at each vertex, the edges and the vertex weights it gives
+    # change, and the oracle's report does not.
+    clean = catalog.load(name)
+    want = oracle.dual_edge_lengths_check(clean).to_dict()
+    P = catalog.load(name)
+    P._bits = ([(1 << len(P.facets)) - 1] * len(P.vertices), clean._incidence_bits()[1])
+    assert P.active_facets(0) != clean.active_facets(0) and P.edges() != clean.edges()
+    assert oracle.dual_edge_lengths_check(P).to_dict() == want
+    Q = catalog.load(name)
+    S = Q.skeleton()
+    S._weight_col = [(1,) + (0,) * (Q.dim - 1)] * len(S.edge_list)
+    assert Q.vertex_weights(0) != clean.vertex_weights(0)
+    assert oracle.dual_edge_lengths_check(Q).to_dict() == want
+
+
 def test_dual_edge_lengths_unsupported():
     with pytest.raises(UnsupportedDimension):
         oracle.dual_edge_lengths_check(catalog.load("hypercube4"))

@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from delzant import catalog, polytope
+from delzant import catalog, gkm, polytope, reflexive
 from delzant.errors import (
     NonLatticeEdge,
     NotFullDimensional,
@@ -17,6 +17,7 @@ from delzant.errors import (
     UnboundedSearch,
     ZeroVector,
 )
+from delzant.gkm import GkmGraph
 from delzant.polytope import Halfspace, Polytope, cube, cross_polytope, simplex_cpn
 
 
@@ -160,17 +161,25 @@ def test_a_non_rational_coordinate_or_offset_is_a_type_error(bad):
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1", Decimal("1"), Decimal("0.5")], ids=repr)
 def test_a_non_rational_point_coordinate_is_a_type_error(bad):
-    # A vertex, a translation or a point looked up: the coordinate is
-    # named, and neither rounded nor parsed.
-    message = re.escape(f"coordinate {bad!r} is not a rational number")
+    # A vertex, a translation, a point looked up, a dilation factor, a cube's
+    # half-width, a Gorenstein index, a graph vertex or a direction: the
+    # value is named, and neither rounded nor parsed.
     P = cube(2)
-    for call in (lambda: Polytope.from_vertices([(bad, 0), (1, 0), (0, 1)]),
-                 lambda: Polytope.from_vertices([(0, 0), (1, 0), (0, bad)]),
-                 lambda: P.translate((bad, 0)),
-                 lambda: P.translate((Fraction(1, 2), bad)),
-                 lambda: P.vertex_id((bad, 1)),
-                 lambda: P.vertex_id((1, bad))):
-        with pytest.raises(TypeError, match=message):
+    G = GkmGraph(1, 1, [(0, (0,)), (1, (1,))], [(0, 1)])
+    for what, call in (
+            ("coordinate", lambda: Polytope.from_vertices([(bad, 0), (1, 0), (0, 1)])),
+            ("coordinate", lambda: Polytope.from_vertices([(0, 0), (1, 0), (0, bad)])),
+            ("coordinate", lambda: P.translate((bad, 0))),
+            ("coordinate", lambda: P.translate((Fraction(1, 2), bad))),
+            ("coordinate", lambda: P.vertex_id((bad, 1))),
+            ("coordinate", lambda: P.vertex_id((1, bad))),
+            ("factor", lambda: P.dilate(bad)),
+            ("offset", lambda: cube(2, bad)),
+            ("index", lambda: reflexive.verify_gorenstein(P, bad)),
+            ("coordinate", lambda: GkmGraph(1, 1, [(0, (bad,)), (1, (1,))], [(0, 1)])),
+            ("coordinate", lambda: GkmGraph(2, 1, [(0, (0, 0)), (1, (1, bad))], [(0, 1)])),
+            ("direction coordinate", lambda: gkm.h_vector_graph(G, (bad,)))):
+        with pytest.raises(TypeError, match=re.escape(f"{what} {bad!r} is not a rational number")):
             call()
     # other rationals are read as Fractions
     assert P.vertex_id((True, Fraction(1))) == P.vertices.index((1, 1))

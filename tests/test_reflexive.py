@@ -162,6 +162,22 @@ def test_normal_contributions_match_2face_scan():
             assert sums[f"edge {e}"] == sum(a for _, a in got), (P, e)
 
 
+@pytest.mark.parametrize("name", ["cube", "hexagon", "cp3-simplex"])
+def test_normal_contributions_of_every_vertex_pair(name):
+    # an edge in either orientation gives the contributions of the 2-face
+    # scan, and any other pair, a loop included, is a KeyError
+    P = catalog.load(name)
+    edges = set(P.edges())
+    for u in range(len(P.vertices)):
+        for v in range(len(P.vertices)):
+            if (u, v) in edges or (v, u) in edges:
+                got = sorted(reflexive.normal_contributions(P, (u, v)), key=lambda p: sorted(p[0]))
+                assert got == _contributions_by_2face_scan(P, (u, v)), (u, v)
+            else:
+                with pytest.raises(KeyError):
+                    reflexive.normal_contributions(P, (u, v))
+
+
 def _delzant_passes(monkeypatch):
     """The polytopes the Delzant pass runs on from now on, one entry a run:
     only the pass writes a polytope's ``_leaving`` table."""

@@ -297,14 +297,16 @@ ORBITS = weyl_corpus.WEYL + [("A", 4, ()), ("B", 4, ()), ("C", 4, ()), ("D", 4, 
 
 
 def _assert_same_graph(G, H):
-    """G and H hold the same columns and the same tables by edge."""
+    """G and H hold the same columns and the same adjacency, and read the
+    same weight and length off each edge in both orientations."""
     assert G.ids == H.ids and G.coords == H.coords
     assert G.edge_list == H.edge_list
     assert G._weight_col == H._weight_col and G._length_col == H._length_col
     assert list(map(type, G._length_col)) == list(map(type, H._length_col))
     assert G._incident == H._incident
-    assert G._weight == H._weight
-    assert G._length == H._length
+    for u, v in G.edge_list:
+        for e in [(u, v), (v, u)]:
+            assert G.weight(e) == H.weight(e) and G.length(e) == H.length(e), e
     assert G.lattice == H.lattice and G.q == H.q
 
 
@@ -400,7 +402,7 @@ def test_orbit_tables_by_edge_are_made_only_when_read():
     assert gkm.verify_graph_corollary(G).passed
     with contextlib.redirect_stdout(io.StringIO()):
         cli._emit_graph(G, {})
-    lazy = ("_weight", "_length", "_incident")
+    lazy = ("_incident",)
     assert not any(name in vars(G) for name in lazy)
     # the GKM check and the readers of the kept pairing read the columns,
     # on the orbit graph and on one read back from JSON
@@ -408,10 +410,14 @@ def test_orbit_tables_by_edge_are_made_only_when_read():
         for reader in [gkm.validate, gkm.is_reflexive_graph, gkm.gorenstein_index, gkm.h_vector_graph]:
             reader(H)
             assert not any(name in vars(H) for name in lazy), reader.__name__
+    # the readers by edge make the position adjacency, and no table of
+    # weights or lengths by edge
     gkm.star(G, 0)
-    assert "_weight" in vars(G) and "_incident" in vars(G)
-    G.length(G.edge_list[0])
-    assert all(name in vars(G) for name in lazy)
+    assert "_incident" in vars(G)
+    for u, v in G.edge_list:
+        assert G.weight((v, u)) == tuple(-c for c in G.weight((u, v)))
+        assert G.length((v, u)) == G.length((u, v))
+    assert not {"_weight", "_length"} & set(vars(G))
     # a polytope's verifiers, lengths and JSON read the skeleton's columns
     for P in [cube(3), catalog.load("hexagon")]:
         assert reflexive.verify_main_theorem(P).passed
