@@ -404,9 +404,11 @@ def cmd_catalog_show(args):
 
 # Each command by its path: its help (None for none) and its arguments, as
 # (name, add_argument keywords).  Its handler is "cmd_" and the path joined
-# by "_", looked up in this module at call time.
+# by "_", looked up in this module at call time.  ``_read`` reads only the
+# keywords that a test in tests/test_cli_parse.py allows.
 _INPUT = ("input", {})
 _FLAG = {"action": "store_true"}
+_TEXT = ("--text", {"action": "store_true", "help": "aligned text output instead of JSON"})
 _COMMANDS = {
     ("check",): ("validate an input object", [
         ("which", {"choices": ["delzant", "reflexive", "gkm", "gorenstein"]}), _INPUT]),
@@ -443,8 +445,7 @@ _GROUPS = {
 def _fill(p, path):
     """Give p the arguments of the command ``path``, ``--text`` first, and
     the name of its handler as the ``func`` default."""
-    p.add_argument("--text", action="store_true", help="aligned text output instead of JSON")
-    for name, kw in _COMMANDS[path][1]:
+    for name, kw in [_TEXT, *_COMMANDS[path][1]]:
         p.add_argument(name, **kw)
     p.set_defaults(func="cmd_" + "_".join(path))
     return p
@@ -471,46 +472,68 @@ def build_parser():
 
 
 class _Unparsed(Exception):
-    """A command's own parser would print help or a usage error."""
+    """Help, a usage error or another argv that ``_read`` does not take off
+    ``_COMMANDS``: argparse's whole tree parses it."""
 
 
-class _LeafParser(argparse.ArgumentParser):
-    def error(self, message):
+def _read(path, words):
+    """The tree's Namespace for the command ``path`` and the words after
+    it, read off its row of ``_COMMANDS`` and ``--text``: positionals in
+    order, store_true flags and one-value options (``--name value`` or
+    ``--name=value``, the last one winning), each value through its
+    ``type`` and ``choices`` as it is read.  Any other word starting with
+    "-" but "-" itself, a flag given a value, a missing or extra
+    positional, a refused value or a missing required option raises
+    _Unparsed."""
+    row = dict([_TEXT, *_COMMANDS[path][1]])
+    positionals = [(name, kw) for name, kw in row.items() if name[0] != "-"]
+    ns = {name: kw.get("default", False if "action" in kw else None) for name, kw in row.items()}
+    words = iter(words)
+    for value in words:
+        if value[:1] != "-" or value == "-":
+            if not positionals:
+                raise _Unparsed
+            name, kw = positionals.pop(0)
+        else:
+            name, eq, value = value.partition("=")
+            kw = row.get(name)
+            if kw is None or (eq and "action" in kw):
+                raise _Unparsed
+            if "action" in kw:
+                value = True
+            elif not eq:
+                value = next(words, None)
+                if value is None or (value[:1] == "-" and value != "-"):
+                    raise _Unparsed
+        try:
+            ns[name] = kw["type"](value) if "type" in kw else value
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise _Unparsed from None
+        if "choices" in kw and ns[name] not in kw["choices"]:
+            raise _Unparsed
+    if positionals or any(kw.get("required") and ns[name] is None for name, kw in row.items()):
         raise _Unparsed
-
-    def print_help(self, file=None):
-        raise _Unparsed
-
-
-@functools.cache
-def _leaf(path):
-    """The parser of the command ``path`` alone.  Its defaults name the
-    command as the tree would (``command`` and ``<group>_command``), so it
-    gives the tree's Namespace."""
-    p = _fill(_LeafParser(), path)
-    p.set_defaults(command=path[0])
+    ns.update(command=path[0], func="cmd_" + "_".join(path))
     if len(path) == 2:
-        p.set_defaults(**{path[0] + "_command": path[1]})
-    return p
+        ns[path[0] + "_command"] = path[1]
+    return argparse.Namespace(**{k.lstrip("-").replace("-", "_"): v for k, v in ns.items()})
 
 
 def _parse(argv):
-    """``build_parser().parse_args(argv)``, read by the named command's own
-    parser where it can be.  The whole tree parses instead when argv names
-    no command or when that parser would print, so that every help text,
-    usage line and error message is the tree's.  It also parses any argv
-    holding "--": which level consumes that has changed between Python
-    releases."""
+    """``build_parser().parse_args(argv)``, read off ``_COMMANDS`` by
+    ``_read`` where it can be.  argparse builds the whole tree only for
+    argv that names no command and for argv that ``_read`` does not take:
+    help, usage errors and the rarer forms argparse allows.  So every help
+    text, usage line and error message is the tree's."""
     if argv is None:
         argv = sys.argv[1:]
-    if "--" not in argv:
-        for k in (1, 2):
-            path = tuple(argv[:k])
-            if path in _COMMANDS:
-                try:
-                    return _leaf(path).parse_args(argv[k:])
-                except _Unparsed:
-                    break
+    for k in (1, 2):
+        path = tuple(argv[:k])
+        if path in _COMMANDS:
+            try:
+                return _read(path, argv[k:])
+            except _Unparsed:
+                break
     return build_parser().parse_args(argv)
 
 

@@ -310,8 +310,12 @@ def dual_edge_lengths_check(P):
 
     n=2: every vertex of P gives a dual edge of length |det(weights)| = 1,
     and the dual edge lengths sum to f0(P).  n=3: every edge gives a dual
-    edge of length 1.  The facets through each vertex, the edges and their
-    primitive directions come from scans of the vertices and facets.
+    edge of length 1.  A failed "reflexive" item is added unless every
+    facet offset is 1 and every vertex is integral, and a failed "delzant"
+    item at each vertex that is not on exactly n edges whose primitive
+    directions have |det| = 1.  The facets through each vertex, the edges
+    and their primitive directions come from scans of the vertices and
+    facets.
     """
     n = P.dim
     if n not in (2, 3):
@@ -323,16 +327,23 @@ def dual_edge_lengths_check(P):
         return _content(tuple(a - b for a, b in zip(P.facets[i].normal, P.facets[j].normal)))
 
     rep = VerificationReport("dual-edge-lengths", True)
+    if any(h.offset != 1 for h in P.facets) or any(
+            Fraction(c).denominator != 1 for v in P.vertices for c in v):
+        rep.add_item("reflexive", False)
+    dets = []
+    for vid, v in enumerate(P.vertices):
+        ends = [u if w == vid else w for u, w in edges if vid in (u, w)]
+        dirs = [_primitive([x - y for x, y in zip(P.vertices[o], v)])[0] for o in ends]
+        dets.append(int(abs(_det(dirs))) if len(dirs) == n else None)
+        if dets[-1] != 1:
+            rep.add_item(f"delzant at vertex {vid}", False, {"edges": len(dirs), "det": dets[-1]})
     if n == 2:
         total = 0
-        for vid, v in enumerate(P.vertices):
+        for vid, det in enumerate(dets):
             length = dual_length(*sorted(on[vid]))
-            ends = [u if w == vid else w for u, w in edges if vid in (u, w)]
-            (a, b), (c, d) = [_primitive([x - y for x, y in zip(P.vertices[o], v)])[0] for o in ends]
-            dets = abs(a * d - b * c)
             rep.add_item(
-                f"vertex {vid}", length == 1 and dets == length,
-                {"dual_length": length, "det": dets},
+                f"vertex {vid}", length == 1 and det == length,
+                {"dual_length": length, "det": det},
             )
             total += length
         rep.add_item("sum", total == len(P.vertices), {"sum": total, "f0": len(P.vertices)})

@@ -81,7 +81,7 @@ class Halfspace:
         return Halfspace(w, _fraction(p, q))
 
     def holds(self, point, strict=False):
-        v = exact.dot(self.normal, point)
+        v = exact.dot(self.normal, tuple(map(exact.rational, point)))
         return v < self.offset if strict else v <= self.offset
 
 

@@ -1,10 +1,12 @@
-"""How ``delzant`` parses its arguments: each command with a parser of its
-own, and the whole argparse tree only where that parser would print.
+"""How ``delzant`` parses its arguments: each command's arguments read off
+the command table, and the whole argparse tree built only for help, usage
+errors and the argv that reader does not take.
 
 The tree's help texts, usage lines and error messages are pinned by the
 SHA-256 of what they printed before commands had parsers of their own; a
 Hypothesis fuzz over the command grammar and its mutations checks that
-``cli._parse`` gives the tree's Namespace or the tree's exit, byte for byte.
+``cli._parse`` gives the tree's Namespace or the tree's exit, byte for byte,
+and a second one over well-formed calls that no parser is built for them.
 """
 
 import argparse
@@ -13,7 +15,7 @@ import hashlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from delzant import cli
 
@@ -94,10 +96,8 @@ USAGE_SHA256 = {
 @pytest.fixture
 def fresh_parsers():
     cli.build_parser.cache_clear()
-    cli._leaf.cache_clear()
     yield
     cli.build_parser.cache_clear()
-    cli._leaf.cache_clear()
 
 
 def _outcome(parse, argv):
@@ -196,11 +196,70 @@ def parsers_made(monkeypatch):
     return made
 
 
-def test_a_command_builds_its_parser_alone(fresh_parsers, parsers_made):
-    # the whole tree has 16 parsers; a well-formed call builds one
+def test_a_command_builds_no_parser(fresh_parsers, parsers_made):
+    # the whole tree has 16 parsers; a well-formed call builds none
     assert _outcome(cli.main, ["gkm", "build", "A", "2"])[0] == 0
-    assert len(parsers_made) == 1 and parsers_made[0] is cli._leaf(("gkm", "build"))
+    assert parsers_made == []
     assert cli.build_parser.cache_info().currsize == 0
+
+
+# The option names of the table, --text included.
+OPTIONS = {"--text"} | {name for _, arguments in cli._COMMANDS.values()
+                        for name, _ in arguments if name.startswith("-")}
+
+
+@st.composite
+def well_formed(draw):
+    """A command's argv that the tree parses, with no word starting with
+    "-" but an option and "-" itself: its positionals in order, and each
+    option, --text included, given up to twice (the last one wins) as
+    "--name value" or "--name=value", anywhere among them."""
+    path = draw(st.sampled_from(list(GRAMMAR)))
+    positionals, options = GRAMMAR[path]
+    argv = [draw(s) for s in positionals]
+    for option in options + [st.just(["--text"])]:
+        for _ in range(draw(st.integers(0, 2))):
+            words = draw(option)
+            if len(words) == 2 and draw(st.booleans()):
+                words = ["=".join(words)]
+            at = draw(st.integers(0, len(argv)))
+            argv[at:at] = words
+    assume(all(w == "-" or not w.startswith("-") or w.partition("=")[0] in OPTIONS
+               for w in argv))
+    argv = list(path) + argv
+    assume(isinstance(_outcome(cli.build_parser().parse_args, argv)[0], argparse.Namespace))
+    return argv
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=well_formed())
+@example(argv=["check", "gkm", "-"])
+@example(argv=["gkm", "build", "A", "2", "--I=0,1"])
+@example(argv=["gkm", "build", "--I", "0", "A", "2"])
+@example(argv=["gkm", "build", "A", "2", "--I", "0", "--I", "1"])
+@example(argv=["bounds", "enumerate", "--n=-1", "--k0", "2", "--unimodal", "--unimodal"])
+def test_well_formed_calls_build_no_parser(argv, fresh_parsers, parsers_made):
+    # read off the table, with not one ArgumentParser made (the tree
+    # fallback would build 16), into the tree's Namespace
+    cli.build_parser.cache_clear()
+    parsers_made.clear()
+    args = cli._parse(argv)
+    assert parsers_made == []
+    assert args == cli.build_parser().parse_args(argv)
+
+
+def test_the_command_table_holds_only_what_the_reader_reads():
+    # cli._read interprets these keywords alone; argparse would read any
+    # other (nargs, const, another action) in its own way, and it converts
+    # a str default by the type, which _read would not
+    for path, (_, arguments) in cli._COMMANDS.items():
+        for name, kw in arguments:
+            where = (path, name)
+            assert name.startswith("--") or not name.startswith("-"), where
+            assert set(kw) <= {"type", "default", "choices", "required", "help", "action"}, where
+            assert kw.get("action", "store_true") == "store_true", where
+            assert not ("type" in kw and isinstance(kw.get("default"), str)), where
 
 
 @pytest.mark.parametrize("argv", [["gkm", "build", "A"], ["gkm", "build", "--help"], ["gkm"]])

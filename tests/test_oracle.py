@@ -341,6 +341,31 @@ def test_dual_edge_lengths_read_no_main_path_table(name):
     assert oracle.dual_edge_lengths_check(Q).to_dict() == want
 
 
+@pytest.mark.parametrize("name, failed", [
+    ("moved hexagon", ["reflexive"]),
+    ("rect", ["reflexive"]),
+    ("unit-square", ["reflexive"]),
+    ("std-simplex", ["reflexive"]),
+    ("diamond", [f"delzant at vertex {v}" for v in range(4)]),
+    ("octahedron", [f"delzant at vertex {v}" for v in range(6)]),
+    ("lopsided tetrahedron", ["reflexive"] + [f"delzant at vertex {v}" for v in range(4)]),
+])
+def test_dual_edge_lengths_fail_outside_delzant_reflexive(name, failed):
+    # Outside its hypotheses the identity is not claimed: a polytope that is
+    # not reflexive (an offset other than 1 or a vertex off the lattice) or
+    # not Delzant (a vertex on more than n edges, or on n whose primitive
+    # directions have |det| != 1) fails, by the oracle's own scans.
+    P = {
+        "moved hexagon": lambda: catalog.load("hexagon").dilate(2).translate((1, -2)),
+        "lopsided tetrahedron": lambda: Polytope.from_vertices(
+            [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 2)]),
+    }.get(name, lambda: catalog.load(name))()
+    rep = oracle.dual_edge_lengths_check(P)
+    assert not rep.passed
+    assert [i["id"] for i in rep.per_item if i["id"].split()[0] in ("reflexive", "delzant")] == failed
+    assert all(not i["pass"] for i in rep.per_item if i["id"] in failed)
+
+
 def test_dual_edge_lengths_unsupported():
     with pytest.raises(UnsupportedDimension):
         oracle.dual_edge_lengths_check(catalog.load("hypercube4"))

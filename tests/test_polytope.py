@@ -161,9 +161,9 @@ def test_a_non_rational_coordinate_or_offset_is_a_type_error(bad):
 
 @pytest.mark.parametrize("bad", [0.1, 1.0, "1", Decimal("1"), Decimal("0.5")], ids=repr)
 def test_a_non_rational_point_coordinate_is_a_type_error(bad):
-    # A vertex, a translation, a point looked up, a dilation factor, a cube's
-    # half-width, a Gorenstein index, a graph vertex or a direction: the
-    # value is named, and neither rounded nor parsed.
+    # A vertex, a translation, a point looked up or tested, a dilation
+    # factor, a cube's half-width, a Gorenstein index, a graph vertex or a
+    # direction: the value is named, and neither rounded nor parsed.
     P = cube(2)
     G = GkmGraph(1, 1, [(0, (0,)), (1, (1,))], [(0, 1)])
     for what, call in (
@@ -173,6 +173,9 @@ def test_a_non_rational_point_coordinate_is_a_type_error(bad):
             ("coordinate", lambda: P.translate((Fraction(1, 2), bad))),
             ("coordinate", lambda: P.vertex_id((bad, 1))),
             ("coordinate", lambda: P.vertex_id((1, bad))),
+            ("coordinate", lambda: P.contains((bad, 0))),
+            ("coordinate", lambda: P.contains((0, bad), strict=True)),
+            ("coordinate", lambda: P.facets[0].holds((bad, bad))),
             ("factor", lambda: P.dilate(bad)),
             ("offset", lambda: cube(2, bad)),
             ("index", lambda: reflexive.verify_gorenstein(P, bad)),
@@ -183,6 +186,10 @@ def test_a_non_rational_point_coordinate_is_a_type_error(bad):
             call()
     # other rationals are read as Fractions
     assert P.vertex_id((True, Fraction(1))) == P.vertices.index((1, 1))
+    assert P.contains((True, Fraction(1))) and not P.contains((Fraction(1), 1), strict=True)
+    # a float that rounds onto the boundary is refused, not read as 1.0
+    with pytest.raises(TypeError, match=re.escape("coordinate 1.0 is not a rational number")):
+        P.contains((1.0000000000000001, 0))
 
 
 def _tight_sets_facets(P, halfspaces):
