@@ -6,11 +6,11 @@ position j of a vector of even Betti numbers is b_{2j}.  The two families
 of formulas coincide under that identification.
 """
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 from operator import mul
+from types import SimpleNamespace
 
 from .errors import MalformedVector, NonNegativeS, UnboundedSearch
 
@@ -117,14 +117,10 @@ def max_betti_bound(n, k0):
     return Fraction(2 * (3 * n - k0 - 1), (n - 1) * (k0 - n + 3))
 
 
-@dataclass
-class AdmissibleSet:
-    n: int
-    k0: int
-    constraints: str
-    half_vectors: list = field(default_factory=list)
-    caps: tuple = ()
-    complete: bool = True
+class AdmissibleSet(SimpleNamespace):
+    """The result of ``enumerate_admissible``: n, k0, the constraints as
+    text, the half vectors found, the caps searched and whether the search
+    is complete."""
 
 
 def _is_unimodal_half(half):
@@ -188,7 +184,8 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
         )
 
     if any(c < 1 for c in caps):
-        return AdmissibleSet(n, k0, constraints, [], caps, complete)
+        return AdmissibleSet(n=n, k0=k0, constraints=constraints, half_vectors=[], caps=caps,
+                             complete=complete)
     size = prod(caps)
     if size > SEARCH_LIMIT:
         raise UnboundedSearch(
@@ -202,7 +199,8 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
         val = a[0] + sum(c * b for c, b in zip(a[1:], half))
         if val >= 0 and val % k0 == 0:
             found.append(half)
-    return AdmissibleSet(n, k0, constraints, sorted(found), caps, complete)
+    return AdmissibleSet(n=n, k0=k0, constraints=constraints, half_vectors=sorted(found),
+                         caps=caps, complete=complete)
 
 
 def table_c(n_range, k0_range):

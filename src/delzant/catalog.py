@@ -2,22 +2,15 @@
 reflexive solids, a few non-reflexive Delzant examples, and the coadjoint
 Weyl-orbit graphs."""
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import roots
 from .gkm import GkmGraph
 from .polytope import Polytope, cube, simplex_cpn
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    kind: str  # "polytope" | "gkm-graph"
-    note: str
-    build: object
-
-    def load(self):
-        return self.build()
+# kind is "polytope" or "gkm-graph"; build() makes the object.
+CatalogEntry = namedtuple("CatalogEntry", "name kind note build")
 
 
 def _poly(verts):
@@ -166,4 +159,4 @@ def load(name):
     table = entries()
     if name not in table:
         raise KeyError(f"no catalog entry named {name!r}")
-    return table[name].load()
+    return table[name].build()

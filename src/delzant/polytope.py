@@ -14,7 +14,7 @@ integer keys, and each output coordinate and offset becomes a Fraction
 once, when the result is built.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import ceil, comb, floor, gcd, lcm
 from operator import add, mul, neg
@@ -65,12 +65,12 @@ def _cleared(normal, offset):
     return w, p // g, q // g
 
 
-@dataclass(frozen=True)
-class Halfspace:
-    """Inequality <x, normal> <= offset with a primitive integer normal."""
+class Halfspace(namedtuple("Halfspace", "normal offset")):
+    """Inequality <x, normal> <= offset with a primitive integer normal, as
+    the named pair (normal, offset): it compares, hashes, sorts and unpacks
+    as that pair."""
 
-    normal: tuple
-    offset: Fraction
+    __slots__ = ()
 
     @staticmethod
     def make(normal, offset):
@@ -85,11 +85,7 @@ class Halfspace:
         return v < self.offset if strict else v <= self.offset
 
 
-@dataclass(frozen=True)
-class Face:
-    active_facets: frozenset
-    vertex_ids: frozenset
-    dim: int
+Face = namedtuple("Face", "active_facets vertex_ids dim")
 
 
 def _fraction(p, q):
@@ -136,15 +132,11 @@ def _ids(mask):
     return frozenset(_bits(mask))
 
 
-def _facet_key(h):
-    return (h.normal, h.offset)
-
-
 def _canonical(dim, vertices, facets):
     """A polytope in the order every constructor gives, from vertices
     already sorted: facets sorted by (normal, offset), except that in
     dimension 1 the order is [(1,), (-1,)]."""
-    return Polytope(dim, vertices, sorted(facets, key=_facet_key, reverse=dim == 1))
+    return Polytope(dim, vertices, sorted(facets, reverse=dim == 1))
 
 
 def _start(rows, d):
@@ -317,7 +309,7 @@ class Polytope:
         hs = []
         seen = set()
         for h in halfspaces:
-            h = _cleared(h.normal, h.offset) if isinstance(h, Halfspace) else _cleared(*h)
+            h = _cleared(*h)
             if h not in seen:
                 seen.add(h)
                 hs.append(h)

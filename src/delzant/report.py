@@ -1,6 +1,5 @@
 """Structured pass/fail results carrying both sides of each identity."""
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 
@@ -19,13 +18,19 @@ def _plain(x):
     return x
 
 
-@dataclass
 class VerificationReport:
-    identity: str
-    passed: bool
-    lhs: object = None
-    rhs: tuple = ()
-    per_item: list = field(default_factory=list)
+    """One identity checked: its name, the verdict, both sides, and the
+    checks of each item, each a dict {"id", "pass", "detail"}."""
+
+    def __init__(self, identity, passed, lhs=None, rhs=()):
+        self.identity = identity
+        self.passed = passed
+        self.lhs = lhs
+        self.rhs = rhs
+        self.per_item = []
+
+    def __eq__(self, other):
+        return type(other) is VerificationReport and vars(self) == vars(other)
 
     def add_item(self, item_id, ok, detail=None):
         self.per_item.append({"id": item_id, "pass": ok, "detail": detail})

@@ -389,6 +389,18 @@ def test_closed_stderr_exits_2(argv, stdout_too):
     assert p.returncode == 2
 
 
+def test_importing_the_cli_leaves_dataclasses_unimported():
+    # the package's records are namedtuples and plain classes: importing
+    # `dataclasses` (and the inspect, ast and dis it pulls in) was about
+    # half of the import of delzant.cli
+    src = os.path.dirname(os.path.dirname(delzant.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, delzant.cli; print('dataclasses' in sys.modules)"
+    p = subprocess.run([sys.executable, "-c", code], env=env, timeout=60, capture_output=True,
+                       text=True, check=True)
+    assert p.stdout == "False\n"
+
+
 def test_oracle_refuses_a_long_diagonal_edge_at_once(tmp_path):
     # the parallelogram's diagonal edges of length 300 have bounding boxes
     # of 301^2 points; the scan took 4.1 s before it was refused

@@ -209,6 +209,9 @@ def test_json_probe_hashes_a_command_on_a_json_file(capsys, tmp_path):
     assert got["argv"] == argv and got["exit"] == 0
     assert got["stdout_bytes"] == len(out) and got["stdout_sha256"] == hashlib.sha256(out).hexdigest()
     assert got["seconds"] > 0 and got["peak_rss_mb"] > 0
+    # the child's own import and command times, which the process time holds
+    assert 0 < got["import_s"] and 0 < got["command_s"]
+    assert got["import_s"] + got["command_s"] < got["seconds"]
 
 
 def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
@@ -257,7 +260,7 @@ def test_stage_split_times_each_verifier(capsys, monkeypatch):
     assert {name: row["items"] for name, row in verify["kinds"].items()} == {
         "verify_main_theorem": 12, "verify_index_corollary": 12, "verify_thm_combinatorics2": 12,
         "verify_length_decomposition": 11, "verify_12_24": 7}
-    assert verify["stages"]["skeleton"]["ms"] > 0
+    assert verify["stages"]["skeleton"]["ms"] > 0 and verify["stages"]["edges"]["ms"] > 0
     for stage, readers in [("census", {"verify_main_theorem", "verify_index_corollary",
                                        "verify_thm_combinatorics2"}),
                            ("contributions", {"verify_thm_combinatorics2",

@@ -1,9 +1,10 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delzant import catalog, exact, gkm, oracle, reflexive
+from delzant import catalog, cli, exact, gkm, oracle, reflexive
 from delzant.errors import (
     DelzantError,
     InconsistentCones,
@@ -449,6 +450,37 @@ def test_twelve_24_unsupported_dim():
 def test_twelve_24_requires_reflexive():
     with pytest.raises(NotReflexive):
         reflexive.verify_12_24(catalog.load("rect"))
+
+
+@pytest.mark.parametrize("identity, name", [
+    ("12-24", "square"),
+    ("12-24", "cube"),
+    ("main", "square"),
+    ("main", "cube"),
+    ("index-corollary", "square"),
+    ("index-corollary", "hexagon"),
+    ("length-decomposition", "square"),
+    ("length-decomposition", "cube"),
+    ("graph-corollary", "octahedron-skeleton"),
+])
+def test_a_corrupted_length_fails_the_identity(identity, name, monkeypatch, capsys):
+    # These identities hold on every valid input, so only a wrong length
+    # reaches their failing branch.  Doubling the first edge's length, in
+    # the column every skeleton and JSON graph fills, must fail the report
+    # (a larger sum too: a check weakened to >= would pass it) and exit 1.
+    verify = gkm.verify_graph_corollary if identity == "graph-corollary" else getattr(
+        reflexive, cli._POLYTOPE_IDENTITIES[identity])
+    assert verify(catalog.load(name)).passed
+    fill = gkm.GkmGraph._fill
+
+    def corrupted(self, *args):
+        fill(self, *args)
+        self._length_col[0] *= 2
+
+    monkeypatch.setattr(gkm.GkmGraph, "_fill", corrupted)
+    assert not verify(catalog.load(name)).passed
+    assert cli.main(["verify", identity, f"catalog:{name}"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
 def test_index_values():

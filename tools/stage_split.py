@@ -40,9 +40,12 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = {
+    # Polytope.skeleton reads _edge_list, which edges() copies, where a
+    # checkout has it
     "verify": (("integer points", "polytope.Polytope", "_integer_vertices"),
                ("incidence", "polytope.Polytope", "_incidence_bits"),
                ("edges", "polytope.Polytope", "edges"),
+               ("edges", "polytope.Polytope", "_edge_list"),
                ("skeleton", "polytope.Polytope", "skeleton"),
                ("delzant pass", "polytope.Polytope", "_delzant_pass"),
                ("census", "gkm", "first_census"),
