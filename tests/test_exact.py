@@ -2,10 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from delzant import exact
-from delzant.errors import ZeroVector
+from delzant.errors import DimensionMismatch, NonSquare, ZeroVector
 
 
 def test_content():
@@ -149,3 +150,92 @@ def test_common_denominator_matches_the_properties(points):
     q, ints = exact.common_denominator(points)
     assert (q, ints) == _common_denominator_by_properties(points)
     assert type(q) is int and all(type(c) is int for p in ints for c in p)
+
+
+def _sympy(rows, d):
+    return sympy.Matrix(len(rows), d, [sympy.Rational(c.numerator, c.denominator)
+                                       for r in rows for c in map(Fraction, r)])
+
+
+@st.composite
+def rational_rows(draw, d=None, count=None):
+    """Rows of small Fractions and ints in dimension d (1-5 if not given),
+    some of them combinations of earlier ones, so that rank-deficient and
+    repeated rows are common."""
+    d = draw(st.integers(1, 5)) if d is None else d
+    entry = st.one_of(st.integers(-4, 4), st.builds(Fraction, st.integers(-6, 6),
+                                                    st.integers(1, 4)))
+    rows = []
+    for _ in range(draw(st.integers(0, 6)) if count is None else count):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append(tuple(x * p + y * q for p, q in zip(a, b)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=d, max_size=d))))
+    return rows, d
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_rows())
+def test_rank_and_null_direction_match_sympy(case):
+    rows, d = case
+    M = _sympy(rows, d)
+    r = M.rank() if rows else 0
+    assert exact.rank(rows) == r
+    v = exact.null_direction(rows)
+    if not rows or r == d:
+        # no rows, or a null space of {0}
+        assert v is None
+        return
+    assert len(v) == d and all(type(c) is Fraction for c in v) and any(v)
+    assert all(sum(a * c for a, c in zip(row, v)) == 0 for row in rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    rational_rows(n, n), st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+                                  min_size=n, max_size=n))))
+def test_solve_square_matches_sympy(case):
+    # singular systems, consistent or not, have no unique solution
+    (A, n), b = case
+    x = exact.solve_square(A, b)
+    if _sympy(A, n).det() == 0:
+        assert x is None
+        return
+    assert len(x) == n
+    assert all(sum(map(lambda a, c: a * c, row, x)) == bi for row, bi in zip(A, b))
+    assert tuple(x) == tuple(_sympy(A, n).LUsolve(_sympy([(c,) for c in b], 1)))
+
+
+def test_solve_square_inconsistent_and_non_square():
+    assert exact.solve_square([(1, 1), (1, 1)], (1, 2)) is None
+    assert exact.solve_square([(1, 0), (0, 0)], (1, 1)) is None
+    assert exact.solve_square([(Fraction(1, 2),)], (3,)) == (6,)
+    with pytest.raises(NonSquare):
+        exact.solve_square([(1, 0, 0), (0, 1, 0)], (1, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: rational_rows(n, n)))
+def test_hyperplane_normal_matches_sympy(case):
+    # the n points as rows; the normal is primitive and orthogonal to their
+    # differences, of either sign, and exists iff they affinely span a
+    # hyperplane
+    points, n = case
+    diffs = [tuple(a - b for a, b in zip(p, points[0])) for p in points[1:]]
+    kernel = _sympy(diffs, n).nullspace() if diffs else [sympy.eye(n)[:, 0]]
+    w = exact.hyperplane_normal(points)
+    if len(kernel) != 1:
+        assert w is None
+        return
+    assert all(type(c) is int for c in w) and gcd(*w) == 1
+    assert all(sum(a * c for a, c in zip(w, p)) == 0 for p in diffs)
+    k = [Fraction(int(c.p), int(c.q)) for c in kernel[0]]
+    assert exact.rational_direction(k)[0] in (w, tuple(-c for c in w))
+
+
+def test_hyperplane_normal_needs_n_points():
+    assert exact.hyperplane_normal([(Fraction(7, 3),)]) == (1,)
+    with pytest.raises(DimensionMismatch):
+        exact.hyperplane_normal([(0, 0), (1, 0), (0, 1)])
