@@ -12,7 +12,7 @@ import os
 import sys
 from itertools import chain, islice
 
-from . import bounds, catalog, gkm, reflexive, serialize
+from . import bounds, catalog, gkm, reflexive, roots, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
 from .gkm import GkmGraph
 from .polytope import Polytope
@@ -336,8 +336,6 @@ def _show_graph(G, text, extra):
 
 
 def cmd_gkm_build(args):
-    from . import roots
-
     I = _parse_ints(args.I, "simple-root indices") if args.I else ()
     rs = roots.build(args.type, args.rank)
     G = roots.coadjoint_graph(rs, I)

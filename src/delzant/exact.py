@@ -3,13 +3,18 @@
 Vectors are plain tuples of ``int`` (lattice vectors) or ``Fraction``
 (rational points).  Everything here is pure and exact; no floating point
 is used anywhere in the package.
+
+Besides the Bareiss determinant there is one elimination, ``eliminate``:
+it starts the double-description hull, and it answers ``rank``,
+``null_direction``, ``solve_square`` and ``hyperplane_normal`` on rows
+cleared to integers.
 """
 
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from numbers import Rational
-from operator import attrgetter
+from operator import attrgetter, mul, neg
 
 from .errors import DimensionMismatch, NonSquare, ZeroVector
 
@@ -76,10 +81,6 @@ def vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
 
-def vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vec_neg(a):
     return tuple(-x for x in a)
 
@@ -111,19 +112,6 @@ def det(rows):
     return sign * m[n - 1][n - 1]
 
 
-def det_rational(rows):
-    """Determinant of a square matrix with Fraction entries."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise NonSquare("determinant of a non-square matrix")
-    denom = 1
-    for r in rows:
-        for c in r:
-            denom = lcm(denom, Fraction(c).denominator)
-    ints = [[int(Fraction(c) * denom) for c in r] for r in rows]
-    return Fraction(det(ints), denom**n)
-
-
 def is_lattice_basis(vectors):
     """True iff the given n integer vectors of dimension n form a basis of Z^n."""
     n = len(vectors)
@@ -132,109 +120,93 @@ def is_lattice_basis(vectors):
     return abs(det(vectors)) == 1
 
 
-def solve_square(rows, rhs):
-    """Solve an n x n rational system exactly.  Returns None if singular."""
-    n = len(rows)
-    d = det_rational(rows)
-    if d == 0:
-        return None
-    # Cramer's rule; n <= 8 in practice.
-    sol = []
-    cols = list(zip(*rows))
-    for j in range(n):
-        repl = list(cols)
-        repl[j] = rhs
-        sol.append(det_rational(list(zip(*repl))) / d)
-    return tuple(sol)
+def eliminate(rows, d):
+    """One fraction-free elimination of integer rows of length d: returns
+    ``(chosen, rays, free)``.
+
+    ``free`` spans the vectors tight on the rows chosen so far, starting
+    from e_1, ..., e_d.  Each row is paired once with each free vector.  The
+    first free vector y that pairs nonzero chooses the row and, made
+    positive on it (<row, y> = s > 0), is its ray; each later free vector
+    and each earlier ray x that pairs t != 0 becomes the primitive
+    s x - t y, tight on the row.  So ``chosen`` holds the indices of the
+    rows independent of the rows before them, ray j is primitive, tight on
+    every chosen row but row j and positive on row j, and ``free`` is a
+    basis of primitive vectors of the null space of the chosen rows.  The
+    elimination stops once ``free`` is empty, so the rows have rank
+    ``len(chosen)`` and ``free`` is a basis of their null space.
+    """
+    chosen, rays = [], []
+    free = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    for i, row in enumerate(rows):
+        y, kept = None, []
+        for x in free:
+            t = sum(map(mul, row, x))
+            if t and y is None:
+                y, s = (x, t) if t > 0 else (tuple(map(neg, x)), -t)
+            else:
+                kept.append(primitive([s * a - t * b for a, b in zip(x, y)])[0] if t else x)
+        if y is None:
+            continue
+        made = []
+        for x in rays:
+            t = sum(map(mul, row, x))
+            made.append(primitive([s * a - t * b for a, b in zip(x, y)])[0] if t else x)
+        free, rays = kept, made + [y]
+        chosen.append(i)
+        if not free:
+            break
+    return chosen, rays, free
+
+
+def _integer_rows(rows):
+    """Each rational row times the lcm of its denominators: a positive row
+    scale keeps the rank and the null space."""
+    return [common_denominator([r])[1][0] for r in rows]
 
 
 def rank(rows):
-    """Rank of a matrix with rational entries, by fraction-free elimination."""
-    if not rows:
-        return 0
-    m = [[Fraction(c) for c in r] for r in rows]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, nrows):
-            if m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                for j in range(c, ncols):
-                    m[i][j] -= f * m[r][j]
-        r += 1
-        if r == nrows:
-            break
-    return r
+    """Rank of a matrix with rational entries: the number of rows its
+    elimination chooses."""
+    return len(eliminate(_integer_rows(rows), len(rows[0]) if rows else 0)[0])
+
+
+def null_direction(rows):
+    """A nonzero rational vector in the null space of the matrix, the first
+    free vector of its elimination, or None if there are no rows or the
+    null space is {0}."""
+    free = eliminate(_integer_rows(rows), len(rows[0]))[2] if rows else None
+    return tuple(map(Fraction, free[0])) if free else None
+
+
+def solve_square(rows, rhs):
+    """Solve an n x n rational system exactly.  Returns None if singular.
+
+    A solution x is a null vector (x, 1) of [A | -b]; there is exactly one
+    up to scale, with a nonzero last coordinate, iff A is nonsingular."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise NonSquare("solve of a non-square system")
+    free = eliminate(_integer_rows([(*r, -b) for r, b in zip(rows, rhs)]), n + 1)[2]
+    if len(free) != 1 or free[0][n] == 0:
+        return None
+    *v, s = free[0]
+    return tuple([Fraction(c, s) for c in v])
 
 
 def hyperplane_normal(points):
     """Primitive integer normal of the hyperplane through n rational points in R^n.
 
-    Returns None if the points do not span an (n-1)-dimensional affine hull.
+    The single free vector of the points' differences, at one common
+    denominator; None if there is more than one, that is if the points do
+    not span an (n-1)-dimensional affine hull.
     """
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    n = len(pts[0])
-    if len(pts) != n:
+    n = len(points[0])
+    if len(points) != n:
         raise DimensionMismatch("need exactly n points in dimension n")
-    diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
-    # Generalized cross product: cofactors of the (n-1) x n difference matrix.
-    normal = []
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in diffs]
-        c = det_rational(minor) if minor else Fraction(1)
-        normal.append(c if j % 2 == 0 else -c)
-    if all(c == 0 for c in normal):
-        return None
-    w, _ = rational_direction(normal)
-    return w
-
-
-def null_direction(rows):
-    """A nonzero rational vector in the null space of the matrix, or None.
-
-    Only used on small matrices; returns the first kernel basis vector found.
-    """
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    # Gaussian elimination with free-variable back substitution.
-    m = [[Fraction(c) for c in r] for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                for j in range(ncols):
-                    m[i][j] -= f * m[r][j]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    sol = [Fraction(0)] * ncols
-    sol[f0] = Fraction(1)
-    for i, c in enumerate(pivots):
-        sol[c] = -m[i][f0] / m[i][c]
-    return tuple(sol)
+    _, (p, *pts) = common_denominator(points)
+    free = eliminate([[a - b for a, b in zip(x, p)] for x in pts], n)[2]
+    return free[0] if len(free) == 1 else None
 
 
 def common_denominator(points):

@@ -72,14 +72,6 @@ class Halfspace(namedtuple("Halfspace", "normal offset")):
 
     __slots__ = ()
 
-    @staticmethod
-    def make(normal, offset):
-        """Normalize an inequality with a rational normal to a primitive
-        integer normal: both sides times the lcm q of the normal's
-        denominators, then divided by the content of the integer normal."""
-        w, p, q = _cleared(normal, offset)
-        return Halfspace(w, _fraction(p, q))
-
     def holds(self, point, strict=False):
         v = exact.dot(self.normal, tuple(map(exact.rational, point)))
         return v < self.offset if strict else v <= self.offset
@@ -139,58 +131,17 @@ def _canonical(dim, vertices, facets):
     return Polytope(dim, vertices, sorted(facets, reverse=dim == 1))
 
 
-def _start(rows, d):
-    """The indices of the first d linearly independent rows, and the rays of
-    the simplicial cone they cut out, one per row: ray j is primitive, tight
-    on every chosen row but row j and positive on row j.  None if the rows
-    have rank < d.
-
-    One elimination: ``free`` spans the vectors tight on the rows chosen so
-    far, starting from e_1, ..., e_d.  Each row is paired once with each free
-    vector.  The first free vector y that pairs nonzero chooses the row and,
-    made positive on it (<row, y> = s > 0), is its ray; each later free
-    vector and each earlier ray x that pairs t != 0 becomes the primitive
-    s x - t y, tight on the row."""
-    chosen, rays = [], []
-    free = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
-    for i, row in enumerate(rows):
-        y, kept = None, []
-        for x in free:
-            t = sum(map(mul, row, x))
-            if t and y is None:
-                y, s = (x, t) if t > 0 else (tuple(map(neg, x)), -t)
-            else:
-                kept.append(_tightened(x, t, y, s) if t else x)
-        if y is None:
-            continue
-        made = []
-        for x in rays:
-            t = sum(map(mul, row, x))
-            made.append(_tightened(x, t, y, s) if t else x)
-        free, rays = kept, made + [y]
-        chosen.append(i)
-        if not free:
-            return chosen, rays
-    return None
-
-
-def _tightened(x, t, y, s):
-    """x made tight on a row it pairs t != 0 with: the primitive s x - t y,
-    for a y that pairs s > 0 with the row."""
-    return exact.primitive([s * a - t * b for a, b in zip(x, y)])[0]
-
-
 def _extreme_rays(rows, d):
     """Extreme rays of the cone {y in Q^d : <row, y> >= 0 for every row}.
 
     Double description (Motzkin et al. 1953; Fukuda and Prodon, "Double
     description method revisited", 1996) on integer rows.  It starts from
-    the simplicial cone of d independent rows and adds the other rows one
-    at a time.  A row keeps the rays on its nonnegative side, and each pair
-    of rays on opposite sides gives the ray where the 2-face they span
-    meets the row's hyperplane, if they do span a 2-face: by the
-    combinatorial test, no third ray is tight on every row both are tight
-    on.  Rays are primitive integer tuples.
+    the simplicial cone of d independent rows, which ``exact.eliminate``
+    finds, and adds the other rows one at a time.  A row keeps the rays on
+    its nonnegative side, and each pair of rays on opposite sides gives the
+    ray where the 2-face they span meets the row's hyperplane, if they do
+    span a 2-face: by the combinatorial test, no third ray is tight on every
+    row both are tight on.  Rays are primitive integer tuples.
 
     Returns a list of (ray, tight) with ``tight`` the set of rows the ray
     is tight on, as a bitmask of row indices.  Returns None if the rows
@@ -198,10 +149,9 @@ def _extreme_rays(rows, d):
     UnboundedSearch once the pair tests or the mask scans go over
     HULL_PAIR_LIMIT or HULL_SCAN_LIMIT.
     """
-    start = _start(rows, d)
-    if start is None:
+    chosen, first, free = exact.eliminate(rows, d)
+    if free:
         return None
-    chosen, first = start
     every = sum(1 << i for i in chosen)
     rays = [(ray, every & ~(1 << i)) for i, ray in zip(chosen, first)]
     chosen = set(chosen)

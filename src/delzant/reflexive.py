@@ -149,14 +149,10 @@ def verify_length_decomposition(P):
     _require_delzant(P)
     _require_reflexive(P)
     lengths = P.relative_lengths()
-    rep = VerificationReport("length-decomposition", True)
-    total = 0
-    for e, length, a in zip(P.skeleton().edge_list, lengths, _contribution_sums(P)):
-        s = 2 + a
+    sums = [2 + a for a in _contribution_sums(P)]
+    rep = VerificationReport("length-decomposition", True, sum(lengths), (sum(sums),))
+    for e, length, s in zip(P.skeleton().edge_list, lengths, sums):
         rep.add_item("edge (%d, %d)" % e, length == s, {"length": length, "2+sum_a": s})
-        total += s
-    rep.lhs = sum(lengths)
-    rep.rhs = (total,)
     return rep
 
 
@@ -172,13 +168,9 @@ def verify_main_theorem(P):
     rhs = [bounds.c_from_f(n, f), bounds.c_from_h(n, h)]
     if n >= 3:
         rhs.append(bounds.c_from_f3(n, f))
-    rep = VerificationReport(
-        "length-sum", all(total == r for r in rhs), total, tuple(rhs)
-    )
-    rep.add_item("f-formula", total == rhs[0], {"value": rhs[0]})
-    rep.add_item("h-formula", total == rhs[1], {"value": rhs[1]})
-    if n >= 3:
-        rep.add_item("f3-formula", total == rhs[2], {"value": rhs[2]})
+    rep = VerificationReport("length-sum", True, total, tuple(rhs))
+    for name, value in zip(("f-formula", "h-formula", "f3-formula"), rhs):
+        rep.add_item(name, total == value, {"value": value})
     return rep
 
 
@@ -205,16 +197,13 @@ def verify_12_24(P):
         rep.add_item("dual", True, {"sum": dual_sum})
         return rep
     if P.dim == 3:
-        total = 0
-        rep = VerificationReport("twenty-four", True)
-        for e, length in zip(P.skeleton().edge_list, P.relative_lengths()):
-            u, v = e
-            term = length * dual_length(at_vertex[u] & at_vertex[v])
-            total += term
+        edges = P.skeleton().edge_list
+        terms = [length * dual_length(at_vertex[u] & at_vertex[v])
+                 for (u, v), length in zip(edges, P.relative_lengths())]
+        total = sum(terms)
+        rep = VerificationReport("twenty-four", total == 24, total, (24,))
+        for e, term in zip(edges, terms):
             rep.add_item("edge (%d, %d)" % e, True, {"l*l_dual": term})
-        rep.passed = total == 24
-        rep.lhs = total
-        rep.rhs = (24,)
         return rep
     raise UnsupportedDimension("the 12/24 identities hold in dimensions 2 and 3")
 
@@ -238,8 +227,7 @@ def verify_index_corollary(P):
     ch = bounds.c_indexed_from_h(k0, n, h)
     lengths = P.relative_lengths()
     all_k0 = all(l == k0 for l in lengths)
-    ok = cf == ch and cf >= 0 and cf % k0 == 0 and ((cf == 0) == all_k0)
-    rep = VerificationReport("index-corollary", ok, cf, (ch,))
+    rep = VerificationReport("index-corollary", True, cf, (ch,))
     rep.add_item("f-equals-h", cf == ch, {"C_f": cf, "C_h": ch})
     rep.add_item("non-negative", cf >= 0, {"C": cf})
     rep.add_item("divisible", cf % k0 == 0, {"C": cf, "k0": k0})

@@ -300,7 +300,7 @@ class _Without:
 
 
 def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
-    # tools/stage_split.py on modules without polytope._start,
+    # tools/stage_split.py on modules without exact.eliminate,
     # gkm.first_census, reflexive._contribution_sums, roots._base,
     # roots.base_point, roots._walk, cli._parse and cli._emit_graph: those
     # stages read null, their work falls in the stages that call them or
@@ -314,7 +314,7 @@ def test_stage_split_reads_null_for_a_stage_its_checkout_lacks(monkeypatch):
         import corpus
         import run
         mods = run.Modules()
-        for name, hidden in [("polytope", ["_start"]), ("gkm", ["first_census"]),
+        for name, hidden in [("exact", ["eliminate"]), ("gkm", ["first_census"]),
                              ("reflexive", ["_contribution_sums"]),
                              ("roots", ["_base", "base_point", "_walk"]),
                              ("cli", ["_parse", "_emit_graph"])]:
@@ -400,6 +400,20 @@ def test_ab_bench_summary_of_fixed_runs():
     # a win in 9 of 10 pairs by more than the parent's spread
     assert tool.verdict([10] * 10, [10.5] * 9 + [9.9], True, 0.1, 9) == "better"
     assert tool.verdict([10] * 10, [10.5] * 8 + [9.9] * 2, True, 0.1, 8) == "within bound"
+
+
+def test_ab_bench_refuses_a_checkout_with_cached_bytecode(tmp_path, monkeypatch, capsys):
+    # Python reads a src/**/__pycache__ even under PYTHONDONTWRITEBYTECODE,
+    # so such a checkout would skip compiling in every set-up: the tool
+    # names the directory and exits 2 before any run
+    tool = _tool("ab_bench")
+    cache = tmp_path / "src" / "delzant" / "__pycache__"
+    cache.mkdir(parents=True)
+    started = []
+    monkeypatch.setattr(tool, "run_once", lambda *args: started.append(args))
+    assert tool.main([str(tmp_path), "--workload", "hull", "--pairs", "2"]) == 2
+    assert started == []
+    assert str(cache) in capsys.readouterr().err
 
 
 # `gkm build` with every simple root in I: the orbit is the origin alone,

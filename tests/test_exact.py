@@ -45,11 +45,20 @@ def test_hyperplane_normal():
     n = exact.hyperplane_normal([(1, 0), (0, 1)])
     assert n in ((1, 1), (-1, -1))
     assert exact.hyperplane_normal([(0, 0, 0), (1, 0, 0), (2, 0, 0)]) is None
+    assert exact.hyperplane_normal([(Fraction(7, 3),)]) == (1,)
+    with pytest.raises(DimensionMismatch):
+        exact.hyperplane_normal([(0, 0), (1, 0), (0, 1)])
 
 
 def test_solve_square():
     assert exact.solve_square([(2, 0), (0, 3)], (4, 9)) == (2, 3)
     assert exact.solve_square([(1, 1), (2, 2)], (1, 1)) is None
+    # inconsistent singular systems
+    assert exact.solve_square([(1, 1), (1, 1)], (1, 2)) is None
+    assert exact.solve_square([(1, 0), (0, 0)], (1, 1)) is None
+    assert exact.solve_square([(Fraction(1, 2),)], (3,)) == (6,)
+    with pytest.raises(NonSquare):
+        exact.solve_square([(1, 0, 0), (0, 1, 0)], (1, 1))
 
 
 nonzero_vec = (
@@ -204,16 +213,8 @@ def test_solve_square_matches_sympy(case):
         assert x is None
         return
     assert len(x) == n
-    assert all(sum(map(lambda a, c: a * c, row, x)) == bi for row, bi in zip(A, b))
+    assert all(sum(a * c for a, c in zip(row, x)) == bi for row, bi in zip(A, b))
     assert tuple(x) == tuple(_sympy(A, n).LUsolve(_sympy([(c,) for c in b], 1)))
-
-
-def test_solve_square_inconsistent_and_non_square():
-    assert exact.solve_square([(1, 1), (1, 1)], (1, 2)) is None
-    assert exact.solve_square([(1, 0), (0, 0)], (1, 1)) is None
-    assert exact.solve_square([(Fraction(1, 2),)], (3,)) == (6,)
-    with pytest.raises(NonSquare):
-        exact.solve_square([(1, 0, 0), (0, 1, 0)], (1, 1))
 
 
 @settings(max_examples=150, deadline=None)
@@ -233,9 +234,3 @@ def test_hyperplane_normal_matches_sympy(case):
     assert all(sum(a * c for a, c in zip(w, p)) == 0 for p in diffs)
     k = [Fraction(int(c.p), int(c.q)) for c in kernel[0]]
     assert exact.rational_direction(k)[0] in (w, tuple(-c for c in w))
-
-
-def test_hyperplane_normal_needs_n_points():
-    assert exact.hyperplane_normal([(Fraction(7, 3),)]) == (1,)
-    with pytest.raises(DimensionMismatch):
-        exact.hyperplane_normal([(0, 0), (1, 0), (0, 1)])

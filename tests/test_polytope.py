@@ -7,7 +7,7 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings, strategies as st
 
-from delzant import catalog, gkm, polytope, reflexive
+from delzant import catalog, exact, gkm, polytope, reflexive
 from delzant.errors import (
     NonLatticeEdge,
     NotFullDimensional,
@@ -94,24 +94,34 @@ def start_rows(draw):
 @given(start_rows())
 def test_start_picks_the_first_independent_rows_and_their_rays(case):
     rows, d = case
-    start = polytope._start(rows, d)
-    assert (start is None) == (_rank(rows) < d)
-    if start is None:
-        return
-    chosen, rays = start
+    chosen, rays, free = exact.eliminate(rows, d)
+    r = _rank(rows)
     # greedy: a row is chosen iff it is independent of the rows chosen
     # before it, until d are chosen
     greedy = []
     for i, row in enumerate(rows):
         if len(greedy) < d and _rank([rows[j] for j in greedy] + [row]) > len(greedy):
             greedy.append(i)
-    assert chosen == greedy
-    assert len(rays) == d
+    assert chosen == greedy and len(chosen) == r
+    assert len(rays) == r
     for j, ray in enumerate(rays):
         assert gcd(*ray) == 1
         for k, i in enumerate(chosen):
             s = sum(a * b for a, b in zip(rows[i], ray))
             assert s > 0 if k == j else s == 0
+    # rank-deficient rows leave a basis of their null space: primitive
+    # vectors tight on every row, d - rank of them
+    assert len(free) == d - r and _rank(free) == len(free)
+    for x in free:
+        assert gcd(*x) == 1
+        assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
+
+
+def _halfspace(normal, offset):
+    """The Halfspace <x, normal> <= offset for a rational normal: a
+    primitive integer normal, and the offset scaled with it."""
+    w, p, q = polytope._cleared(normal, offset)
+    return Halfspace(w, Fraction(p, q))
 
 
 RATIONAL = st.one_of(
@@ -141,7 +151,6 @@ def test_cleared_is_its_definition(normal, offset):
     assert w == tuple(c // content for c in ints)
     assert all(type(c) is int for c in w) and type(p) is int and type(q) is int
     assert (p, q) == (b.numerator, b.denominator) and q > 0 and gcd(p, q) == 1
-    assert Halfspace.make(normal, offset) == Halfspace(w, b)
 
 
 @pytest.mark.parametrize("bad", [1.0, 0.0, "1", Decimal("1"), Decimal("0.5")], ids=repr)
@@ -149,7 +158,7 @@ def test_a_non_rational_coordinate_or_offset_is_a_type_error(bad):
     # Named before any other work: a bad coordinate of a zero normal is not
     # a ZeroVector, and a bad coordinate is named before a bad offset.
     square = [((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
-    for make in (lambda n, b: Halfspace.make(n, b),
+    for make in (_halfspace,
                  lambda n, b: Polytope.from_halfspaces([(n, b)] + square)):
         for normal, offset in [((bad, 0), 1), ((Fraction(1, 2), bad), bad), ((0, bad), 1)]:
             with pytest.raises(TypeError, match=re.escape(
@@ -196,7 +205,7 @@ def _tight_sets_facets(P, halfspaces):
     """The facets of P among the halfspaces by vertex-set maximality: the
     halfspaces whose sets of tight vertices are nonempty and in no other
     such set."""
-    hs = {Halfspace.make(n, b) for n, b in halfspaces}
+    hs = {_halfspace(n, b) for n, b in halfspaces}
     on = {h: frozenset(v for v in P.vertices if sum(a * c for a, c in zip(h.normal, v)) == h.offset)
           for h in hs}
     return {h for h, s in on.items() if s and not any(s < t for t in on.values())}
@@ -256,7 +265,7 @@ def test_output_coordinates_are_fractions_in_and_out_of_the_shared_table():
 def test_unbounded_rejected():
     with pytest.raises(Unbounded):
         Polytope.from_halfspaces(
-            [Halfspace.make((1, 0), 1), Halfspace.make((0, 1), 1)]
+            [_halfspace((1, 0), 1), _halfspace((0, 1), 1)]
         )
 
 

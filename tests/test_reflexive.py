@@ -124,7 +124,7 @@ def test_normal_contributions_square():
 
 
 def _direction(P, a, b):
-    return exact.rational_direction(exact.vec_sub(P.vertices[b], P.vertices[a]))[0]
+    return exact.rational_direction([x - y for x, y in zip(P.vertices[b], P.vertices[a])])[0]
 
 
 def _contributions_by_2face_scan(P, edge):
@@ -142,7 +142,8 @@ def _contributions_by_2face_scan(P, edge):
     out = []
     for f in P.face_lattice().values():
         if f.dim == 2 and {u, v} <= f.vertex_ids:
-            diff = exact.vec_sub(weight_in_face(u, f.vertex_ids), weight_in_face(v, f.vertex_ids))
+            diff = tuple(x - y for x, y in zip(weight_in_face(u, f.vertex_ids),
+                                               weight_in_face(v, f.vertex_ids)))
             w1 = _direction(P, u, v)
             k = next(i for i, c in enumerate(w1) if c)
             a = Fraction(diff[k], w1[k])

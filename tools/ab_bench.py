@@ -6,7 +6,10 @@ Runs ``python3 perfbench/run.py --workload W --seed S --seconds 20`` in
 PARENT_DIR and in the checkout this file belongs to, N times each (10 by
 default), one pair at a time: the parent runs first in pairs 0, 2, 4, ...
 and the change first in the others.  Both sides run with
-PYTHONDONTWRITEBYTECODE=1, so neither reads or leaves a ``__pycache__``.
+PYTHONDONTWRITEBYTECODE=1, so neither leaves a ``__pycache__``; but Python
+still reads one that is there, and a side with cached bytecode skips
+compiling ``src/`` in every set-up.  So before the first run the tool
+exits 2, naming the directory, if either checkout's ``src/`` holds one.
 For each end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles (``statistics.quantiles``, n = 4), the ratio of the
 medians (change over parent), the pairs the change won, ties counting
@@ -56,6 +59,15 @@ def run_once(checkout, workload, seed):
         items = json.load(fh)["detail"]["items"]
     result["items"] = {name: item["median_ms"] for name, item in items.items()}
     return result
+
+
+def cached_bytecode(checkout):
+    """The first ``__pycache__`` directory under the checkout's ``src/``,
+    or None."""
+    for path, dirs, _ in os.walk(os.path.join(checkout, "src")):
+        if "__pycache__" in dirs:
+            return os.path.join(path, "__pycache__")
+    return None
 
 
 def _spread(xs):
@@ -170,6 +182,12 @@ def main(argv=None):
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         metrics = json.load(fh)["end_to_end"]
     where = {"parent": args.parent, "change": ROOT}
+    for side in SIDES:
+        cache = cached_bytecode(where[side])
+        if cache:
+            print(f"error: {cache} holds bytecode that the runs would read; remove it first",
+                  file=sys.stderr)
+            return 2
     runs = {side: [] for side in SIDES}
     first = []
     for i in range(args.pairs):

@@ -50,7 +50,7 @@ STAGES = {
                ("delzant pass", "polytope.Polytope", "_delzant_pass"),
                ("census", "gkm", "first_census"),
                ("contributions", "reflexive", "_contribution_sums")),
-    "hull": (("start", "polytope", "_start"), ("row loop", "polytope", "_extreme_rays")),
+    "hull": (("start", "exact", "eliminate"), ("row loop", "polytope", "_extreme_rays")),
     # roots.base_point calls roots._base where a checkout has both
     "weyl": (("parse", "cli", "_parse"),
              ("roots.build", "roots", "build"),
