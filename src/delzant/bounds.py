@@ -92,7 +92,7 @@ def _floor_sqrt_frac(p, q):
 
 
 def lambda_threshold(n, k0):
-    """Smallest position whose coefficient in C(k0, n, .) is negative."""
+    """Smallest position whose coefficient in C(k0, n, .) is not positive."""
     if not 1 <= k0 <= n + 1:
         raise MalformedVector(f"index {k0} outside [1, {n + 1}]")
     if n % 2 == 0:

@@ -237,11 +237,9 @@ def cmd_check(args):
         rep = VerificationReport("reflexive", ok)
     elif which == "gkm":
         rep = gkm.validate(obj)
-    elif which == "gorenstein":
+    else:  # gorenstein
         rep = VerificationReport("gorenstein", True)
         rep.add_item("index", True, {"r": gkm.gorenstein_index(obj)})
-    else:  # pragma: no cover - argparse restricts choices
-        raise MalformedInput(f"unknown check {which!r}")
     return _report_exit(rep, args.text)
 
 
@@ -278,11 +276,9 @@ def cmd_verify(args):
 
         ok = oracle.brute_f_vector(obj) == obj.f_vector()
         rep.add_item("oracle f-vector", ok)
-        for e in obj.edges():
-            count = oracle.lattice_points_on_segment(
-                obj.vertices[e[0]], obj.vertices[e[1]]
-            )
-            rep.add_item(f"oracle length {e}", count - 1 == obj.relative_length(e))
+        for (u, v), length in zip(obj.edges(), obj.relative_lengths()):
+            count = oracle.lattice_points_on_segment(obj.vertices[u], obj.vertices[v])
+            rep.add_item(f"oracle length {(u, v)}", count - 1 == length)
     return _report_exit(rep, args.text)
 
 

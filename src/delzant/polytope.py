@@ -16,6 +16,7 @@ once, when the result is built.
 
 from collections import namedtuple
 from fractions import Fraction
+from itertools import product
 from math import ceil, comb, floor, gcd, lcm
 from operator import add, mul, neg
 
@@ -570,22 +571,12 @@ class Polytope:
         return all(h.holds(point, strict=strict) for h in self.facets)
 
     def interior_lattice_points(self):
-        """All lattice points strictly inside, by bounding-box enumeration."""
+        """All lattice points strictly inside, in lexicographic order, by
+        enumerating the bounding box."""
         los = [min(v[i] for v in self.vertices) for i in range(self.dim)]
         his = [max(v[i] for v in self.vertices) for i in range(self.dim)]
         ranges = [range(ceil(lo), floor(hi) + 1) for lo, hi in zip(los, his)]
-        out = []
-
-        def rec(prefix, i):
-            if i == self.dim:
-                if self.contains(prefix, strict=True):
-                    out.append(tuple(prefix))
-                return
-            for c in ranges[i]:
-                rec(prefix + [c], i + 1)
-
-        rec([], 0)
-        return sorted(out)
+        return [x for x in product(*ranges) if self.contains(x, strict=True)]
 
     def generic_direction(self, avoid=()):
         """Deterministic direction not orthogonal to any edge.

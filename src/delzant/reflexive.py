@@ -146,24 +146,21 @@ def sum_lengths(P):
 
 def verify_length_decomposition(P):
     """Per-edge check of l(e) = 2 + (sum of normal contributions)."""
-    _require_delzant(P)
-    _require_reflexive(P)
-    lengths = P.relative_lengths()
+    S = from_polytope(P)
     sums = [2 + a for a in _contribution_sums(P)]
-    rep = VerificationReport("length-decomposition", True, sum(lengths), (sum(sums),))
-    for e, length, s in zip(P.skeleton().edge_list, lengths, sums):
+    rep = VerificationReport("length-decomposition", True, S.sum_lengths(), (sum(sums),))
+    for e, length, s in zip(S.edge_list, S._length_col, sums):
         rep.add_item("edge (%d, %d)" % e, length == s, {"length": length, "2+sum_a": s})
     return rep
 
 
 def verify_main_theorem(P):
     """Edge-length sum against the f-vector and h-vector formulas."""
-    _require_delzant(P)
-    _require_reflexive(P)
+    S = from_polytope(P)
     n = P.dim
     if n < 2:
         raise UnsupportedDimension("length-sum formula needs dimension >= 2")
-    total = sum_lengths(P)
+    total = S.sum_lengths()
     f, h = _census(P)
     rhs = [bounds.c_from_f(n, f), bounds.c_from_h(n, h)]
     if n >= 3:
@@ -181,8 +178,10 @@ def verify_12_24(P):
     The facets of a reflexive P are <x, a_i> <= 1, and its polar dual has
     the vertex -a_i for facet i.  A vertex of a polygon, or an edge of a
     3-polytope, lies on exactly two facets i and j, and is paired with the
-    dual edge from -a_i to -a_j, of lattice length content(a_i - a_j)."""
+    dual edge from -a_i to -a_j, of lattice length content(a_i - a_j).
+    The vertices of a reflexive P are integral, so its lengths are too."""
     _require_reflexive(P)
+    S = P.skeleton()
     at_vertex = P._incidence_bits()[0]
 
     def dual_length(mask):
@@ -190,19 +189,18 @@ def verify_12_24(P):
         return gcd(*map(sub, P.facets[i].normal, P.facets[j].normal))
 
     if P.dim == 2:
-        primal, dual_sum = sum_lengths(P), sum(map(dual_length, at_vertex))
+        primal, dual_sum = S.sum_lengths(), sum(map(dual_length, at_vertex))
         lhs = primal + dual_sum
         rep = VerificationReport("twelve", lhs == 12, lhs, (12,))
         rep.add_item("primal", True, {"sum": primal})
         rep.add_item("dual", True, {"sum": dual_sum})
         return rep
     if P.dim == 3:
-        edges = P.skeleton().edge_list
         terms = [length * dual_length(at_vertex[u] & at_vertex[v])
-                 for (u, v), length in zip(edges, P.relative_lengths())]
+                 for (u, v), length in zip(S.edge_list, S._length_col)]
         total = sum(terms)
         rep = VerificationReport("twenty-four", total == 24, total, (24,))
-        for e, term in zip(edges, terms):
+        for e, term in zip(S.edge_list, terms):
             rep.add_item("edge (%d, %d)" % e, True, {"l*l_dual": term})
         return rep
     raise UnsupportedDimension("the 12/24 identities hold in dimensions 2 and 3")
@@ -210,28 +208,28 @@ def verify_12_24(P):
 
 def index_k0(P):
     """gcd of all relative edge lengths of a reflexive Delzant polytope."""
-    _require_delzant(P)
-    _require_reflexive(P)
-    return gcd(*P.relative_lengths())
+    return gcd(*from_polytope(P)._length_col)
 
 
 def verify_index_corollary(P):
-    """C(k0, n, f) = C(k0, n, h) >= 0, divisible by k0, zero iff every edge
-    has length exactly k0."""
-    k0 = index_k0(P)
+    """The edge side C_f = sum_e (l(e) - k0), from the lengths alone,
+    against C_h = C(k0, n, h) from the census; C_h >= 0, divisible by k0,
+    and zero iff every edge has length exactly k0.  (C_f is all three for
+    any lengths, each a multiple of k0.)"""
+    S = from_polytope(P)
+    lengths = S._length_col
+    k0 = gcd(*lengths)
     n = P.dim
     if n < 2:
         raise UnsupportedDimension("the indexed length-sum formula needs dimension >= 2")
-    f, h = _census(P)
-    cf = bounds.c_indexed_from_f(k0, n, f)
-    ch = bounds.c_indexed_from_h(k0, n, h)
-    lengths = P.relative_lengths()
+    cf = S.sum_lengths() - k0 * len(lengths)
+    ch = bounds.c_indexed_from_h(k0, n, gkm.first_census(S))
     all_k0 = all(l == k0 for l in lengths)
     rep = VerificationReport("index-corollary", True, cf, (ch,))
     rep.add_item("f-equals-h", cf == ch, {"C_f": cf, "C_h": ch})
-    rep.add_item("non-negative", cf >= 0, {"C": cf})
-    rep.add_item("divisible", cf % k0 == 0, {"C": cf, "k0": k0})
-    rep.add_item("zero-iff-equal-lengths", (cf == 0) == all_k0, {"lengths": lengths})
+    rep.add_item("non-negative", ch >= 0, {"C": ch})
+    rep.add_item("divisible", ch % k0 == 0, {"C": ch, "k0": k0})
+    rep.add_item("zero-iff-equal-lengths", (ch == 0) == all_k0, {"lengths": list(lengths)})
     return rep
 
 

@@ -128,6 +128,9 @@ def test_lambda_threshold():
     assert bounds.lambda_threshold(4, 1) == 2
     assert bounds.lambda_threshold(5, 4) == 2
     assert bounds.lambda_threshold(8, 9) == 2
+    # the coefficient there is 0, not negative
+    assert bounds.lambda_threshold(4, 2) == 1
+    assert bounds.lambda_threshold(6, 1) == 2
 
 
 def test_lambda_threshold_marks_sign_change():

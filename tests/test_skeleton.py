@@ -268,23 +268,34 @@ VERIFIERS = [
 @pytest.mark.parametrize("make", [*(lambda n=n: catalog.load(n) for n in POLYTOPES),
                                   lambda: cube(5)], ids=[*POLYTOPES, "cube5"])
 def test_no_verifier_walks_the_face_lattice(make, monkeypatch):
-    # nor builds a polytope: each reads the one it is given
-    built = []
-    init = Polytope.__init__
+    # nor builds a polytope: each reads the one it is given.  Only the
+    # Gorenstein verifier, whose P may be rational, reads the lengths
+    # through the integrality check of ``relative_lengths``; the others
+    # read the column of a skeleton they have checked to be reflexive.
+    built, read = [], []
+    init, relative_lengths = Polytope.__init__, Polytope.relative_lengths
 
     def counted_init(self, *args):
         built.append(self)
         init(self, *args)
 
+    def counted_lengths(self):
+        read.append(self)
+        return relative_lengths(self)
+
     monkeypatch.setattr(Polytope, "__init__", counted_init)
+    monkeypatch.setattr(Polytope, "relative_lengths", counted_lengths)
     for verify in VERIFIERS:
         P = make()
         before = len(built)
+        del read[:]
         try:
-            verify(P)
+            rep = verify(P)
         except DelzantError:
-            pass
+            rep = None
         assert P._faces is None and len(built) == before, verify
+        gorenstein = isinstance(rep, VerificationReport) and rep.identity == "gorenstein-length-sum"
+        assert len(read) == gorenstein, verify
 
 
 def _run(argv):
