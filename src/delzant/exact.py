@@ -77,10 +77,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vec_neg(a):
     return tuple(-x for x in a)
 

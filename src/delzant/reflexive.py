@@ -140,10 +140,6 @@ def verify_thm_combinatorics2(P):
     return rep
 
 
-def sum_lengths(P):
-    return sum(P.relative_lengths())
-
-
 def verify_length_decomposition(P):
     """Per-edge check of l(e) = 2 + (sum of normal contributions)."""
     S = from_polytope(P)
@@ -237,12 +233,13 @@ def verify_gorenstein(P, r):
     """Check the rescaled length-sum formula for a polytope whose r-th dilate
     has a reflexive lattice translate.
 
-    rP - t has P's facets <x, a_i> at the offsets r b_i - <a_i, t>, and is
-    reflexive iff each is 1: then each vertex, cut out by n facets whose
-    normals form a lattice basis (P is Delzant), is a lattice point.  On the
-    n facets through vertex 0 that is a square system with one solution, a
-    lattice point when every r b_i there is an integer: the only candidate
-    for t.  The index r must be a positive rational.
+    A reflexive Delzant polytope has each vertex at minus the sum of its n
+    weights, and rP - t has the vertex r v0 - t with the weights w_j of P at
+    vertex 0, kept by the Delzant pass: so t = r v0 + sum_j w_j is the only
+    candidate.  Those weights form a lattice basis, so t is a lattice point
+    iff every r b_i on the n facets through vertex 0 is an integer.  rP - t
+    has P's facets <x, a_i> at the offsets r b_i - <a_i, t>, and is
+    reflexive iff each is 1.  The index r must be a positive rational.
     """
     r = exact.rational(r, "index")
     if r <= 0:
@@ -250,18 +247,13 @@ def verify_gorenstein(P, r):
     _require_delzant(P)
     if P.dim < 2:
         raise UnsupportedDimension("the rescaled length-sum formula needs dimension >= 2")
-    tight = [P.facets[i] for i in _bits(P._incidence_bits()[0][0])]
-    rb = [r * h.offset for h in tight]
-    if any(c.denominator != 1 for c in rb):
+    t = [r * c + sum(w) for c, *w in zip(P.vertices[0], *P._leaving[0].values())]
+    if any(c.denominator != 1 for c in t):
         raise NotGorensteinOfIndex(f"the {r}-fold dilate has a non-integral facet offset")
-    U = [h.normal for h in tight]
-    b = [c.numerator - 1 for c in rb]
-    d = exact.det(U)  # +-1, so dividing by d is multiplying by d
-    t = [d * exact.det([row[:j] + (bi,) + row[j + 1:] for row, bi in zip(U, b)])
-         for j in range(P.dim)]
+    t = [c.numerator for c in t]
     if any(r * h.offset - sum(map(mul, h.normal, t)) != 1 for h in P.facets):
         raise NotGorensteinOfIndex(f"no reflexive translate of the {r}-fold dilate")
-    total = sum_lengths(P)
+    total = P.skeleton().sum_lengths()
     f, _ = _census(P)
     rhs = Fraction(bounds.c_from_f(P.dim, f), r)
     rep = VerificationReport("gorenstein-length-sum", total == rhs, total, (rhs,))
@@ -280,10 +272,7 @@ def reconstruct_from_cones(cones):
     for label, weights in cones.items():
         if not exact.is_lattice_basis(list(weights)):
             raise InconsistentCones(f"cone at {label} is not unimodular")
-        v = (0,) * len(weights[0])
-        for w in weights:
-            v = exact.vec_add(v, w)
-        placed[label] = exact.vec_neg(v)
+        placed[label] = tuple([-sum(c) for c in zip(*weights)])
     P = Polytope.from_vertices(list(placed.values()))
     if len(P.vertices) != len(placed):
         raise InconsistentCones("placed points are not all extreme")

@@ -24,10 +24,10 @@ def test_criterion_1_twelve():
     ok = True
     for name in SMOOTH_POLYGONS:
         P = catalog.load(name)
-        ok = ok and reflexive.sum_lengths(P) + P.f_vector()[0] == 12
+        ok = ok and sum(P.relative_lengths()) + P.f_vector()[0] == 12
     D = catalog.load("diamond")
-    ok = ok and reflexive.sum_lengths(D) == 4
-    ok = ok and reflexive.sum_lengths(D.dual()) == 8
+    ok = ok and sum(D.relative_lengths()) == 4
+    ok = ok and sum(D.dual().relative_lengths()) == 8
     ok = ok and reflexive.verify_12_24(D).passed
     _report(1, "twelve theorem on the smooth polygons and the diamond", ok)
 
@@ -36,7 +36,7 @@ def test_criterion_2_twenty_four():
     ok = True
     for name in ["cube", "cp3-simplex"]:
         P = catalog.load(name)
-        ok = ok and reflexive.sum_lengths(P) == 24
+        ok = ok and sum(P.relative_lengths()) == 24
         rep = reflexive.verify_12_24(P)
         ok = ok and rep.passed and rep.lhs == 24
     rep = reflexive.verify_12_24(catalog.load("octahedron"))
@@ -48,7 +48,7 @@ def test_criterion_3_main_theorem_n4():
     P = cube(4)
     f = P.f_vector()
     h = P.h_vector_comb()
-    total = reflexive.sum_lengths(P)
+    total = sum(P.relative_lengths())
     ok = (
         total == 64
         and h == (1, 4, 6, 4, 1)

@@ -68,6 +68,17 @@ def test_verify_gorenstein(capsys):
     assert code == 0
 
 
+def test_verify_gorenstein_on_a_rational_polytope(capsys, tmp_path):
+    # half of CP^2: its edges have the length 3/2, and its double is the
+    # reflexive triangle itself
+    path = tmp_path / "half.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [["-1/2", "-1/2"], [1, "-1/2"], ["-1/2", 1]]}))
+    code, out = run(capsys, "verify", "gorenstein:2", str(path))
+    d = json.loads(out)
+    assert (code, d["pass"], d["lhs"], d["rhs"]) == (0, True, "9/2", ["9/2"])
+    assert d["per_item"][0]["detail"]["shift"] == [0, 0]
+
+
 def test_verify_with_oracle(capsys):
     code, out = run(capsys, "verify", "main", "catalog:cube", "--with-oracle")
     assert code == 0

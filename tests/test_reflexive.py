@@ -1,3 +1,4 @@
+import functools
 import json
 from fractions import Fraction
 
@@ -357,9 +358,9 @@ def test_main_theorem():
 
 
 def test_main_theorem_values():
-    assert reflexive.sum_lengths(cube(3)) == 24
-    assert reflexive.sum_lengths(simplex_cpn(3)) == 24
-    assert reflexive.sum_lengths(cube(4)) == 64
+    assert sum(cube(3).relative_lengths()) == 24
+    assert sum(simplex_cpn(3).relative_lengths()) == 24
+    assert sum(cube(4).relative_lengths()) == 64
 
 
 @pytest.mark.parametrize("vertices, first", [
@@ -374,7 +375,7 @@ def test_sum_lengths_names_the_first_non_lattice_edge(vertices, first):
     with pytest.raises(NonLatticeEdge) as by_edge:
         P.relative_length(first)
     with pytest.raises(NonLatticeEdge) as by_sum:
-        reflexive.sum_lengths(P)
+        sum(P.relative_lengths())
     assert str(by_sum.value) == str(by_edge.value) == f"edge {first} has non-integral length 1/2"
 
 
@@ -395,19 +396,19 @@ def test_twelve_on_polygons():
         P = catalog.load(name)
         for Q in [P] + [_moved(P, u) for u in MOVES_2]:
             if name != "diamond":
-                assert reflexive.sum_lengths(Q) + len(Q.vertices) == 12, name
+                assert sum(Q.relative_lengths()) + len(Q.vertices) == 12, name
             rep = reflexive.verify_12_24(Q)
             assert rep.passed, name
             dual = next(item for item in rep.per_item if item["id"] == "dual")
-            assert dual["detail"]["sum"] == reflexive.sum_lengths(Q.dual()), name
+            assert dual["detail"]["sum"] == sum(Q.dual().relative_lengths()), name
 
 
 def test_twelve_on_diamond():
     P = catalog.load("diamond")
     rep = reflexive.verify_12_24(P)
     assert rep.passed
-    assert reflexive.sum_lengths(P) == 4
-    assert reflexive.sum_lengths(P.dual()) == 8
+    assert sum(P.relative_lengths()) == 4
+    assert sum(P.dual().relative_lengths()) == 8
 
 
 def test_twenty_four():
@@ -463,14 +464,20 @@ def test_twelve_24_requires_reflexive():
     ("length-decomposition", "square"),
     ("length-decomposition", "cube"),
     ("graph-corollary", "octahedron-skeleton"),
+    ("gorenstein:2", "unit-square"),
+    ("gorenstein:1", "cube"),
 ])
 def test_a_corrupted_length_fails_the_identity(identity, name, monkeypatch, capsys):
     # These identities hold on every valid input, so only a wrong length
     # reaches their failing branch.  Doubling the first edge's length, in
     # the column every skeleton and JSON graph fills, must fail the report
     # (a larger sum too: a check weakened to >= would pass it) and exit 1.
-    verify = gkm.verify_graph_corollary if identity == "graph-corollary" else getattr(
-        reflexive, cli._POLYTOPE_IDENTITIES[identity])
+    if identity == "graph-corollary":
+        verify = gkm.verify_graph_corollary
+    elif identity.startswith("gorenstein:"):
+        verify = functools.partial(reflexive.verify_gorenstein, r=int(identity.split(":")[1]))
+    else:
+        verify = getattr(reflexive, cli._POLYTOPE_IDENTITIES[identity])
     assert verify(catalog.load(name)).passed
     fill = gkm.GkmGraph._fill
 
@@ -516,6 +523,18 @@ def test_gorenstein():
         reflexive.verify_gorenstein(catalog.load("unit-square"), 200)
 
 
+def test_gorenstein_says_why_it_refuses():
+    # (1/2)CP^2 has the vertex (-1/2, -1/2), so its translate t = r v0 + (1, 1)
+    # is not a lattice point at r = 1; the unit square's t = (1, 1) is one at
+    # r = 3, but leaves the facets x_i <= 1 at the offset 2
+    half = Polytope.from_vertices([(Fraction(-1, 2), Fraction(-1, 2)), (1, Fraction(-1, 2)),
+                                   (Fraction(-1, 2), 1)])
+    with pytest.raises(NotGorensteinOfIndex, match="^the 1-fold dilate has a non-integral facet offset$"):
+        reflexive.verify_gorenstein(half, 1)
+    with pytest.raises(NotGorensteinOfIndex, match="^no reflexive translate of the 3-fold dilate$"):
+        reflexive.verify_gorenstein(catalog.load("unit-square"), 3)
+
+
 def _shift_by_scan(P, r):
     """The shift -t for the first interior lattice point t of rP whose
     translate rP - t is reflexive, or None: the scan over every candidate."""
@@ -532,7 +551,14 @@ def test_gorenstein_shift_matches_scan():
     moved = [catalog.load("unit-square").translate((2, -1)), cube(3).translate((1, 0, 0)),
              *(_moved(catalog.load(name), u) for name in ["unit-square", "std-simplex"]
                for u in MOVES_2)]
-    for P in delzant + moved:
+    # rational P, whose lengths need not be integers: (1/k)Q and its
+    # translate by (1/k, ..., 1/k)
+    shrunk = []
+    for Q in delzant:
+        for k in (2, 3):
+            P = Q.dilate(Fraction(1, k))
+            shrunk += [P, P.translate((Fraction(1, k),) * P.dim)]
+    for P in delzant + moved + shrunk:
         for r in [1, -1, 2, -2, 3, 4, Fraction(1, 2), Fraction(3, 2)]:
             if r < 0:
                 # a negative dilate may have a reflexive translate, but the
@@ -564,3 +590,5 @@ def test_reconstruct_from_cones():
 def test_reconstruct_rejects_bad_cones():
     with pytest.raises(InconsistentCones):
         reflexive.reconstruct_from_cones({0: [(2, 0), (0, 1)], 1: [(1, 0), (0, 1)]})
+    with pytest.raises(DelzantError):
+        reflexive.reconstruct_from_cones({0: []})
