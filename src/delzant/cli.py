@@ -264,8 +264,8 @@ def cmd_verify(args):
         rep = getattr(reflexive, _POLYTOPE_IDENTITIES[ident])(obj)
     elif ident.startswith("gorenstein:"):
         try:
-            r = int(ident.split(":", 1)[1])
-        except ValueError:
+            r = serialize.num_from_json(ident.split(":", 1)[1])
+        except MalformedInput:
             raise MalformedInput(f"cannot parse the index in {ident!r}")
         obj = _load_input(args.input, Polytope)
         rep = reflexive.verify_gorenstein(obj, r)

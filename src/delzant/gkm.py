@@ -200,21 +200,23 @@ class _Pairing:
     ``_kept_pairing`` makes once per graph.  It keeps ``xis``, the first
     three candidate directions (``_candidates``) that vanish on no weight
     (ambient dimension 1 has only one), and gives per vertex, in
-    ``G.ids`` order: ``degrees``; ``indegrees(c)``, the number of weights
+    ``G.ids`` order: ``degrees``; ``independent``, the GKM verdict that no
+    two weights there are parallel; ``indegrees(c)``, the number of weights
     leaving it that pair negatively with xis[c], which are its edges that
-    xis[c] orients into it; and its weight sum.  ``independent`` tells, per
-    vertex, whether no two weights there are parallel.  Each is read off
-    the pass when first asked for.
+    xis[c] orients into it; and its weight sum.  The first two are set by
+    the pass, the last two decoded from its totals on request.
 
     Each distinct weight w of ``G._weight_index`` is paired once with each
     candidate and gets two integers, for the tail its edges leave by w and
-    the head they leave by -w.  From the lowest, their bit fields hold a 1 for the degree, a 1
-    for each kept direction that the weight leaving that end pairs
-    negatively with, and that weight in balanced base 2^b.  A count field
-    holds |V|, and a weight sum's coordinates are below |V| max|w_i| <
-    2^(b-1), so the fields of the sum of a vertex's integers are its
-    degree, its in-degrees and its weight sum.  Each edge's weight is read
-    by its index, and the edge adds one integer at each end.
+    the head they leave by -w, and the code of its line +-w.  From the
+    lowest, the integers' bit fields hold a 1 for each kept direction that
+    the weight leaving that end pairs negatively with, and that weight in
+    balanced base 2^b.  A count field holds |V|, and a weight sum's
+    coordinates are below |V| max|w_i| < 2^(b-1), so the fields of the sum
+    of a vertex's integers are its in-degrees and its weight sum.  Each
+    edge's weight is read by its index; the edge adds one integer at each
+    end and lists its line at both, so a vertex's list has its degree for
+    length and repeats no line when its weights are independent.
     """
 
     def __init__(self, G):
@@ -222,17 +224,17 @@ class _Pairing:
         n = len(G.ids)
         self._width = width = n.bit_length()
         self.xis = xis = []
-        codes = [(1, 1)] * len(weights)
+        codes = [(0, 0)] * len(weights)
         for xi in _candidates(G):
             pairs = [sum(map(mul, w, xi)) for w in weights]
             if all(pairs):
-                xis.append(xi)
                 bit = 1 << len(xis) * width
+                xis.append(xi)
                 codes = [(t + bit, h) if pair < 0 else (t, h + bit)
                          for (t, h), pair in zip(codes, pairs)]
                 if len(xis) == 3:
                     break
-        low = (len(xis) + 1) * width
+        low = len(xis) * width
         m = max(map(abs, chain.from_iterable(weights)), default=0)
         self._b = b = (n * m).bit_length() + 1
         self._shifts = range(low, low + b * G.ambient_dim, b)
@@ -240,44 +242,30 @@ class _Pairing:
         # starts at 2^(b-1), so that every field stays nonnegative.
         places = [1 << i for i in self._shifts]
         fields = [sum(map(mul, w, places)) for w in weights]
-        codes = [(t + f, h - f) for (t, h), f in zip(codes, fields)]
+        line = {}
+        codes = [(t + f, h - f, line.setdefault(max(w, tuple(map(neg, w))), len(line)))
+                 for (t, h), f, w in zip(codes, fields, weights)]
         packed = dict.fromkeys(G.ids, sum(places) << b - 1)
+        lines = {vid: [] for vid in G.ids}
         for (u, v), i in zip(G.edge_list, ids):
-            tail, head = codes[i]
+            tail, head, c = codes[i]
             packed[u] += tail
             packed[v] += head
+            lines[u].append(c)
+            lines[v].append(c)
         self._packed = packed.values()
-        self._columns = G.ids, G.edge_list, weights, ids
+        self.degrees = list(map(len, lines.values()))
+        self.independent = [len(set(cs)) == len(cs) for cs in lines.values()]
 
     def indegrees(self, c):
         """Each vertex's in-degree under xis[c]."""
-        shift, field = (c + 1) * self._width, (1 << self._width) - 1
+        shift, field = c * self._width, (1 << self._width) - 1
         return [a >> shift & field for a in self._packed]
-
-    @cached_property
-    def degrees(self):
-        field = (1 << self._width) - 1
-        return [a & field for a in self._packed]
 
     @cached_property
     def sums(self):
         shifts, half, digit = self._shifts, 1 << self._b - 1, (1 << self._b) - 1
         return [tuple([(a >> i & digit) - half for i in shifts]) for a in self._packed]
-
-    @cached_property
-    def independent(self):
-        """The GKM verdict per vertex: its weights are pairwise independent,
-        that is lie on distinct lines +-w.  One more pass over the columns
-        lists the lines at each vertex, each line coded by a small int."""
-        vids, edge_list, weights, ids = self._columns
-        line = {}
-        code = [line.setdefault(max(w, tuple(map(neg, w))), len(line)) for w in weights]
-        lines = {vid: [] for vid in vids}
-        for (u, v), i in zip(edge_list, ids):
-            c = code[i]
-            lines[u].append(c)
-            lines[v].append(c)
-        return [len(set(cs)) == len(cs) for cs in lines.values()]
 
 
 def _census(indegrees, degree):

@@ -79,6 +79,27 @@ def test_verify_gorenstein_on_a_rational_polytope(capsys, tmp_path):
     assert d["per_item"][0]["detail"]["shift"] == [0, 0]
 
 
+def test_verify_gorenstein_at_a_rational_index(capsys, tmp_path):
+    # twice CP^2: its half is the reflexive triangle itself
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[-2, -2], [4, -2], [-2, 4]]}))
+    code, out = run(capsys, "verify", "gorenstein:1/2", str(path))
+    d = json.loads(out)
+    assert (code, d["pass"], d["lhs"], d["rhs"]) == (0, True, 18, [18])
+    assert d["per_item"][0]["detail"]["shift"] == [0, 0]
+    assert main(["verify", "gorenstein:3/2", "catalog:unit-square"]) == 2
+    assert capsys.readouterr().err == (
+        "error: NotGorensteinOfIndex: no reflexive translate of the 3/2-fold dilate\n")
+
+
+# the index is read as a JSON rational, "p" or "p/q": int() would also take
+# the last three, as 2, 20 and 2
+@pytest.mark.parametrize("index", ["abc", "", "1/0", "2.0", " 2", "2_0", "\u0662"])
+def test_verify_gorenstein_refuses_an_unparsed_index(capsys, index):
+    assert main(["verify", "gorenstein:" + index, "catalog:unit-square"]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse the index in {'gorenstein:' + index!r}\n"
+
+
 def test_verify_with_oracle(capsys):
     code, out = run(capsys, "verify", "main", "catalog:cube", "--with-oracle")
     assert code == 0

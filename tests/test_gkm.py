@@ -42,14 +42,17 @@ def test_validate_octahedron_skeleton():
 
 
 def test_validate_rejects_parallel_weights():
-    G = GkmGraph(
-        2, 2,
-        [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
-        [(0, 1), (1, 2), (2, 3), (3, 0)],
-    )
-    rep = gkm.validate(G)
-    bad = [i for i in rep.per_item if not i["pass"]]
-    assert any("gkm-condition" in i["id"] for i in bad)
+    # with the edge (2, 1), w = (1, 0) and -w are two entries of the weight
+    # table, and both leave vertex 1: a line is +-w, not w
+    for middle in [(1, 2), (2, 1)]:
+        G = GkmGraph(
+            2, 2,
+            [(0, (0, 0)), (1, (1, 0)), (2, (3, 0)), (3, (1, 1))],
+            [(0, 1), middle, (2, 3), (3, 0)],
+        )
+        rep = gkm.validate(G)
+        bad = [i["id"] for i in rep.per_item if not i["pass"]]
+        assert bad == ["gkm-condition 1"], middle
 
 
 def test_degree_regularity_edge_count():
@@ -297,6 +300,31 @@ def test_build_and_corollary_make_no_reference_cycles():
         if was:
             gc.enable()
     assert gc.collect() == 0
+
+
+class _CountedEdges(list):
+    """An edge list that counts the passes over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: roots.coadjoint_graph(roots.build("B", 3), ()),
+    lambda: cube(3).skeleton(),
+], ids=["orbit", "skeleton"])
+def test_pairing_is_one_pass_over_the_edges(make):
+    # the degrees, the GKM verdict, the weight sums and the in-degrees all
+    # come out of the one edge loop of _Pairing.__init__
+    G = make()
+    G.edge_list = edges = _CountedEdges(G.edge_list)
+    p = gkm._Pairing(G)
+    assert p.degrees == [G.degree] * len(G.ids) and all(p.independent)
+    p.sums, p.indegrees(0)
+    assert edges.passes == 1
 
 
 def test_gkm_ok_is_validate_verdict():
