@@ -59,10 +59,6 @@ class NotReflexive(DelzantError):
     pass
 
 
-class MatchingFailed(DelzantError):
-    """Weight matching across an edge failed; input was not genuinely Delzant."""
-
-
 class UnsupportedDimension(DelzantError):
     pass
 

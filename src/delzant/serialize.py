@@ -17,10 +17,12 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def num_from_json(x):
+    """A JSON number: an integer as itself, a "p" or "p/q" string as a
+    Fraction."""
     if isinstance(x, bool):
         raise MalformedInput(f"boolean {x!r} is not a number")
     if isinstance(x, int):
-        return Fraction(x)
+        return x
     if isinstance(x, str):
         # Only "p" or "p/q": Fraction would also read "1.5" and "1e999999",
         # whose integer has a million digits.

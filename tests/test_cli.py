@@ -111,6 +111,11 @@ def test_verify_precondition_error(capsys):
     assert main(["verify", "main", "catalog:rect"]) == 2
 
 
+def test_verify_an_unknown_identity(capsys):
+    assert main(["verify", "foo", "catalog:cube"]) == 2
+    assert capsys.readouterr() == ("", "error: unknown identity 'foo'\n")
+
+
 def test_dual_roundtrip(capsys):
     code, out = run(capsys, "dual", "catalog:cube")
     assert code == 0
@@ -128,6 +133,14 @@ def test_fvector_hvector_lengths(capsys):
     assert code == 0 and json.loads(out)["h"] == [1, 1, 2, 1, 1]
     code, out = run(capsys, "lengths", "catalog:cube")
     assert code == 0 and json.loads(out)["sum"] == 24
+
+
+def test_fvector_exits_1_when_the_oracle_disagrees(capsys, monkeypatch):
+    from delzant import oracle
+
+    monkeypatch.setattr(oracle, "brute_f_vector", lambda P: (8, 12, 6, 2))
+    code, out = run(capsys, "fvector", "catalog:cube", "--with-oracle")
+    assert code == 1 and json.loads(out) == {"f": [8, 12, 6, 1], "oracle_f": [8, 12, 6, 2]}
 
 
 def test_gkm_build(capsys):

@@ -1,6 +1,7 @@
 import functools
 import json
 from fractions import Fraction
+from operator import add
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,6 @@ from delzant import catalog, cli, exact, gkm, oracle, reflexive
 from delzant.errors import (
     DelzantError,
     InconsistentCones,
-    MatchingFailed,
     NonLatticeEdge,
     NonPositiveIndex,
     NotDelzant,
@@ -280,32 +280,13 @@ ORDERS = {
 ])
 def test_the_delzant_pass_runs_once_per_polytope(order, name, monkeypatch):
     # whichever caller comes first runs the pass, and the second reads what
-    # it kept
+    # it kept; reconstruct_from_cones runs none, so its verifier runs it
     first, then = ORDERS[order]
     P = catalog.load(name)
     runs = _delzant_passes(monkeypatch)
     Q = first(P)
     then(Q)
     assert len(runs) == 1 and runs[0] is Q
-
-
-@pytest.mark.parametrize("verify", [reflexive.verify_thm_combinatorics2,
-                                    reflexive.verify_length_decomposition])
-def test_contributions_test_every_shared_facet(verify):
-    # doubling the weight kept at u for any facet shared by the edge u v
-    # leaves no integer multiple of the edge's weight
-    P = cube(3)
-    u, v = P.edges()[0]
-    at_vertex = P._incidence_bits()[0]
-    shared = at_vertex[u] & at_vertex[v]
-    facets = [i for i in range(len(P.facets)) if shared >> i & 1]
-    assert len(facets) == 2
-    for i in facets:
-        Q = cube(3)
-        Q._delzant_pass()
-        Q._leaving[u][i] = tuple(2 * c for c in Q._leaving[u][i])
-        with pytest.raises(MatchingFailed, match=rf"on edge \({u}, {v}\)"):
-            verify(Q)
 
 
 def _leaving_by_stars(P):
@@ -496,6 +477,49 @@ def test_a_corrupted_length_fails_the_identity(identity, name, monkeypatch, caps
     assert json.loads(capsys.readouterr().out)["pass"] is False
 
 
+def _corrupt_first_contribution(monkeypatch):
+    """Make every Delzant pass from now on keep, at u, for the lowest facet
+    that the skeleton's first edge u v lies on, the weight x + w1 in place
+    of x, w1 being the edge's weight: the edge's contribution in that
+    2-face grows by one, and x + w1 - y is still a multiple of w1.  Returns
+    the edge corrupted on each polytope, one entry a pass."""
+    run = Polytope._delzant_pass
+    corrupted = []
+
+    def pass_(self):
+        first = self._delzant is None
+        verdict = run(self)
+        if first:
+            S = self.skeleton()
+            (u, v), w1 = S.edge_list[0], S._weight_col[0]
+            i = min(self._leaving[u].keys() & self._leaving[v].keys())
+            self._leaving[u][i] = tuple(map(add, self._leaving[u][i], w1))
+            corrupted.append((u, v))
+        return verdict
+
+    monkeypatch.setattr(Polytope, "_delzant_pass", pass_)
+    return corrupted
+
+
+@pytest.mark.parametrize("name", ["cube", "hexagon", "cp3-simplex", "hypercube4", "blowup2"])
+def test_a_corrupted_contribution_fails_the_identity(name, monkeypatch, capsys):
+    # smoothness is decided by the Delzant pass, and the contributions are
+    # read off its table with no check of their own: a wrong contribution
+    # must fail both identities that read it and exit 1, and the
+    # decomposition must fail the corrupted edge alone
+    P = catalog.load(name)
+    assert reflexive.verify_thm_combinatorics2(P).passed
+    assert reflexive.verify_length_decomposition(P).passed
+    corrupted = _corrupt_first_contribution(monkeypatch)
+    assert cli.main(["verify", "combinatorics2", f"catalog:{name}"]) == 1
+    assert json.loads(capsys.readouterr().out)["pass"] is False
+    assert cli.main(["verify", "length-decomposition", f"catalog:{name}"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    failed = [item["id"] for item in rep["per_item"] if not item["pass"]]
+    assert rep["pass"] is False and len(corrupted) == 2
+    assert failed == ["edge (%d, %d)" % corrupted[-1]]
+
+
 def test_index_values():
     expected = {
         "square": 2, "cube": 2, "hypercube4": 2,
@@ -587,8 +611,18 @@ def test_reconstruct_from_cones():
         assert reflexive.reconstruct_from_cones(cones) == P, name
 
 
+SQUARE_CONES = {"a": [(1, 0), (0, 1)], "b": [(-1, 0), (0, -1)],
+                "c": [(-1, 0), (0, 1)], "d": [(1, 0), (0, -1)]}
+
+
 def test_reconstruct_rejects_bad_cones():
-    with pytest.raises(InconsistentCones):
+    with pytest.raises(InconsistentCones, match="cone at 0 is not unimodular"):
         reflexive.reconstruct_from_cones({0: [(2, 0), (0, 1)], 1: [(1, 0), (0, 1)]})
+    # a fifth cone placed at (0, -1), on an edge of the square
+    with pytest.raises(InconsistentCones, match="^placed points are not all extreme$"):
+        reflexive.reconstruct_from_cones(dict(SQUARE_CONES, e=[(1, 0), (-1, 1)]))
+    # placed at (-1, -1), where the square's cone is {(1, 0), (0, 1)}
+    with pytest.raises(InconsistentCones, match="^cone at a not reproduced$"):
+        reflexive.reconstruct_from_cones(dict(SQUARE_CONES, a=[(2, 1), (-1, 0)]))
     with pytest.raises(DelzantError):
         reflexive.reconstruct_from_cones({0: []})

@@ -11,6 +11,10 @@ def test_num_roundtrip():
     assert serialize.num_to_json(Fraction(3)) == 3
     assert serialize.num_to_json(Fraction(-1, 2)) == "-1/2"
     assert serialize.num_from_json(3) == 3
+    # a JSON integer is read as an int, as exact.rational keeps one, and
+    # a "p" or "p/q" string as a Fraction
+    assert type(serialize.num_from_json(3)) is int
+    assert type(serialize.num_from_json("3")) is Fraction
     assert serialize.num_from_json("-1/2") == Fraction(-1, 2)
     with pytest.raises(MalformedInput):
         serialize.num_from_json("x")

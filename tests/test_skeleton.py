@@ -1,8 +1,9 @@
 """The verifiers' skeleton-only paths against the face lattice and
 determinants: ``edges()``, read off the incidence, against the walk's
 1-faces; the census f- and h-vectors against ``f_vector()`` and
-``h_vector_comb()``; the smoothness pairing against |det W| = 1; and no
-verifier or Delzant check walks the face lattice."""
+``h_vector_comb()``; the smoothness pairing against |det W| = 1; the
+normal contributions against the weights of the 2-faces; and no verifier
+or Delzant check walks the face lattice."""
 
 import collections
 import contextlib
@@ -11,11 +12,12 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delzant import catalog, cli, exact, reflexive
+from delzant import catalog, cli, exact, gkm, reflexive
 from delzant.errors import DelzantError
 from delzant.polytope import Polytope, cube, cross_polytope
 from delzant.report import VerificationReport
@@ -154,6 +156,40 @@ def test_census_f_and_h_match_the_walk_after_moves(data):
     names = data.draw(st.sampled_from(PRODUCTS))
     P = _product(names, data.draw(unimodular(sum(len(FACTORS[n][0]) for n in names))))
     _assert_census(P)
+
+
+def _assert_contributions_match_the_2faces(P):
+    """The 2-face lemma that lets the contributions go unchecked, from the
+    face lattice, which shares no code with the Delzant pass: for each
+    edge u v of weight w1 and each 2-face F through it, the weights x at u
+    and y at v of F's other edges there from ``gkm.star`` give
+    x - y = a w1, a the contribution ``normal_contributions`` gives for F."""
+    S = P.skeleton()
+    faces = [ids for ids, face in P.face_lattice().items() if face.dim == 2]
+    for u, v in P.edges():
+        w1 = S.weight((u, v))
+        got = dict(reflexive.normal_contributions(P, (u, v)))
+        through = [F for F in faces if u in F and v in F]
+        assert sorted(got, key=sorted) == sorted(through, key=sorted), (u, v)
+        for F in through:
+            (x,) = [w for o, w in zip(*gkm.star(S, u)) if o in F and o != v]
+            (y,) = [w for o, w in zip(*gkm.star(S, v)) if o in F and o != u]
+            assert tuple(map(sub, x, y)) == tuple(got[F] * c for c in w1), (u, v, sorted(F))
+
+
+@pytest.mark.parametrize("make", [*(lambda n=n: catalog.load(n) for n in DELZANT),
+                                  *(lambda n=n: cube(n) for n in range(2, 6))],
+                         ids=[*DELZANT, *(f"cube{n}" for n in range(2, 6))])
+def test_contributions_match_the_2faces(make):
+    _assert_contributions_match_the_2faces(make())
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_contributions_match_the_2faces_after_moves(data):
+    names = data.draw(st.sampled_from(PRODUCTS))
+    _assert_contributions_match_the_2faces(
+        _product(names, data.draw(unimodular(sum(len(FACTORS[n][0]) for n in names)))))
 
 
 def _pairing_matches_det(P):
