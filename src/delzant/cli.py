@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from itertools import chain, islice
+from math import lcm
 
 from . import bounds, catalog, gkm, reflexive, roots, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
@@ -218,8 +219,6 @@ def _emit_text(payload, indent=0):
                 _emit_text(v, indent + 1)
             else:
                 print(f"{pad}{v}")
-    else:
-        print(f"{pad}{payload}")
 
 
 def _report_exit(rep, text):
@@ -276,9 +275,14 @@ def cmd_verify(args):
 
         ok = oracle.brute_f_vector(obj) == obj.f_vector()
         rep.add_item("oracle f-vector", ok)
-        for (u, v), length in zip(obj.edges(), obj.relative_lengths()):
-            count = oracle.lattice_points_on_segment(obj.vertices[u], obj.vertices[v])
-            rep.add_item(f"oracle length {(u, v)}", count - 1 == length)
+        # An edge of a rational polytope, scaled by q, the lcm of its ends'
+        # denominators, has q times its length as lattice length.
+        S = obj.skeleton()
+        for (u, v), length in zip(S.edge_list, S._length_col):
+            a, b = obj.vertices[u], obj.vertices[v]
+            q = lcm(*[c.denominator for c in a + b])
+            count = oracle.lattice_points_on_segment([q * c for c in a], [q * c for c in b])
+            rep.add_item(f"oracle length {(u, v)}", count - 1 == q * length)
     return _report_exit(rep, args.text)
 
 

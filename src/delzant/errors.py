@@ -115,10 +115,6 @@ class NotARoot(DelzantError):
     pass
 
 
-class DegenerateBasePoint(DelzantError):
-    pass
-
-
 # -- IO -----------------------------------------------------------------------
 
 class MalformedInput(DelzantError):

@@ -35,19 +35,12 @@ def rational(c, what="coordinate"):
     return Fraction(c)
 
 
-def content(v):
-    """gcd of the absolute values of the coordinates; 0 only for the zero vector."""
-    g = 0
-    for c in v:
-        g = gcd(g, abs(c))
-    return g
-
-
 def primitive(v):
     """Split an integer vector as ``m * w`` with ``w`` primitive and ``m > 0``.
 
-    Returns ``(w, m)`` with ``m = content(v)``.  Raises ZeroVector on the
-    zero vector.
+    Returns ``(w, m)`` with ``m = gcd(*v)``, the content of v: the gcd of
+    the absolute values of its coordinates.  Raises ZeroVector on the zero
+    vector.
     """
     m = gcd(*v)
     if m == 0:

@@ -642,10 +642,6 @@ class Polytope:
             self._ints = exact.common_denominator(self.vertices)
         return self._ints
 
-    def active_facets(self, vid):
-        """Indices of the facets through vertex vid."""
-        return self.incidence()[0][vid]
-
     def __eq__(self, other):
         return (
             isinstance(other, Polytope)

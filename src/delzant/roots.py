@@ -2,18 +2,18 @@
 coadjoint-orbit GKM graphs built from a parabolic choice.
 
 All coordinates are taken in the basis of simple roots, so the ambient
-lattice is the root lattice and every reflection is integral.  The bilinear
-form is the symmetrized Cartan matrix with long roots of square length 2.
+lattice is the root lattice and every reflection is integral.  Pairings
+<x, beta^v> are read off the integer coroot covectors, so no invariant form
+and no Fraction is taken.
 """
 
-from fractions import Fraction
 from functools import cache
 from itertools import repeat
 from math import factorial
 from operator import mul, neg
 
 from . import gkm
-from .errors import DegenerateBasePoint, NotARoot, UnsupportedType
+from .errors import NotARoot, UnsupportedType
 
 _MAX_RANK = 6
 
@@ -38,17 +38,6 @@ def _cartan_matrix(kind, d):
         a[0][1] = -1
         a[1][0] = -3
     return a
-
-
-def _root_lengths(kind, d):
-    # (alpha_i, alpha_i) / 2 for each simple root, long roots normalized to 2
-    if kind == "B":
-        return [Fraction(1)] * (d - 1) + [Fraction(1, 2)]
-    if kind == "C":
-        return [Fraction(1, 2)] * (d - 1) + [Fraction(1)]
-    if kind == "G":
-        return [Fraction(1, 3), Fraction(1)]
-    return [Fraction(1)] * d
 
 
 class RootSystem:
@@ -89,13 +78,6 @@ class RootSystem:
         self._reflected = [
             tuple(at[images[beta][j]] for beta in self.positive_roots) for j in range(rank)
         ]
-
-    def pairing(self, x, y):
-        """The invariant bilinear form (x, y) in simple-root coordinates, as
-        an exact Fraction, from (alpha_i, alpha_j) = cartan[i][j] h_j, h_j
-        the half squared length of alpha_j."""
-        h = _root_lengths(self.kind, self.rank)
-        return sum(a * c * b * hj for a, row in zip(x, self.cartan) for c, b, hj in zip(row, y, h))
 
     def closure(self, seeds, gens):
         """The closure of the seed points under the simple reflections
@@ -194,22 +176,21 @@ def parabolic_order(rs, I):
 
 
 def _base(rs, I):
-    """The monotone base point p0 = -(sum of positive roots outside <I>)
-    and its pairing vector <p0, beta^v> over the positive roots, the first
-    vector of the walk.  Each s_i, i in I, must fix p0: <p0, alpha_i^v> = 0.
-    Each positive root r outside <I> must pair strictly negatively with it:
-    <p0, r^v> = 2 (p0, r) / (r, r) has the sign of (p0, r)."""
+    """The monotone base point p0 = -(2 rho - 2 rho_I), minus the sum of the
+    positive roots outside <I>, and its pairing vector <p0, beta^v> over
+    the positive roots, the first vector of the walk.  p0 needs no check:
+    - for i in I, s_i permutes the positive roots outside <I>, so s_i p0 =
+      p0 and <p0, alpha_i^v> = 0;
+    - for j not in I, <2 rho, alpha_j^v> = 2 and <2 rho_I, alpha_j^v> <= 0,
+      so <p0, alpha_j^v> < 0;
+    - a positive root r outside <I> has r^v = sum_j c_j alpha_j^v with every
+      c_j >= 0 and c_j > 0 for some j not in I, so <p0, r^v> < 0.
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2 Lemma B and 13.3 Lemma A.)"""
     span = set(parabolic_span(rs, I))
     betas = rs.positive_roots
     p0 = tuple([-sum(c) for c in zip((0,) * rs.rank, *[r for r in betas if r not in span])])
-    tv = [sum(map(mul, p0, rs._coroot[beta])) for beta in betas]
-    for i in I:
-        if sum(map(mul, p0, rs._cartan_cols[i])):
-            raise DegenerateBasePoint(f"p0 moved by the simple reflection {i}")
-    for r, t in zip(betas, tv):
-        if t >= 0 and r not in span:
-            raise DegenerateBasePoint(f"p0 not strictly negative against {r}")
-    return p0, tv
+    return p0, [sum(map(mul, p0, rs._coroot[beta])) for beta in betas]
 
 
 def base_point(rs, I):

@@ -83,11 +83,15 @@ def test_c_from_h_values():
     assert bounds.c_from_h(4, (1, 4, 6, 4, 1)) == 64
     assert bounds.c_from_h(4, (1, 1, 2, 1, 1)) == 48
     assert bounds.c_from_h(4, (1, 2, 2, 2, 1)) == 56
+    with pytest.raises(MalformedVector, match="h-vector of length 3 for dimension 3"):
+        bounds.c_from_h(3, (1, 2, 1))
 
 
 def test_c_from_f_values():
     assert bounds.c_from_f(3, (8, 12, 6, 1)) == 24
     assert bounds.c_from_f(4, (16, 32, 24, 8, 1)) == 64
+    with pytest.raises(MalformedVector, match="f-vector of length 3 for dimension 3"):
+        bounds.c_from_f(3, (8, 12, 6))
 
 
 def test_c_from_f3_matches():
@@ -95,6 +99,12 @@ def test_c_from_f3_matches():
         P = catalog.load(name)
         f = P.f_vector()
         assert bounds.c_from_f3(P.dim, f) == bounds.c_from_f(P.dim, f)
+    # 24/5 - 4: the f3 form of a vector no polytope has need not be integral
+    assert bounds.c_from_f3(7, (1,) * 8) == Fraction(4, 5)
+    with pytest.raises(MalformedVector, match="f3 form needs dimension >= 3"):
+        bounds.c_from_f3(2, (4, 4, 1))
+    with pytest.raises(MalformedVector, match="f-vector of length 4 for dimension 4"):
+        bounds.c_from_f3(4, (8, 12, 6, 1))
 
 
 def test_c_indexed_consistency_on_catalog():
@@ -104,6 +114,10 @@ def test_c_indexed_consistency_on_catalog():
         cf = bounds.c_indexed_from_f(k0, P.dim, P.f_vector())
         ch = bounds.c_indexed_from_h(k0, P.dim, P.h_vector_comb())
         assert cf == ch
+    with pytest.raises(MalformedVector, match="f-vector of length 2 for dimension 2"):
+        bounds.c_indexed_from_f(1, 2, (4, 4))
+    with pytest.raises(MalformedVector, match="h-vector of length 2 for dimension 2"):
+        bounds.c_indexed_from_h(1, 2, (1, 1))
 
 
 def test_c_indexed_h_requires_symmetry():
@@ -131,6 +145,9 @@ def test_lambda_threshold():
     # the coefficient there is 0, not negative
     assert bounds.lambda_threshold(4, 2) == 1
     assert bounds.lambda_threshold(6, 1) == 2
+    for n, k0 in [(2, 0), (2, 4)]:
+        with pytest.raises(MalformedVector, match=r"index %d outside \[1, 3\]" % k0):
+            bounds.lambda_threshold(n, k0)
 
 
 def test_lambda_threshold_marks_sign_change():

@@ -77,6 +77,14 @@ def test_verify_gorenstein_on_a_rational_polytope(capsys, tmp_path):
     d = json.loads(out)
     assert (code, d["pass"], d["lhs"], d["rhs"]) == (0, True, "9/2", ["9/2"])
     assert d["per_item"][0]["detail"]["shift"] == [0, 0]
+    # the oracle counts the lattice points of each edge scaled by 2: 4 on
+    # a segment of lattice length 2 * 3/2
+    code, out = run(capsys, "verify", "gorenstein:2", str(path), "--with-oracle")
+    d = json.loads(out)
+    assert (code, d["pass"]) == (0, True)
+    assert [(i["id"], i["pass"]) for i in d["per_item"] if i["id"].startswith("oracle")] == [
+        ("oracle f-vector", True), ("oracle length (0, 1)", True),
+        ("oracle length (0, 2)", True), ("oracle length (1, 2)", True)]
 
 
 def test_verify_gorenstein_at_a_rational_index(capsys, tmp_path):
@@ -168,6 +176,11 @@ def test_gkm_build_a1(capsys):
 
 def test_gkm_build_unsupported(capsys):
     assert main(["gkm", "build", "E", "6"]) == 2
+    capsys.readouterr()
+    for argv, err in [(["C", "7"], "type C needs rank between 2 and 6"),
+                      (["A", "3", "--I", "5"], "invalid simple-root indices [5]")]:
+        assert main(["gkm", "build", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: UnsupportedType: {err}\n")
 
 
 def test_gkm_check_roundtrip(tmp_path, capsys):

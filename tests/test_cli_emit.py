@@ -9,6 +9,7 @@ import importlib.util
 import io
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -228,6 +229,27 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
     monkeypatch.setattr(polytope, "HULL_SCAN_LIMIT", 10)
     assert probe.main(["4", "9"]) == 2
     assert "UnboundedSearch" in capsys.readouterr().out
+
+
+def test_line_trace_names_the_uncalled_body(tmp_path):
+    # tools/line_trace.py, in a child process so that its pytest run and
+    # its tracer leave this one alone, on a module of two functions and a
+    # test that calls one: only the other's body is unreached, and neither
+    # def line nor the module's own lines are named
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "two.py").write_text(
+        "N = 1\n\n\ndef called(x):\n    return x + N\n\n\n"
+        "def uncalled(x):\n    y = x * 2\n    return y\n")
+    (tmp_path / "test_one.py").write_text(
+        "from pkg import two\n\n\ndef test_called():\n    assert two.called(1) == 2\n")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import line_trace; "
+            "print(line_trace.trace('pkg', sys.argv[2:]))")
+    tools = str(Path(__file__).resolve().parent.parent / "tools")
+    p = subprocess.run([sys.executable, "-c", code, tools, "test_one.py", "-q",
+                        "-p", "no:cacheprovider", "-p", "no:hypothesispytest"],
+                       cwd=tmp_path, timeout=60, capture_output=True, text=True, check=True)
+    assert p.stdout.splitlines()[-1] == repr((0, {str(tmp_path / "pkg" / "two.py"): [9, 10]}))
+    assert _tool("line_trace").ranges([3, 4, 5, 9, 12, 13]) == "3-5, 9, 12-13"
 
 
 def test_stage_split_times_each_verifier(capsys, monkeypatch):

@@ -9,12 +9,6 @@ from delzant import exact
 from delzant.errors import DimensionMismatch, NonSquare, ZeroVector
 
 
-def test_content():
-    assert exact.content((4, -2, 6)) == 2
-    assert exact.content((0, 0)) == 0
-    assert exact.content((3, 5)) == 1
-
-
 def test_primitive():
     assert exact.primitive((4, -2, 6)) == ((2, -1, 3), 2)
     assert exact.primitive((1, 0, 0)) == ((1, 0, 0), 1)
@@ -28,12 +22,24 @@ def test_det():
     assert exact.det([(1, 1), (0, 1)]) == 1
     assert exact.det([(2, 0), (0, 2)]) == 4
     assert exact.det([(1, 2), (2, 4)]) == 0
+    for rows in ([(1, 2)], [(1, 2), (3,)]):
+        with pytest.raises(NonSquare, match="determinant of a non-square matrix"):
+            exact.det(rows)
+
+
+def test_dot():
+    assert exact.dot((1, 2), (3, -4)) == -5
+    with pytest.raises(DimensionMismatch, match="dot of lengths 2 and 1"):
+        exact.dot((1, 2), (1,))
 
 
 def test_is_lattice_basis():
     assert exact.is_lattice_basis([(1, 0), (0, 1)])
     assert exact.is_lattice_basis([(1, 1), (0, 1)])
     assert not exact.is_lattice_basis([(2, 0), (0, 1)])
+    for vectors in ([(1, 0)], [(1, 0), (0,)]):
+        with pytest.raises(DimensionMismatch, match="need n vectors of dimension n"):
+            exact.is_lattice_basis(vectors)
 
 
 def test_rational_direction():
@@ -71,22 +77,22 @@ nonzero_vec = (
 @given(nonzero_vec)
 def test_primitive_recomposes(v):
     w, m = exact.primitive(v)
-    assert exact.content(w) == 1
+    assert gcd(*w) == 1
     assert tuple(m * c for c in w) == v
 
 
 @given(st.lists(st.one_of(st.just(0), st.integers(-10**6, 10**6)), max_size=6))
 def test_primitive_is_the_content_split(v):
     # negatives and zeros; the zero vector (all zeros, or no coordinate)
-    # has no primitive direction
-    m = exact.content(v)
-    if m == 0:
+    # has no primitive direction.  w primitive and m w == v, m > 0, say
+    # all there is to say of the split.
+    if not any(v):
         with pytest.raises(ZeroVector):
             exact.primitive(v)
         return
-    w, got = exact.primitive(v)
-    assert got == m and type(w) is tuple
-    assert w == tuple(c // m for c in v) and exact.content(w) == 1
+    w, m = exact.primitive(v)
+    assert m > 0 and type(w) is tuple
+    assert gcd(*w) == 1 and tuple(m * c for c in w) == tuple(v)
 
 
 def _cofactor_det(m):

@@ -9,6 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from delzant import catalog, exact, gkm, polytope, reflexive
 from delzant.errors import (
+    DimensionMismatch,
+    EmptyPolytope,
     NonLatticeEdge,
     NotFullDimensional,
     NotSimple,
@@ -267,6 +269,22 @@ def test_unbounded_rejected():
         Polytope.from_halfspaces(
             [_halfspace((1, 0), 1), _halfspace((0, 1), 1)]
         )
+    with pytest.raises(Unbounded, match="no halfspaces given"):
+        Polytope.from_halfspaces([])
+
+
+def test_malformed_input_refused():
+    with pytest.raises(EmptyPolytope, match="no points given"):
+        Polytope.from_vertices([])
+    with pytest.raises(DimensionMismatch, match="points of mixed dimensions"):
+        Polytope.from_vertices([(0, 0), (1,), (0, 1)])
+    with pytest.raises(DimensionMismatch, match="normals of mixed dimensions"):
+        Polytope.from_halfspaces([_halfspace((1, 0), 1), _halfspace((-1,), 1),
+                                  _halfspace((0, -1), 1)])
+    with pytest.raises(DimensionMismatch, match="dot of lengths 2 and 1"):
+        cube(2).translate((1,))
+    with pytest.raises(KeyError, match=re.escape("(0, 0) is not a vertex")):
+        cube(2).vertex_id((0, 0))
 
 
 def test_lower_dimensional_rejected():

@@ -46,6 +46,10 @@ def test_polytope_bad_input():
         serialize.polytope_from_json([1, 2])
     with pytest.raises(MalformedInput):
         serialize.polytope_from_json({"dim": 2, "vertices": [[1, 0, 0]]})
+    with pytest.raises(MalformedInput, match="bad facet 1"):
+        serialize.polytope_from_json({"dim": 2, "facets": [1]})
+    with pytest.raises(MalformedInput, match="graph JSON must be an object"):
+        serialize.graph_from_json([])
 
 
 def test_graph_roundtrip_preserves_verification():
@@ -71,3 +75,7 @@ def test_report_serialization():
     assert d["identity"] == "length-sum"
     assert d["pass"] is True
     assert d["lhs"] == 24
+    # a report is true exactly when it passes, so that `if rep:` reads it
+    assert bool(rep) is True
+    rep.add_item("failing", False)
+    assert bool(rep) is False and rep.to_dict()["pass"] is False
