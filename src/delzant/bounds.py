@@ -6,12 +6,12 @@ position j of a vector of even Betti numbers is b_{2j}.  The two families
 of formulas coincide under that identification.
 """
 
-from fractions import Fraction
 from itertools import product
 from math import isqrt, prod
 from operator import mul
 from types import SimpleNamespace
 
+from . import exact
 from .errors import MalformedVector, NonNegativeS, UnboundedSearch
 
 # The most candidate vectors enumerate_admissible will try, about 15 s of
@@ -33,10 +33,7 @@ def c_from_f3(n, f):
         raise MalformedVector("f3 form needs dimension >= 3")
     if len(f) != n + 1:
         raise MalformedVector(f"f-vector of length {len(f)} for dimension {n}")
-    val = Fraction(24 * f[3], n - 2) + (3 - n) * f[1]
-    if val.denominator != 1:
-        return val
-    return int(val)
+    return exact.ratio(24 * f[3] + (3 - n) * (n - 2) * f[1], n - 2)
 
 
 def c_from_h(n, h):
@@ -114,7 +111,7 @@ def max_betti_bound(n, k0):
     lambda threshold, valid when the coefficient sum S is negative."""
     if s_sum(n, k0) >= 0:
         raise NonNegativeS(f"coefficient sum is non-negative for n={n}, k0={k0}")
-    return Fraction(2 * (3 * n - k0 - 1), (n - 1) * (k0 - n + 3))
+    return exact.ratio(2 * (3 * n - k0 - 1), (n - 1) * (k0 - n + 3))
 
 
 class AdmissibleSet(SimpleNamespace):

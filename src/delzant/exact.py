@@ -1,8 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer and rational linear algebra, and the two number rules.
 
 Vectors are plain tuples of ``int`` (lattice vectors) or ``Fraction``
 (rational points).  Everything here is pure and exact; no floating point
-is used anywhere in the package.
+is used anywhere in the package.  A number given to the library is read by
+``rational``; a number the library makes is made by ``ratio``, as an
+``int`` when it is integral and as a ``Fraction`` only otherwise.
 
 Besides the Bareiss determinant there is one elimination, ``eliminate``:
 it starts the double-description hull, and it answers ``rank``,
@@ -33,6 +35,12 @@ def rational(c, what="coordinate"):
     if not isinstance(c, Rational):
         raise TypeError(f"{what} {c!r} is not a rational number")
     return Fraction(c)
+
+
+def ratio(p, q):
+    """The one rule for a number the library makes: p/q for integers p and
+    q != 0, as an int when q divides p, else as a Fraction."""
+    return p // q if p % q == 0 else Fraction(p, q)
 
 
 def primitive(v):

@@ -3,7 +3,6 @@ validation, reflexive and Gorenstein checks, generic directions, directed
 h-vectors, and the edge-length-sum identity for graphs."""
 
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import gcd
@@ -24,11 +23,6 @@ from .report import VerificationReport
 _GENERIC_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _ratio(a, b):
-    """a / b as an int when b divides a, else as a Fraction."""
-    return a // b if a % b == 0 else Fraction(a, b)
-
-
 class GkmGraph:
     """An n-regular graph embedded in Q^d with derived primitive edge weights.
 
@@ -38,7 +32,8 @@ class GkmGraph:
     once: q is the lcm of the coordinate denominators and ``lattice`` holds
     the integer points q * p.  Each edge's weight and length are derived
     from the integer difference d of its ends, as d / gcd(d) and
-    gcd(d) / q, never given independently.  The input checks on the edges
+    gcd(d) / q, never given independently; ``exact.ratio`` makes the
+    length, an int when it is integral.  The input checks on the edges
     (known ends, no loop, no repeat, no zero displacement) belong to
     ``GkmGraph(...)``.  ``Polytope.skeleton`` derives the columns through
     ``_on_points`` from its own incidence pass: its integer points, and
@@ -141,7 +136,7 @@ class GkmGraph:
             if g != 1:
                 d = tuple([c // g for c in d])
             weights.append(d)
-            lengths.append(_ratio(g, q))
+            lengths.append(exact.ratio(g, q))
 
     @cached_property
     def _weight_index(self):
@@ -336,7 +331,7 @@ def _index_at(G, vid, s):
         raise InvalidGraph("vertex at the origin has no well-defined index")
     if any(a * L[k] != s[k] * b for a, b in zip(s, L)):
         raise InconsistentIndex(f"weight sum at {vid!r} is not parallel to the vertex")
-    return _ratio(-G.q * s[k], L[k])
+    return exact.ratio(-G.q * s[k], L[k])
 
 
 def gorenstein_index(G):
@@ -466,7 +461,7 @@ def verify_graph_corollary(G):
     r = gorenstein_index(G)
     h = h_vector_graph(G)
     total = G.sum_lengths()
-    rhs = _ratio(bounds.c_from_h(G.degree, h) * r.denominator, r.numerator)
+    rhs = exact.ratio(bounds.c_from_h(G.degree, h) * r.denominator, r.numerator)
     rep = VerificationReport("graph-length-sum", total == rhs, total, (rhs,))
     rep.add_item("index", True, {"r": r})
     rep.add_item("h-vector", True, {"h": list(h)})

@@ -235,7 +235,10 @@ def brute_hull(points=None, halfspaces=None):
 
     Returns (sorted vertices, facets as (primitive normal, offset) pairs) in
     the order every Polytope constructor gives, sorted except for
-    [(1,), (-1,)] in dimension 1, and raises the same exception classes.
+    [(1,), (-1,)] in dimension 1.  Malformed input raises the exception
+    class the constructor raises.  The check that each coordinate and
+    offset is rational belongs to the constructors alone: the oracle reads
+    each one through Fraction(c), so it takes (0.5, 0) or an offset "1".
     Cost is C(V, n) or C(m, n).
     """
     if (points is None) == (halfspaces is None):

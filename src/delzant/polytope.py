@@ -10,12 +10,12 @@ map the vertex/facet pair they already have.  The subset-scan hull
 The hulls and the maps work in integers from input to output.  The input
 is cleared once (points at one common denominator, each halfspace to a
 primitive normal and an offset p/q in lowest terms), points are sorted on
-integer keys, and each output coordinate and offset becomes a Fraction
-once, when the result is built.
+integer keys, and each output coordinate and offset is made once, when the
+result is built, by ``exact.ratio``: an int when it is integral, else a
+Fraction.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import product
 from math import ceil, comb, floor, gcd, lcm
 from operator import add, mul, neg
@@ -81,29 +81,17 @@ class Halfspace(namedtuple("Halfspace", "normal offset")):
 Face = namedtuple("Face", "active_facets vertex_ids dim")
 
 
-def _fraction(p, q):
-    """p/q for coprime integers p and q > 0, from ``_SMALL`` if it is there."""
-    if q == 1:
-        return _SMALL[p] if -65 < p < 65 else Fraction(p)
-    return Fraction(p, q)
-
-
-# Fraction(c) for -64 <= c <= 64, at index c (negative c from the end):
-# Fractions are immutable, so the points share them.
-_SMALL = [Fraction(c) for c in range(65)] + [Fraction(c) for c in range(-64, 0)]
-
-
 def _point(x, t):
-    """The point x / t, for an integer vector x and an integer t > 0, as a
-    tuple of Fractions."""
+    """The point x / t, for an integer vector x and an integer t > 0, each
+    coordinate made by ``exact.ratio``."""
     if t == 1:
-        return tuple([_SMALL[c] if -65 < c < 65 else Fraction(c) for c in x])
-    return tuple([Fraction(c, t) for c in x])
+        return tuple(x)
+    return tuple([exact.ratio(c, t) for c in x])
 
 
 def _points(rays):
     """The points x / t of homogeneous integer rays (t, x1, ..., xn) with
-    t > 0, as tuples of Fractions in sorted order.  The sort is on the
+    t > 0, made by ``_point``, in sorted order.  The sort is on the
     integer vectors x * (l / t), l the lcm of the t's: they are the points
     times l > 0, so they come in the points' order (the rays' own, if l = 1)."""
     l = lcm(*[r[0] for r in rays])
@@ -201,11 +189,12 @@ def _extreme_rays(rows, d):
 class Polytope:
     """Full-dimensional bounded polytope with both descriptions computed.
 
-    Vertices are tuples of Fractions, facets are Halfspace instances with
-    primitive integer normals.  Instances are immutable; the vertex-facet
-    incidence (in integers, as bitmasks), the face lattice and the
-    1-skeleton are computed once on first use, the latter two from the
-    incidence alone.
+    Vertices are tuples of rational coordinates, facets are Halfspace
+    instances with primitive integer normals.  The hulls and the maps make
+    each coordinate and offset by ``exact.ratio``: an int when integral,
+    else a Fraction.  Instances are immutable; the vertex-facet incidence
+    (in integers, as bitmasks), the face lattice and the 1-skeleton are
+    computed once on first use, the latter two from the incidence alone.
     """
 
     def __init__(self, dim, vertices, facets):
@@ -249,7 +238,7 @@ class Polytope:
         facets, meet = [], [-1] * len(ints)
         for ray, tight in rays:
             w, m = exact.primitive(ray[1:])
-            facets.append(Halfspace(w, _fraction(ray[0], m)))
+            facets.append(Halfspace(w, exact.ratio(ray[0], m)))
             for i in _bits(tight):
                 meet[i] &= tight
         verts = [_point(x, q) for i, x in enumerate(ints) if meet[i] == 1 << i]
@@ -292,7 +281,7 @@ class Polytope:
                 common[i] &= tight
         if equalities:
             raise NotFullDimensional("halfspace intersection is not full-dimensional")
-        facets = [Halfspace(w, _fraction(p, q)) for i, ((w, p, q), c) in enumerate(zip(hs, common))
+        facets = [Halfspace(w, exact.ratio(p, q)) for i, ((w, p, q), c) in enumerate(zip(hs, common))
                   if c == 1 << i]
         return _canonical(n, _points([ray for ray, _ in rays]), facets)
 
@@ -535,7 +524,7 @@ class Polytope:
         facets = []
         for x in points:
             w, m = exact.primitive(list(map(neg, x)))
-            facets.append(Halfspace(w, Fraction(q, m)))
+            facets.append(Halfspace(w, exact.ratio(q, m)))
         return _canonical(self.dim, verts, facets)
 
     def dilate(self, r):
@@ -549,7 +538,7 @@ class Polytope:
             self.dim,
             _points([(b * q,) + tuple(a * c for c in x) for x in points]),
             [Halfspace(tuple(s * c for c in h.normal),
-                       Fraction(s * a * h.offset.numerator, b * h.offset.denominator))
+                       exact.ratio(s * a * h.offset.numerator, b * h.offset.denominator))
              for h in self.facets],
         )
 
@@ -564,7 +553,7 @@ class Polytope:
         facets = []
         for h in self.facets:
             p, d = h.offset.numerator, h.offset.denominator
-            facets.append(Halfspace(h.normal, Fraction(p * q + d * sum(map(mul, h.normal, shift)), d * q)))
+            facets.append(Halfspace(h.normal, exact.ratio(p * q + d * sum(map(mul, h.normal, shift)), d * q)))
         return _canonical(self.dim, _points([(q,) + tuple(map(add, x, shift)) for x in points]), facets)
 
     def contains(self, point, strict=False):

@@ -1,7 +1,6 @@
 """The Delzant and reflexivity checks, edge lengths, normal contributions,
 the index, and machine verification of the edge-length-sum identities."""
 
-from fractions import Fraction
 from math import comb, gcd
 from operator import mul, sub
 
@@ -252,7 +251,7 @@ def verify_gorenstein(P, r):
         raise NotGorensteinOfIndex(f"no reflexive translate of the {r}-fold dilate")
     total = P.skeleton().sum_lengths()
     f, _ = _census(P)
-    rhs = Fraction(bounds.c_from_f(P.dim, f), r)
+    rhs = exact.ratio(bounds.c_from_f(P.dim, f) * r.denominator, r.numerator)
     rep = VerificationReport("gorenstein-length-sum", total == rhs, total, (rhs,))
     rep.add_item("translate", True, {"shift": list(exact.vec_neg(t))})
     return rep

@@ -5,8 +5,9 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from delzant import exact
+from delzant import bounds, catalog, exact, reflexive
 from delzant.errors import DimensionMismatch, NonSquare, ZeroVector
+from delzant.gkm import GkmGraph
 
 
 def test_primitive():
@@ -40,6 +41,40 @@ def test_is_lattice_basis():
     for vectors in ([(1, 0)], [(1, 0), (0,)]):
         with pytest.raises(DimensionMismatch, match="need n vectors of dimension n"):
             exact.is_lattice_basis(vectors)
+
+
+def _segment_length(end):
+    return GkmGraph(1, 1, [(0, (0,)), (1, (end,))], [(0, 1)]).length((0, 1))
+
+
+def _gorenstein_rhs(factor, r):
+    (rhs,) = reflexive.verify_gorenstein(catalog.load("cp2-triangle").dilate(factor), r).rhs
+    return rhs
+
+
+# Each number the library makes, by exact.ratio: an int when integral,
+# else a Fraction.  A negative q comes from gkm._index_at.
+@pytest.mark.parametrize("made, want", [
+    (lambda: exact.ratio(6, 3), 2),
+    (lambda: exact.ratio(0, 5), 0),
+    (lambda: exact.ratio(6, -3), -2),
+    (lambda: exact.ratio(3, 6), Fraction(1, 2)),
+    (lambda: exact.ratio(7, -2), Fraction(-7, 2)),
+    (lambda: _segment_length(3), 3),
+    (lambda: _segment_length(Fraction(3, 2)), Fraction(3, 2)),
+    (lambda: bounds.c_from_f3(3, (1, 12, 18, 8)), 192),
+    (lambda: bounds.c_from_f3(7, (1, 0, 0, 1, 0, 0, 0, 0)), Fraction(24, 5)),
+    (lambda: bounds.max_betti_bound(3, 1), 7),
+    (lambda: bounds.max_betti_bound(4, 3), Fraction(8, 3)),
+    (lambda: _gorenstein_rhs(1, 1), 9),
+    (lambda: _gorenstein_rhs(2, Fraction(1, 2)), 18),
+    (lambda: _gorenstein_rhs(Fraction(1, 2), 2), Fraction(9, 2)),
+], ids=["ratio-2", "ratio-0", "ratio--2", "ratio-1/2", "ratio--7/2", "length-3", "length-3/2",
+        "c_from_f3-192", "c_from_f3-24/5", "max_betti-7", "max_betti-8/3", "gorenstein-rhs-9",
+        "gorenstein-rhs-18", "gorenstein-rhs-9/2"])
+def test_made_numbers_are_ints_when_integral(made, want):
+    x = made()
+    assert type(x) is type(want) and x == want
 
 
 def test_rational_direction():

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, oracle
-from delzant.errors import DelzantError, UnboundedSearch, UnsupportedDimension
+from delzant.errors import (
+    DelzantError,
+    DimensionMismatch,
+    EmptyPolytope,
+    NotFullDimensional,
+    Unbounded,
+    UnboundedSearch,
+    UnsupportedDimension,
+    ZeroVector,
+)
 from delzant.polytope import Halfspace, Polytope, cross_polytope
 
 POLYTOPES = catalog.names("polytope")
@@ -105,6 +114,35 @@ def test_from_halfspaces_matches_brute_hull(halfspaces):
     assert _outcome(Polytope.from_halfspaces, halfspaces) == _outcome(
         oracle.brute_hull, halfspaces=halfspaces
     )
+
+
+_BOX = [((1, 0), 1), ((-1, 0), 1), ((0, 1), 1), ((0, -1), 1)]
+
+
+# Malformed input: the oracle refuses it with the class the main path
+# raises.  With no input or both inputs only the oracle is called.
+@pytest.mark.parametrize("given, error", [
+    ({"points": []}, EmptyPolytope),
+    ({"points": [(0, 0), (1,), (0, 1)]}, DimensionMismatch),
+    ({"points": [(0, 0), (1, 1), (2, 2)]}, NotFullDimensional),
+    ({"halfspaces": []}, Unbounded),
+    ({"halfspaces": [((1, 0), 1), ((-1,), 1), ((0, -1), 1)]}, DimensionMismatch),
+    ({"halfspaces": [((0, 0), 1)] + _BOX}, ZeroVector),
+    ({"halfspaces": [((1, 0), -2)] + _BOX}, EmptyPolytope),
+    ({"halfspaces": _BOX[:3]}, Unbounded),
+    ({"halfspaces": _BOX[:2]}, Unbounded),
+    ({"halfspaces": [((1, 0), 0), ((-1, 0), 0)] + _BOX[2:]}, NotFullDimensional),
+    ({}, ValueError),
+    ({"points": [(0,), (1,)], "halfspaces": [((1,), 1), ((-1,), 1)]}, ValueError),
+])
+def test_brute_hull_refuses_what_the_main_path_refuses(given, error):
+    if len(given) == 1:
+        ((kind, value),) = given.items()
+        main = Polytope.from_vertices if kind == "points" else Polytope.from_halfspaces
+        with pytest.raises(error):
+            main(value)
+    with pytest.raises(error):
+        oracle.brute_hull(**given)
 
 
 def _cyclic(d, n):

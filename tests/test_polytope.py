@@ -250,18 +250,27 @@ def test_many_halfspaces_tight_at_one_vertex():
     assert set(P.facets) == _tight_sets_facets(P, halfspaces)
 
 
-def test_output_coordinates_are_fractions_in_and_out_of_the_shared_table():
-    # -64..64 come from one shared table, 1000 and -65 do not; both are
-    # Fractions with the values and hashes of Fraction(c).
+def test_integral_output_coordinates_are_ints():
+    # -65, 1000 and -64..64 alike are ints, with the values and hashes
+    # that their Fractions had.
     P = Polytope.from_vertices([(0, 0), (1000, 0), (0, -65), (64, 64), (-64, 3)])
     for v in P.vertices:
         for c in v:
-            assert type(c) is Fraction
-            assert (c, hash(c)) == (Fraction(c.numerator), hash(Fraction(c.numerator)))
+            assert type(c) is int
+            assert (c, hash(c)) == (Fraction(c), hash(Fraction(c)))
     assert (1000, 0) in P.vertices and (0, -65) in P.vertices and (-64, 3) in P.vertices
     for c in range(-70, 71):
         (x,) = polytope._point((c,), 1)
-        assert type(x) is Fraction and x == c and hash(x) == hash(c) == hash(Fraction(c))
+        assert type(x) is int and x == c and hash(x) == hash(c) == hash(Fraction(c))
+
+
+def test_a_polytope_compares_and_hashes_by_value_whatever_the_number_type():
+    P = Polytope.from_vertices([(1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1)])
+    assert all(type(c) is int for v in P.vertices for c in v)
+    Q = Polytope(2, [tuple(map(Fraction, v)) for v in P.vertices], P.facets)
+    assert all(type(c) is Fraction for v in Q.vertices for c in v)
+    assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+    assert repr(P) == repr(Q) == "Polytope(dim=2, vertices=6, facets=6)"
 
 
 def test_unbounded_rejected():
@@ -452,17 +461,18 @@ def _point_sets(draw):
 
 
 def _assert_exact(P):
-    """Fraction coordinates and offsets, int normals, vertices in sorted()
-    order.  Comparisons with == would not tell Fraction(1) from 1."""
-    assert all(type(c) is Fraction for v in P.vertices for c in v)
-    assert all(type(h.offset) is Fraction for h in P.facets)
+    """Each coordinate and offset an int when integral, else a Fraction;
+    int normals; vertices in sorted() order.  Comparisons with == would not
+    tell Fraction(1) from 1."""
+    for c in [c for v in P.vertices for c in v] + [h.offset for h in P.facets]:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
     assert all(type(c) is int for h in P.facets for c in h.normal)
     assert list(P.vertices) == sorted(P.vertices)
 
 
 @settings(max_examples=80, deadline=None)
 @given(_point_sets(), st.data())
-def test_hulls_and_maps_keep_fractions_and_integer_normals(points, data):
+def test_hulls_and_maps_make_ints_or_fractions_and_integer_normals(points, data):
     try:
         P = Polytope.from_vertices(points)
     except NotFullDimensional:
@@ -483,7 +493,7 @@ def test_hulls_and_maps_keep_fractions_and_integer_normals(points, data):
     t = data.draw(_written_all(data.draw(st.tuples(*[RATIONALS] * P.dim))))
     _assert_exact(P.translate(t))
     # moved so that the origin is strictly inside, the vertices' centroid
-    centroid = tuple(sum(v[i] for v in P.vertices) / len(P.vertices) for i in range(P.dim))
+    centroid = tuple(Fraction(sum(v[i] for v in P.vertices), len(P.vertices)) for i in range(P.dim))
     R = P.translate(data.draw(_written_all(tuple(-c for c in centroid))))
     _assert_exact(R)
     _assert_exact(R.dual())

@@ -50,6 +50,11 @@ def test_polytope_bad_input():
         serialize.polytope_from_json({"dim": 2, "facets": [1]})
     with pytest.raises(MalformedInput, match="graph JSON must be an object"):
         serialize.graph_from_json([])
+    with pytest.raises(MalformedInput, match="graph JSON missing 'degree'"):
+        serialize.graph_from_json({"ambient_dim": 1, "vertices": [], "edges": []})
+    with pytest.raises(MalformedInput, match="bad graph edge"):
+        serialize.graph_from_json({"ambient_dim": 1, "degree": 1, "edges": [{"u": 0}],
+                                   "vertices": [{"id": 0, "coords": [0]}, {"id": 1, "coords": [1]}]})
 
 
 def test_graph_roundtrip_preserves_verification():
