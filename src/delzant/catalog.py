@@ -6,7 +6,7 @@ from collections import namedtuple
 
 from . import roots
 from .gkm import GkmGraph
-from .polytope import Polytope, cube, simplex_cpn
+from .polytope import Polytope, _signed_units, cube, simplex_cpn
 
 
 # kind is "polytope" or "gkm-graph"; build() makes the object.
@@ -22,12 +22,7 @@ def _coadjoint(kind, rank, I):
 
 
 def _octahedron_skeleton():
-    pts = []
-    for i in range(3):
-        e = [0, 0, 0]
-        e[i] = 1
-        pts.append(tuple(e))
-        pts.append(tuple(-c for c in e))
+    pts = _signed_units(3)
     vertices = [(i, p) for i, p in enumerate(pts)]
     edges = [
         (i, j)

@@ -321,10 +321,12 @@ def cmd_hvector(args):
 
 def cmd_lengths(args):
     obj = _load_input(args.input, Polytope, GkmGraph)
-    edges = obj.edges()
-    lengths = obj.relative_lengths() if isinstance(obj, Polytope) else obj._length_col
-    per = [{"edge": list(e), "length": num_to_json(l)} for e, l in zip(edges, lengths)]
-    _emit({"edges": per, "sum": num_to_json(sum(lengths))}, args.text)
+    if isinstance(obj, Polytope):
+        lengths, G = obj.relative_lengths(), obj.skeleton()
+    else:
+        lengths, G = obj._length_col, obj
+    per = [{"edge": list(e), "length": num_to_json(l)} for e, l in zip(G.edge_list, lengths)]
+    _emit({"edges": per, "sum": num_to_json(G.sum_lengths())}, args.text)
     return 0
 
 

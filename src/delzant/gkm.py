@@ -40,8 +40,8 @@ class GkmGraph:
     edges that cannot fail those checks.  The one exception to the
     derivation is ``_from_edge_table``, which ``roots.coadjoint_graph``
     calls with every edge's root index and length already known.
-    ``_pairing`` keeps the graph's ``_Pairing`` under its first three
-    generic candidate directions once made.
+    ``_pairing``, made the first time it is read, is the graph's
+    ``_Pairing`` under its first three generic candidate directions.
 
     The edges are held as three columns: ``edge_list`` and, edge by edge,
     ``_weight_col`` (the weights u -> v) and ``_length_col``.  Readers of
@@ -54,8 +54,6 @@ class GkmGraph:
     ``edge_list`` of their edge.  A weight read from an edge's head is
     negated.
     """
-
-    _pairing = None
 
     def __init__(self, ambient_dim, degree, vertices, edges):
         coords = {}
@@ -154,6 +152,10 @@ class GkmGraph:
             incident[u][v] = incident[v][u] = i
         return incident
 
+    @cached_property
+    def _pairing(self):
+        return _Pairing(self)
+
     def edges(self):
         return list(self.edge_list)
 
@@ -178,7 +180,9 @@ class GkmGraph:
         return self._length_col[self._incident[u][v]]
 
     def sum_lengths(self):
-        return sum(self._length_col)
+        """The sum of the edge lengths, made by ``exact.ratio``."""
+        total = sum(self._length_col)
+        return exact.ratio(total.numerator, total.denominator)
 
 
 def star(G, vid):
@@ -192,7 +196,7 @@ def star(G, vid):
 
 class _Pairing:
     """The one pass that pairs G's edge weights with directions, which
-    ``_kept_pairing`` makes once per graph.  It keeps ``xis``, the first
+    ``G._pairing`` makes once per graph.  It keeps ``xis``, the first
     three candidate directions (``_candidates``) that vanish on no weight
     (ambient dimension 1 has only one), and gives per vertex, in
     ``G.ids`` order: ``degrees``; ``independent``, the GKM verdict that no
@@ -272,19 +276,12 @@ def _census(indegrees, degree):
     return tuple(h)
 
 
-def _kept_pairing(G):
-    """G's pairing, made on first use and kept."""
-    if G._pairing is None:
-        G._pairing = _Pairing(G)
-    return G._pairing
-
-
 def validate(G):
     """Regularity and the GKM pairwise-independence condition, with one
     degree item and one GKM item per vertex: the degrees and the verdict of
     the kept pairing, and the weights leaving each vertex in edge order (w
     at u and -w at v for the edge u v of weight w)."""
-    p = _kept_pairing(G)
+    p = G._pairing
     weights = {vid: [] for vid in G.ids}
     for (u, v), w in zip(G.edge_list, G._weight_col):
         weights[u].append(list(w))
@@ -299,7 +296,7 @@ def validate(G):
 def _valid_sums(G):
     """The weight sum at each vertex of a graph that passes GKM validation,
     from its kept pairing; InvalidGraph for any other graph."""
-    p = _kept_pairing(G)
+    p = G._pairing
     if p.degrees.count(G.degree) != len(p.degrees) or not all(p.independent):
         raise InvalidGraph("graph fails GKM validation")
     return p.sums
@@ -315,7 +312,7 @@ def is_reflexive_graph(G):
         s = list(s)
         ok = all(G.q * a == -b for a, b in zip(s, L))
         rep.add_item(f"weight-sum {vid}", ok, {"sum": s, "vertex": list(v)})
-    total = [sum(col) for col in zip(*G.coords.values())]
+    total = [exact.ratio(sum(col), G.q) for col in zip(*G.lattice.values())]
     rep.add_item("vertex-sum-zero", all(c == 0 for c in total), {"sum": total})
     return rep
 
@@ -433,7 +430,7 @@ def h_vector_graph(G, xi=None):
     if G.degree >= len(G.ids):
         raise InvalidGraph(f"degree {G.degree} is more than {len(G.ids)} vertices allow")
     if xi is None:
-        p = _kept_pairing(G)
+        p = G._pairing
         degrees = p.degrees
     else:
         xi = tuple([exact.rational(c, "direction coordinate") for c in xi])

@@ -192,9 +192,13 @@ class Polytope:
     Vertices are tuples of rational coordinates, facets are Halfspace
     instances with primitive integer normals.  The hulls and the maps make
     each coordinate and offset by ``exact.ratio``: an int when integral,
-    else a Fraction.  Instances are immutable; the vertex-facet incidence
-    (in integers, as bitmasks), the face lattice and the 1-skeleton are
-    computed once on first use, the latter two from the incidence alone.
+    else a Fraction.  Instances are immutable.  Each table derived from
+    them is made on first use and kept once, by one owner: the integer
+    points, the vertex-facet incidence (in integers, as bitmasks), the face
+    walk, the 1-skeleton, which holds the edge list, and the Delzant pass.
+    The walk and the edge list are read from the incidence alone.  The
+    views ``incidence()``, ``face_lattice()`` and ``edges()`` are made on
+    each call from those tables.
     """
 
     def __init__(self, dim, vertices, facets):
@@ -203,10 +207,7 @@ class Polytope:
         self.facets = tuple(facets)
         self._ints = None
         self._bits = None
-        self._incidence = None
         self._faces = None
-        self._lattice = None
-        self._edges = None
         self._skeleton = None
         # Filled in by the Delzant pass: the verdict at each vertex, and
         # the weight of the edge leaving each facet at each vertex.
@@ -288,14 +289,13 @@ class Polytope:
     # -- faces ----------------------------------------------------------------
 
     def face_lattice(self):
-        """All faces, keyed by frozenset of vertex ids.  Built from the walk
-        the first time it is called."""
-        if self._lattice is None:
-            self._lattice = {}
-            for w, (active, d) in self._walk().items():
-                ids = _ids(w)
-                self._lattice[ids] = Face(_ids(active), ids, d)
-        return self._lattice
+        """All faces, keyed by frozenset of vertex ids: a new dict on each
+        call, read off the kept walk."""
+        lattice = {}
+        for w, (active, d) in self._walk().items():
+            ids = _ids(w)
+            lattice[ids] = Face(_ids(active), ids, d)
+        return lattice
 
     def _walk(self):
         """Every nonempty face as {vertex mask: (facet mask, dim)}, walked
@@ -366,13 +366,14 @@ class Polytope:
         )
 
     def edges(self):
-        """Sorted vertex-id pairs spanning the 1-dimensional faces."""
-        return list(self._edge_list())
+        """Sorted vertex-id pairs spanning the 1-dimensional faces: a copy of
+        the skeleton's ``edge_list``."""
+        return list(self.skeleton().edge_list)
 
     def _edge_list(self):
-        """The list ``edges()`` copies, read off the incidence bitmasks
-        without the face lattice, made once and kept: the skeleton's
-        ``edge_list`` is this list.
+        """The sorted edges, read off the incidence bitmasks without the
+        face lattice: the pass that ``skeleton()`` runs once, whose list it
+        keeps as its ``edge_list``.
 
         A simple vertex u lies on exactly n facets, and any n - 1 of them
         meet in an edge at u: its vertex figure is a simplex, whose facets
@@ -392,43 +393,42 @@ class Polytope:
         edge iff those facets meet in {u, v} alone.  An edge lies on at
         least n - 1 facets, so a pair on fewer is passed over before the
         meet."""
-        if self._edges is None:
-            at_vertex, on_facet = self._incidence_bits()
-            n, least = self.dim, self.dim - 1
-            top = (1 << len(at_vertex)) - 1
-            first, out, simple = {}, [], []
-            for u, here in enumerate(at_vertex):
-                if here.bit_count() == n:
-                    simple.append((u, here))
-                    rest = here
-                    while rest:
-                        low = rest & -rest
-                        v = first.setdefault(here ^ low, u)
-                        if v != u:
-                            out.append((v, u))
-                        rest ^= low
-                    continue
-                near = [(v, common) for v, common in enumerate(
-                    [here & there for there in at_vertex[u + 1:]], u + 1)
-                    if common.bit_count() >= least]
-                if simple:
-                    near += [(v, here & there) for v, there in simple]
-                for v, common in near:
-                    pair, meet = 1 << u | 1 << v, top
-                    while common and meet != pair:
-                        low = common & -common
-                        meet &= on_facet[low.bit_length() - 1]
-                        common ^= low
-                    if meet == pair:
-                        out.append((u, v) if u < v else (v, u))
-            out.sort()
-            self._edges = out
-        return self._edges
+        at_vertex, on_facet = self._incidence_bits()
+        n, least = self.dim, self.dim - 1
+        top = (1 << len(at_vertex)) - 1
+        first, out, simple = {}, [], []
+        for u, here in enumerate(at_vertex):
+            if here.bit_count() == n:
+                simple.append((u, here))
+                rest = here
+                while rest:
+                    low = rest & -rest
+                    v = first.setdefault(here ^ low, u)
+                    if v != u:
+                        out.append((v, u))
+                    rest ^= low
+                continue
+            near = [(v, common) for v, common in enumerate(
+                [here & there for there in at_vertex[u + 1:]], u + 1)
+                if common.bit_count() >= least]
+            if simple:
+                near += [(v, here & there) for v, there in simple]
+            for v, common in near:
+                pair, meet = 1 << u | 1 << v, top
+                while common and meet != pair:
+                    low = common & -common
+                    meet &= on_facet[low.bit_length() - 1]
+                    common ^= low
+                if meet == pair:
+                    out.append((u, v) if u < v else (v, u))
+        out.sort()
+        return out
 
     def skeleton(self):
         """The weighted 1-skeleton as a GkmGraph on the vertex ids, the same
         graph the GKM verifiers use, on the integer points of the incidence
-        pass.  Computed once."""
+        pass and the edges of ``_edge_list``.  Computed once; it owns the
+        polytope's edge list."""
         if self._skeleton is None:
             q, points = self._integer_vertices()
             self._skeleton = gkm.GkmGraph._on_points(
@@ -596,12 +596,10 @@ class Polytope:
 
     def incidence(self):
         """The vertex-facet incidence both ways: the facet ids at each vertex
-        and the vertex ids on each facet, as two tuples of frozensets.
-        Computed once, from the bitmasks of ``_incidence_bits``."""
-        if self._incidence is None:
-            at_vertex, on_facet = self._incidence_bits()
-            self._incidence = tuple(map(_ids, at_vertex)), tuple(map(_ids, on_facet))
-        return self._incidence
+        and the vertex ids on each facet, as two tuples of frozensets, made
+        on each call from the kept bitmasks of ``_incidence_bits``."""
+        at_vertex, on_facet = self._incidence_bits()
+        return tuple(map(_ids, at_vertex)), tuple(map(_ids, on_facet))
 
     def _incidence_bits(self):
         """The incidence as int bitmasks: the facet mask at each vertex and
@@ -645,26 +643,19 @@ class Polytope:
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, facets={len(self.facets)})"
 
 
+def _signed_units(n):
+    """The vectors e_1, -e_1, ..., e_n, -e_n of Z^n, as tuples."""
+    return [tuple(s if j == i else 0 for j in range(n)) for i in range(n) for s in (1, -1)]
+
+
 def cube(n, r=1):
     """The cube [-r, r]^n."""
-    hs = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        hs.append((tuple(e), r))
-        hs.append((tuple(-c for c in e), r))
-    return Polytope.from_halfspaces(hs)
+    return Polytope.from_halfspaces([(e, r) for e in _signed_units(n)])
 
 
 def cross_polytope(n):
     """conv{+-e_i}: the dual of the unit cube."""
-    pts = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        pts.append(tuple(e))
-        pts.append(tuple(-c for c in e))
-    return Polytope.from_vertices(pts)
+    return Polytope.from_vertices(_signed_units(n))
 
 
 def simplex_cpn(n):

@@ -35,8 +35,8 @@ def num_from_json(x):
     raise MalformedInput(f"expected an integer or 'p/q' string, got {x!r}")
 
 
-def _point_from_json(coords, dim=None):
-    if not isinstance(coords, list) or (dim is not None and len(coords) != dim):
+def _point_from_json(coords, dim):
+    if not isinstance(coords, list) or len(coords) != dim:
         raise MalformedInput(f"bad coordinate list {coords!r}")
     return tuple(num_from_json(c) for c in coords)
 

@@ -52,6 +52,14 @@ def _gorenstein_rhs(factor, r):
     return rhs
 
 
+def _half_hexagon():
+    return catalog.load("hexagon").dilate(Fraction(1, 2))
+
+
+def _segment_sum(end):
+    return GkmGraph(1, 1, [(0, (0,)), (1, (end,))], [(0, 1)]).sum_lengths()
+
+
 # Each number the library makes, by exact.ratio: an int when integral,
 # else a Fraction.  A negative q comes from gkm._index_at.
 @pytest.mark.parametrize("made, want", [
@@ -69,9 +77,14 @@ def _gorenstein_rhs(factor, r):
     (lambda: _gorenstein_rhs(1, 1), 9),
     (lambda: _gorenstein_rhs(2, Fraction(1, 2)), 18),
     (lambda: _gorenstein_rhs(Fraction(1, 2), 2), Fraction(9, 2)),
+    # six edges of length 1/2
+    (lambda: _half_hexagon().skeleton().sum_lengths(), 3),
+    (lambda: reflexive.verify_gorenstein(_half_hexagon(), 2).lhs, 3),
+    (lambda: _segment_sum(Fraction(3, 2)), Fraction(3, 2)),
 ], ids=["ratio-2", "ratio-0", "ratio--2", "ratio-1/2", "ratio--7/2", "length-3", "length-3/2",
         "c_from_f3-192", "c_from_f3-24/5", "max_betti-7", "max_betti-8/3", "gorenstein-rhs-9",
-        "gorenstein-rhs-18", "gorenstein-rhs-9/2"])
+        "gorenstein-rhs-18", "gorenstein-rhs-9/2", "sum_lengths-3", "gorenstein-lhs-3",
+        "sum_lengths-3/2"])
 def test_made_numbers_are_ints_when_integral(made, want):
     x = made()
     assert type(x) is type(want) and x == want
@@ -80,6 +93,11 @@ def test_made_numbers_are_ints_when_integral(made, want):
 def test_rational_direction():
     w, t = exact.rational_direction((Fraction(3, 2), Fraction(-3, 2)))
     assert w == (1, -1) and t == Fraction(3, 2)
+
+
+def test_rational_direction_refuses_the_zero_vector():
+    with pytest.raises(ZeroVector, match="zero displacement"):
+        exact.rational_direction((0, 0))
 
 
 def test_hyperplane_normal():

@@ -131,6 +131,16 @@ def test_is_reflexive_graph():
     assert not gkm.is_reflexive_graph(catalog.load("octahedron-skeleton")).passed
 
 
+def test_vertex_sum_is_made_by_ratio():
+    # the hexagon's skeleton with its coordinates given as Fractions
+    S = catalog.load("hexagon").skeleton()
+    G = GkmGraph(2, 2, [(v, tuple(map(Fraction, S.coords[v]))) for v in S.ids], S.edge_list)
+    rep = gkm.is_reflexive_graph(G)
+    assert rep.passed
+    (total,) = [i["detail"]["sum"] for i in rep.per_item if i["id"] == "vertex-sum-zero"]
+    assert total == [0, 0] and all(type(c) is int for c in total)
+
+
 def test_gorenstein_index():
     assert gkm.gorenstein_index(catalog.load("octahedron-skeleton")) == 4
     for name in ["a2-flag", "b2-flag", "gr24-graph"]:
@@ -334,10 +344,10 @@ def test_gkm_ok_is_validate_verdict():
     # the kept pairing passes its degrees and GKM verdict exactly when
     # `validate` does
     for G in [square_skeleton(), catalog.load("b2-flag"), bad_degree, parallel]:
-        p = gkm._kept_pairing(G)
+        p = G._pairing
         assert (all(p.independent) and p.degrees == [G.degree] * len(G.ids)) is gkm.validate(G).passed
-    assert gkm._kept_pairing(bad_degree).degrees == [1, 1]
-    assert not all(gkm._kept_pairing(parallel).independent)
+    assert bad_degree._pairing.degrees == [1, 1]
+    assert not all(parallel._pairing.independent)
     for G in [bad_degree, parallel]:
         with pytest.raises(InvalidGraph):
             gkm.gorenstein_index(G)
@@ -688,7 +698,7 @@ def test_census_matches_per_vertex_oracle(G, data):
         below = gkm._height_scan(H, xi)
         got = NonGenericDirection if below is None else below
         assert got == _outcome(_in_degrees_by_vertex, H, xi)
-        p = gkm._kept_pairing(H)
+        p = H._pairing
         for c, d in enumerate(p.xis):
             assert dict(zip(H.ids, p.indegrees(c))) == _in_degrees_by_vertex(H, d), d
 
@@ -777,7 +787,7 @@ PARALLELOGRAM = [(0, (0, 0)), (1, (2, -1)), (2, (0, 1)), (3, (2, 0))]
 ])
 def test_a_vanishing_weight_that_repeats_drops_the_candidate(edges):
     G = GkmGraph(2, 2, PARALLELOGRAM, edges)
-    assert _vanishes(G, (1, 2)) and gkm._kept_pairing(G).xis[0] == (1, 3)
+    assert _vanishes(G, (1, 2)) and G._pairing.xis[0] == (1, 3)
     with pytest.raises(NonGenericDirection):
         gkm.h_vector_graph(G, (1, 2))
     assert gkm.generic_direction(G) == (1, 3)
@@ -798,7 +808,7 @@ def test_a_cycle_on_which_every_prime_candidate_vanishes():
     assert primes == [(1, b) for b in PRIMES] and last == list(_directions(G))[-1]
     for xi in primes:
         assert _vanishes(G, xi)
-    assert gkm._kept_pairing(G).xis == [last]
+    assert G._pairing.xis == [last]
     assert gkm.generic_direction(G) == last
     h = gkm.h_vector_graph(G)
     assert h == _h_vector_oracle(G) == _h_vector_by_stars(G) == _census_by_vertex(G, last)
@@ -834,7 +844,7 @@ def _first_by_oracle(G, avoid=()):
 def _assert_height_scan_is_the_pairing(G, avoid=(), xi=None):
     if xi is not None:
         assert _height_scan(G, xi) == _oracle_scan(G, xi)
-    p = gkm._kept_pairing(G)
+    p = G._pairing
     for c, d in enumerate(p.xis):
         assert p.indegrees(c) == _height_scan(G, d) == _oracle_scan(G, d), d
     want = _first_by_oracle(G, avoid)
@@ -892,7 +902,7 @@ def test_derived_index_column_and_its_pairing(G):
     # kept pairing gives the same directions and per-vertex values
     R = _read_back(G)
     assert R._weight_index == (table, ids)
-    p, r = gkm._kept_pairing(G), gkm._kept_pairing(R)
+    p, r = G._pairing, R._pairing
     assert (p.xis, p.degrees, p.sums, p.independent) == (r.xis, r.degrees, r.sums, r.independent)
     assert all(p.indegrees(c) == r.indegrees(c) for c in range(len(p.xis)))
 
@@ -919,7 +929,7 @@ def test_height_scan_matches_the_pairing_on_the_39_gon():
     G = P.skeleton()
     *primes, last = gkm._candidates(G)
     assert len(P.vertices) == 39 and all(_vanishes(G, xi) for xi in primes)
-    assert gkm._kept_pairing(G).xis == [last]
+    assert G._pairing.xis == [last]
     assert gkm.generic_direction(G) == last
     for avoid in [(), primes, [last]]:
         _assert_height_scan_is_the_pairing(G, avoid)

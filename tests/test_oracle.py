@@ -325,6 +325,12 @@ def test_segment_counts():
     assert oracle.lattice_points_on_segment((0, 0, 0), (1, 1, 1)) == 2
 
 
+def test_segment_of_one_point():
+    # a lattice point, or none
+    assert oracle.lattice_points_on_segment((1, 2), (1, 2)) == 1
+    assert oracle.lattice_points_on_segment((Fraction(1, 2), 0), (Fraction(1, 2), 0)) == 0
+
+
 def test_segment_box_limit():
     # the box of [0, 9999] holds exactly the limit; one more point is refused
     assert oracle.SEGMENT_BOX_LIMIT == 10**4

@@ -341,6 +341,25 @@ def test_edges_and_lengths():
     assert all(Q.relative_length(e) == 4 for e in Q.edges())
 
 
+def test_derived_tables_are_kept_once_by_their_owner():
+    # the views are made on each call, from the tables the polytope keeps
+    P = catalog.load("octahedron")
+    assert set(vars(P)) == {"dim", "vertices", "facets", "_ints", "_bits", "_faces",
+                            "_skeleton", "_delzant", "_leaving"}
+    assert P.incidence() == P.incidence() and P.incidence() is not P.incidence()
+    assert P.face_lattice() == P.face_lattice()
+    assert P.face_lattice() is not P.face_lattice()
+    # edges() copies the list the skeleton keeps
+    edges = P.edges()
+    assert edges == P.skeleton().edge_list and edges is not P.skeleton().edge_list
+
+
+def test_signed_units():
+    assert polytope._signed_units(2) == [(1, 0), (-1, 0), (0, 1), (0, -1)]
+    assert cross_polytope(3).vertices == tuple(sorted(polytope._signed_units(3)))
+    assert catalog.load("octahedron-skeleton").coords == dict(enumerate(polytope._signed_units(3)))
+
+
 def test_relative_length_non_lattice():
     P = Polytope.from_vertices([(Fraction(1, 2), 0), (0, 1), (0, -1)])
     with pytest.raises(NonLatticeEdge):

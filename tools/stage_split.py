@@ -1,5 +1,5 @@
 """Per-stage times of the benchmark's verify, hull and weyl workloads, by
-self time inside the items' own calls, and of ``Polytope.edges()``.
+self time inside the items' own calls, and of the polytope edge pass.
 
     python3 tools/stage_split.py [CHECKOUT] [--seed S] [--rounds N]
 
@@ -26,10 +26,13 @@ of item (its name up to the first colon or space: the verifier, the
 constructor, ``gkm``) its items, ms, share and ms by stage.  Each figure
 is the mean over the middle half of the rounds by round time, so the
 stages and the kinds each sum to the round.  Under ``edges_ms``: the
-median time of ``edges()`` over 9 fresh cube(10), whose vertices are all
+median time of the edge pass over 9 fresh cube(10), whose vertices are all
 simple, and 200 cross_polytope(6), whose vertices are on more than n
-facets.  A stage none of whose functions its checkout has reads null:
-one copy of this file times any checkout.
+facets.  The pass is ``Polytope._edge_list()`` where a checkout has it:
+there ``edges()`` copies the skeleton's edge list, and timing it would add
+the skeleton's weights and lengths.  Elsewhere it is ``edges()``.  A
+stage none of whose functions its checkout has reads null: one copy of
+this file times any checkout.
 """
 
 import argparse
@@ -43,8 +46,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 STAGES = {
-    # Polytope.skeleton reads _edge_list, which edges() copies, where a
-    # checkout has it
+    # where a checkout has _edge_list, Polytope.skeleton runs it once and
+    # edges() copies the skeleton's edge list
     "verify": (("integer points", "polytope.Polytope", "_integer_vertices"),
                ("incidence", "polytope.Polytope", "_incidence_bits"),
                ("edges", "polytope.Polytope", "edges"),
@@ -167,8 +170,9 @@ def edges_ms(polytope, make, repeats):
     for _ in range(repeats):
         Q = polytope.Polytope(P.dim, P.vertices, P.facets)
         Q._incidence_bits()
+        edge_pass = getattr(Q, "_edge_list", Q.edges)
         t0 = time.perf_counter()
-        Q.edges()
+        edge_pass()
         times.append(1000 * (time.perf_counter() - t0))
     return round(statistics.median(times), 4)
 
