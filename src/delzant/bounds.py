@@ -7,7 +7,7 @@ of formulas coincide under that identification.
 """
 
 from itertools import product
-from math import isqrt, prod
+from math import isqrt
 from operator import mul
 from types import SimpleNamespace
 
@@ -183,10 +183,18 @@ def enumerate_admissible(n, k0, require_unimodal=False, cap=None):
     if any(c < 1 for c in caps):
         return AdmissibleSet(n=n, k0=k0, constraints=constraints, half_vectors=[], caps=caps,
                              complete=complete)
-    size = prod(caps)
+    # Every cap is at least 1, so the product only grows: it is counted
+    # exactly up to SEARCH_LIMIT**2, and past that read as a lower bound.
+    size, rest = 1, iter(caps)
+    for c in rest:
+        size *= c
+        if size > SEARCH_LIMIT**2:
+            break
     if size > SEARCH_LIMIT:
+        # a cap left unread makes the count a lower bound
+        count = f"at least {size}" if next(rest, None) else size
         raise UnboundedSearch(
-            f"the search for n={n}, k0={k0} has {size} candidates, more than the limit {SEARCH_LIMIT}"
+            f"the search for n={n}, k0={k0} has {count} candidates, more than the limit {SEARCH_LIMIT}"
         )
 
     found = []

@@ -10,6 +10,7 @@ import gc
 import json
 import os
 import sys
+from fractions import Fraction
 from itertools import chain, islice
 from math import lcm
 
@@ -17,7 +18,7 @@ from . import bounds, catalog, gkm, reflexive, roots, serialize
 from .errors import DelzantError, MalformedInput, UnboundedSearch
 from .gkm import GkmGraph
 from .polytope import Polytope
-from .report import VerificationReport, num_to_json
+from .report import VerificationReport
 
 _KIND = {Polytope: "a polytope", GkmGraph: "a GKM graph"}
 
@@ -84,9 +85,10 @@ def _key(k):
 
 def _dumps(o, pad):
     """The text of ``json.dumps(o, indent=2, sort_keys=True)`` for a value
-    written after the newline-and-indent ``pad``.  Only str, int, bool,
-    None, list, tuple and dict with str keys are taken; anything else,
-    a float included, raises TypeError."""
+    written after the newline-and-indent ``pad``, with each Fraction
+    written as ``serialize.num_to_json`` gives it: an integer or "p/q".
+    Only str, int, Fraction, bool, None, list, tuple and dict with str
+    keys are taken; anything else, a float included, raises TypeError."""
     if type(o) is int:
         return int.__repr__(o)
     if isinstance(o, dict):
@@ -114,6 +116,8 @@ def _dumps(o, pad):
         return "true"
     if o is False:
         return "false"
+    if type(o) is Fraction:
+        return _dumps(serialize.num_to_json(o), pad)
     raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
@@ -158,14 +162,14 @@ def _emit_graph(G, extra):
     sort_keys=True)`` and a newline.  The vertex and edge records are
     formatted straight from G's coordinates and edge columns and written in
     batches, never built as dicts; each distinct coordinate, weight and
-    length is formatted once, the weights by G's weight-index column.  Ids
-    other than ints and "p/q" numbers go through ``_dumps``."""
+    length is formatted once, the weights by G's weight-index column.  Each
+    distinct number, and each id other than an int, goes through
+    ``_dumps``."""
     out = sys.stdout
 
     def texts(xs):
         # the text of each distinct number
-        return {x: int.__repr__(x) if type(x) is int else _dumps(num_to_json(x), "")
-                for x in set(xs)}
+        return {x: _dumps(x, "") for x in set(xs)}
 
     def numbers(k):
         # a list of k numbers inside a record, one %s each
@@ -325,8 +329,8 @@ def cmd_lengths(args):
         lengths, G = obj.relative_lengths(), obj.skeleton()
     else:
         lengths, G = obj._length_col, obj
-    per = [{"edge": list(e), "length": num_to_json(l)} for e, l in zip(G.edge_list, lengths)]
-    _emit({"edges": per, "sum": num_to_json(G.sum_lengths())}, args.text)
+    per = [{"edge": list(e), "length": l} for e, l in zip(G.edge_list, lengths)]
+    _emit({"edges": per, "sum": G.sum_lengths()}, args.text)
     return 0
 
 
@@ -344,7 +348,7 @@ def cmd_gkm_build(args):
     rep = gkm.verify_graph_corollary(G)
     _show_graph(G, args.text, {
         "h": next(i["detail"]["h"] for i in rep.per_item if i["id"] == "h-vector"),
-        "sum_lengths": num_to_json(rep.lhs),
+        "sum_lengths": rep.lhs,
         "verification": rep.to_dict(),
     })
     return 0 if rep.passed else 1
@@ -567,6 +571,12 @@ def main(argv=None):
         return _refuse(f"error: {e}")
     except DelzantError as e:
         return _refuse(f"error: {type(e).__name__}: {e}")
+    except ValueError as e:
+        # Python's limit on the digits of an int written as text; the
+        # reader's own use of that limit is MalformedInput
+        if "integer string conversion" not in str(e):
+            raise
+        return _refuse(f"error: cannot write a number: {str(e).partition(';')[0]}")
     except BrokenPipeError:
         _to_devnull(sys.stdout)
         return _refuse("error: standard output was closed")

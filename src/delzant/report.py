@@ -1,26 +1,10 @@
 """Structured pass/fail results carrying both sides of each identity."""
 
-from fractions import Fraction
-
-
-def num_to_json(x):
-    """An int or Fraction as a JSON integer, or as a "p/q" string."""
-    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def _plain(x):
-    if type(x) is Fraction:
-        return num_to_json(x)
-    if isinstance(x, (list, tuple)):
-        return [_plain(c) for c in x]
-    if isinstance(x, dict):
-        return {k: _plain(v) for k, v in x.items()}
-    return x
-
 
 class VerificationReport:
     """One identity checked: its name, the verdict, both sides, and the
-    checks of each item, each a dict {"id", "pass", "detail"}."""
+    checks of each item, each a dict {"id", "pass", "detail"}.  Every
+    number is kept as the library made it, an int or else a Fraction."""
 
     def __init__(self, identity, passed, lhs=None, rhs=()):
         self.identity = identity
@@ -38,12 +22,15 @@ class VerificationReport:
             self.passed = False
 
     def to_dict(self):
+        """The report as a JSON document, its numbers still exact: the
+        writer (``cli._dumps``) turns each Fraction into its "p/q".  The
+        items are this report's own list, not a copy."""
         return {
             "identity": self.identity,
             "pass": self.passed,
-            "lhs": _plain(self.lhs),
-            "rhs": _plain(list(self.rhs)),
-            "per_item": _plain(self.per_item),
+            "lhs": self.lhs,
+            "rhs": list(self.rhs),
+            "per_item": self.per_item,
         }
 
     def __bool__(self):

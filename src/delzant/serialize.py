@@ -1,7 +1,9 @@
 """JSON encoding of polytopes, GKM graphs and reports.
 
 Numbers are serialized exactly: integers as JSON integers, other rationals
-as "p/q" strings.  No floats are ever emitted or accepted.
+as "p/q" strings.  No floats are ever emitted or accepted.  ``num_to_json``
+and ``num_from_json`` are the two directions of that format; the CLI's
+writer formats every Fraction of its output by ``num_to_json``.
 """
 
 import re
@@ -10,10 +12,14 @@ from fractions import Fraction
 from .errors import MalformedInput
 from .gkm import GkmGraph
 from .polytope import Polytope
-from .report import num_to_json
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def num_to_json(x):
+    """An int or Fraction as a JSON integer, or as a "p/q" string."""
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def num_from_json(x):

@@ -240,6 +240,50 @@ def test_wrong_kind_or_bad_argument_exits_2(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["bounds", "enumerate", "--n", "1000", "--k0", "1", "--cap", "10000000000"],
+    ["bounds", "enumerate", "--n", "400000", "--k0", "1", "--cap", "2"],
+])
+def test_a_search_too_large_to_write_out_is_refused_in_one_line(capsys, argv):
+    # the exact candidate counts, 10^5000 and 2^200000, have more digits
+    # than Python writes; the refusal gives a lower bound
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err) < 120
+    assert err.startswith(f"error: the search for n={argv[3]}, k0=1 has at least ")
+
+
+# The segment between 1/(10^2200 + 1) and 1/(10^2200 + 3) has a length
+# whose denominator has more than 4300 digits, which Python will not write.
+TINY = [f"1/{10**2200 + 1}", f"1/{10**2200 + 3}"]
+TOO_LONG = {
+    "graph": {"ambient_dim": 1, "degree": 1, "vertices": [{"id": 0, "coords": [TINY[0]]},
+                                                          {"id": 1, "coords": [TINY[1]]}],
+              "edges": [{"u": 0, "v": 1}]},
+    "polytope": {"dim": 1, "vertices": [[TINY[0]], [TINY[1]]]},
+}
+
+
+@pytest.mark.parametrize("flags", [(), ("--text",)])
+@pytest.mark.parametrize("kind", list(TOO_LONG))
+def test_a_number_too_long_to_write_is_refused(tmp_path, capsys, kind, flags):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(TOO_LONG[kind]))
+    assert main(["lengths", str(path), *flags]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write a number: Exceeds the limit ({sys.get_int_max_str_digits()} digits) "
+        "for integer string conversion\n")
+
+
+def test_another_value_error_is_not_refused(monkeypatch):
+    def fail(args):
+        raise ValueError("invalid literal")
+
+    monkeypatch.setattr(cli, "cmd_lengths", fail)
+    with pytest.raises(ValueError, match="invalid literal"):
+        main(["lengths", "catalog:cube"])
+
+
 def test_catalog_list(capsys):
     code, out = run(capsys, "catalog", "list")
     assert code == 0

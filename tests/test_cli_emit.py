@@ -11,6 +11,7 @@ import json
 import random
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from delzant import catalog, cli, gkm, polytope, roots, serialize
 from delzant.gkm import GkmGraph
-from delzant.report import VerificationReport, num_to_json
+from delzant.report import VerificationReport
+from delzant.serialize import num_to_json
 
 import weyl_corpus
 
@@ -32,6 +34,9 @@ SCALARS = st.one_of(
     st.integers(),
     st.integers(-10**80, 10**80),
     st.sampled_from([True, False, None, 0, -1, 2**64, -(2**64)]),
+    st.fractions(),
+    # integral ones, which the writer writes as JSON integers
+    st.sampled_from([Fraction(4, 2), Fraction(-3), Fraction(0), Fraction(10**30, 5)]),
 )
 VALUES = st.recursive(
     SCALARS,
@@ -42,6 +47,18 @@ VALUES = st.recursive(
     ),
     max_leaves=30,
 )
+
+
+def exact(payload):
+    """The payload with each Fraction as ``serialize.num_to_json`` gives
+    it, for ``json.dumps``."""
+    if type(payload) is Fraction:
+        return num_to_json(payload)
+    if isinstance(payload, (list, tuple)):
+        return [exact(v) for v in payload]
+    if isinstance(payload, dict):
+        return {k: exact(v) for k, v in payload.items()}
+    return payload
 
 
 def emitted(payload):
@@ -59,8 +76,9 @@ def emitted(payload):
 @example([[[[{}]]]])
 # more members at the second level than one batch of pieces holds
 @example({"edges": [{"u": i, "weight": [i, -i]} for i in range(10000)]})
+@example({"lhs": Fraction(9, 2), "rhs": [Fraction(9, 2)], "r": (Fraction(3, 2), Fraction(6, 3))})
 def test_emit_matches_json_dumps(payload):
-    assert emitted(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert emitted(payload) == json.dumps(exact(payload), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("payload", [
@@ -72,6 +90,7 @@ def test_emit_matches_json_dumps(payload):
     {"a": 1, 2: "b"},
     [object()],
     {"a": {1, 2}},
+    Decimal("1.5"),
 ])
 def test_emit_refuses_floats_other_types_and_non_str_keys(payload):
     with pytest.raises(TypeError):
@@ -250,6 +269,16 @@ def test_line_trace_names_the_uncalled_body(tmp_path):
                        cwd=tmp_path, timeout=60, capture_output=True, text=True, check=True)
     assert p.stdout.splitlines()[-1] == repr((0, {str(tmp_path / "pkg" / "two.py"): [9, 10]}))
     assert _tool("line_trace").ranges([3, 4, 5, 9, 12, 13]) == "3-5, 9, 12-13"
+
+
+def test_cli_sweep_digest_is_pinned(capsys, monkeypatch):
+    # tools/cli_sweep.py over its 1622 argv, with this checkout's package;
+    # the digest was taken before a report's numbers stayed Fractions until
+    # the writer, and every argv must keep its exit code, stdout and stderr
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    assert _tool("cli_sweep").main([]) == 0
+    assert capsys.readouterr().out == (
+        "1622 argv  sha256 e935315ee4f312f2dc8e2517115b029d2eb25bc51b7181c1dc1e7446dd450a20\n")
 
 
 def test_stage_split_times_each_verifier(capsys, monkeypatch):
@@ -871,10 +900,22 @@ def test_verify_output_is_pinned(args):
 # rational Delzant triangle conv{0, e1/2, e2/2} ("half-triangle", read from
 # a file), recorded before a polytope's lengths became one column read off
 # its skeleton.  The triangle exits 2 with NON_LATTICE, the hash of
-# "error: NonLatticeEdge: edge (0, 1) has non-integral length 1/2\n".
+# "error: NonLatticeEdge: edge (0, 1) has non-integral length 1/2\n".  The
+# rows of the A2 flag scaled by 2/3, whose lengths are 4/3 and 8/3, were
+# recorded before the numbers of an output stayed Fractions until the
+# writer.
 EMPTY = hashlib.sha256(b"").hexdigest()
 NON_LATTICE = "18a5841e9f85fce7ee01e2c9c72c49c211e8ec6f99cacf64d16e915c4668df7e"
 HALF_TRIANGLE = {"dim": 2, "vertices": [[0, 0], ["1/2", 0], [0, "1/2"]]}
+# The A2 flag scaled by 2/3, with string ids: its index r is 3/2.
+A2_TWO_THIRDS = {
+    "ambient_dim": 2, "degree": 3,
+    "vertices": [{"id": f"v{i}", "coords": c} for i, c in enumerate(
+        [["-4/3", "-4/3"], ["-4/3", 0], [0, "-4/3"], [0, "4/3"], ["4/3", 0], ["4/3", "4/3"]])],
+    "edges": [{"u": f"v{u}", "v": f"v{v}"} for u, v in
+              [(0, 1), (0, 2), (0, 5), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]],
+}
+LENGTHS_FILES = {"half-triangle": HALF_TRIANGLE, "a2-two-thirds": A2_TWO_THIRDS}
 LENGTHS_SHA256 = {
     ("cp2-triangle",): (0, "af65d8b3e8c119c4a16dfb138d5e4034e249a7ca55dde1eb292e3918545a47c4", EMPTY),
     ("cp2-triangle", "--text"): (0, "01be4c473f84b42001a71072a08d2abe9154558bb76d13de19a62362f9d83861", EMPTY),
@@ -920,27 +961,60 @@ LENGTHS_SHA256 = {
     ("octahedron-skeleton", "--text"): (0, "81f2ca18f7696e07dad23e57b7c5e028e9a09d329ffbcffb24babfef86fbd14b", EMPTY),
     ("half-triangle",): (2, EMPTY, NON_LATTICE),
     ("half-triangle", "--text"): (2, EMPTY, NON_LATTICE),
+    ("a2-two-thirds",): (0, "91c79fd4f828facc2355b585d30b56e6e02de1e62f080f8d84d913688f16c1d7", EMPTY),
+    ("a2-two-thirds", "--text"): (0, "8280748ffe07fea473b7046195e1a91b40e233ec8175b72d2c0f784edde2255a", EMPTY),
 }
 
 
 def test_every_catalog_entry_has_pinned_lengths_outputs():
     for flags in ((), ("--text",)):
         pinned = {name for name, *f in LENGTHS_SHA256 if tuple(f) == flags}
-        assert pinned == {*catalog.names(), "half-triangle"}, flags
+        assert pinned == {*catalog.names(), *LENGTHS_FILES}, flags
 
 
 @pytest.mark.parametrize("args", list(LENGTHS_SHA256), ids=" ".join)
 def test_lengths_output_is_pinned(args, tmp_path):
     name, *flags = args
     source = f"catalog:{name}"
-    if name == "half-triangle":
-        source = str(tmp_path / "half-triangle.json")
-        Path(source).write_text(json.dumps(HALF_TRIANGLE))
+    if name in LENGTHS_FILES:
+        source = str(tmp_path / f"{name}.json")
+        Path(source).write_text(json.dumps(LENGTHS_FILES[name]))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["lengths", source, *flags])
     digests = [hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err)]
     assert (code, *digests) == LENGTHS_SHA256[args]
+
+
+# Exit code and SHA-256 of the standard output of the commands whose
+# report carries a Fraction, on (1/2)·CP^2 ("cp2-half"), where at r = 2
+# both sides of the Gorenstein length sum are 9/2, and on the A2 flag
+# scaled by 2/3, where r = 3/2; recorded before a report's numbers stayed
+# Fractions until the writer.  Standard error is empty for each.
+FRACTION_FILES = {"cp2-half": {"dim": 2, "vertices": [["-1/2", "-1/2"], [1, "-1/2"], ["-1/2", 1]]},
+                  "a2-two-thirds": A2_TWO_THIRDS}
+FRACTION_SHA256 = {
+    ("verify", "gorenstein:2", "cp2-half"): (0, "15ea5bacc54729287d7a9a4c89fb2d9200e629e484984e6031894a34fe3d2ee4"),
+    ("verify", "gorenstein:2", "cp2-half", "--text"): (0, "4568c6ec8673e3ee04b07b1c04e3d142bfc8c24d44e84414c996e6750b7c802f"),
+    ("verify", "gorenstein:2", "cp2-half", "--with-oracle"): (0, "938b0f8a0580be483a89512e21da5f991dab669664fa0d871fe087e4776ad552"),
+    ("verify", "gorenstein:2", "cp2-half", "--with-oracle", "--text"): (0, "1fc0f1d4ed52e285928b0bab444205b50407bc36142e40920e440a9721593af9"),
+    ("check", "gorenstein", "a2-two-thirds"): (0, "2d2f72e2a0ae732e6ed0a723f715c285db40d4c4190f7cfc00649edac5b84582"),
+    ("check", "gorenstein", "a2-two-thirds", "--text"): (0, "9a3a40b74629573de212bf4ca3b05608ab152377403be3ef0efdd51ac411cd7f"),
+    ("verify", "graph-corollary", "a2-two-thirds"): (0, "50688b503cc610d765bafcf8055e7b269dcdfdde0f1be6319d0fa041fb08e17d"),
+    ("verify", "graph-corollary", "a2-two-thirds", "--text"): (0, "e3134956f3d07525786c8bb1d8d718ad1f2cee888d5d0baf39ff55dd84b97061"),
+}
+
+
+@pytest.mark.parametrize("args", list(FRACTION_SHA256), ids=" ".join)
+def test_fraction_output_is_pinned(args, tmp_path):
+    for name, doc in FRACTION_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    argv = [str(tmp_path / f"{w}.json") if w in FRACTION_FILES else w for w in args]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, hashlib.sha256(out.getvalue().encode()).hexdigest()) == FRACTION_SHA256[args]
+    assert err.getvalue() == ""
 
 
 # GL(n, Z)-moved products of smooth reflexive factors in dimensions 2-5,

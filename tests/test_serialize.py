@@ -73,10 +73,21 @@ def test_graph_json_has_derived_fields():
     assert all(e["length"] == 4 for e in j["edges"])
 
 
+def test_report_keeps_its_fractions_and_its_items():
+    # (1/2)·CP^2 at r = 2: sum l(e) = C(2, h) / r = 9/2 stays a Fraction,
+    # and the items are the report's own list
+    rep = reflexive.verify_gorenstein(catalog.load("cp2-triangle").dilate(Fraction(1, 2)), 2)
+    d = rep.to_dict()
+    assert d["lhs"] == Fraction(9, 2) and type(d["lhs"]) is Fraction
+    assert d["per_item"] is rep.per_item
+
+
 def test_report_serialization():
     rep = reflexive.verify_main_theorem(catalog.load("cube"))
     d = rep.to_dict()
-    json.dumps(d)  # must be JSON-clean
+    # the numbers stay as the library made them, here all ints; the CLI's
+    # writer alone turns a Fraction into its "p/q"
+    json.dumps(d)
     assert d["identity"] == "length-sum"
     assert d["pass"] is True
     assert d["lhs"] == 24
