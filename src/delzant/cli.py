@@ -7,6 +7,7 @@ Exit codes: 0 on pass, 1 on identity failure, 2 on input or usage errors.
 import argparse
 import functools
 import gc
+import io
 import json
 import os
 import sys
@@ -146,7 +147,11 @@ def _stream(o, pad="\n", depth=2):
 
 def _emit(payload, text=False):
     if text:
-        _emit_text(payload)
+        # The text is made whole and written once, so a refusal raised
+        # while it is made leaves nothing on standard output.
+        buf = io.StringIO()
+        _emit_text(payload, buf)
+        sys.stdout.write(buf.getvalue())
         return
     # The pieces go out in batches, so a large document is never held as
     # one string.
@@ -208,21 +213,21 @@ def _emit_graph(G, extra):
     out.write("\n}\n")
 
 
-def _emit_text(payload, indent=0):
+def _emit_text(payload, out, indent=0):
     pad = "  " * indent
     if isinstance(payload, dict):
         for k, v in payload.items():
             if isinstance(v, (dict, list)):
-                print(f"{pad}{k}:")
-                _emit_text(v, indent + 1)
+                print(f"{pad}{k}:", file=out)
+                _emit_text(v, out, indent + 1)
             else:
-                print(f"{pad}{k}: {v}")
+                print(f"{pad}{k}: {v}", file=out)
     elif isinstance(payload, list):
         for v in payload:
             if isinstance(v, (dict, list)):
-                _emit_text(v, indent + 1)
+                _emit_text(v, out, indent + 1)
             else:
-                print(f"{pad}{v}")
+                print(f"{pad}{v}", file=out)
 
 
 def _report_exit(rep, text):
@@ -260,6 +265,8 @@ _POLYTOPE_IDENTITIES = {
 def cmd_verify(args):
     ident = args.identity
     if ident == "graph-corollary":
+        if args.with_oracle:
+            raise MalformedInput("--with-oracle takes a polytope identity: graphs have no oracle")
         obj = _load_input(args.input, GkmGraph)
         rep = gkm.verify_graph_corollary(obj)
     elif ident in _POLYTOPE_IDENTITIES:
@@ -274,7 +281,7 @@ def cmd_verify(args):
         rep = reflexive.verify_gorenstein(obj, r)
     else:
         raise MalformedInput(f"unknown identity {ident!r}")
-    if args.with_oracle and isinstance(obj, Polytope):
+    if args.with_oracle:
         from . import oracle  # imported on use: only --with-oracle needs it
 
         ok = oracle.brute_f_vector(obj) == obj.f_vector()

@@ -18,7 +18,7 @@ Fraction.
 from collections import namedtuple
 from itertools import product
 from math import ceil, comb, floor, gcd, lcm
-from operator import add, mul, neg
+from operator import add, attrgetter, mul, neg
 
 from . import exact, gkm
 from .errors import (
@@ -35,9 +35,11 @@ from .errors import (
 # The budgets of one double-description hull, over all its rows.  A row
 # tests each pair of rays on opposite sides of it by the bit count of their
 # common tight set, about 0.12 us a pair, and scans every ray's mask for
-# each pair that passes, about 0.1 us a ray (shared 2-core Xeon).  The
-# pairs are charged before a row's pair loop, the scans as they happen;
-# the hull raises UnboundedSearch as soon as either is over its budget.
+# each degenerate pair that passes, about 0.1 us a ray (shared 2-core
+# Xeon).  The pairs are charged before a row's pair loop, the scans as each
+# pair passes: every ray's mask, also for a pair that the count rule of
+# ``_extreme_rays`` decides without the scan.  The hull raises
+# UnboundedSearch as soon as either is over its budget.
 HULL_PAIR_LIMIT = 3 * 10**6
 HULL_SCAN_LIMIT = 6 * 10**6
 # The budget of one face-lattice walk, in face-facet pairs.  A layer
@@ -47,6 +49,8 @@ HULL_SCAN_LIMIT = 6 * 10**6
 # (same machine).  Each layer is charged before its loop, and the walk
 # raises UnboundedSearch as soon as the total is over the budget.
 FACE_WALK_LIMIT = 2 * 10**6
+
+_numerator, _denominator = attrgetter("numerator"), attrgetter("denominator")
 
 
 def _cleared(normal, offset):
@@ -59,8 +63,9 @@ def _cleared(normal, offset):
         for c in normal:
             exact.rational(c, "normal coordinate")
         exact.rational(offset, "offset")
-    d = lcm(*[c.denominator for c in normal])
-    w, m = exact.primitive([c.numerator * (d // c.denominator) for c in normal])
+    d = lcm(*map(_denominator, normal))
+    w, m = exact.primitive(list(map(_numerator, normal)) if d == 1
+                           else [c.numerator * (d // c.denominator) for c in normal])
     p, q = offset.numerator * d, offset.denominator * m
     g = gcd(p, q)
     return w, p // g, q // g
@@ -132,11 +137,27 @@ def _extreme_rays(rows, d):
     span a 2-face: by the combinatorial test, no third ray is tight on every
     row both are tight on.  Rays are primitive integer tuples.
 
+    A pair is tested only if its common tight set has at least d - 2 rows,
+    and it needs no scan of the masks if one of its rays is tight on
+    exactly d - 1 of the rows added so far: by the algebraic test of
+    Fukuda and Prodon, two extreme rays are adjacent iff the rows tight on
+    both have rank d - 2, and here that rank is read off the bit count.
+    The d start rows are among the rows added, so the cone is pointed, and
+    the rows tight on an extreme ray of a pointed cone have rank d - 1: a
+    ray tight on exactly d - 1 rows has independent tight rows.  They cut
+    out its line, and the other ray, on the other side of the new row, is
+    not on it, so the pair has exactly d - 2 common rows, which cut out a
+    face of the cone that lies in a 2-dimensional subspace.  A pointed cone
+    of dimension at most 2 has at most two extreme rays, here the pair
+    itself, so no third mask contains the common set: the scan's own
+    verdict.  Every other pair, a degenerate one, is scanned.
+
     Returns a list of (ray, tight) with ``tight`` the set of rows the ray
     is tight on, as a bitmask of row indices.  Returns None if the rows
     have rank < d, that is if the cone is not pointed.  Raises
     UnboundedSearch once the pair tests or the mask scans go over
-    HULL_PAIR_LIMIT or HULL_SCAN_LIMIT.
+    HULL_PAIR_LIMIT or HULL_SCAN_LIMIT; each tested pair is charged every
+    ray's mask as scans, whether the scan runs or not.
     """
     chosen, first, free = exact.eliminate(rows, d)
     if free:
@@ -168,6 +189,7 @@ def _extreme_rays(rows, d):
                 )
             masks = [tight for _, tight in rays]
             for rp, tp, sp in pos:
+                simple = tp.bit_count() == d - 1
                 for rn, tn, sn in neg:
                     common = tp & tn
                     if common.bit_count() < d - 2:
@@ -178,7 +200,8 @@ def _extreme_rays(rows, d):
                             f"the double-description hull would scan {scans} ray masks by row {k}, "
                             f"more than its limit of {HULL_SCAN_LIMIT}"
                         )
-                    if any(t & common == common and t != tp and t != tn for t in masks):
+                    if not simple and tn.bit_count() != d - 1 and any(
+                            t & common == common and t != tp and t != tn for t in masks):
                         continue
                     ray = exact.primitive([sp * b - sn * a for a, b in zip(rp, rn)])[0]
                     kept.append((ray, common | bit))
@@ -240,8 +263,11 @@ class Polytope:
         for ray, tight in rays:
             w, m = exact.primitive(ray[1:])
             facets.append(Halfspace(w, exact.ratio(ray[0], m)))
-            for i in _bits(tight):
-                meet[i] &= tight
+            rest = tight
+            while rest:
+                low = rest & -rest
+                meet[low.bit_length() - 1] &= tight
+                rest ^= low
         verts = [_point(x, q) for i, x in enumerate(ints) if meet[i] == 1 << i]
         return _canonical(n, verts, facets)
 
@@ -278,8 +304,11 @@ class Polytope:
         equalities, common = (1 << len(hs)) - 1, [-1] * len(hs)
         for _, tight in rays:
             equalities &= tight
-            for i in _bits(tight):
-                common[i] &= tight
+            rest = tight
+            while rest:
+                low = rest & -rest
+                common[low.bit_length() - 1] &= tight
+                rest ^= low
         if equalities:
             raise NotFullDimensional("halfspace intersection is not full-dimensional")
         facets = [Halfspace(w, exact.ratio(p, q)) for i, ((w, p, q), c) in enumerate(zip(hs, common))

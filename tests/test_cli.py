@@ -275,6 +275,26 @@ def test_a_number_too_long_to_write_is_refused(tmp_path, capsys, kind, flags):
         "for integer string conversion\n")
 
 
+def test_graph_corollary_refuses_the_oracle_flag(capsys):
+    # graphs have no oracle yet, so the flag is refused in one line
+    assert main(["verify", "graph-corollary", "catalog:a2-flag"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "graph-corollary", "catalog:a2-flag", "--with-oracle"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --with-oracle takes a polytope identity: graphs have no oracle\n")
+
+
+@pytest.mark.parametrize("flags", [(), ("--text",)])
+@pytest.mark.parametrize("kind", list(TOO_LONG))
+def test_a_number_too_long_to_write_leaves_no_output(tmp_path, capsys, kind, flags):
+    # the text is made whole before it is written, and so is a JSON
+    # document this small: its pieces fit in one batch
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(TOO_LONG[kind]))
+    assert main(["lengths", str(path), *flags]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_another_value_error_is_not_refused(monkeypatch):
     def fail(args):
         raise ValueError("invalid literal")

@@ -126,8 +126,8 @@ CUBE7 = {"dim": 7, "facets": [
     {"normal": [s if j == i else 0 for j in range(7)], "offset": 1}
     for i in range(7) for s in (1, -1)]}
 # The 13-cube by its 26 facets: every ray pair of the hull passes the
-# bit-count filter, and the mask scans of its last row (4096 pairs against
-# 4097 rays) take the hull past polytope.HULL_SCAN_LIMIT.
+# bit-count filter, and the mask scans charged for its last row (4096 pairs
+# against 4097 rays) take the hull past polytope.HULL_SCAN_LIMIT.
 CUBE13 = {"dim": 13, "facets": [
     {"normal": [s if j == i else 0 for j in range(13)], "offset": 1}
     for i in range(13) for s in (1, -1)]}
@@ -177,6 +177,11 @@ CUBE12 = {"dim": 12, "facets": [
      "error: cannot parse rational '1/0'"),
     (["gkm", "check"], segment_graph(vertices=[{"id": 0, "coords": [-1]}, {"id": 0, "coords": [1]}],
                                      edges=[]), "error: InvalidGraph: duplicate vertex id 0"),
+    # graphs have no oracle yet: the flag is refused before the input is read
+    (["verify", "graph-corollary", "--with-oracle"], segment_graph(),
+     "error: --with-oracle takes a polytope identity: graphs have no oracle\n"),
+    (["verify", "graph-corollary", "--with-oracle"], SEGMENT,
+     "error: --with-oracle takes a polytope identity: graphs have no oracle\n"),
 ])
 def test_json_input_exits_2(tmp_path, argv, data, error):
     path = tmp_path / "input.json"

@@ -250,6 +250,18 @@ def test_hull_probe_counts_and_hashes_the_cyclic_polytope(capsys, monkeypatch):
     assert "UnboundedSearch" in capsys.readouterr().out
 
 
+def test_hull_probe_counts_and_hashes_the_cube_from_its_facets(capsys, monkeypatch):
+    # tools/hull_probe.py cube 3: the hash is that of `catalog show cube`
+    assert cli.main(["catalog", "show", "cube"]) == 0
+    shown = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    probe = _tool("hull_probe")
+    assert probe.main(["cube", "3"]) == 0
+    assert capsys.readouterr().out.endswith(f" 8 vertices (2^3 = 8)  sha256 {shown}\n")
+    monkeypatch.setattr(polytope, "HULL_SCAN_LIMIT", 10)
+    assert probe.main(["cube", "3"]) == 2
+    assert "UnboundedSearch" in capsys.readouterr().out
+
+
 def test_line_trace_names_the_uncalled_body(tmp_path):
     # tools/line_trace.py, in a child process so that its pytest run and
     # its tracer leave this one alone, on a module of two functions and a

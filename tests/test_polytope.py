@@ -1,7 +1,9 @@
 import re
 from decimal import Decimal
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
+from operator import mul, neg
 
 import pytest
 import sympy
@@ -69,6 +71,112 @@ def test_hull_work_limit(monkeypatch):
             m.setattr(polytope, limit, count - 1)
             with pytest.raises(UnboundedSearch, match=f"more than its limit of {count - 1}$"):
                 hull()
+
+
+def _scan_only_extreme_rays(rows, d):
+    """``polytope._extreme_rays`` as it was before the count rule: every
+    pair that passes the bit-count pre-test is decided by the mask scan."""
+    chosen, first, free = exact.eliminate(rows, d)
+    if free:
+        return None
+    every = sum(1 << i for i in chosen)
+    rays = [(ray, every & ~(1 << i)) for i, ray in zip(chosen, first)]
+    chosen = set(chosen)
+    pairs = scans = 0
+    for k, row in enumerate(rows):
+        if k in chosen:
+            continue
+        bit = 1 << k
+        kept, pos, neg = [], [], []
+        for ray, tight in rays:
+            s = sum(map(mul, row, ray))
+            if s > 0:
+                kept.append((ray, tight))
+                pos.append((ray, tight, s))
+            elif s < 0:
+                neg.append((ray, tight, s))
+            else:
+                kept.append((ray, tight | bit))
+        if neg:
+            pairs += len(pos) * len(neg)
+            if pairs > polytope.HULL_PAIR_LIMIT:
+                raise UnboundedSearch(
+                    f"the double-description hull would test {pairs} ray pairs by row {k}, "
+                    f"more than its limit of {polytope.HULL_PAIR_LIMIT}"
+                )
+            masks = [tight for _, tight in rays]
+            for rp, tp, sp in pos:
+                for rn, tn, sn in neg:
+                    common = tp & tn
+                    if common.bit_count() < d - 2:
+                        continue
+                    scans += len(masks)
+                    if scans > polytope.HULL_SCAN_LIMIT:
+                        raise UnboundedSearch(
+                            f"the double-description hull would scan {scans} ray masks by row {k}, "
+                            f"more than its limit of {polytope.HULL_SCAN_LIMIT}"
+                        )
+                    if any(t & common == common and t != tp and t != tn for t in masks):
+                        continue
+                    ray = exact.primitive([sp * b - sn * a for a, b in zip(rp, rn)])[0]
+                    kept.append((ray, common | bit))
+        rays = kept
+    return rays
+
+
+@st.composite
+def _cone_rows(draw):
+    """Integer rows in dimension d <= 6: random rows, combinations and
+    repeats of earlier rows, and rows (1, -v) with v a signed unit vector
+    or a vector of +-1s, as cubes and cross-polytopes give from either
+    side; or all the rows of the cube's hull from its facets or from its
+    vertices, with some others."""
+    d = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    units = [(1, *map(neg, v)) for v in polytope._signed_units(d - 1)]
+    signs = [(1, *v) for v in product((-1, 1), repeat=d - 1)]
+    rows = list(draw(st.sampled_from([[], [], units + [(1,) + (0,) * (d - 1)], signs])))
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["random", "combination", "repeat", "unit", "signs"]))
+        if kind == "combination" and rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            x, y = draw(entry), draw(entry)
+            rows.append(tuple(x * p + y * q for p, q in zip(a, b)))
+        elif kind == "repeat" and rows:
+            rows.append(draw(st.sampled_from(rows)))
+        elif kind == "unit" and units:
+            rows.append(draw(st.sampled_from(units)))
+        elif kind == "signs":
+            rows.append(draw(st.sampled_from(signs)))
+        else:
+            rows.append(tuple(draw(st.lists(entry, min_size=d, max_size=d))))
+    return draw(st.permutations(rows)), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(_cone_rows())
+def test_the_count_rule_keeps_the_scans_verdict(case):
+    # A pair with a ray tight on exactly d - 1 rows is adjacent without
+    # the scan; every ray and tight set is the scan's, in its order.
+    rows, d = case
+    assert polytope._extreme_rays(rows, d) == _scan_only_extreme_rays(rows, d)
+
+
+def test_the_12_cube_from_its_facets():
+    # Every pair of its hull has a ray on exactly d - 1 rows, so no pair
+    # is scanned.
+    P = cube(12)
+    assert list(P.vertices) == sorted(product((-1, 1), repeat=12))
+    assert P.facets == tuple(sorted(Halfspace(e, 1) for e in polytope._signed_units(12)))
+
+
+def test_the_13_cube_from_its_facets_is_refused_by_the_scan_budget():
+    # The budget charges every pair that passes the pre-test, scanned or
+    # not, so the refusal point is the scan-only hull's.
+    with pytest.raises(UnboundedSearch) as e:
+        cube(13)
+    assert str(e.value) == ("the double-description hull would scan 6002073 ray masks by row 25, "
+                            "more than its limit of 6000000")
 
 
 def _rank(rows):
